@@ -31,6 +31,7 @@ sys.path.insert(0, str(HERE))
 from workloads import COMMAND_METRICS, WORKLOADS  # noqa: E402
 
 WORKER_TIMEOUT_S = 150
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def fail(message: str) -> int:
@@ -66,6 +67,11 @@ def main() -> int:
     results_dir.mkdir(parents=True, exist_ok=True)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    # One BLAS thread per Python thread: `mc-risk --threads 2` then stays within
+    # nproc, and the single-threaded reference computation tracks the host's
+    # speed for the dense solves too.
+    for name in BLAS_THREAD_VARIABLES:
+        env[name] = "1"
     try:
         worker_result = workdir / "worker.json"
         workdir.mkdir(parents=True)
@@ -84,7 +90,8 @@ def main() -> int:
 
     untraced = [p for p in record["passes"] if not p["traced"]]
     traced = [p for p in record["passes"] if p["traced"]]
-    timings = {"wall_s": [p["wall_s"] for p in untraced]}
+    timings = {"wall_rel": [p["wall_rel"] for p in untraced], "wall_s": [p["wall_s"] for p in untraced],
+               "reference_s": [p["reference_s"] for p in untraced]}
     for name in COMMAND_METRICS:
         if name in untraced[0]["commands"]:
             timings[name] = [p["commands"][name] for p in untraced]
@@ -94,15 +101,19 @@ def main() -> int:
 
     if args.trace:
         values = dict(record["per_layer"])
-        wall_traced = statistics.median(p["wall_s"] for p in traced)
-        values["trace.overhead_s"] = wall_traced - stats["wall_s"]["median"]
+        values["wall_s"] = stats["wall_s"]["median"]
+        # Taken in reference units, so that the host's drift between the
+        # traced and untraced passes cancels, then turned back into seconds.
+        rel_traced = statistics.median(p["wall_rel"] for p in traced)
+        values["trace.overhead_s"] = ((rel_traced - stats["wall_rel"]["median"])
+                                      * stats["reference_s"]["median"])
         for name in COMMAND_METRICS:
             values[name] = stats[name]["median"] if name in stats else 0.0
         values["error_rate"] = record["failed"] / record["attempted"]
     else:
         values = {
             "setup_s": stats["setup_s"]["median"],
-            "wall_s": stats["wall_s"]["median"],
+            "wall_rel": stats["wall_rel"]["median"],
             "peak_rss_mb": record["peak_rss_mb"],
         }
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))

@@ -6,6 +6,9 @@ Usage (normally started by run.py):
                                 --workdir DIR --result FILE
 
 The timed region of an invocation is the call ``fourier_minnorm.cli.main``.
+The reference computation of ``reference.py`` is read between invocations
+and, every 0.2 s, during untraced single-threaded ones; its time is taken
+off the invocation's.
 Passes repeat until the next one would end after ``--seconds``.  With
 ``--trace 1`` untraced and traced passes alternate; with ``--trace 0`` set-up
 time is sampled after each pass.  The result is written to ``--result`` as
@@ -37,23 +40,33 @@ import fourier_minnorm  # noqa: E402
 import fourier_minnorm.cli as cli  # noqa: E402
 
 import checks  # noqa: E402
+import reference  # noqa: E402
 from spans import Tracer  # noqa: E402
 from workloads import WORKLOADS, nproc  # noqa: E402
 
 SETUP_SPAWNS_PER_PASS = 3
 
 
-def run_invocation(argv: list[str]) -> tuple[object, float, str | None]:
-    """Time one cli.main call; returns (exit code, seconds, traceback or None)."""
+def run_invocation(argv: list[str], period: float) -> tuple[object, float, list[float], str | None]:
+    """Time one cli.main call, reading the reference every ``period`` seconds.
+
+    Returns (exit code, seconds without the readings, readings, traceback or None).
+    """
+    sampler = reference.Sampler(period)
     start = time.perf_counter()
     try:
-        rc = cli.main(argv)
+        with sampler:
+            rc = cli.main(argv)
         error = None
     except SystemExit as exc:  # argparse rejects the arguments
         rc, error = exc.code, f"SystemExit({exc.code})"
     except Exception:
         rc, error = "exception", traceback.format_exc()
-    return rc, time.perf_counter() - start, error
+    return rc, time.perf_counter() - start - sampler.spent, sampler.readings, error
+
+
+def single_threaded(argv: list[str]) -> bool:
+    return "--threads" not in argv or int(argv[argv.index("--threads") + 1]) <= 1
 
 
 def digest(directory: Path) -> str:
@@ -77,22 +90,38 @@ def time_setup(spawns: int) -> list[float]:
 
 
 def run_pass(index: int, invocations, workdir: Path, tracer: Tracer | None) -> dict:
+    """One pass of the workload's invocations.
+
+    Its ``wall_rel`` divides each invocation's time by the mean reference
+    reading before, during and after it.  Traced and multi-threaded
+    invocations are not read inside: the readings would land in the spans or
+    wait for the pool's threads.
+    """
     passdir = workdir / f"pass{index}"
     wall = 0.0
+    wall_rel = 0.0
     commands: dict[str, float] = defaultdict(float)
     results = []
+    before = reference.readings()
+    all_readings = list(before)
     for i, (metric, argv, _) in enumerate(invocations):
         outdir = passdir / f"inv{i:02d}"
         outdir.mkdir(parents=True)
         out = outdir / ("out" if argv[0] == "interp" else "out.csv")
         if tracer is not None:
             tracer.invocation = i
-        rc, seconds, error = run_invocation([*argv, "--out", str(out)])
+        period = reference.SAMPLE_PERIOD_S if tracer is None and single_threaded(argv) else 0.0
+        rc, seconds, during, error = run_invocation([*argv, "--out", str(out)], period)
+        after = reference.readings()
         wall += seconds
+        wall_rel += seconds / statistics.fmean(before + during + after)
+        all_readings += during + after
+        before = after
         if metric is not None:
             commands[metric] += seconds
         results.append({"rc": rc, "error": error})
-    return {"traced": tracer is not None, "wall_s": wall, "commands": dict(commands),
+    return {"traced": tracer is not None, "wall_s": wall, "wall_rel": wall_rel,
+            "reference_s": statistics.median(all_readings), "commands": dict(commands),
             "results": results, "dir": passdir}
 
 
@@ -148,7 +177,9 @@ def main() -> int:
     first_tracer = None
     peak_rss_kb = 0
     started = time.perf_counter()
+    elapsed = {False: [], True: []}  # pass plus its set-up spawns, by traced
     while True:
+        pass_started = time.perf_counter()
         traced = bool(args.trace) and len(passes) % 2 == 1
         tracer = None
         if traced:
@@ -170,8 +201,9 @@ def main() -> int:
             shutil.rmtree(passdir)
         passes.append(record)
         setup += time_setup(setup_spawns)
+        elapsed[traced].append(time.perf_counter() - pass_started)
         next_traced = bool(args.trace) and len(passes) % 2 == 1
-        next_estimate = max(p["wall_s"] for p in passes if p["traced"] == next_traced or p is record)
+        next_estimate = max(elapsed[next_traced] or elapsed[traced])
         if len(passes) >= min_passes and time.perf_counter() - started + next_estimate > args.seconds:
             break
 
