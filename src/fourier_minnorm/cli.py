@@ -46,7 +46,7 @@ from .interpolation import (
 )
 from .model import build_spectrum, classify_grid
 from .montecarlo import CoefficientModel, McConfig, concentration_check, empirical_risk
-from .risktheory import asymptotic_bound, concentration_bound, risk_over_closed, theory_risk
+from .risktheory import asymptotic_bound, concentration_bound, risk_over_closed, theory_risks
 
 # ---------------------------------------------------------------------------
 # Serialisation helpers
@@ -269,29 +269,38 @@ def _resolve_p_grid(spec) -> list[int]:
     return p_list
 
 
-def _curve_params(spec) -> list[tuple[float, float, int]]:
+def _curve_groups(spec) -> tuple[list[tuple[float, float]], list[int]]:
+    """(r, q) row groups in output order, and the p grid each group sweeps."""
     if not spec.r_values:
         raise ConfigurationError("r grid is empty (field r_values)")
     p_list = _resolve_p_grid(spec)
-    params = []
+    groups = []
     for r in sorted(set(spec.r_values)):
         q_list = sorted(set(spec.q_values)) if spec.q_values is not None else [r]
-        for q in q_list:
-            params.extend((r, q, p) for p in p_list)
-    return params
+        groups.extend((r, q) for q in q_list)
+    return groups, p_list
+
+
+def _spectra(D: int, groups) -> dict:
+    return {r: build_spectrum(D, r) for r in dict.fromkeys(r for r, _ in groups)}
+
+
+def _grouped_rows(compute: Callable, groups: Sequence, threads: int) -> list:
+    return [row for chunk in ordered_map(compute, groups, threads) for row in chunk]
 
 
 def run_risk_curve(spec: RiskCurveSpec) -> list[Path]:
     _check_format(spec.format)
-    params = _curve_params(spec)
-    spectra = {r: build_spectrum(spec.D, r) for r, _, _ in params}
+    groups, p_list = _curve_groups(spec)
+    spectra = _spectra(spec.D, groups)
+    regimes = [classify_grid(spec.D, spec.n, p).regime.value for p in p_list]
 
-    def compute(item):
-        r, q, p = item
-        grid = classify_grid(spec.D, spec.n, p)
-        return [spec.D, spec.n, p, r, q, grid.regime.value, theory_risk(spectra[r], grid, q)]
+    def compute(group):
+        r, q = group
+        risks = theory_risks(spectra[r], spec.n, q, p_list)
+        return [[spec.D, spec.n, p, r, q, regime, float(risk)] for p, regime, risk in zip(p_list, regimes, risks)]
 
-    rows = ordered_map(compute, params, spec.threads)
+    rows = _grouped_rows(compute, groups, spec.threads)
     path = Path(spec.out)
     write_table(path, spec.format, ["D", "n", "p", "r", "q", "regime", "risk_theory"], rows)
     return [path]
@@ -299,8 +308,9 @@ def run_risk_curve(spec: RiskCurveSpec) -> list[Path]:
 
 def run_mc_risk(spec: McRiskSpec) -> list[Path]:
     _check_format(spec.format)
-    params = _curve_params(spec)
-    spectra = {r: build_spectrum(spec.D, r) for r, _, _ in params}
+    groups, p_list = _curve_groups(spec)
+    spectra = _spectra(spec.D, groups)
+    grids = [classify_grid(spec.D, spec.n, p) for p in p_list]
     mc = McConfig(
         trials=spec.trials,
         seed=spec.seed,
@@ -308,14 +318,17 @@ def run_mc_risk(spec: McRiskSpec) -> list[Path]:
         confidence=spec.confidence,
     )
 
-    def compute(item):
-        r, q, p = item
-        grid = classify_grid(spec.D, spec.n, p)
-        est = empirical_risk(spectra[r], grid, q, mc)
-        theory = theory_risk(spectra[r], grid, q)
-        return [spec.D, spec.n, p, r, q, grid.regime.value, theory, est.mean, est.ci_low, est.ci_high]
+    def compute(group):
+        r, q = group
+        risks = theory_risks(spectra[r], spec.n, q, p_list)
+        rows = []
+        for grid, theory in zip(grids, risks):
+            est = empirical_risk(spectra[r], grid, q, mc)
+            rows.append([spec.D, spec.n, grid.p, r, q, grid.regime.value, float(theory),
+                         est.mean, est.ci_low, est.ci_high])
+        return rows
 
-    rows = ordered_map(compute, params, spec.threads)
+    rows = _grouped_rows(compute, groups, spec.threads)
     path = Path(spec.out)
     header = ["D", "n", "p", "r", "q", "regime", "risk_theory", "risk_mc_mean", "ci_low", "ci_high"]
     write_table(path, spec.format, header, rows)
@@ -329,18 +342,18 @@ def run_heatmap(spec: HeatmapSpec) -> list[Path]:
     if not spec.r_values:
         raise ConfigurationError("r grid is empty (field r_values)")
     p_list = _resolve_p_grid(spec)
-    params = [(r, p) for r in sorted(set(spec.r_values)) for p in p_list]
-    spectra = {r: build_spectrum(spec.D, r) for r, _ in params}
+    groups = [(r, r if spec.q_rule == "match-r" else spec.q_fixed) for r in sorted(set(spec.r_values))]
+    spectra = _spectra(spec.D, groups)
 
-    def compute(item):
-        r, p = item
-        q = r if spec.q_rule == "match-r" else spec.q_fixed
-        grid = classify_grid(spec.D, spec.n, p)
-        risk = theory_risk(spectra[r], grid, q)
-        log_risk = math.log10(risk) if risk > 0 else None
-        return [spec.D, spec.n, p, r, q, risk, log_risk]
+    def compute(group):
+        r, q = group
+        risks = theory_risks(spectra[r], spec.n, q, p_list)
+        return [
+            [spec.D, spec.n, p, r, q, float(risk), math.log10(risk) if risk > 0 else None]
+            for p, risk in zip(p_list, risks)
+        ]
 
-    rows = ordered_map(compute, params, spec.threads)
+    rows = _grouped_rows(compute, groups, spec.threads)
     path = Path(spec.out)
     write_table(path, spec.format, ["D", "n", "p", "r", "q", "risk", "log10_risk"], rows)
     return [path]
@@ -359,6 +372,7 @@ def run_bound_check(spec: BoundCheckSpec) -> list[Path]:
     ]
     rows = []
     warnings = []
+    spectra = {}
     for r, n, l, m in params:
         tau = m * l
         D, p = tau * n, l * n
@@ -369,7 +383,9 @@ def run_bound_check(spec: BoundCheckSpec) -> list[Path]:
         if l < 2:
             warnings.append(f"skipped {label}: rate bound needs l >= 2")
             continue
-        spectrum = build_spectrum(D, r)
+        if (D, r) not in spectra:
+            spectra[D, r] = build_spectrum(D, r)
+        spectrum = spectra[D, r]
         grid = classify_grid(D, n, p)
         risk = risk_over_closed(spectrum, grid, q=r).risk
         report = asymptotic_bound(spectrum, grid)

@@ -60,8 +60,8 @@ def build_spectrum(D: int, r: float) -> Spectrum:
     """Construct the D-term decay sequence and its normaliser for exponent r."""
     if D < 1:
         raise ConfigurationError(f"feature count D must be >= 1, got {D}")
-    if r < 0:
-        raise ConfigurationError(f"decay exponent r must be >= 0, got {r}")
+    if not (math.isfinite(r) and r >= 0):
+        raise ConfigurationError(f"decay exponent r must be finite and >= 0, got {r}")
     t = 1.0 / np.arange(1, D + 1, dtype=float)
     # Direct summation, smallest terms first; fsum compensates exactly.
     c_r = 1.0 / math.fsum((t ** (2.0 * r))[::-1])
@@ -152,11 +152,23 @@ def folded_sums(values: np.ndarray, n: int, compensated: bool = False) -> np.nda
     block = values.reshape(-1, n)
     if not compensated:
         return block.sum(axis=0)
-    total = np.zeros(n, dtype=block.dtype)
-    carry = np.zeros(n, dtype=block.dtype)
-    for row in block:
-        y = row - carry
-        t = total + y
-        carry = (t - total) - y
-        total = t
-    return total
+    return accumulate_blocks(np.vstack([np.zeros(n, dtype=block.dtype), block]), compensated=True)[-1]
+
+
+def accumulate_blocks(blocks: np.ndarray, compensated: bool = False) -> np.ndarray:
+    """Running sums over the leading axis, in place; returns ``blocks``.
+
+    Row l becomes the sum of rows 0..l.  Rows are added in order, so a
+    reversed view yields suffix sums.  With ``compensated`` the running sum
+    carries a Kahan correction from block to block, so every row is as
+    accurate as a compensated sum of its own.
+    """
+    if not compensated:
+        return np.cumsum(blocks, axis=0, out=blocks)
+    carry = np.zeros(blocks.shape[1:], dtype=blocks.dtype)
+    for i in range(1, len(blocks)):
+        y = blocks[i] - carry
+        total = blocks[i - 1] + y
+        carry = (total - blocks[i - 1]) - y
+        blocks[i] = total
+    return blocks

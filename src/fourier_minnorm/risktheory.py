@@ -4,24 +4,45 @@ Risk means E ||theta - theta_hat||^2 over coefficients with E[theta] = 0 and
 E[theta theta^*] = c_r diag(t^(2r)) (unit trace).  Two independent routes are
 provided for each regime and cross-validated in the tests:
 
-* closed forms over aliased index sums (aligned grids, O(D) time);
+* closed forms over residue-class sums (grids with D = tau*n, at p <= n or
+  p = l*n; O(D) for a whole p sweep);
 * trace forms that materialise the feature matrices densely (any grid with
   the right (n, p) ordering; the oracle route).
 
-Overparameterized closed form, with A(k, u) = sum over nu < l of t_{k+n*nu}^u
-and C(k, u) the same sum over nu in [l, tau):
+Feature k = m + n*nu lies in residue class m and block nu.  Overparameterized
+closed form at p = l*n, with A(m, u) = sum over nu < l of t_{m+n*nu}^u and
+C(m, u) the same sum over nu in [l, tau):
 
-    P_q  = c_r * sum_k A(k, 2q+2r) / A(k, 2q)
-    Q_q1 = c_r * sum_k A(k, 4q) A(k, 2r) / A(k, 2q)^2
-    Q_q2 = c_r * sum_k A(k, 4q) C(k, 2r) / A(k, 2q)^2
+    P_q  = c_r * sum_m A(m, 2q+2r) / A(m, 2q)
+    Q_q1 = c_r * sum_m A(m, 4q) A(m, 2r) / A(m, 2q)^2
+    Q_q2 = c_r * sum_m A(m, 4q) C(m, 2r) / A(m, 2q)^2
     risk = 1 - 2 P_q + Q_q1 + Q_q2
+
+Least-squares closed form at p <= n: the tail plus the alias mass of the
+fitted classes,
+
+    risk = c_r * (sum_{j >= p} t_j^(2r) + sum_{m < p} C(m, 2r) at l = 1).
+
+``theory_risks`` evaluates a whole p sweep in one pass.  A(., u) at p = l*n
+is row l of the running block sums of t^u, and C(., 2r) is row l of the
+running sums taken from the last block down (suffix sums, never a total
+minus a prefix), so every aligned p reads one row of a (tau+1, n) array.
+Every p <= n reads one entry of the tail and cumulative alias sums.
+Class m is scaled by t_m^(-2q), i.e. summed with weights (t_k / t_m)^(2q)
+whose leading term is 1; every ratio above is unchanged, and A(m, 2q) >= 1
+keeps t^(4q) from underflowing to 0/0 at large q.  At D >=
+COMPENSATED_SUM_MIN_D the running sums carry Kahan compensation from block to
+block.  Misaligned grids (n not dividing D, or n < p with n not dividing p)
+still take the dense trace forms, point by point.  The single-point
+functions ``risk_over_closed``, ``risk_under_closed`` and ``theory_risk`` read
+the same sweeps, so they agree bit for bit with ``theory_risks``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,7 +54,14 @@ from .errors import (
     SingularConstantError,
     StructureError,
 )
-from .model import COMPENSATED_SUM_MIN_D, GridConfig, Spectrum, classify_grid, folded_sums
+from .model import (
+    COMPENSATED_SUM_MIN_D,
+    GridConfig,
+    Spectrum,
+    accumulate_blocks,
+    classify_grid,
+    folded_sums,
+)
 
 # Risks are expectations of squared norms; tiny negatives are rounding noise
 # and reported as 0, anything worse indicates a bug.
@@ -70,6 +98,9 @@ class LowestRisks(NamedTuple):
 
 
 def _finalize_risk(value: float) -> tuple[float, bool]:
+    value = float(value)
+    if not math.isfinite(value):
+        raise NumericalInconsistencyError(f"risk evaluated to {value}, which is not a finite number")
     if value >= 0.0:
         return value, False
     if value >= -NEGATIVE_RISK_TOLERANCE:
@@ -86,28 +117,68 @@ def _require_aligned_over(grid: GridConfig) -> None:
         )
 
 
+def _check_q(q: float) -> None:
+    if not (math.isfinite(q) and q >= 0):
+        raise ConfigurationError(f"weighting exponent q must be finite and >= 0, got {q}")
+
+
+def _over_sweep(spectrum: Spectrum, n: int, q: float) -> tuple[np.ndarray, ...]:
+    """P_q, Q_q1, Q_q2 and the unfinalised risk at every p = l*n (entry l-1).
+
+    Needs n | D.  Works on (tau, n) blocks, row nu holding features nu*n + m,
+    accumulated in place so that at most two block arrays are alive at once.
+    """
+    comp = spectrum.D >= COMPENSATED_SUM_MIN_D
+    t = spectrum.t.reshape(-1, n)
+    two_r, cr = 2.0 * spectrum.decay_r, spectrum.c_r
+
+    def class_scaled(u: float) -> np.ndarray:
+        # t_k^u / t_m^u, class m scaled by its leading term
+        x = t / t[0]
+        return np.power(x, u, out=x)
+
+    a_2q = class_scaled(2.0 * q)
+    ratio = np.power(t, two_r)
+    ratio *= a_2q
+    accumulate_blocks(a_2q, comp)
+    accumulate_blocks(ratio, comp)
+    ratio /= a_2q
+    P_q = cr * np.sum(ratio, axis=1)
+    del ratio
+
+    weight = accumulate_blocks(class_scaled(4.0 * q), comp)
+    weight /= np.square(a_2q, out=a_2q)  # A(., 4q) / A(., 2q)^2
+    del a_2q
+
+    terms = accumulate_blocks(np.power(t, two_r), comp)
+    terms *= weight
+    Q_q1 = cr * np.sum(terms, axis=1)
+    np.power(t, two_r, out=terms)
+    accumulate_blocks(terms[::-1], comp)  # row nu: sum over blocks >= nu
+    terms[1:] *= weight[:-1]
+    Q_q2 = np.zeros(len(t))  # p = D leaves no complement
+    Q_q2[:-1] = cr * np.sum(terms[1:], axis=1)
+    return P_q, Q_q1, Q_q2, 1.0 - 2.0 * P_q + Q_q1 + Q_q2
+
+
+def _under_curve(spectrum: Spectrum, n: int) -> np.ndarray:
+    """Unfinalised least-squares risk at every p in [0, n] (entry p).  Needs n | D."""
+    comp = spectrum.D >= COMPENSATED_SUM_MIN_D
+    t2r = spectrum.t_pow(2.0 * spectrum.decay_r)
+    alias = folded_sums(t2r[n:], n, comp)  # C(m, 2r) at l = 1
+    head_tail = np.append(np.cumsum(t2r[n - 1 :: -1])[::-1], 0.0)
+    tail = head_tail + np.sum(alias)
+    head_alias = np.append(0.0, np.cumsum(alias))
+    return spectrum.c_r * (tail + head_alias)
+
+
 def risk_over_closed(spectrum: Spectrum, grid: GridConfig, q: float) -> RiskBreakdown:
     """Closed-form risk of the weighted min-norm estimator on aligned grids."""
     _require_aligned_over(grid)
-    if q < 0:
-        raise ConfigurationError(f"weighting exponent q must be >= 0, got {q}")
-    n, p, D = grid.n, grid.p, grid.D
-    r = spectrum.decay_r
-    comp = spectrum.D >= COMPENSATED_SUM_MIN_D
-    t_T = spectrum.t[:p]
-
-    a_2q = folded_sums(t_T ** (2.0 * q), n, comp)
-    a_2q2r = folded_sums(t_T ** (2.0 * q + 2.0 * r), n, comp)
-    a_4q = folded_sums(t_T ** (4.0 * q), n, comp)
-    a_2r = folded_sums(t_T ** (2.0 * r), n, comp)
-    c_2r = folded_sums(spectrum.t[p:] ** (2.0 * r), n, comp) if p < D else np.zeros(n)
-
-    cr = spectrum.c_r
-    P_q = cr * float(np.sum(a_2q2r / a_2q))
-    Q_q1 = cr * float(np.sum(a_4q * a_2r / a_2q**2))
-    Q_q2 = cr * float(np.sum(a_4q * c_2r / a_2q**2))
-    risk, clamped = _finalize_risk(1.0 - 2.0 * P_q + Q_q1 + Q_q2)
-    return RiskBreakdown(P_q=P_q, Q_q1=Q_q1, Q_q2=Q_q2, risk=risk, clamped=clamped)
+    _check_q(q)
+    P_q, Q_q1, Q_q2, raw = (v[grid.l - 1] for v in _over_sweep(spectrum, grid.n, q))
+    risk, clamped = _finalize_risk(raw)
+    return RiskBreakdown(P_q=float(P_q), Q_q1=float(Q_q1), Q_q2=float(Q_q2), risk=risk, clamped=clamped)
 
 
 def risk_over_plain(spectrum: Spectrum, grid: GridConfig) -> float:
@@ -169,11 +240,7 @@ def risk_under_closed(spectrum: Spectrum, grid: GridConfig) -> float:
         raise RegimeError(f"underparameterized form needs p <= n, got p={grid.p}, n={grid.n}")
     if grid.tau is None:
         raise StructureError(f"closed form needs D = tau*n, got D={grid.D}, n={grid.n}")
-    n, p, tau = grid.n, grid.p, grid.tau
-    t2r = spectrum.t_pow(2.0 * spectrum.decay_r)
-    tail = math.fsum(t2r[p:])
-    folded_head = math.fsum(t2r[k * n + j] for k in range(1, tau) for j in range(p))
-    risk, _ = _finalize_risk(spectrum.c_r * (tail + folded_head))
+    risk, _ = _finalize_risk(_under_curve(spectrum, grid.n)[grid.p])
     return risk
 
 
@@ -243,34 +310,47 @@ def lowest_risks(spectrum: Spectrum, n: int, q: float) -> LowestRisks:
     """Lowest under-regime risk and the best aligned overparameterized risk.
 
     The under-regime optimum is attained at p = n; the over-regime value
-    scans p in {n, 2n, ..., D} with the closed form.  For q >= r >= 1 the
-    over-regime minimum is strictly smaller.
+    is the minimum of the closed form over p in {n, 2n, ..., D}, read from
+    one sweep.  For q >= r >= 1 the over-regime minimum is strictly smaller.
     """
     D = spectrum.D
     if D % n != 0:
         raise StructureError(f"scan needs D = tau*n, got D={D}, n={n}")
+    _check_q(q)
     under_star = 2.0 * spectrum.c_r * spectrum.tail_sum(2.0 * spectrum.decay_r, start=n)
-    over_star = math.inf
-    argmin_p = n
-    for l in range(1, D // n + 1):
-        p = l * n
-        value = risk_over_closed(spectrum, classify_grid(D, n, p), q).risk
-        if value < over_star:
-            over_star = value
-            argmin_p = p
-    return LowestRisks(under_star=under_star, over_star=over_star, argmin_p_over=argmin_p)
+    over = [_finalize_risk(value)[0] for value in _over_sweep(spectrum, n, q)[3]]
+    best = int(np.argmin(over))
+    return LowestRisks(under_star=under_star, over_star=over[best], argmin_p_over=(best + 1) * n)
+
+
+def theory_risks(spectrum: Spectrum, n: int, q: float, p_values: Sequence[int]) -> np.ndarray:
+    """Regime-dispatched theoretical risk at every truncation in p_values.
+
+    With n | D, all p <= n and all p = l*n come from one pass over the
+    residue-class sums (see the module docstring); the cost is O(D) however
+    many points are asked for.  Other points take the dense trace forms one
+    by one.  For p <= n the value is independent of q.
+    """
+    _check_q(q)
+    grids = [classify_grid(spectrum.D, n, int(p)) for p in p_values]
+    out = np.empty(len(grids))
+    under = over = None
+    for i, grid in enumerate(grids):
+        if grid.tau is not None and grid.p <= n:
+            if under is None:
+                under = _under_curve(spectrum, n)
+            out[i] = _finalize_risk(under[grid.p])[0]
+        elif grid.tau is not None and grid.l is not None:
+            if over is None:
+                over = _over_sweep(spectrum, n, q)[3]
+            out[i] = _finalize_risk(over[grid.l - 1])[0]
+        elif grid.p <= n:
+            out[i] = risk_trace_under(spectrum, grid)
+        else:
+            out[i] = risk_trace_over(spectrum, grid, q).risk
+    return out
 
 
 def theory_risk(spectrum: Spectrum, grid: GridConfig, q: float) -> float:
-    """Regime-dispatched theoretical risk for one configuration.
-
-    Closed forms on aligned grids, dense trace forms otherwise.  For p <= n
-    the value is independent of q.
-    """
-    if grid.p <= grid.n:
-        if grid.tau is not None:
-            return risk_under_closed(spectrum, grid)
-        return risk_trace_under(spectrum, grid)
-    if grid.l is not None and grid.tau is not None:
-        return risk_over_closed(spectrum, grid, q).risk
-    return risk_trace_over(spectrum, grid, q).risk
+    """Theoretical risk for one configuration: one point of ``theory_risks``."""
+    return float(theory_risks(spectrum, grid.n, q, [grid.p])[0])

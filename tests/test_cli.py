@@ -375,3 +375,28 @@ def test_numerical_inconsistency_exit_code(monkeypatch, capsys):
     code = main(["risk-curve", "-D", "8", "-n", "2", "--r-values", "1.0"])
     assert code == 3
     assert "numerical" in capsys.readouterr().err
+
+
+class TestSweepEdges:
+    @pytest.mark.parametrize("r", ["nan", "inf"])
+    def test_non_finite_r_is_a_configuration_error(self, tmp_path, capsys, r):
+        for command in ("risk-curve", "heatmap"):
+            out = tmp_path / f"{command}.csv"
+            code = main([command, "-D", "16", "-n", "4", "--r-values", f"1.0,{r}", "--out", str(out)])
+            assert code == 2
+            assert not out.exists()
+            assert "decay exponent r" in capsys.readouterr().err
+
+    def test_large_q_risk_is_finite(self, tmp_path):
+        out = tmp_path / "curve.csv"
+        code = main(["risk-curve", "-D", "1024", "-n", "16", "--r-values", "1.0", "--q-values", "100",
+                     "--p-values", "512", "--out", str(out)])
+        assert code == 0
+        header, rows = read_csv(out)
+        # at q -> inf only the leading term of each class keeps weight:
+        # risk = 2 c_r * sum_{j >= n} t_j^2
+        from fourier_minnorm import build_spectrum
+
+        s = build_spectrum(1024, 1.0)
+        expected = 2 * s.c_r * s.tail_sum(2.0, start=16)
+        assert column(header, rows, "risk_theory")[0] == pytest.approx(expected, abs=1e-12)

@@ -14,7 +14,7 @@ from fourier_minnorm import (
     classify_grid,
     cr_bounds,
 )
-from fourier_minnorm.model import folded_sums
+from fourier_minnorm.model import accumulate_blocks, folded_sums
 
 
 class TestBuildSpectrum:
@@ -50,6 +50,11 @@ class TestBuildSpectrum:
     def test_rejects_negative_r(self):
         with pytest.raises(ConfigurationError):
             build_spectrum(4, -0.1)
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf])
+    def test_rejects_non_finite_r(self, r):
+        with pytest.raises(ConfigurationError):
+            build_spectrum(4, r)
 
     def test_bitwise_reproducible(self):
         a, b = build_spectrum(129, 1.3), build_spectrum(129, 1.3)
@@ -173,3 +178,31 @@ class TestFoldedSums:
             folded_sums(values, 8, compensated=False),
             rtol=1e-12,
         )
+
+
+class TestAccumulateBlocks:
+    @pytest.mark.parametrize("compensated", [False, True])
+    def test_rows_become_prefix_sums_in_place(self, compensated):
+        blocks = np.random.default_rng(3).standard_normal((6, 4))
+        work = blocks.copy()
+        assert accumulate_blocks(work, compensated) is work
+        for l in range(6):
+            np.testing.assert_allclose(work[l], blocks[: l + 1].sum(axis=0), rtol=1e-13, atol=1e-14)
+
+    @pytest.mark.parametrize("compensated", [False, True])
+    def test_reversed_view_gives_suffix_sums(self, compensated):
+        blocks = np.random.default_rng(4).standard_normal((5, 3))
+        work = blocks.copy()
+        accumulate_blocks(work[::-1], compensated)
+        for l in range(5):
+            np.testing.assert_allclose(work[l], blocks[l:].sum(axis=0), rtol=1e-13, atol=1e-14)
+
+    def test_compensated_rows_are_nearly_exactly_rounded(self):
+        values = 1.0 / np.arange(1, (1 << 14) + 1, dtype=float)
+        out = accumulate_blocks(values.reshape(-1, 4).copy(), compensated=True)
+        for l in (1, 100, 4096):
+            exact = [math.fsum(values[m : 4 * l : 4]) for m in range(4)]
+            np.testing.assert_allclose(out[l - 1], exact, rtol=4e-16, atol=0)
+
+    def test_compensated_fold_of_nothing_is_zero(self):
+        np.testing.assert_array_equal(folded_sums(np.zeros(0), 4, compensated=True), np.zeros(4))

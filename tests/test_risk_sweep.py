@@ -1,0 +1,138 @@
+"""One-pass risk sweeps: theory_risks against the dense oracles and mpmath."""
+
+import math
+
+import mpmath
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fourier_minnorm import (
+    ConfigurationError,
+    NumericalInconsistencyError,
+    build_spectrum,
+    classify_grid,
+    lowest_risks,
+    risk_over_closed,
+    risk_trace_over,
+    risk_trace_under,
+    risk_under_closed,
+    theory_risk,
+    theory_risks,
+)
+from fourier_minnorm.model import COMPENSATED_SUM_MIN_D
+from fourier_minnorm.risktheory import _finalize_risk
+
+
+def paper_grid(D, n):
+    return list(range(1, n)) + [l * n for l in range(1, D // n + 1)]
+
+
+def oracle(spectrum, n, p, q):
+    grid = classify_grid(spectrum.D, n, p)
+    if p <= n:
+        return risk_trace_under(spectrum, grid)
+    return risk_trace_over(spectrum, grid, q).risk
+
+
+def mp_risks(D, n, r, q, p_values, dps=40):
+    """Closed-form risks summed in mpmath straight from t_j = 1/(j+1), unscaled."""
+    out = []
+    with mpmath.workdps(dps):
+        r2, q2 = mpmath.mpf(2 * r), mpmath.mpf(2 * q)
+        t = [mpmath.mpf(1) / (k + 1) for k in range(D)]
+        t2r = [x**r2 for x in t]
+        c_r = 1 / mpmath.fsum(t2r)
+        for p in p_values:
+            if p <= n:
+                alias = mpmath.fsum(mpmath.fsum(t2r[j + n :: n]) for j in range(p))
+                out.append(float(c_r * (mpmath.fsum(t2r[p:]) + alias)))
+                continue
+            P = Q1 = Q2 = mpmath.mpf(0)
+            for m in range(n):
+                w = [x**q2 for x in t[m:p:n]]
+                a_2q = mpmath.fsum(w)
+                a_4q = mpmath.fsum(x**2 for x in w)
+                P += mpmath.fsum(x * y for x, y in zip(w, t2r[m:p:n])) / a_2q
+                Q1 += a_4q * mpmath.fsum(t2r[m:p:n]) / a_2q**2
+                Q2 += a_4q * mpmath.fsum(t2r[m + p :: n]) / a_2q**2
+            out.append(float(1 - 2 * c_r * P + c_r * Q1 + c_r * Q2))
+    return out
+
+
+class TestAgainstOracles:
+    @given(
+        n=st.integers(min_value=1, max_value=8),
+        tau=st.integers(min_value=1, max_value=6),
+        r=st.floats(min_value=0.0, max_value=2.0, allow_nan=False),
+        q=st.floats(min_value=0.0, max_value=3.0, allow_nan=False),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_full_paper_grid_matches_trace_forms(self, n, tau, r, q):
+        D = tau * n
+        s = build_spectrum(D, r)
+        p_values = paper_grid(D, n)
+        swept = theory_risks(s, n, q, p_values)
+        expected = [oracle(s, n, p, q) for p in p_values]
+        assert np.max(np.abs(swept - expected)) <= 1e-9
+
+    def test_misaligned_points_take_the_trace_forms_exactly(self):
+        s = build_spectrum(24, 0.8)
+        # n | D but p = 6 is no multiple of n; n = 5 does not divide D at all
+        assert theory_risks(s, 4, 1.0, [6])[0] == risk_trace_over(s, classify_grid(24, 4, 6), 1.0).risk
+        swept = theory_risks(s, 5, 1.0, [3, 5, 10, 24])
+        assert list(swept) == [oracle(s, 5, p, 1.0) for p in (3, 5, 10, 24)]
+
+
+class TestSweepIsTheSinglePointValue:
+    @pytest.mark.parametrize("D,n,r,q", [(64, 8, 1.0, 1.0), (60, 6, 0.3, 2.5), (32, 1, 1.5, 0.0)])
+    def test_bit_identical(self, D, n, r, q):
+        s = build_spectrum(D, r)
+        p_values = paper_grid(D, n)
+        swept = theory_risks(s, n, q, p_values)
+        for p, value in zip(p_values, swept):
+            grid = classify_grid(D, n, p)
+            assert value == theory_risk(s, grid, q)
+            if p <= n:
+                assert value == risk_under_closed(s, grid)
+            else:
+                assert value == risk_over_closed(s, grid, q).risk
+
+    def test_lowest_risks_is_the_sweep_minimum(self):
+        s = build_spectrum(256, 1.0)
+        over = [risk_over_closed(s, classify_grid(256, 16, l * 16), 1.0).risk for l in range(1, 17)]
+        result = lowest_risks(s, 16, 1.0)
+        assert result.over_star == min(over)
+        assert result.argmin_p_over == 16 * (1 + over.index(min(over)))
+
+
+class TestAccuracyEdges:
+    def test_compensated_sweep_matches_mpmath(self):
+        D, n, r, q = COMPENSATED_SUM_MIN_D, 256, 1.0, 1.0
+        p_values = [100, 256, 512, 8192, D]
+        swept = theory_risks(build_spectrum(D, r), n, q, p_values)
+        assert np.max(np.abs(swept - mp_risks(D, n, r, q, p_values))) <= 1e-12
+
+    @pytest.mark.parametrize("q", [80.0, 200.0, 400.0])
+    def test_large_q_is_finite_and_matches_mpmath(self, q):
+        s = build_spectrum(1024, 1.0)
+        value = theory_risks(s, 16, q, [512])[0]
+        assert math.isfinite(value)
+        assert abs(value - mp_risks(1024, 16, 1.0, q, [512])[0]) <= 1e-12
+        assert risk_over_closed(s, classify_grid(1024, 16, 512), q).risk == value
+
+
+class TestValidation:
+    @pytest.mark.parametrize("q", [-0.5, math.nan, math.inf])
+    def test_rejects_bad_weighting_exponent(self, q):
+        s = build_spectrum(16, 1.0)
+        with pytest.raises(ConfigurationError):
+            theory_risks(s, 4, q, [8])
+        with pytest.raises(ConfigurationError):
+            risk_over_closed(s, classify_grid(16, 4, 8), q)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_risk_has_its_own_message(self, value):
+        with pytest.raises(NumericalInconsistencyError, match="not a finite number"):
+            _finalize_risk(value)
