@@ -123,13 +123,14 @@ def circulant_solve(gram: CirculantGram, rhs: np.ndarray) -> np.ndarray:
 
 
 def fold_mod(values: np.ndarray, n: int) -> np.ndarray:
-    """Sums of values[k] over residue classes k = m (mod n); pads with zeros."""
+    """Sums of values[..., k] over residue classes k = m (mod n); pads with zeros."""
     return folded_sums(np.asarray(values), n)
 
 
 def equispaced_predict(theta: np.ndarray, n: int) -> np.ndarray:
     """Evaluate y_j = sum_k theta_k exp(-2*pi*i*j*k/n) for j in [0, n).
 
-    Columns alias modulo n, so the sum folds to a single length-n FFT.
+    Columns alias modulo n, so the sum folds to a single length-n FFT.  A
+    (..., D) batch of coefficient vectors gives a (..., n) batch of samples.
     """
     return np.fft.fft(fold_mod(np.asarray(theta, dtype=complex), n))

@@ -26,6 +26,8 @@ import dataclasses
 import json
 import math
 import sys
+import types
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,7 +47,7 @@ from .interpolation import (
     training_samples,
 )
 from .model import build_spectrum, classify_grid
-from .montecarlo import CoefficientModel, McConfig, concentration_check, empirical_risk
+from .montecarlo import CoefficientModel, McConfig, concentration_check, empirical_risks
 from .risktheory import asymptotic_bound, concentration_bound, risk_over_closed, theory_risks
 
 # ---------------------------------------------------------------------------
@@ -65,16 +67,23 @@ def render_cell(value) -> str:
     return str(value)
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Write one output file; a missing parent directory is a configuration error."""
+    path = Path(path)
+    if not path.parent.is_dir():
+        raise ConfigurationError(f"output directory {str(path.parent)!r} does not exist (field out)")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
 def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(render_cell(v) for v in row) for row in rows)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def write_json(path: Path, payload) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _json_value(value):
@@ -105,12 +114,27 @@ def ordered_map(fn: Callable, items: Sequence, threads: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _tuple_fields(cls) -> dict[str, type]:
-    out = {}
-    for f in dataclasses.fields(cls):
-        if "tuple" in str(f.type):
-            out[f.name] = int if "int" in str(f.type) else (str if "str" in str(f.type) else float)
-    return out
+_SCALAR_TYPES = {int: (int,), float: (int, float), str: (str,)}
+
+
+def _check_scalar(name: str, kind: type, value):
+    if isinstance(value, bool) or not isinstance(value, _SCALAR_TYPES[kind]):
+        raise ConfigurationError(f"field {name} must be {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
+def _check_field(name: str, kind, value):
+    """A config value checked against its field's annotation; ints widen to float."""
+    options = typing.get_args(kind) if typing.get_origin(kind) is types.UnionType else (kind,)
+    if value is None and type(None) in options:
+        return None
+    (kind,) = [option for option in options if option is not type(None)]
+    if typing.get_origin(kind) is not tuple:
+        return _check_scalar(name, kind, value)
+    scalar = typing.get_args(kind)[0]
+    if not isinstance(value, (list, tuple)):
+        raise ConfigurationError(f"field {name} must be a list of {scalar.__name__}, got {value!r}")
+    return tuple(_check_scalar(name, scalar, v) for v in value)
 
 
 def spec_from_dict(cls, data: dict):
@@ -122,10 +146,8 @@ def spec_from_dict(cls, data: dict):
     unknown = sorted(set(data) - names)
     if unknown:
         raise ConfigurationError(f"unknown config field(s) for {cls.COMMAND}: {', '.join(unknown)}")
-    converters = _tuple_fields(cls)
-    for name, scalar in converters.items():
-        if name in data and data[name] is not None:
-            data[name] = tuple(scalar(v) for v in data[name])
+    kinds = typing.get_type_hints(cls)
+    data = {name: _check_field(name, kinds[name], value) for name, value in data.items()}
     try:
         return cls(**data)
     except TypeError as exc:
@@ -321,12 +343,11 @@ def run_mc_risk(spec: McRiskSpec) -> list[Path]:
     def compute(group):
         r, q = group
         risks = theory_risks(spectra[r], spec.n, q, p_list)
-        rows = []
-        for grid, theory in zip(grids, risks):
-            est = empirical_risk(spectra[r], grid, q, mc)
-            rows.append([spec.D, spec.n, grid.p, r, q, grid.regime.value, float(theory),
-                         est.mean, est.ci_low, est.ci_high])
-        return rows
+        estimates = empirical_risks(spectra[r], spec.n, q, p_list, mc)
+        return [
+            [spec.D, spec.n, grid.p, r, q, grid.regime.value, float(theory), est.mean, est.ci_low, est.ci_high]
+            for grid, theory, est in zip(grids, risks, estimates)
+        ]
 
     rows = _grouped_rows(compute, groups, spec.threads)
     path = Path(spec.out)
@@ -401,8 +422,7 @@ def run_bound_check(spec: BoundCheckSpec) -> list[Path]:
     paths = [path]
     if warnings:
         log_path = Path(str(spec.out) + ".log")
-        with open(log_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(warnings) + "\n")
+        _write_text(log_path, "\n".join(warnings) + "\n")
         paths.append(log_path)
     return paths
 

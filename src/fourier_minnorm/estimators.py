@@ -57,6 +57,35 @@ def solve_weighted_minnorm(features: np.ndarray, weights: np.ndarray, q: float, 
     return wq * beta
 
 
+def _class_weights(t_T: np.ndarray, n: int, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """Weights and Gram eigenvalues of the circulant solve for p = l*n.
+
+    The weight of feature k is (t_k / t_{k mod n})^(2q): t^(2q) with each
+    residue class scaled by its leading term.  The min-norm fit is invariant
+    under per-class scaling, and every class sum stays >= 1, so no class
+    underflows to zero however large q is.
+    """
+    blocks = t_T.reshape(-1, n)
+    weights = np.power(blocks / blocks[0], 2.0 * q).ravel()
+    # fft(first column of the Gram) carries the aliased sums in
+    # index-reversed order under the exp(-2*pi*i*j*k/n) convention
+    lam = n * fold_mod(weights, n)[(-np.arange(n)) % n]
+    return weights, lam
+
+
+def _circulant_minnorm(y_fft: np.ndarray, weights: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """theta_T of the aligned min-norm fit from fft(y), batched over leading axes.
+
+    Takes (..., n) transforms and returns (..., p) coefficients; each row
+    comes out bit for bit as it would alone.
+    """
+    n = len(lam)
+    z = np.fft.ifft(y_fft / lam)
+    v = n * np.fft.ifft(z)
+    # v repeats in every block of n features: (..., l, n), then (..., p)
+    return (weights.reshape(-1, n) * v[..., None, :]).reshape(*v.shape[:-1], len(weights))
+
+
 def weighted_minnorm(
     y: np.ndarray,
     spectrum: Spectrum,
@@ -80,13 +109,7 @@ def weighted_minnorm(
     if path is SolverPath.CIRCULANT_FFT:
         if grid.l is None:
             raise StructureError(f"circulant path needs p = l*n, got p={p}, n={n}")
-        folded = fold_mod(t_T ** (2.0 * q), n)
-        # fft(first column of the Gram) carries the aliased sums in
-        # index-reversed order under the exp(-2*pi*i*j*k/n) convention
-        lam = n * folded[(-np.arange(n)) % n]
-        z = np.fft.ifft(np.fft.fft(y) / lam)
-        v = n * np.fft.ifft(z)
-        theta_T = (t_T ** (2.0 * q)) * np.tile(v, grid.l)
+        theta_T = _circulant_minnorm(np.fft.fft(y), *_class_weights(t_T, n, q))
     elif path is SolverPath.DENSE_SVD:
         theta_T = solve_weighted_minnorm(fourier_matrix(n, 0, p), t_T, q, y)
     else:

@@ -138,21 +138,24 @@ class CoefficientCovariance:
 
 
 def folded_sums(values: np.ndarray, n: int, compensated: bool = False) -> np.ndarray:
-    """Per-residue sums s_m = sum of values[k] over k = m (mod n), m in [0, n).
+    """Per-residue sums s_m = sum of values[..., k] over k = m (mod n), m in [0, n).
 
-    Accumulation runs in ascending block order; with ``compensated`` a Kahan
-    loop replaces the vectorised sum (engaged for very large D).
+    Folds the last axis; leading axes are a batch, and each row is summed
+    exactly as it would be on its own.  Accumulation runs in ascending block
+    order; with ``compensated`` a Kahan loop replaces the vectorised sum
+    (engaged for very large D).
     """
     if n < 1:
         raise ConfigurationError(f"fold length must be >= 1, got {n}")
     values = np.asarray(values)
-    pad = (-len(values)) % n
+    pad = (-values.shape[-1]) % n
     if pad:
-        values = np.concatenate([values, np.zeros(pad, dtype=values.dtype)])
-    block = values.reshape(-1, n)
+        values = np.concatenate([values, np.zeros(values.shape[:-1] + (pad,), dtype=values.dtype)], axis=-1)
+    block = values.reshape(*values.shape[:-1], -1, n)
     if not compensated:
-        return block.sum(axis=0)
-    return accumulate_blocks(np.vstack([np.zeros(n, dtype=block.dtype), block]), compensated=True)[-1]
+        return block.sum(axis=-2)
+    stacked = np.concatenate([np.zeros(block.shape[:-2] + (1, n), dtype=block.dtype), block], axis=-2)
+    return accumulate_blocks(np.moveaxis(stacked, -2, 0), compensated=True)[-1]
 
 
 def accumulate_blocks(blocks: np.ndarray, compensated: bool = False) -> np.ndarray:

@@ -4,9 +4,22 @@ Coefficients are sampled with the modelled covariance c_r diag(t^(2r)),
 observations are full-model (all D features), and each trial records the
 squared recovery error of the regime-appropriate estimator.
 
+``empirical_risks`` is the Monte Carlo twin of ``risktheory.theory_risks``:
+it estimates a whole p sweep in one pass.  Trials are taken in blocks of a
+fixed number of coefficients (16 trials at D = 1024).  Each trial's theta is
+drawn once per sweep, the block is folded to its samples y once, and fft(y)
+and ifft(y) are taken once; y and its transforms are shared by every p,
+because features alias modulo n.  Each p then costs only elementwise work
+(p <= n reads ifft(y), p = l*n runs the batched circulant solve) except
+misaligned p > n, which keep the per-trial dense solve.  ``empirical_risk``
+is the one-point call.
+
 Reproducibility: trial i draws from a Philox stream keyed by
 (seed, spawn_key=(i,)), so the sample stream is bit-identical for a given
-(seed, trials) regardless of execution order or worker count.
+(seed, trials) regardless of execution order, blocking or worker count, and
+every estimate equals, bit for bit, the one-trial-at-a-time loop
+trial_generator -> sample_theta -> equispaced_predict -> least_squares or
+weighted_minnorm.
 """
 
 from __future__ import annotations
@@ -20,9 +33,15 @@ import numpy as np
 
 from .circulant import equispaced_predict
 from .errors import ConfigurationError
-from .estimators import least_squares, weighted_minnorm
-from .model import GridConfig, Spectrum
+from .estimators import _circulant_minnorm, _class_weights, weighted_minnorm
+from .model import GridConfig, Spectrum, classify_grid
 from .risktheory import concentration_bound
+
+# Trials are solved in blocks of about this many complex coefficients (16
+# trials at D = 1024).  The block bounds the working set: on the paper-size
+# mc-risk and concentration runs, 2^14 adds about 1 MB of peak memory over
+# one trial at a time and 2^17 about 9 MB, for no further gain in speed.
+_BLOCK_ELEMENTS = 1 << 14
 
 
 class CoefficientModel(enum.Enum):
@@ -68,36 +87,77 @@ def trial_generator(seed: int, trial: int) -> np.random.Generator:
 
 def sample_theta(spectrum: Spectrum, model: CoefficientModel, rng: np.random.Generator) -> np.ndarray:
     """Draw coefficients with E[theta] = 0 and E[theta theta^*] = c_r diag(t^(2r))."""
-    scale = math.sqrt(spectrum.c_r) * spectrum.t_pow(spectrum.decay_r)
+    return _draw_theta(_theta_scale(spectrum), model, rng)
+
+
+def _theta_scale(spectrum: Spectrum) -> np.ndarray:
+    return math.sqrt(spectrum.c_r) * spectrum.t_pow(spectrum.decay_r)
+
+
+def _draw_theta(scale: np.ndarray, model: CoefficientModel, rng: np.random.Generator) -> np.ndarray:
     if model is CoefficientModel.COMPLEX_GAUSSIAN:
-        g = rng.standard_normal(spectrum.D) + 1j * rng.standard_normal(spectrum.D)
+        g = rng.standard_normal(len(scale)) + 1j * rng.standard_normal(len(scale))
         return scale * g / math.sqrt(2.0)
     if model is CoefficientModel.REAL_GAUSSIAN:
-        return scale * rng.standard_normal(spectrum.D).astype(complex)
+        return scale * rng.standard_normal(len(scale)).astype(complex)
     raise ConfigurationError(f"unknown coefficient model {model!r}")
+
+
+def empirical_risks(
+    spectrum: Spectrum, n: int, q: float, p_values: Sequence[int], mc: McConfig
+) -> list[McRiskEstimate]:
+    """Mean squared recovery error at every truncation in p_values.
+
+    p <= n fits least squares (q has no effect there, sample by sample);
+    p > n fits the min-norm estimator with exponent q.  Every trial is drawn
+    once and shared by all p (see the module docstring); the returned
+    ``samples`` arrays are read-only.
+    """
+    if not (math.isfinite(q) and q >= 0):
+        raise ConfigurationError(f"weighting exponent q must be finite and >= 0, got {q}")
+    grids = [classify_grid(spectrum.D, n, int(p)) for p in p_values]
+    aligned = {g.p: _class_weights(spectrum.t[: g.p], n, q) for g in grids if g.p > n and g.l is not None}
+    need_ls = any(g.p <= n for g in grids)
+    scale = _theta_scale(spectrum)
+    step = max(1, _BLOCK_ELEMENTS // spectrum.D)
+    samples = np.empty((len(grids), mc.trials))
+    for first in range(0, mc.trials, step):
+        block = range(first, min(first + step, mc.trials))
+        theta = np.empty((len(block), spectrum.D), dtype=complex)
+        for theta_i, trial in zip(theta, block):
+            theta_i[:] = _draw_theta(scale, mc.coefficient_model, trial_generator(mc.seed, trial))
+        y = equispaced_predict(theta, n)
+        y_fft = np.fft.fft(y) if aligned else None
+        y_ifft = np.fft.ifft(y) if need_ls else None
+        diff = np.empty_like(theta)  # reused by every p; fit is dropped before the error temporaries
+        for row, grid in zip(samples, grids):
+            p = grid.p
+            if p <= n:
+                fit = y_ifft[:, :p]
+            elif p in aligned:
+                fit = _circulant_minnorm(y_fft, *aligned[p])
+            else:
+                fit = np.stack([weighted_minnorm(y_i, spectrum, grid, q).theta_hat[:p] for y_i in y])
+            np.subtract(theta[:, :p], fit, out=diff[:, :p])
+            diff[:, p:] = theta[:, p:]
+            del fit
+            row[block.start : block.stop] = np.sum(diff.real**2 + diff.imag**2, axis=1)
+    samples.setflags(write=False)
+    alpha = 100.0 * (1.0 - mc.confidence) / 2.0
+    estimates = []
+    for row in samples:
+        ci_low, ci_high = np.percentile(row, [alpha, 100.0 - alpha])
+        mean = float(row.mean())
+        estimates.append(McRiskEstimate(mean=mean, ci_low=float(ci_low), ci_high=float(ci_high), samples=row))
+    return estimates
 
 
 def empirical_risk(spectrum: Spectrum, grid: GridConfig, q: float, mc: McConfig) -> McRiskEstimate:
     """Mean squared recovery error with percentile confidence interval.
 
-    p <= n fits least squares (q has no effect there, sample by sample);
-    p > n fits the min-norm estimator with exponent q.
+    One point of ``empirical_risks``.
     """
-    samples = np.empty(mc.trials)
-    for trial in range(mc.trials):
-        rng = trial_generator(mc.seed, trial)
-        theta = sample_theta(spectrum, mc.coefficient_model, rng)
-        y = equispaced_predict(theta, grid.n)
-        if grid.p <= grid.n:
-            fit = least_squares(y, grid)
-        else:
-            fit = weighted_minnorm(y, spectrum, grid, q)
-        diff = theta - fit.theta_hat
-        samples[trial] = float(np.sum(diff.real**2 + diff.imag**2))
-    alpha = 100.0 * (1.0 - mc.confidence) / 2.0
-    ci_low, ci_high = np.percentile(samples, [alpha, 100.0 - alpha])
-    samples.setflags(write=False)
-    return McRiskEstimate(mean=float(samples.mean()), ci_low=float(ci_low), ci_high=float(ci_high), samples=samples)
+    return empirical_risks(spectrum, grid.n, q, [grid.p], mc)[0]
 
 
 def concentration_check(

@@ -314,6 +314,8 @@ def lowest_risks(spectrum: Spectrum, n: int, q: float) -> LowestRisks:
     one sweep.  For q >= r >= 1 the over-regime minimum is strictly smaller.
     """
     D = spectrum.D
+    if not 1 <= n <= D:
+        raise ConfigurationError(f"sample count n={n} outside [1, D={D}]")
     if D % n != 0:
         raise StructureError(f"scan needs D = tau*n, got D={D}, n={n}")
     _check_q(q)

@@ -363,6 +363,48 @@ class TestConfigFile:
         code = main(["risk-curve", "--config", str(tmp_path / "nope.json")])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "command, config, field",
+        [
+            ("risk-curve", {"D": "64", "n": 8, "r_values": [1.0]}, "D"),
+            ("risk-curve", {"D": 64, "n": 8, "r_values": 1.0}, "r_values"),
+            ("mc-risk", {"D": 64, "n": 8, "r_values": [1.0], "trials": True}, "trials"),
+            ("mc-risk", {"D": 64, "n": 8, "r_values": [1.0], "p_values": [8, 2.5]}, "p_values"),
+        ],
+    )
+    def test_config_type_errors_name_the_field(self, tmp_path, capsys, command, config, field):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "x.csv"
+        code = main([command, "--config", str(path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: field {field} must be") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_int_config_values_widen_to_float(self):
+        spec = spec_from_dict(HeatmapSpec, {"D": 16, "n": 4, "r_values": [1], "q_rule": "fixed", "q_fixed": 0})
+        assert spec.r_values == (1.0,) and isinstance(spec.r_values[0], float)
+        assert isinstance(spec.q_fixed, float)
+
+
+class TestOutputDirectory:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["risk-curve", "-D", "64", "-n", "8", "--r-values", "1.0"],
+            ["risk-curve", "-D", "64", "-n", "8", "--r-values", "1.0", "--format", "json"],
+            # the skipped r = 0.4 rows go to a .log sidecar
+            ["bound-check", "--n-values", "8", "--r-values", "0.4"],
+        ],
+    )
+    def test_missing_directory_is_a_configuration_error(self, tmp_path, capsys, argv):
+        code = main([*argv, "--out", str(tmp_path / "nodir" / "x.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: output directory") and err.count("\n") == 1
+        assert not (tmp_path / "nodir").exists()
+
 
 def test_numerical_inconsistency_exit_code(monkeypatch, capsys):
     from fourier_minnorm.cli import RUNNERS
@@ -400,3 +442,12 @@ class TestSweepEdges:
         s = build_spectrum(1024, 1.0)
         expected = 2 * s.c_r * s.tail_sum(2.0, start=16)
         assert column(header, rows, "risk_theory")[0] == pytest.approx(expected, abs=1e-12)
+
+    def test_large_q_monte_carlo_is_finite(self, tmp_path):
+        out = tmp_path / "mc.csv"
+        code = main(["mc-risk", "-D", "1024", "-n", "16", "--r-values", "1.0", "--q-values", "100",
+                     "--p-values", "512", "--trials", "5", "--out", str(out)])
+        assert code == 0
+        header, rows = read_csv(out)
+        for name in ("risk_theory", "risk_mc_mean", "ci_low", "ci_high"):
+            assert math.isfinite(column(header, rows, name)[0])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fourier_minnorm import (
     CoefficientModel,
@@ -10,10 +12,15 @@ from fourier_minnorm import (
     classify_grid,
     concentration_check,
     empirical_risk,
+    empirical_risks,
+    equispaced_predict,
+    least_squares,
     risk_over_closed,
     risk_under_closed,
     sample_theta,
+    theory_risk,
     trial_generator,
+    weighted_minnorm,
 )
 
 DRAWS = 100_000
@@ -163,3 +170,74 @@ class TestConcentrationCheck:
         grid = classify_grid(64, 8, 16)
         with pytest.raises(SingularConstantError):
             concentration_check(spectrum, grid, 0.4, [1.0], McConfig(trials=10, seed=0))
+
+
+def one_trial_at_a_time(spectrum, n, q, p_values, mc):
+    """The per-trial, per-p algorithm that empirical_risks batches."""
+    estimates = []
+    for p in p_values:
+        grid = classify_grid(spectrum.D, n, p)
+        samples = np.empty(mc.trials)
+        for trial in range(mc.trials):
+            theta = sample_theta(spectrum, mc.coefficient_model, trial_generator(mc.seed, trial))
+            y = equispaced_predict(theta, n)
+            fit = least_squares(y, grid) if p <= n else weighted_minnorm(y, spectrum, grid, q)
+            diff = theta - fit.theta_hat
+            samples[trial] = float(np.sum(diff.real**2 + diff.imag**2))
+        alpha = 100.0 * (1.0 - mc.confidence) / 2.0
+        ci_low, ci_high = np.percentile(samples, [alpha, 100.0 - alpha])
+        estimates.append((samples, float(samples.mean()), float(ci_low), float(ci_high)))
+    return estimates
+
+
+@st.composite
+def sweeps(draw):
+    # large D gives blocks of a few trials, so trial counts cross block edges
+    D = draw(st.integers(1, 96) | st.sampled_from([1000, 1024, 2048, 3000, 4096]))
+    n = draw(st.integers(1, min(D, 24)))
+    extra = draw(st.lists(st.integers(1, D), max_size=4))
+    multiples = [l * n for l in draw(st.lists(st.integers(1, D // n), min_size=1, max_size=2))]
+    p_values = [n, *multiples, *extra]  # p = n, aligned p and (mostly) misaligned p
+    q = draw(st.sampled_from([0.0, 0.5, 1.0, 3.0, 100.0]))
+    mc = McConfig(
+        trials=draw(st.integers(1, 19)),
+        seed=draw(st.integers(0, 2**32)),
+        coefficient_model=draw(st.sampled_from(list(CoefficientModel))),
+    )
+    return build_spectrum(D, draw(st.sampled_from([0.0, 0.5, 1.0]))), n, q, p_values, mc
+
+
+class TestEmpiricalRisks:
+    @settings(max_examples=60, deadline=None)
+    @given(sweeps())
+    def test_bit_identical_to_one_trial_at_a_time(self, sweep):
+        spectrum, n, q, p_values, mc = sweep
+        got = empirical_risks(spectrum, n, q, p_values, mc)
+        want = one_trial_at_a_time(spectrum, n, q, p_values, mc)
+        assert len(got) == len(p_values)
+        for est, (samples, mean, ci_low, ci_high) in zip(got, want):
+            assert np.array_equal(est.samples, samples)
+            assert (est.mean, est.ci_low, est.ci_high) == (mean, ci_low, ci_high)
+            assert not est.samples.flags.writeable
+
+    def test_point_call_is_one_sweep_entry(self):
+        spectrum = build_spectrum(256, 1.0)
+        mc = McConfig(trials=40, seed=4)
+        sweep = empirical_risks(spectrum, 16, 1.0, [8, 16, 40, 64], mc)
+        for p, est in zip([8, 16, 40, 64], sweep):
+            single = empirical_risk(spectrum, classify_grid(256, 16, p), 1.0, mc)
+            assert np.array_equal(single.samples, est.samples)
+
+    def test_large_q_is_finite_and_matches_theory(self):
+        # t^(2q) of most features underflows at q = 100; class scaling keeps
+        # every residue-class sum >= 1
+        spectrum = build_spectrum(1024, 1.0)
+        grid = classify_grid(1024, 16, 512)
+        est = empirical_risk(spectrum, grid, 100.0, McConfig(trials=500, seed=0))
+        assert np.all(np.isfinite(est.samples))
+        assert est.mean == pytest.approx(theory_risk(spectrum, grid, 100.0), rel=0.05)
+
+    @pytest.mark.parametrize("q", [-1.0, float("nan"), float("inf")])
+    def test_rejects_bad_q(self, q):
+        with pytest.raises(ConfigurationError):
+            empirical_risks(build_spectrum(16, 1.0), 4, q, [8], McConfig(trials=2, seed=0))

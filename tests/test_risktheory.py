@@ -270,6 +270,11 @@ class TestLowestRisks:
         with pytest.raises(StructureError):
             lowest_risks(s, 3, 1.0)
 
+    @pytest.mark.parametrize("n", [0, -4, 16])
+    def test_rejects_n_outside_one_to_d(self, n):
+        with pytest.raises(ConfigurationError, match="sample count"):
+            lowest_risks(build_spectrum(8, 1.0), n, 1.0)
+
 
 class TestFinalizeRisk:
     def test_positive_passthrough(self):
