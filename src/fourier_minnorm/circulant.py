@@ -1,9 +1,10 @@
 """Structured linear algebra for equispaced Fourier features.
 
 The feature matrix restricted to a column window [start, stop) has entries
-F[j, k] = exp(-2*pi*i*j*k/n).  When the window length is a multiple of n, the
-weighted Gram matrices F diag(w) F^* are circulant, so eigenvalues, products
-and solves reduce to length-n FFTs.  numpy's pocketfft handles arbitrary
+F[j, k] = exp(-2*pi*i*j*k/n).  Columns alias modulo n, so for any window the
+weighted Gram matrices F diag(w) F^* are circulant, with eigenvalues n times
+the per-residue-class sums of w, and eigenvalues, products and solves reduce
+to length-n FFTs.  numpy's pocketfft handles arbitrary
 (mixed-radix) lengths, so n need not be a power of two.
 
 Sign convention: exp(-2*pi*i*j*k/n) throughout.  The conjugate convention

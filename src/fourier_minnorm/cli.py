@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import enum
 import json
 import math
 import sys
@@ -165,6 +166,15 @@ def spec_to_dict(spec) -> dict:
 def _check_format(fmt: str) -> None:
     if fmt not in ("csv", "json"):
         raise ConfigurationError(f"format must be 'csv' or 'json', got {fmt!r}")
+
+
+def _enum_value(kind: type[enum.Enum], value: str, name: str):
+    """The member of ``kind`` named by ``value``; anything else is a configuration error."""
+    try:
+        return kind(value)
+    except ValueError:
+        choices = ", ".join(repr(member.value) for member in kind)
+        raise ConfigurationError(f"field {name} must be one of {choices}, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -336,7 +346,7 @@ def run_mc_risk(spec: McRiskSpec) -> list[Path]:
     mc = McConfig(
         trials=spec.trials,
         seed=spec.seed,
-        coefficient_model=CoefficientModel(spec.coefficient_model),
+        coefficient_model=_enum_value(CoefficientModel, spec.coefficient_model, "coefficient_model"),
         confidence=spec.confidence,
     )
 
@@ -434,7 +444,7 @@ def run_concentration(spec: ConcentrationSpec) -> list[Path]:
     mc = McConfig(
         trials=spec.trials,
         seed=spec.seed,
-        coefficient_model=CoefficientModel(spec.coefficient_model),
+        coefficient_model=_enum_value(CoefficientModel, spec.coefficient_model, "coefficient_model"),
         confidence=spec.confidence,
     )
     T_q = concentration_bound(spec.r, spec.q, 0.0).T_q
@@ -451,7 +461,10 @@ def run_concentration(spec: ConcentrationSpec) -> list[Path]:
 
 def _load_samples_file(path: str, dimension: int, n_axis: int, domain: tuple[float, float]) -> np.ndarray:
     """Read a training-sample CSV (x columns then y, row-major grid order)."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read samples file {path}: {exc} (field samples_file)") from None
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise ConfigurationError(f"samples file {path} is empty")
@@ -459,9 +472,14 @@ def _load_samples_file(path: str, dimension: int, n_axis: int, domain: tuple[flo
     expected = [f"x{i}" for i in range(dimension)] + ["y"]
     if header != expected:
         raise ConfigurationError(f"samples file header {header} != expected {expected}")
-    values = np.array([[float(cell) for cell in line.split(",")] for line in lines[1:]])
+    try:
+        values = np.array([[float(cell) for cell in line.split(",")] for line in lines[1:]])
+    except ValueError as exc:
+        raise ConfigurationError(f"samples file {path} has a malformed row: {exc}") from None
     if values.shape[0] != n_axis**dimension:
         raise ConfigurationError(f"samples file has {values.shape[0]} rows, expected {n_axis**dimension}")
+    if values.shape[1:] != (dimension + 1,):
+        raise ConfigurationError(f"samples file rows must have {dimension + 1} cells, as the header does")
     grid_points = training_grid_points(dimension, n_axis, domain)
     if not np.allclose(values[:, :dimension], grid_points, atol=1e-12):
         raise ConfigurationError("samples file coordinates do not match the equispaced training grid")
@@ -480,6 +498,7 @@ def run_interp(spec: InterpSpec) -> list[Path]:
         raise ConfigurationError("exactly one of 'target' and 'samples_file' must be set")
     if not spec.methods:
         raise ConfigurationError("method list is empty (field methods)")
+    methods = [_enum_value(Method, name, "methods") for name in spec.methods]
     if spec.target is not None:
         dimension = builtin_targets(spec.target).dimension
         target: str | np.ndarray = spec.target
@@ -494,7 +513,7 @@ def run_interp(spec: InterpSpec) -> list[Path]:
         q=spec.q,
         target=target,
         noise_sigma=spec.noise_sigma,
-        weight_kind=WeightKind(spec.weight_kind),
+        weight_kind=_enum_value(WeightKind, spec.weight_kind, "weight_kind"),
         noise_seed=spec.seed,
     )
     named = spec.target is not None
@@ -525,8 +544,7 @@ def run_interp(spec: InterpSpec) -> list[Path]:
         "per_method": {},
     }
     coord_header = [f"x{i}" for i in range(dimension)]
-    for name in spec.methods:
-        method = Method(name)
+    for method in methods:
         fit = fit_interpolant(problem, method)
         values = fit.evaluate(eval_axes).ravel()
         max_imag = float(np.max(np.abs(values.imag))) if values.size else 0.0

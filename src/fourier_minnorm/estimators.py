@@ -5,9 +5,11 @@ Overparameterized (p >= n): the weighted min-norm estimator
     theta_T = S^(2q) F_T^* (F_T S^(2q) F_T^*)^(-1) y,   S = diag(t_T),
 
 is the minimiser of ||S^(-q) theta|| among interpolants with support in T.
-It is computed either densely (SVD pseudoinverse of F_T S^q, any p >= n) or
-through the circulant structure of the Gram matrix (p a multiple of n,
-O(n log n + p)).
+Features on n equispaced points alias modulo n for any column window, so
+the Gram matrix F_T S^(2q) F_T^* is circulant for every p >= n and the fit
+is a fold followed by length-n FFTs (O(n log n + p)), the default path.  The
+SVD pseudoinverse of F_T S^q stays as an explicit ``path=`` choice and the
+oracle it is tested against.
 
 Underparameterized (p <= n): least squares; the equispaced geometry gives
 F_T^* F_T = n I, so the normal equations collapse to theta_T = F_T^* y / n,
@@ -21,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circulant import equispaced_predict, fold_mod, fourier_matrix
-from .errors import ConfigurationError, RegimeError, StructureError
+from .circulant import equispaced_predict, fourier_matrix
+from .errors import ConfigurationError, RegimeError
 from .model import GridConfig, Spectrum
 
 
@@ -58,32 +60,35 @@ def solve_weighted_minnorm(features: np.ndarray, weights: np.ndarray, q: float, 
 
 
 def _class_weights(t_T: np.ndarray, n: int, q: float) -> tuple[np.ndarray, np.ndarray]:
-    """Weights and Gram eigenvalues of the circulant solve for p = l*n.
+    """Weights and Gram eigenvalues of the circulant solve for any p >= n.
 
     The weight of feature k is (t_k / t_{k mod n})^(2q): t^(2q) with each
     residue class scaled by its leading term.  The min-norm fit is invariant
     under per-class scaling, and every class sum stays >= 1, so no class
-    underflows to zero however large q is.
+    underflows to zero however large q is.  The weights come in blocks of n
+    features, (ceil(p/n), n), zero-padded past p.
     """
-    blocks = t_T.reshape(-1, n)
-    weights = np.power(blocks / blocks[0], 2.0 * q).ravel()
+    p = len(t_T)
+    weights = np.zeros((-(-p // n), n))
+    weights.reshape(-1)[:p] = np.power(t_T / t_T[np.arange(p) % n], 2.0 * q)
     # fft(first column of the Gram) carries the aliased sums in
     # index-reversed order under the exp(-2*pi*i*j*k/n) convention
-    lam = n * fold_mod(weights, n)[(-np.arange(n)) % n]
+    lam = n * weights.sum(axis=0)[(-np.arange(n)) % n]
     return weights, lam
 
 
-def _circulant_minnorm(y_fft: np.ndarray, weights: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """theta_T of the aligned min-norm fit from fft(y), batched over leading axes.
+def _circulant_minnorm(y_fft: np.ndarray, weights: np.ndarray, lam: np.ndarray, p: int) -> np.ndarray:
+    """theta_T of the min-norm fit from fft(y), batched over leading axes.
 
-    Takes (..., n) transforms and returns (..., p) coefficients; each row
-    comes out bit for bit as it would alone.
+    Takes (..., n) transforms and the blocked weights of ``_class_weights``
+    and returns (..., p) coefficients; each row comes out bit for bit as it
+    would alone.
     """
     n = len(lam)
     z = np.fft.ifft(y_fft / lam)
     v = n * np.fft.ifft(z)
-    # v repeats in every block of n features: (..., l, n), then (..., p)
-    return (weights.reshape(-1, n) * v[..., None, :]).reshape(*v.shape[:-1], len(weights))
+    # v repeats in every block of n features: (..., blocks, n), then (..., p)
+    return (weights * v[..., None, :]).reshape(*v.shape[:-1], -1)[..., :p]
 
 
 def weighted_minnorm(
@@ -91,7 +96,7 @@ def weighted_minnorm(
     spectrum: Spectrum,
     grid: GridConfig,
     q: float,
-    path: SolverPath | None = None,
+    path: SolverPath = SolverPath.CIRCULANT_FFT,
 ) -> EstimatorResult:
     """Fit the (weighted for q > 0, plain for q = 0) min-norm interpolator."""
     y = np.asarray(y, dtype=complex)
@@ -101,15 +106,11 @@ def weighted_minnorm(
         raise ConfigurationError(f"weighting exponent q must be >= 0, got {q}")
     if grid.p < grid.n:
         raise RegimeError(f"min-norm estimation needs p >= n, got p={grid.p}, n={grid.n}")
-    if path is None:
-        path = SolverPath.CIRCULANT_FFT if grid.l is not None else SolverPath.DENSE_SVD
     n, p = grid.n, grid.p
     t_T = spectrum.t[:p]
 
     if path is SolverPath.CIRCULANT_FFT:
-        if grid.l is None:
-            raise StructureError(f"circulant path needs p = l*n, got p={p}, n={n}")
-        theta_T = _circulant_minnorm(np.fft.fft(y), *_class_weights(t_T, n, q))
+        theta_T = _circulant_minnorm(np.fft.fft(y), *_class_weights(t_T, n, q), p)
     elif path is SolverPath.DENSE_SVD:
         theta_T = solve_weighted_minnorm(fourier_matrix(n, 0, p), t_T, q, y)
     else:

@@ -10,9 +10,9 @@ fixed number of coefficients (16 trials at D = 1024).  Each trial's theta is
 drawn once per sweep, the block is folded to its samples y once, and fft(y)
 and ifft(y) are taken once; y and its transforms are shared by every p,
 because features alias modulo n.  Each p then costs only elementwise work
-(p <= n reads ifft(y), p = l*n runs the batched circulant solve) except
-misaligned p > n, which keep the per-trial dense solve.  ``empirical_risk``
-is the one-point call.
+(p <= n reads ifft(y), every p > n runs the batched circulant solve, the
+Gram being circulant for any p >= n).  ``empirical_risk`` is the one-point
+call.
 
 Reproducibility: trial i draws from a Philox stream keyed by
 (seed, spawn_key=(i,)), so the sample stream is bit-identical for a given
@@ -33,7 +33,7 @@ import numpy as np
 
 from .circulant import equispaced_predict
 from .errors import ConfigurationError
-from .estimators import _circulant_minnorm, _class_weights, weighted_minnorm
+from .estimators import _circulant_minnorm, _class_weights
 from .model import GridConfig, Spectrum, classify_grid
 from .risktheory import concentration_bound
 
@@ -116,7 +116,7 @@ def empirical_risks(
     if not (math.isfinite(q) and q >= 0):
         raise ConfigurationError(f"weighting exponent q must be finite and >= 0, got {q}")
     grids = [classify_grid(spectrum.D, n, int(p)) for p in p_values]
-    aligned = {g.p: _class_weights(spectrum.t[: g.p], n, q) for g in grids if g.p > n and g.l is not None}
+    kernels = {g.p: _class_weights(spectrum.t[: g.p], n, q) for g in grids if g.p > n}
     need_ls = any(g.p <= n for g in grids)
     scale = _theta_scale(spectrum)
     step = max(1, _BLOCK_ELEMENTS // spectrum.D)
@@ -127,17 +127,12 @@ def empirical_risks(
         for theta_i, trial in zip(theta, block):
             theta_i[:] = _draw_theta(scale, mc.coefficient_model, trial_generator(mc.seed, trial))
         y = equispaced_predict(theta, n)
-        y_fft = np.fft.fft(y) if aligned else None
+        y_fft = np.fft.fft(y) if kernels else None
         y_ifft = np.fft.ifft(y) if need_ls else None
         diff = np.empty_like(theta)  # reused by every p; fit is dropped before the error temporaries
         for row, grid in zip(samples, grids):
             p = grid.p
-            if p <= n:
-                fit = y_ifft[:, :p]
-            elif p in aligned:
-                fit = _circulant_minnorm(y_fft, *aligned[p])
-            else:
-                fit = np.stack([weighted_minnorm(y_i, spectrum, grid, q).theta_hat[:p] for y_i in y])
+            fit = y_ifft[:, :p] if p <= n else _circulant_minnorm(y_fft, *kernels[p], p)
             np.subtract(theta[:, :p], fit, out=diff[:, :p])
             diff[:, p:] = theta[:, p:]
             del fit

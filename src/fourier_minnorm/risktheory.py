@@ -4,14 +4,17 @@ Risk means E ||theta - theta_hat||^2 over coefficients with E[theta] = 0 and
 E[theta theta^*] = c_r diag(t^(2r)) (unit trace).  Two independent routes are
 provided for each regime and cross-validated in the tests:
 
-* closed forms over residue-class sums (grids with D = tau*n, at p <= n or
-  p = l*n; O(D) for a whole p sweep);
+* closed forms over residue-class sums (any grid; O(D) for a whole p
+  sweep), the runtime route;
 * trace forms that materialise the feature matrices densely (any grid with
-  the right (n, p) ordering; the oracle route).
+  the right (n, p) ordering), kept as test and benchmark oracles.
 
-Feature k = m + n*nu lies in residue class m and block nu.  Overparameterized
-closed form at p = l*n, with A(m, u) = sum over nu < l of t_{m+n*nu}^u and
-C(m, u) the same sum over nu in [l, tau):
+Feature k = m + n*nu lies in residue class m and block nu.  Features on n
+equispaced points alias modulo n for any column window, so the weighted Gram
+F_T W F_T^* is circulant with eigenvalues n times the per-class sums of W
+(empty classes give 0).  Overparameterized closed form at any p >= n, with
+A(m, u) the sum of t_k^u over the members k of class m in [0, p) and C(m, u)
+the same sum over members in [p, D):
 
     P_q  = c_r * sum_m A(m, 2q+2r) / A(m, 2q)
     Q_q1 = c_r * sum_m A(m, 4q) A(m, 2r) / A(m, 2q)^2
@@ -21,21 +24,23 @@ C(m, u) the same sum over nu in [l, tau):
 Least-squares closed form at p <= n: the tail plus the alias mass of the
 fitted classes,
 
-    risk = c_r * (sum_{j >= p} t_j^(2r) + sum_{m < p} C(m, 2r) at l = 1).
+    risk = c_r * (sum_{j >= p} t_j^(2r) + sum_{m < p} C(m, 2r) at p = n).
 
-``theory_risks`` evaluates a whole p sweep in one pass.  A(., u) at p = l*n
-is row l of the running block sums of t^u, and C(., 2r) is row l of the
-running sums taken from the last block down (suffix sums, never a total
-minus a prefix), so every aligned p reads one row of a (tau+1, n) array.
-Every p <= n reads one entry of the tail and cumulative alias sums.
+``theory_risks`` evaluates a whole p sweep in one pass.  On n | D grids,
+A(., u) at p = l*n is row l of the running block sums of t^u, and C(., 2r)
+is row l of the running sums taken from the last block down (suffix sums,
+never a total minus a prefix), so every aligned p reads one row of a
+(tau+1, n) array.  Any other p = l*n + s > n reads the same kind of sums,
+with the weights zero-padded to whole blocks: class m takes row l + 1 if
+m < s and row l otherwise.  Every p <= n reads one entry of the tail and
+cumulative alias sums.
 Class m is scaled by t_m^(-2q), i.e. summed with weights (t_k / t_m)^(2q)
 whose leading term is 1; every ratio above is unchanged, and A(m, 2q) >= 1
 keeps t^(4q) from underflowing to 0/0 at large q.  At D >=
 COMPENSATED_SUM_MIN_D the running sums carry Kahan compensation from block to
-block.  Misaligned grids (n not dividing D, or n < p with n not dividing p)
-still take the dense trace forms, point by point.  The single-point
-functions ``risk_over_closed``, ``risk_under_closed`` and ``theory_risk`` read
-the same sweeps, so they agree bit for bit with ``theory_risks``.
+block.  The single-point functions ``risk_over_closed`` and
+``risk_under_closed`` (aligned grids only) and ``theory_risk`` (any grid)
+read the same sweeps, so they agree bit for bit with ``theory_risks``.
 """
 
 from __future__ import annotations
@@ -161,8 +166,45 @@ def _over_sweep(spectrum: Spectrum, n: int, q: float) -> tuple[np.ndarray, ...]:
     return P_q, Q_q1, Q_q2, 1.0 - 2.0 * P_q + Q_q1 + Q_q2
 
 
+def _over_points(spectrum: Spectrum, n: int, q: float, p_values: np.ndarray) -> np.ndarray:
+    """Unfinalised overparameterized risk at each p in p_values, n <= p <= D, any D.
+
+    The class sums come from running sums over blocks of n features, the
+    weights zero-padded to a whole last block (never t: 0**0 would add
+    phantom features at q = 0).  Row i of ``prefix`` sums blocks before i
+    and row i of ``suffix`` blocks i onwards.  At p = l*n + s the member of
+    class m in block l is fitted iff m < s, so class m reads row l + 1 of
+    both arrays if m < s and row l otherwise.
+    """
+    D, comp = spectrum.D, spectrum.D >= COMPENSATED_SUM_MIN_D
+    t, blocks = spectrum.t, -(-D // n)
+    t2r = np.power(t, 2.0 * spectrum.decay_r)
+    w2 = np.power(t / t[np.arange(D) % n], 2.0 * q)  # class m scaled by its leading term
+    prefix = np.zeros((4, blocks + 1, n))  # A(., 2q), A(., 4q), A(., 2q+2r), A(., 2r)
+    for sums, values in zip(prefix, (w2, np.square(w2), w2 * t2r, t2r)):
+        sums[1:].reshape(-1)[:D] = values
+    suffix = np.zeros((blocks + 1, n))  # C(., 2r)
+    suffix[:-1].reshape(-1)[:D] = t2r
+    accumulate_blocks(np.moveaxis(prefix, 1, 0), comp)
+    accumulate_blocks(suffix[::-1], comp)
+    l, s = np.divmod(np.asarray(p_values), n)
+    classes, cr = np.arange(n), spectrum.c_r
+    raw = np.empty(len(l))
+    step = blocks + 1  # points per chunk: the gathered (points, n) sums stay about D long
+    for first in range(0, len(l), step):
+        chunk = slice(first, first + step)
+        row = np.where(classes < s[chunk, None], l[chunk, None] + 1, l[chunk, None])
+        a_2q, a_4q, a_2q2r, a_2r = prefix[:, row, classes]
+        weight = a_4q / np.square(a_2q)
+        P_q = cr * np.sum(a_2q2r / a_2q, axis=1)
+        Q_q1 = cr * np.sum(weight * a_2r, axis=1)
+        Q_q2 = cr * np.sum(weight * suffix[row, classes], axis=1)
+        raw[chunk] = 1.0 - 2.0 * P_q + Q_q1 + Q_q2
+    return raw
+
+
 def _under_curve(spectrum: Spectrum, n: int) -> np.ndarray:
-    """Unfinalised least-squares risk at every p in [0, n] (entry p).  Needs n | D."""
+    """Unfinalised least-squares risk at every p in [0, n] (entry p), any D."""
     comp = spectrum.D >= COMPENSATED_SUM_MIN_D
     t2r = spectrum.t_pow(2.0 * spectrum.decay_r)
     alias = folded_sums(t2r[n:], n, comp)  # C(m, 2r) at l = 1
@@ -328,29 +370,26 @@ def lowest_risks(spectrum: Spectrum, n: int, q: float) -> LowestRisks:
 def theory_risks(spectrum: Spectrum, n: int, q: float, p_values: Sequence[int]) -> np.ndarray:
     """Regime-dispatched theoretical risk at every truncation in p_values.
 
-    With n | D, all p <= n and all p = l*n come from one pass over the
-    residue-class sums (see the module docstring); the cost is O(D) however
-    many points are asked for.  Other points take the dense trace forms one
-    by one.  For p <= n the value is independent of q.
+    Every point comes from the residue-class sums (see the module docstring):
+    p <= n from the least-squares curve, p = l*n on n | D grids from the
+    aligned sweep, and every other p > n from running block sums read at
+    p = l*n + s.  The cost is O(D), plus O(n) per point off the aligned
+    sweep, however many points are asked for.  For p <= n the value is
+    independent of q.
     """
     _check_q(q)
-    grids = [classify_grid(spectrum.D, n, int(p)) for p in p_values]
-    out = np.empty(len(grids))
-    under = over = None
-    for i, grid in enumerate(grids):
-        if grid.tau is not None and grid.p <= n:
-            if under is None:
-                under = _under_curve(spectrum, n)
-            out[i] = _finalize_risk(under[grid.p])[0]
-        elif grid.tau is not None and grid.l is not None:
-            if over is None:
-                over = _over_sweep(spectrum, n, q)[3]
-            out[i] = _finalize_risk(over[grid.l - 1])[0]
-        elif grid.p <= n:
-            out[i] = risk_trace_under(spectrum, grid)
-        else:
-            out[i] = risk_trace_over(spectrum, grid, q).risk
-    return out
+    p = np.array([classify_grid(spectrum.D, n, int(v)).p for v in p_values], dtype=int)
+    under = p <= n
+    aligned = ~under & (p % n == 0) & (spectrum.D % n == 0)
+    general = ~under & ~aligned
+    raw = np.empty(len(p))
+    if under.any():
+        raw[under] = _under_curve(spectrum, n)[p[under]]
+    if aligned.any():
+        raw[aligned] = _over_sweep(spectrum, n, q)[3][p[aligned] // n - 1]
+    if general.any():
+        raw[general] = _over_points(spectrum, n, q, p[general])
+    return np.array([_finalize_risk(value)[0] for value in raw])
 
 
 def theory_risk(spectrum: Spectrum, grid: GridConfig, q: float) -> float:

@@ -16,6 +16,7 @@ from fourier_minnorm.cli import (
     spec_from_dict,
     spec_to_dict,
 )
+from fourier_minnorm import build_spectrum, classify_grid, risk_trace_over
 from fourier_minnorm.interpolation import sample_axis
 
 
@@ -158,7 +159,8 @@ class TestMcRisk:
             assert lo <= mean <= hi
 
     def test_general_truncation_uses_trace_theory(self, tmp_path):
-        # n does not divide p: theory column comes from the dense trace form
+        # n does not divide p: the closed-form theory column agrees with the
+        # dense trace form
         out = tmp_path / "mc.csv"
         code = main(["mc-risk", "-D", "32", "-n", "4", "--p-values", "6",
                      "--r-values", "1.0", "--trials", "200", "--seed", "8", "--out", str(out)])
@@ -168,6 +170,8 @@ class TestMcRisk:
         theory = column(header, rows, "risk_theory")[0]
         mean = column(header, rows, "risk_mc_mean")[0]
         assert mean == pytest.approx(theory, rel=0.15)
+        grid = classify_grid(32, 4, 6)
+        assert theory == pytest.approx(risk_trace_over(build_spectrum(32, 1.0), grid, 1.0).risk, abs=1e-12)
 
     def test_theory_inside_ci_for_most_rows(self, tmp_path):
         out = tmp_path / "mc.csv"
@@ -323,6 +327,40 @@ class TestInterp:
         assert header == ["x0", "x1", "f_true", "f_hat"]
         assert len(rows) == 64
 
+    def test_unknown_method_is_a_configuration_error(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = main(["interp", "--target", "cubic1d", "--n-axis", "15", "--p-axis", "15", "--d-axis", "20",
+                     "--q", "1", "--methods", "weighted-min-norm,foo", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: field methods must be one of") and "'least-squares'" in err
+        assert err.count("\n") == 1
+        assert not list(tmp_path.iterdir())  # checked before any method is fitted
+
+    def test_missing_samples_file_is_a_configuration_error(self, tmp_path, capsys):
+        code = main(["interp", "--samples-file", str(tmp_path / "nope.csv"), "--dimension", "1",
+                     "--n-axis", "15", "--p-axis", "15", "--d-axis", "20", "--q", "1",
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read samples file") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("0.0,oops\n0.5,1.0\n", "malformed row"),
+            ("0.0,1.0\n0.5,2.0,3.0\n", "malformed row"),  # ragged
+            ("0.0,1.0,5.0\n0.5,2.0,6.0\n", "rows must have 2 cells"),  # one cell too many in every row
+        ],
+    )
+    def test_malformed_samples_file_is_a_configuration_error(self, tmp_path, capsys, body, message):
+        samples = tmp_path / "samples.csv"
+        samples.write_text("x0,y\n" + body, encoding="utf-8")
+        code = main(["interp", "--samples-file", str(samples), "--dimension", "1", "--n-axis", "2",
+                     "--p-axis", "2", "--d-axis", "4", "--q", "1", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     def test_unknown_target_exit_code(self, tmp_path):
         code = main(["interp", "--target", "mystery", "--n-axis", "8", "--p-axis", "8",
                      "--d-axis", "8", "--q", "1.0", "--out", str(tmp_path / "x")])
@@ -382,6 +420,25 @@ class TestConfigFile:
         assert err.startswith(f"error: field {field} must be") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("mc-risk", {"D": 64, "n": 8, "r_values": [1.0], "trials": 2, "coefficient_model": "bogus"}),
+            ("concentration", {"D": 64, "n": 8, "p": 16, "r": 1.0, "q": 1.0, "trials": 2,
+                               "coefficient_model": "bogus"}),
+        ],
+    )
+    def test_bad_coefficient_model_lists_the_choices(self, tmp_path, capsys, command, config):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "x.csv"
+        code = main([command, "--config", str(path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == ("error: field coefficient_model must be one of 'complex-gaussian', "
+                       "'real-gaussian', got 'bogus'\n")
+        assert not out.exists()
+
     def test_int_config_values_widen_to_float(self):
         spec = spec_from_dict(HeatmapSpec, {"D": 16, "n": 4, "r_values": [1], "q_rule": "fixed", "q_fixed": 0})
         assert spec.r_values == (1.0,) and isinstance(spec.r_values[0], float)
@@ -437,8 +494,6 @@ class TestSweepEdges:
         header, rows = read_csv(out)
         # at q -> inf only the leading term of each class keeps weight:
         # risk = 2 c_r * sum_{j >= n} t_j^2
-        from fourier_minnorm import build_spectrum
-
         s = build_spectrum(1024, 1.0)
         expected = 2 * s.c_r * s.tail_sum(2.0, start=16)
         assert column(header, rows, "risk_theory")[0] == pytest.approx(expected, abs=1e-12)

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fourier_minnorm import (
     ConfigurationError,
     RegimeError,
     SolverPath,
-    StructureError,
     build_spectrum,
     classify_grid,
     fourier_matrix,
@@ -30,6 +29,16 @@ def nullspace_perturbation(grid, rng):
     g = rng.standard_normal(grid.p) + 1j * rng.standard_normal(grid.p)
     correction, *_ = np.linalg.lstsq(f, f @ g, rcond=None)
     return g - correction
+
+
+@st.composite
+def misaligned_grids(draw):
+    """(D, n, p) with p >= n where n does not divide D or p."""
+    D = draw(st.integers(min_value=3, max_value=64))
+    n = draw(st.integers(min_value=2, max_value=D - 1))
+    p = draw(st.integers(min_value=n, max_value=D))
+    assume(D % n or p % n)
+    return classify_grid(D, n, p)
 
 
 class TestWeightedMinnorm:
@@ -129,20 +138,37 @@ class TestWeightedMinnorm:
         with pytest.raises(RegimeError):
             weighted_minnorm(np.zeros(4), s, classify_grid(8, 4, 2), 1.0)
 
-    def test_circulant_path_rejected_on_general_grid(self):
+    def test_circulant_path_works_on_general_grid(self):
         s = build_spectrum(8, 1.0)
         g = classify_grid(8, 3, 5)
-        with pytest.raises(StructureError):
-            weighted_minnorm(np.zeros(3), s, g, 1.0, SolverPath.CIRCULANT_FFT)
+        rng = np.random.default_rng(6)
+        y = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        fast = weighted_minnorm(y, s, g, 1.0, SolverPath.CIRCULANT_FFT)
+        dense = weighted_minnorm(y, s, g, 1.0, SolverPath.DENSE_SVD)
+        assert fast.path is SolverPath.CIRCULANT_FFT
+        assert np.linalg.norm(fast.theta_hat - dense.theta_hat) <= 1e-12 * np.linalg.norm(dense.theta_hat)
 
-    def test_general_grid_dense_path_works(self):
+    def test_general_grid_defaults_to_circulant_path(self):
         s = build_spectrum(8, 1.0)
         g = classify_grid(8, 3, 5)
         rng = np.random.default_rng(6)
         y = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         fit = weighted_minnorm(y, s, g, 1.0)
-        assert fit.path is SolverPath.DENSE_SVD
+        assert fit.path is SolverPath.CIRCULANT_FFT
         assert fit.residual <= 1e-8 * max(1.0, np.linalg.norm(y))
+
+    @given(grid=misaligned_grids(), q=st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_default_path_matches_dense_on_misaligned_grids(self, grid, q, seed):
+        s = build_spectrum(grid.D, 1.0)
+        rng = np.random.default_rng(seed)
+        y = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
+        fit = weighted_minnorm(y, s, grid, q)
+        dense = weighted_minnorm(y, s, grid, q, SolverPath.DENSE_SVD)
+        assert fit.path is SolverPath.CIRCULANT_FFT
+        assert np.linalg.norm(fit.theta_hat - dense.theta_hat) <= 1e-10 * np.linalg.norm(dense.theta_hat)
+        assert fit.residual <= 1e-10 * np.linalg.norm(y)
+        assert np.all(fit.theta_hat[grid.p :] == 0)
 
 
 class TestLeastSquares:

@@ -237,6 +237,15 @@ class TestEmpiricalRisks:
         assert np.all(np.isfinite(est.samples))
         assert est.mean == pytest.approx(theory_risk(spectrum, grid, 100.0), rel=0.05)
 
+    def test_large_q_on_misaligned_grid_matches_theory(self):
+        # n = 60 divides neither D = 1000 nor p = 250: the circulant solve
+        # with zero-padded class sums, at the point the mpmath test pins
+        spectrum = build_spectrum(1000, 1.0)
+        grid = classify_grid(1000, 60, 250)
+        est = empirical_risk(spectrum, grid, 100.0, McConfig(trials=500, seed=0))
+        assert np.all(np.isfinite(est.samples))
+        assert est.mean == pytest.approx(theory_risk(spectrum, grid, 100.0), rel=0.05)
+
     @pytest.mark.parametrize("q", [-1.0, float("nan"), float("inf")])
     def test_rejects_bad_q(self, q):
         with pytest.raises(ConfigurationError):

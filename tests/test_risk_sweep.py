@@ -56,7 +56,8 @@ def mp_risks(D, n, r, q, p_values, dps=40):
                 a_4q = mpmath.fsum(x**2 for x in w)
                 P += mpmath.fsum(x * y for x, y in zip(w, t2r[m:p:n])) / a_2q
                 Q1 += a_4q * mpmath.fsum(t2r[m:p:n]) / a_2q**2
-                Q2 += a_4q * mpmath.fsum(t2r[m + p :: n]) / a_2q**2
+                first = m + n * -(-(p - m) // n)  # the first member of class m at or past p
+                Q2 += a_4q * mpmath.fsum(t2r[first::n]) / a_2q**2
             out.append(float(1 - 2 * c_r * P + c_r * Q1 + c_r * Q2))
     return out
 
@@ -77,12 +78,29 @@ class TestAgainstOracles:
         expected = [oracle(s, n, p, q) for p in p_values]
         assert np.max(np.abs(swept - expected)) <= 1e-9
 
-    def test_misaligned_points_take_the_trace_forms_exactly(self):
+    def test_misaligned_points_match_the_trace_forms(self):
         s = build_spectrum(24, 0.8)
         # n | D but p = 6 is no multiple of n; n = 5 does not divide D at all
-        assert theory_risks(s, 4, 1.0, [6])[0] == risk_trace_over(s, classify_grid(24, 4, 6), 1.0).risk
+        assert theory_risks(s, 4, 1.0, [6])[0] == pytest.approx(oracle(s, 4, 6, 1.0), abs=1e-12)
         swept = theory_risks(s, 5, 1.0, [3, 5, 10, 24])
-        assert list(swept) == [oracle(s, 5, p, 1.0) for p in (3, 5, 10, 24)]
+        assert np.max(np.abs(swept - [oracle(s, 5, p, 1.0) for p in (3, 5, 10, 24)])) <= 1e-12
+
+    @given(
+        D=st.integers(min_value=1, max_value=60),
+        data=st.data(),
+        r=st.floats(min_value=0.0, max_value=2.0, allow_nan=False),
+        q=st.floats(min_value=0.0, max_value=3.0, allow_nan=False),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_random_grids_match_trace_forms(self, D, data, r, q):
+        # any (D, n), n | D or not, n = 1 included; p = n and p = D always swept
+        n = data.draw(st.integers(min_value=1, max_value=D))
+        extra = data.draw(st.lists(st.integers(min_value=1, max_value=D), max_size=6))
+        p_values = [n, D, *extra]
+        s = build_spectrum(D, r)
+        swept = theory_risks(s, n, q, p_values)
+        expected = [oracle(s, n, p, q) for p in p_values]
+        assert np.max(np.abs(swept - expected)) <= 1e-12
 
 
 class TestSweepIsTheSinglePointValue:
@@ -114,6 +132,13 @@ class TestAccuracyEdges:
         swept = theory_risks(build_spectrum(D, r), n, q, p_values)
         assert np.max(np.abs(swept - mp_risks(D, n, r, q, p_values))) <= 1e-12
 
+    def test_compensated_misaligned_sweep_matches_mpmath(self):
+        # n = 250 divides neither D = 2^16 nor any p > n below
+        D, n, r, q = COMPENSATED_SUM_MIN_D, 250, 1.0, 1.0
+        p_values = [100, 250, 1001, 12345, D]
+        swept = theory_risks(build_spectrum(D, r), n, q, p_values)
+        assert np.max(np.abs(swept - mp_risks(D, n, r, q, p_values))) <= 1e-12
+
     @pytest.mark.parametrize("q", [80.0, 200.0, 400.0])
     def test_large_q_is_finite_and_matches_mpmath(self, q):
         s = build_spectrum(1024, 1.0)
@@ -121,6 +146,12 @@ class TestAccuracyEdges:
         assert math.isfinite(value)
         assert abs(value - mp_risks(1024, 16, 1.0, q, [512])[0]) <= 1e-12
         assert risk_over_closed(s, classify_grid(1024, 16, 512), q).risk == value
+
+    def test_large_q_on_misaligned_grid_matches_mpmath(self):
+        # n = 60 divides neither D = 1000 nor p = 250
+        value = theory_risks(build_spectrum(1000, 1.0), 60, 100.0, [250])[0]
+        assert math.isfinite(value)
+        assert abs(value - mp_risks(1000, 60, 1.0, 100.0, [250])[0]) <= 1e-12
 
 
 class TestValidation:
