@@ -7,9 +7,19 @@ validated, unknown keys rejected) with CLI flags taking precedence, and
 
 Output contracts:
 
-* CSV: UTF-8, comma-separated, one header row, LF line endings, floats with
-  17 significant digits (round-trip exact for doubles);
-* JSON: UTF-8, sorted keys;
+* every data file is a column table (``Table`` of ``Column``): a constant
+  (D, n) is one value repeated, a grid axis (p, r, q, regime, x_i) its
+  values repeated or tiled, a per-row column (risks, Monte Carlo
+  estimates, f_true, f_hat) a plain array; constants and axis values are
+  rendered once each, per-row floats are formatted straight into a
+  per-table row template, and columns shared by several files (interp's
+  x_i and f_true) are rendered once per invocation;
+* CSV: UTF-8, comma-separated, one header row, LF line endings; cells
+  follow ``render_cell``: floats with 17 significant digits (round-trip
+  exact for doubles, so ``-0``, ``nan``, ``inf`` and ``-inf`` appear as
+  such), ints exactly, bools as ``true``/``false``, None as an empty cell;
+* JSON: UTF-8, sorted keys, ``{"columns": header, "rows": [...]}`` holding
+  the same values as the CSV;
 * outputs are pure functions of (spec, seed) and byte-identical across
   reruns and thread counts (rows are computed in grid order and merged in
   submission order);
@@ -47,16 +57,17 @@ from .interpolation import (
     sample_axis,
     training_samples,
 )
-from .model import build_spectrum, classify_grid
+from .model import build_spectrum, check_truncations, classify_grid, regime_tags
 from .montecarlo import CoefficientModel, McConfig, concentration_check, empirical_risks
 from .risktheory import asymptotic_bound, concentration_bound, risk_over_closed, theory_risks
 
 # ---------------------------------------------------------------------------
-# Serialisation helpers
+# Column tables
 # ---------------------------------------------------------------------------
 
 
 def render_cell(value) -> str:
+    """One CSV cell: None empty, bools true/false, ints exact, floats to 17 digits."""
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -68,23 +79,14 @@ def render_cell(value) -> str:
     return str(value)
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Write one output file; a missing parent directory is a configuration error."""
-    path = Path(path)
-    if not path.parent.is_dir():
-        raise ConfigurationError(f"output directory {str(path.parent)!r} does not exist (field out)")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
-def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(render_cell(v) for v in row) for row in rows)
-    _write_text(path, "\n".join(lines) + "\n")
-
-
-def write_json(path: Path, payload) -> None:
-    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+def _render(values: list) -> list[str]:
+    """``render_cell`` of each value; lists of floats (and None) take one fast pass."""
+    kinds = set(map(type, values))
+    if kinds <= {float}:
+        return ["%.17g" % v for v in values]
+    if kinds <= {float, type(None)}:
+        return ["" if v is None else "%.17g" % v for v in values]
+    return list(map(render_cell, values))
 
 
 def _json_value(value):
@@ -95,12 +97,94 @@ def _json_value(value):
     return value
 
 
-def write_table(path: Path, fmt: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+class Column:
+    """A column of ``values``, each repeated ``repeat`` times, the whole tiled ``tile`` times.
+
+    A constant is one value repeated for every row, a grid axis its values
+    repeated (outer axis) or tiled (inner axis), a per-row column a plain
+    array.  Each position of ``values`` is rendered once, never each
+    distinct value (``0.0 == -0.0`` and NaN differs from itself).  Rendered
+    cells are kept, so a column shared by several tables renders once; a
+    per-row float column nobody rendered goes straight into the CSV row
+    template instead (``row_format``).
+    """
+
+    def __init__(self, values, repeat: int = 1, tile: int = 1):
+        self.values = values.tolist() if isinstance(values, np.ndarray) else list(values)
+        self.repeat = repeat
+        self.tile = tile
+        self._cells: list[str] | None = None
+
+    def __len__(self) -> int:
+        return len(self.values) * self.repeat * self.tile
+
+    def _expand(self, items: list) -> list:
+        if self.repeat != 1:
+            items = [item for item in items for _ in range(self.repeat)]
+        return items * self.tile
+
+    def cells(self) -> list[str]:
+        if self._cells is None:
+            self._cells = self._expand(_render(self.values))
+        return self._cells
+
+    def row_format(self) -> tuple[str, list]:
+        """A %-format for this column's part of a CSV row, and its per-row arguments.
+
+        A per-row float column not yet rendered is formatted inside the row
+        template (no cell strings are kept); any other column supplies its cells.
+        """
+        if self._cells is None and self.repeat == self.tile == 1 and set(map(type, self.values)) <= {float}:
+            return "%.17g", self.values
+        return "%s", self.cells()
+
+    def json_values(self) -> list:
+        return self._expand([_json_value(v) for v in self.values])
+
+
+class Table:
+    """The equal-length columns of one data file; ``len`` is its row count."""
+
+    def __init__(self, columns: Sequence[Column]):
+        lengths = {len(column) for column in columns}
+        if len(lengths) > 1:
+            raise ValueError(f"table columns differ in length: {sorted(lengths)}")
+        self.columns = list(columns)
+        self.rows = lengths.pop() if lengths else 0
+
+    def __len__(self) -> int:
+        return self.rows
+
+
+def _write_text(path: Path, text: str) -> None:
+    """Write one output file; a missing parent directory is a configuration error."""
+    path = Path(path)
+    if not path.parent.is_dir():
+        raise ConfigurationError(f"output directory {str(path.parent)!r} does not exist (field out)")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
+def write_csv(path: Path, header: Sequence[str], table: Table) -> None:
+    formats, arguments = [], []
+    for column in table.columns:
+        fmt, values = column.row_format()
+        formats.append(fmt)
+        arguments.append(values)
+    rows = map(",".join(formats).__mod__, zip(*arguments))
+    _write_text(path, "\n".join([",".join(header), *rows, ""]))  # "" ends the last line without a copy
+
+
+def write_json(path: Path, payload) -> None:
+    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+def write_table(path: Path, fmt: str, header: Sequence[str], table: Table) -> None:
     if fmt == "csv":
-        write_csv(path, header, rows)
+        write_csv(path, header, table)
     else:
-        payload = {"columns": list(header), "rows": [[_json_value(v) for v in row] for row in rows]}
-        write_json(path, payload)
+        rows = list(zip(*(column.json_values() for column in table.columns)))
+        write_json(path, {"columns": list(header), "rows": rows})
 
 
 def ordered_map(fn: Callable, items: Sequence, threads: int) -> list:
@@ -116,6 +200,13 @@ def ordered_map(fn: Callable, items: Sequence, threads: int) -> list:
 
 
 _SCALAR_TYPES = {int: (int,), float: (int, float), str: (str,)}
+
+# Range rules on spec fields, checked after the types: name -> (test, rule).
+_RANGES = {
+    "threads": (lambda v: v >= 1, "be >= 1"),
+    "eval_points": (lambda v: v >= 1, "be >= 1"),
+    "t_multipliers": (lambda v: all(map(math.isfinite, v)), "hold finite values only"),
+}
 
 
 def _check_scalar(name: str, kind: type, value):
@@ -150,9 +241,14 @@ def spec_from_dict(cls, data: dict):
     kinds = typing.get_type_hints(cls)
     data = {name: _check_field(name, kinds[name], value) for name, value in data.items()}
     try:
-        return cls(**data)
+        spec = cls(**data)
     except TypeError as exc:
         raise ConfigurationError(f"invalid {cls.COMMAND} config: {exc}") from None
+    for name, (holds, rule) in _RANGES.items():
+        value = getattr(spec, name, None)
+        if value is not None and not holds(value):
+            raise ConfigurationError(f"field {name} must {rule}, got {value!r}")
+    return spec
 
 
 def spec_to_dict(spec) -> dict:
@@ -285,10 +381,12 @@ SPEC_TYPES = {
 # ---------------------------------------------------------------------------
 
 
-def _resolve_p_grid(spec) -> list[int]:
+def _resolve_p_grid(spec) -> np.ndarray:
+    """The sorted p grid of a sweep, checked against D and n."""
     if spec.p_values is not None:
         p_list = sorted(set(spec.p_values))
     elif spec.p_rule == "paper":
+        check_truncations(spec.D, spec.n, ())  # n first: the rule divides by it
         if spec.D % spec.n != 0:
             raise ConfigurationError(f"p_rule 'paper' needs n | D, got D={spec.D}, n={spec.n} (field n)")
         p_list = list(range(1, spec.n)) + [l * spec.n for l in range(1, spec.D // spec.n + 1)]
@@ -296,53 +394,58 @@ def _resolve_p_grid(spec) -> list[int]:
         raise ConfigurationError(f"unknown p_rule {spec.p_rule!r} (field p_rule)")
     if not p_list:
         raise ConfigurationError("p grid is empty (field p_values)")
-    for p in p_list:
-        classify_grid(spec.D, spec.n, p)  # raises with the offending value named
-    return p_list
+    return check_truncations(spec.D, spec.n, p_list)
 
 
-def _curve_groups(spec) -> tuple[list[tuple[float, float]], list[int]]:
+def _curve_groups(spec) -> tuple[list[tuple[float, float]], np.ndarray]:
     """(r, q) row groups in output order, and the p grid each group sweeps."""
     if not spec.r_values:
         raise ConfigurationError("r grid is empty (field r_values)")
-    p_list = _resolve_p_grid(spec)
+    p = _resolve_p_grid(spec)
     groups = []
     for r in sorted(set(spec.r_values)):
         q_list = sorted(set(spec.q_values)) if spec.q_values is not None else [r]
         groups.extend((r, q) for q in q_list)
-    return groups, p_list
+    return groups, p
 
 
 def _spectra(D: int, groups) -> dict:
     return {r: build_spectrum(D, r) for r in dict.fromkeys(r for r, _ in groups)}
 
 
-def _grouped_rows(compute: Callable, groups: Sequence, threads: int) -> list:
-    return [row for chunk in ordered_map(compute, groups, threads) for row in chunk]
+def _sweep_columns(spec, groups: Sequence[tuple[float, float]], p: np.ndarray) -> list[Column]:
+    """D, n, p, r, q of a sweep whose rows run group by group, each over the whole p grid."""
+    rows = len(groups) * len(p)
+    return [
+        Column([spec.D], repeat=rows),
+        Column([spec.n], repeat=rows),
+        Column(p, tile=len(groups)),
+        Column([r for r, _ in groups], repeat=len(p)),
+        Column([q for _, q in groups], repeat=len(p)),
+    ]
 
 
 def run_risk_curve(spec: RiskCurveSpec) -> list[Path]:
     _check_format(spec.format)
-    groups, p_list = _curve_groups(spec)
+    groups, p = _curve_groups(spec)
     spectra = _spectra(spec.D, groups)
-    regimes = [classify_grid(spec.D, spec.n, p).regime.value for p in p_list]
 
     def compute(group):
         r, q = group
-        risks = theory_risks(spectra[r], spec.n, q, p_list)
-        return [[spec.D, spec.n, p, r, q, regime, float(risk)] for p, regime, risk in zip(p_list, regimes, risks)]
+        return theory_risks(spectra[r], spec.n, q, p)
 
-    rows = _grouped_rows(compute, groups, spec.threads)
+    risks = np.concatenate(ordered_map(compute, groups, spec.threads))
+    columns = _sweep_columns(spec, groups, p)
+    columns += [Column(regime_tags(spec.n, p), tile=len(groups)), Column(risks)]
     path = Path(spec.out)
-    write_table(path, spec.format, ["D", "n", "p", "r", "q", "regime", "risk_theory"], rows)
+    write_table(path, spec.format, ["D", "n", "p", "r", "q", "regime", "risk_theory"], Table(columns))
     return [path]
 
 
 def run_mc_risk(spec: McRiskSpec) -> list[Path]:
     _check_format(spec.format)
-    groups, p_list = _curve_groups(spec)
+    groups, p = _curve_groups(spec)
     spectra = _spectra(spec.D, groups)
-    grids = [classify_grid(spec.D, spec.n, p) for p in p_list]
     mc = McConfig(
         trials=spec.trials,
         seed=spec.seed,
@@ -352,17 +455,21 @@ def run_mc_risk(spec: McRiskSpec) -> list[Path]:
 
     def compute(group):
         r, q = group
-        risks = theory_risks(spectra[r], spec.n, q, p_list)
-        estimates = empirical_risks(spectra[r], spec.n, q, p_list, mc)
-        return [
-            [spec.D, spec.n, grid.p, r, q, grid.regime.value, float(theory), est.mean, est.ci_low, est.ci_high]
-            for grid, theory, est in zip(grids, risks, estimates)
-        ]
+        return theory_risks(spectra[r], spec.n, q, p), empirical_risks(spectra[r], spec.n, q, p, mc)
 
-    rows = _grouped_rows(compute, groups, spec.threads)
+    results = ordered_map(compute, groups, spec.threads)
+    estimates = [est for _, group_estimates in results for est in group_estimates]
+    columns = _sweep_columns(spec, groups, p)
+    columns += [
+        Column(regime_tags(spec.n, p), tile=len(groups)),
+        Column(np.concatenate([risks for risks, _ in results])),
+        Column([est.mean for est in estimates]),
+        Column([est.ci_low for est in estimates]),
+        Column([est.ci_high for est in estimates]),
+    ]
     path = Path(spec.out)
     header = ["D", "n", "p", "r", "q", "regime", "risk_theory", "risk_mc_mean", "ci_low", "ci_high"]
-    write_table(path, spec.format, header, rows)
+    write_table(path, spec.format, header, Table(columns))
     return [path]
 
 
@@ -372,21 +479,19 @@ def run_heatmap(spec: HeatmapSpec) -> list[Path]:
         raise ConfigurationError(f"q_rule must be 'match-r' or 'fixed', got {spec.q_rule!r} (field q_rule)")
     if not spec.r_values:
         raise ConfigurationError("r grid is empty (field r_values)")
-    p_list = _resolve_p_grid(spec)
+    p = _resolve_p_grid(spec)
     groups = [(r, r if spec.q_rule == "match-r" else spec.q_fixed) for r in sorted(set(spec.r_values))]
     spectra = _spectra(spec.D, groups)
 
     def compute(group):
         r, q = group
-        risks = theory_risks(spectra[r], spec.n, q, p_list)
-        return [
-            [spec.D, spec.n, p, r, q, float(risk), math.log10(risk) if risk > 0 else None]
-            for p, risk in zip(p_list, risks)
-        ]
+        return theory_risks(spectra[r], spec.n, q, p)
 
-    rows = _grouped_rows(compute, groups, spec.threads)
+    risks = np.concatenate(ordered_map(compute, groups, spec.threads)).tolist()
+    log10_risks = [math.log10(risk) if risk > 0 else None for risk in risks]
+    columns = _sweep_columns(spec, groups, p) + [Column(risks), Column(log10_risks)]
     path = Path(spec.out)
-    write_table(path, spec.format, ["D", "n", "p", "r", "q", "risk", "log10_risk"], rows)
+    write_table(path, spec.format, ["D", "n", "p", "r", "q", "risk", "log10_risk"], Table(columns))
     return [path]
 
 
@@ -428,7 +533,8 @@ def run_bound_check(spec: BoundCheckSpec) -> list[Path]:
         rows.append(["summary", None, None, None, None, None, None, None, min_slack, all_valid])
     path = Path(spec.out)
     header = ["kind", "D", "n", "p", "r", "q", "risk", "bound", "slack", "valid"]
-    write_table(path, spec.format, header, rows)
+    table = Table([Column([row[i] for row in rows]) for i in range(len(header))])
+    write_table(path, spec.format, header, table)
     paths = [path]
     if warnings:
         log_path = Path(str(spec.out) + ".log")
@@ -449,13 +555,12 @@ def run_concentration(spec: ConcentrationSpec) -> list[Path]:
     )
     T_q = concentration_bound(spec.r, spec.q, 0.0).T_q
     t_grid = [m * T_q for m in spec.t_multipliers]
-    rows = [
-        [spec.D, spec.n, spec.p, spec.r, spec.q, spec.trials, row.t, row.empirical_tail, row.bound_tail, row.std_err]
-        for row in concentration_check(spectrum, grid, spec.q, t_grid, mc)
-    ]
-    path = Path(spec.out)
+    tails = concentration_check(spectrum, grid, spec.q, t_grid, mc)
     header = ["D", "n", "p", "r", "q", "trials", "t", "empirical_tail", "bound_tail", "std_err"]
-    write_table(path, spec.format, header, rows)
+    columns = [Column([v], repeat=len(tails)) for v in (spec.D, spec.n, spec.p, spec.r, spec.q, spec.trials)]
+    columns += [Column([getattr(row, name) for row in tails]) for name in header[6:]]  # TailRow fields
+    path = Path(spec.out)
+    write_table(path, spec.format, header, Table(columns))
     return [path]
 
 
@@ -518,12 +623,20 @@ def run_interp(spec: InterpSpec) -> list[Path]:
     )
     named = spec.target is not None
     _, observed = training_samples(problem)
-    eval_axes = problem.axes(spec.eval_points)
-    mesh = np.stack(np.meshgrid(*eval_axes, indexing="ij"), axis=-1)
-    coords = mesh.reshape(-1, dimension)
+    m, eval_axes = spec.eval_points, problem.axes(spec.eval_points)
+    # Row-major grid order: axis i repeats each value m^(d-1-i) times, tiled m^i times.
+    shared = [Column(axis, repeat=m ** (dimension - 1 - i), tile=m**i) for i, axis in enumerate(eval_axes)]
+    header = [f"x{i}" for i in range(dimension)]
     if named:
         fn = builtin_targets(spec.target)
+        mesh = np.stack(np.meshgrid(*eval_axes, indexing="ij"), axis=-1)
         truth = (fn(mesh[..., 0]) if dimension == 1 else fn(mesh)).ravel()
+        shared.append(Column(truth))
+        header.append("f_true")
+    header.append("f_hat")
+    if spec.format == "csv":
+        for column in shared:
+            column.cells()  # rendered once here, read by every method's file
 
     paths = []
     metrics: dict = {
@@ -543,24 +656,14 @@ def run_interp(spec: InterpSpec) -> list[Path]:
         "samples": [float(v) for v in observed.ravel()],
         "per_method": {},
     }
-    coord_header = [f"x{i}" for i in range(dimension)]
     for method in methods:
         fit = fit_interpolant(problem, method)
         values = fit.evaluate(eval_axes).ravel()
         max_imag = float(np.max(np.abs(values.imag))) if values.size else 0.0
-        if named:
-            header = coord_header + ["f_true", "f_hat"]
-            rows = [
-                list(coords[i]) + [truth[i], values[i].real] for i in range(len(coords))
-            ]
-            rmse = float(np.sqrt(np.mean(np.abs(values - truth) ** 2)))
-        else:
-            header = coord_header + ["f_hat"]
-            rows = [list(coords[i]) + [values[i].real] for i in range(len(coords))]
-            rmse = None
+        rmse = float(np.sqrt(np.mean(np.abs(values - truth) ** 2))) if named else None
         suffix = "csv" if spec.format == "csv" else "json"
         grid_path = Path(f"{spec.out}.{method.value}.{suffix}")
-        write_table(grid_path, spec.format, header, rows)
+        write_table(grid_path, spec.format, header, Table(shared + [Column(values.real)]))
         paths.append(grid_path)
         metrics["per_method"][method.value] = {
             "sample_residual": fit.residual,

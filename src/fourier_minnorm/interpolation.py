@@ -20,6 +20,7 @@ dense solve on the flattened system.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -163,10 +164,10 @@ class InterpolationProblem:
             raise ConfigurationError("per-axis sample and truncation counts must be >= 1")
         if self.p_axis > self.D_axis:
             raise ConfigurationError(f"p_axis={self.p_axis} exceeds ambient D_axis={self.D_axis}")
-        if self.noise_sigma < 0:
-            raise ConfigurationError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if self.q < 0:
-            raise ConfigurationError(f"q must be >= 0, got {self.q}")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ConfigurationError(f"field noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        if not (math.isfinite(self.q) and self.q >= 0):
+            raise ConfigurationError(f"field q must be finite and >= 0, got {self.q}")
         if isinstance(self.target, str):
             named = builtin_targets(self.target)
             if named.dimension != self.dimension:

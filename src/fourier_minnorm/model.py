@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -112,6 +113,30 @@ def classify_grid(D: int, n: int, p: int) -> GridConfig:
     else:
         regime = Regime.OVER_GENERAL
     return GridConfig(D=D, n=n, p=p, tau=tau, l=l, regime=regime)
+
+
+def check_truncations(D: int, n: int, p_values: Sequence[int]) -> np.ndarray:
+    """``p_values`` as an int array, checked in one pass as ``classify_grid`` checks each.
+
+    Raises ``classify_grid``'s error for an n outside [1, D], else for the
+    first p outside [1, D].
+    """
+    if not 1 <= n <= D:
+        raise ConfigurationError(f"sample count n={n} outside [1, D={D}]")
+    try:
+        p = np.asarray(p_values, dtype=int)
+    except OverflowError:  # beyond int64, so outside [1, D] too
+        p = None
+    if p is None or ((p < 1) | (p > D)).any():
+        first = next(int(v) for v in p_values if not 1 <= int(v) <= D)
+        raise ConfigurationError(f"truncation p={first} outside [1, D={D}]")
+    return p
+
+
+def regime_tags(n: int, p: np.ndarray) -> np.ndarray:
+    """``classify_grid(D, n, p).regime.value`` for every p of an int array."""
+    aligned = np.where(p % n == 0, Regime.OVER_ALIGNED.value, Regime.OVER_GENERAL.value)
+    return np.where(p < n, Regime.UNDER.value, aligned)
 
 
 @dataclass(frozen=True)

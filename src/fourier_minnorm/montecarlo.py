@@ -34,7 +34,7 @@ import numpy as np
 from .circulant import equispaced_predict
 from .errors import ConfigurationError
 from .estimators import _circulant_minnorm, _class_weights
-from .model import GridConfig, Spectrum, classify_grid
+from .model import GridConfig, Spectrum, check_truncations
 from .risktheory import concentration_bound
 
 # Trials are solved in blocks of about this many complex coefficients (16
@@ -115,12 +115,12 @@ def empirical_risks(
     """
     if not (math.isfinite(q) and q >= 0):
         raise ConfigurationError(f"weighting exponent q must be finite and >= 0, got {q}")
-    grids = [classify_grid(spectrum.D, n, int(p)) for p in p_values]
-    kernels = {g.p: _class_weights(spectrum.t[: g.p], n, q) for g in grids if g.p > n}
-    need_ls = any(g.p <= n for g in grids)
+    p_list = check_truncations(spectrum.D, n, p_values).tolist()
+    kernels = {p: _class_weights(spectrum.t[:p], n, q) for p in p_list if p > n}
+    need_ls = any(p <= n for p in p_list)
     scale = _theta_scale(spectrum)
     step = max(1, _BLOCK_ELEMENTS // spectrum.D)
-    samples = np.empty((len(grids), mc.trials))
+    samples = np.empty((len(p_list), mc.trials))
     for first in range(0, mc.trials, step):
         block = range(first, min(first + step, mc.trials))
         theta = np.empty((len(block), spectrum.D), dtype=complex)
@@ -130,8 +130,7 @@ def empirical_risks(
         y_fft = np.fft.fft(y) if kernels else None
         y_ifft = np.fft.ifft(y) if need_ls else None
         diff = np.empty_like(theta)  # reused by every p; fit is dropped before the error temporaries
-        for row, grid in zip(samples, grids):
-            p = grid.p
+        for row, p in zip(samples, p_list):
             fit = y_ifft[:, :p] if p <= n else _circulant_minnorm(y_fft, *kernels[p], p)
             np.subtract(theta[:, :p], fit, out=diff[:, :p])
             diff[:, p:] = theta[:, p:]

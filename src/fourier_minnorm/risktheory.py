@@ -64,7 +64,7 @@ from .model import (
     GridConfig,
     Spectrum,
     accumulate_blocks,
-    classify_grid,
+    check_truncations,
     folded_sums,
 )
 
@@ -378,7 +378,7 @@ def theory_risks(spectrum: Spectrum, n: int, q: float, p_values: Sequence[int]) 
     independent of q.
     """
     _check_q(q)
-    p = np.array([classify_grid(spectrum.D, n, int(v)).p for v in p_values], dtype=int)
+    p = check_truncations(spectrum.D, n, p_values)
     under = p <= n
     aligned = ~under & (p % n == 0) & (spectrum.D % n == 0)
     general = ~under & ~aligned

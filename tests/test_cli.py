@@ -506,3 +506,49 @@ class TestSweepEdges:
         header, rows = read_csv(out)
         for name in ("risk_theory", "risk_mc_mean", "ci_low", "ci_high"):
             assert math.isfinite(column(header, rows, name)[0])
+
+
+INTERP_1D = ["interp", "--target", "cubic1d", "--n-axis", "15", "--p-axis", "30", "--d-axis", "100"]
+SMALL_RUNS = [
+    ["risk-curve", "-D", "16", "-n", "4", "--r-values", "1.0"],
+    ["mc-risk", "-D", "16", "-n", "4", "--r-values", "1.0", "--trials", "2"],
+    ["heatmap", "-D", "16", "-n", "4", "--r-values", "1.0"],
+    ["bound-check", "--n-values", "4", "--r-values", "1.0"],
+    INTERP_1D + ["--q", "1"],
+    ["concentration", "-D", "64", "-n", "8", "-p", "16", "--r", "1.0", "--q", "1.0", "--trials", "20"],
+]
+
+
+class TestRangeChecks:
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (INTERP_1D + ["--q", "nan"], "q"),
+            (INTERP_1D + ["--q", "inf"], "q"),
+            (INTERP_1D + ["--q", "1", "--noise-sigma", "nan"], "noise_sigma"),
+            (INTERP_1D + ["--q", "1", "--noise-sigma", "inf"], "noise_sigma"),
+            (INTERP_1D + ["--q", "1", "--eval-points", "0"], "eval_points"),
+            (INTERP_1D + ["--q", "1", "--eval-points", "-3"], "eval_points"),
+            (SMALL_RUNS[5] + ["--t-multipliers", "nan"], "t_multipliers"),
+            (SMALL_RUNS[5] + ["--t-multipliers", "1,-inf"], "t_multipliers"),
+            *[(argv + ["--threads", threads], "threads") for argv in SMALL_RUNS for threads in ("0", "-2")],
+        ],
+    )
+    def test_out_of_range_is_one_error_line(self, tmp_path, capsys, argv, field):
+        code = main(argv + ["--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: field {field} must") and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+
+    def test_threads_in_a_config_file(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"D": 16, "n": 4, "r_values": [1.0], "threads": 0}))
+        assert main(["risk-curve", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == "error: field threads must be >= 1, got 0\n"
+
+    @pytest.mark.parametrize("command", ["risk-curve", "heatmap"])
+    def test_zero_samples_with_the_paper_rule(self, tmp_path, capsys, command):
+        code = main([command, "-D", "64", "-n", "0", "--r-values", "1.0", "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: sample count n=0 outside [1, D=64]\n"

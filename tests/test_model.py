@@ -14,7 +14,7 @@ from fourier_minnorm import (
     classify_grid,
     cr_bounds,
 )
-from fourier_minnorm.model import accumulate_blocks, folded_sums
+from fourier_minnorm.model import accumulate_blocks, check_truncations, folded_sums, regime_tags
 
 
 class TestBuildSpectrum:
@@ -143,6 +143,39 @@ class TestClassifyGrid:
             assert p > n and p % n != 0
         assert classify_grid(D, n, p) == g
 
+
+
+class TestCheckTruncations:
+    @given(
+        D=st.integers(min_value=1, max_value=64),
+        n=st.integers(min_value=-2, max_value=70),
+        p_values=st.lists(st.integers(min_value=-3, max_value=70), max_size=12),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_classify_grid_point_by_point(self, D, n, p_values):
+        """Same values, same regimes, same error text as classify_grid on each point in turn."""
+        try:
+            grids = [classify_grid(D, n, p) for p in p_values]
+            if not 1 <= n <= D:
+                classify_grid(D, n, 1)
+        except ConfigurationError as exc:
+            with pytest.raises(ConfigurationError) as raised:
+                check_truncations(D, n, p_values)
+            assert str(raised.value) == str(exc)
+            return
+        p = check_truncations(D, n, p_values)
+        assert p.tolist() == [g.p for g in grids]
+        assert regime_tags(n, p).tolist() == [g.regime.value for g in grids]
+
+    def test_names_the_first_offending_value(self):
+        with pytest.raises(ConfigurationError, match=r"^truncation p=0 outside \[1, D=8\]$"):
+            check_truncations(8, 2, [4, 0, 9])
+        with pytest.raises(ConfigurationError, match=r"^truncation p=9 outside \[1, D=8\]$"):
+            check_truncations(8, 2, [4, 9, 0])
+
+    def test_values_beyond_int64(self):
+        with pytest.raises(ConfigurationError, match=f"truncation p={2**70} outside"):
+            check_truncations(8, 2, [4, 2**70])
 
 class TestCoefficientCovariance:
     @pytest.mark.parametrize("D,r", [(4, 1.0), (64, 0.0), (256, 1.5)])

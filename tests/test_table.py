@@ -1,0 +1,234 @@
+"""The column-table writer against a row-wise reference renderer.
+
+``reference_csv`` and ``reference_json`` render a list of rows one cell at a
+time, as the CLI wrote its tables before they became columns.  Every table
+the writer emits, random ones and those of the six commands, must equal
+them byte for byte.
+"""
+
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fourier_minnorm import cli
+from fourier_minnorm.cli import Column, Table, main, write_table
+from fourier_minnorm.interpolation import builtin_targets, sample_axis
+
+
+def reference_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return f"{float(value):.17g}"
+    return str(value)
+
+
+def reference_json_value(value):
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        return float(value)
+    return value
+
+
+def reference_csv(header, rows) -> bytes:
+    lines = [",".join(header)] + [",".join(reference_cell(v) for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def reference_json(header, rows) -> bytes:
+    payload = {"columns": list(header), "rows": [[reference_json_value(v) for v in row] for row in rows]}
+    return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8")
+
+
+def expand(values, repeat=1, tile=1) -> list:
+    """A column's cells one by one, written out independently of Column."""
+    values = values.tolist() if isinstance(values, np.ndarray) else list(values)
+    out = []
+    for _ in range(tile):
+        for v in values:
+            out.extend([v] * repeat)
+    return out
+
+
+def table_rows(table: Table) -> list[list]:
+    columns = [expand(c.values, c.repeat, c.tile) for c in table.columns]
+    return [list(row) for row in zip(*columns)]
+
+
+SPECIALS = [
+    0.0, -0.0, 0, math.nan, -math.nan, math.inf, -math.inf,
+    5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308, 1 / 3, 0.1,
+    None, True, False, 2**70, -(2**63),
+    np.int64(-3), np.int32(7), np.uint8(255), np.float64(-0.0), np.float64(math.nan), np.float32(0.1),
+    "under", "over_aligned",
+]
+
+cells = st.one_of(
+    st.sampled_from(SPECIALS),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
+    st.booleans(),
+    st.none(),
+)
+finite_or_special = st.one_of(st.floats(allow_subnormal=True), st.sampled_from([math.nan, math.inf, -math.inf, -0.0]))
+
+
+@st.composite
+def tables(draw):
+    """Random tables over an (a, b, c) row grid: constant, axis and per-row columns."""
+    a, b, c = (draw(st.integers(min_value=0, max_value=3)) for _ in range(3))
+    rows = a * b * c
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(
+            ["constant", "outer", "middle", "inner", "cells", "floats", "float_array", "int_array", "bool_array"]),
+            min_size=1, max_size=8)):
+        if kind == "constant":
+            columns.append(Column([draw(cells)], repeat=rows))
+        elif kind == "outer":
+            columns.append(Column(draw(st.lists(cells, min_size=a, max_size=a)), repeat=b * c))
+        elif kind == "middle":
+            columns.append(Column(draw(st.lists(cells, min_size=b, max_size=b)), repeat=c, tile=a))
+        elif kind == "inner":
+            columns.append(Column(draw(st.lists(cells, min_size=c, max_size=c)), tile=a * b))
+        elif kind == "cells":
+            columns.append(Column(draw(st.lists(cells, min_size=rows, max_size=rows))))
+        elif kind == "floats":  # the fast paths: all floats, or floats and None
+            pool = st.one_of(finite_or_special, st.none()) if draw(st.booleans()) else finite_or_special
+            columns.append(Column(draw(st.lists(pool, min_size=rows, max_size=rows))))
+        elif kind == "float_array":
+            columns.append(Column(np.array(draw(st.lists(finite_or_special, min_size=rows, max_size=rows)),
+                                           dtype=float)))
+        elif kind == "int_array":
+            values = draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=rows, max_size=rows))
+            columns.append(Column(np.array(values, dtype=np.int64)))
+        else:
+            columns.append(Column(np.array(draw(st.lists(st.booleans(), min_size=rows, max_size=rows)), dtype=bool)))
+    return Table(columns)
+
+
+class TestWriterEquivalence:
+    @given(table=tables(), fmt=st.sampled_from(["csv", "json"]))
+    @settings(max_examples=300, deadline=None)
+    def test_random_tables_match_the_row_reference(self, table, fmt):
+        header = [f"c{i}" for i in range(len(table.columns))]
+        rows = table_rows(table)
+        assert len(table) == len(rows)
+        expected = reference_csv(header, rows) if fmt == "csv" else reference_json(header, rows)
+        with tempfile.TemporaryDirectory() as tmp:
+            # twice: per-row float columns are formatted in the row template
+            # first, then from their rendered cells, as shared columns are
+            for name in ("template", "cells"):
+                path = Path(tmp) / name
+                write_table(path, fmt, header, table)
+                assert path.read_bytes() == expected
+                for column in table.columns:
+                    column.cells()
+
+    @pytest.mark.parametrize(
+        "values, cells",
+        [
+            # all floats, floats and None, anything else: one renderer each
+            ([-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324], ["-0", "0", "nan", "inf", "-inf", "4.9406564584124654e-324"]),
+            ([-0.0, None, math.nan, 0.1], ["-0", "", "nan", "0.10000000000000001"]),
+            ([-0.0, None, True, False, np.int64(-4), 2**70, np.float64(-0.0), "over_general"],
+             ["-0", "", "true", "false", "-4", "1180591620717411303424", "-0", "over_general"]),
+        ],
+    )
+    def test_cell_rules(self, tmp_path, values, cells):
+        write_table(tmp_path / "t.csv", "csv", ["v"], Table([Column(values)]))
+        assert (tmp_path / "t.csv").read_text() == "\n".join(["v", *cells]) + "\n"
+
+    def test_bool_array_renders_as_bools(self, tmp_path):
+        write_table(tmp_path / "t.csv", "csv", ["v"], Table([Column(np.array([True, False]))]))
+        assert (tmp_path / "t.csv").read_text() == "v\ntrue\nfalse\n"
+
+    def test_unequal_columns_rejected(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            Table([Column([1.0, 2.0]), Column([3], repeat=3)])
+
+
+def _samples_file(tmp_path) -> Path:
+    x = sample_axis(8)
+    y = np.random.default_rng(4).standard_normal(8)
+    path = tmp_path / "samples.csv"
+    path.write_text("\n".join(["x0,y"] + [f"{a:.17g},{b:.17g}" for a, b in zip(x, y)]) + "\n", encoding="utf-8")
+    return path
+
+
+COMMANDS = {
+    "risk-curve": ["risk-curve", "-D", "48", "-n", "6", "--r-values", "0.5,1.0", "--q-values", "0,1.5",
+                   "--p-values", "1,5,6,7,12,30,48"],
+    "mc-risk": ["mc-risk", "-D", "16", "-n", "4", "--r-values", "1.0", "--q-values", "0,1",
+                "--p-values", "2,4,6,16", "--trials", "5", "--seed", "3"],
+    # n = D: the p = 8 risk is 0, so its log10_risk cell is empty
+    "heatmap": ["heatmap", "-D", "8", "-n", "8", "--r-values", "0.0,1.0", "--q-rule", "fixed", "--q-fixed", "0"],
+    "bound-check": ["bound-check", "--n-values", "4,8", "--r-values", "0.4,1.0", "--l-values", "1,2",
+                    "--tau-multipliers", "2"],
+    "concentration": ["concentration", "-D", "64", "-n", "8", "-p", "16", "--r", "1.0", "--q", "1.0",
+                      "--trials", "50", "--t-multipliers", "0,0.5,2"],
+    "interp-1d": ["interp", "--target", "cubic1d", "--n-axis", "15", "--p-axis", "30", "--d-axis", "100",
+                  "--q", "1", "--eval-points", "7", "--methods", "weighted-min-norm,plain-min-norm"],
+    "interp-2d": ["interp", "--target", "cos2d", "--n-axis", "4", "--p-axis", "5", "--d-axis", "20",
+                  "--q", "2", "--eval-points", "5"],
+    "interp-samples": ["interp", "--dimension", "1", "--n-axis", "8", "--p-axis", "16", "--d-axis", "16",
+                       "--q", "1", "--eval-points", "6"],
+}
+
+
+class TestCommandsMatchTheRowReference:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_every_table_file(self, tmp_path, monkeypatch, name, fmt):
+        written = []
+
+        def recording_write_table(path, fmt_, header, table):
+            written.append((Path(path), list(header), table))
+            write_table(path, fmt_, header, table)
+
+        monkeypatch.setattr(cli, "write_table", recording_write_table)
+        argv = COMMANDS[name] + ["--out", str(tmp_path / "out"), "--format", fmt]
+        if name == "interp-samples":
+            argv += ["--samples-file", str(_samples_file(tmp_path))]
+        assert main(argv) == 0
+        assert written
+        for path, header, table in written:
+            rows = table_rows(table)
+            assert len(table) == len(rows) > 0
+            expected = reference_csv(header, rows) if fmt == "csv" else reference_json(header, rows)
+            assert path.read_bytes() == expected, path.name
+
+    def test_interp_methods_share_the_coordinate_and_truth_cells(self, tmp_path, monkeypatch):
+        tables, formats = [], []
+
+        def recording_write_table(path, fmt, header, table):
+            tables.append(table)
+            formats.append([column.row_format()[0] for column in table.columns])
+            write_table(path, fmt, header, table)
+
+        monkeypatch.setattr(cli, "write_table", recording_write_table)
+        assert main(COMMANDS["interp-2d"] + ["--out", str(tmp_path / "out")]) == 0
+        first, second = tables
+        assert [id(c) for c in first.columns[:3]] == [id(c) for c in second.columns[:3]]
+        assert first.columns[3] is not second.columns[3]
+        # x0, x1 and f_true come rendered; each method's file formats only f_hat
+        assert formats == [["%s", "%s", "%s", "%.17g"]] * 2
+
+    def test_interp_coordinates_follow_the_row_major_grid(self, tmp_path):
+        assert main(COMMANDS["interp-2d"] + ["--out", str(tmp_path / "out")]) == 0
+        lines = (tmp_path / "out.weighted-min-norm.csv").read_text().splitlines()[1:]
+        axis = sample_axis(5, builtin_targets("cos2d").domain)
+        mesh = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        assert [tuple(map(float, line.split(",")[:2])) for line in lines] == [tuple(x) for x in mesh.tolist()]
