@@ -48,13 +48,13 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericalInconsistencyError, SingularSystemError
 from .interpolation import (
-    UNIT_DOMAIN,
     InterpolationProblem,
     Method,
     WeightKind,
     builtin_targets,
+    evaluate_on_grid,
     fit_interpolant,
-    sample_axis,
+    training_grid,
     training_samples,
 )
 from .model import build_spectrum, check_truncations, classify_grid, regime_tags
@@ -564,8 +564,8 @@ def run_concentration(spec: ConcentrationSpec) -> list[Path]:
     return [path]
 
 
-def _load_samples_file(path: str, dimension: int, n_axis: int, domain: tuple[float, float]) -> np.ndarray:
-    """Read a training-sample CSV (x columns then y, row-major grid order)."""
+def _load_samples_file(path: str, dimension: int, n_axis: int) -> np.ndarray:
+    """Read a training-sample CSV (x columns then y, row-major grid order), one row per point."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -585,16 +585,14 @@ def _load_samples_file(path: str, dimension: int, n_axis: int, domain: tuple[flo
         raise ConfigurationError(f"samples file has {values.shape[0]} rows, expected {n_axis**dimension}")
     if values.shape[1:] != (dimension + 1,):
         raise ConfigurationError(f"samples file rows must have {dimension + 1} cells, as the header does")
-    grid_points = training_grid_points(dimension, n_axis, domain)
-    if not np.allclose(values[:, :dimension], grid_points, atol=1e-12):
-        raise ConfigurationError("samples file coordinates do not match the equispaced training grid")
-    return values[:, -1].reshape((n_axis,) * dimension)
+    if not np.all(np.isfinite(values)):
+        raise ConfigurationError(f"samples file {path} holds a non-finite value")
+    return values
 
 
-def training_grid_points(dimension: int, n_axis: int, domain: tuple[float, float]) -> np.ndarray:
-    axes = [sample_axis(n_axis, domain)] * dimension
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack(mesh, axis=-1).reshape(-1, dimension)
+def _finite_or_none(value: float) -> float | None:
+    """A metric for strict JSON: non-finite values (an overflowed norm) become null."""
+    return value if math.isfinite(value) else None
 
 
 def run_interp(spec: InterpSpec) -> list[Path]:
@@ -604,12 +602,14 @@ def run_interp(spec: InterpSpec) -> list[Path]:
     if not spec.methods:
         raise ConfigurationError("method list is empty (field methods)")
     methods = [_enum_value(Method, name, "methods") for name in spec.methods]
+    samples = None
     if spec.target is not None:
         dimension = builtin_targets(spec.target).dimension
         target: str | np.ndarray = spec.target
     else:
         dimension = spec.dimension
-        target = _load_samples_file(spec.samples_file, dimension, spec.n_axis, UNIT_DOMAIN)
+        samples = _load_samples_file(spec.samples_file, dimension, spec.n_axis)
+        target = samples[:, -1].reshape((spec.n_axis,) * dimension)
     problem = InterpolationProblem(
         dimension=dimension,
         n_axis=spec.n_axis,
@@ -621,6 +621,10 @@ def run_interp(spec: InterpSpec) -> list[Path]:
         weight_kind=_enum_value(WeightKind, spec.weight_kind, "weight_kind"),
         noise_seed=spec.seed,
     )
+    if samples is not None:
+        grid_points = training_grid(problem).reshape(-1, dimension)
+        if not np.allclose(samples[:, :-1], grid_points, atol=1e-12):
+            raise ConfigurationError("samples file coordinates do not match the equispaced training grid")
     named = spec.target is not None
     _, observed = training_samples(problem)
     m, eval_axes = spec.eval_points, problem.axes(spec.eval_points)
@@ -658,7 +662,7 @@ def run_interp(spec: InterpSpec) -> list[Path]:
     }
     for method in methods:
         fit = fit_interpolant(problem, method)
-        values = fit.evaluate(eval_axes).ravel()
+        values = evaluate_on_grid(fit.coefficients, m).ravel()
         max_imag = float(np.max(np.abs(values.imag))) if values.size else 0.0
         rmse = float(np.sqrt(np.mean(np.abs(values - truth) ** 2))) if named else None
         suffix = "csv" if spec.format == "csv" else "json"
@@ -667,7 +671,8 @@ def run_interp(spec: InterpSpec) -> list[Path]:
         paths.append(grid_path)
         metrics["per_method"][method.value] = {
             "sample_residual": fit.residual,
-            "weighted_norm": fit.weighted_norm,
+            "weighted_norm": _finite_or_none(fit.weighted_norm),
+            "log10_weighted_norm": _finite_or_none(fit.log10_weighted_norm),
             "plain_norm": fit.plain_norm,
             "rmse": rmse,
             "max_abs_imag": max_imag,

@@ -12,9 +12,23 @@ order, so odd m = 2h+1 gives the symmetric window {-h, ..., h}).
 
 Frequency weighting uses (1 + |k|)^(-1) per axis; in d > 1 either the
 separable product of axis weights or the non-separable Euclidean variant
-(1 + ||k||_2)^(-1).  Separable fits go through the Kronecker identity
-(A (x) B)^+ = A^+ (x) B^+ one axis at a time; the Euclidean weight needs one
-dense solve on the flattened system.
+(1 + ||k||_2)^(-1).
+
+On n equispaced points per axis, feature k only depends on k mod n (per
+axis), so the weighted Gram matrix is multi-level circulant and every fit
+is a fold followed by one FFT.  With s_k = w_k^(2q), each residue class
+divided by its largest weight before the power, and Lambda the per-class
+sums of s, the weighted min-norm fit is
+
+    theta_k = s_k * fftn(y)[k mod n] / (n^d * Lambda[k mod n]).
+
+Plain min-norm and least squares are the same formula with s = 1 (for
+p <= n each class holds at most one frequency, so it is the projection
+onto the kept modes).  The class scaling leaves the fit unchanged and keeps
+every Lambda >= 1, so no q underflows it.  Likewise the series on the
+m-point equispaced grid of the problem's domain is m^d * ifftn of the
+coefficients folded modulo m (``evaluate_on_grid``); the dense matrix route
+(``evaluate_interpolant``) stays for arbitrary points.
 """
 
 from __future__ import annotations
@@ -26,10 +40,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, RegimeError, UnknownTargetError
-from .estimators import solve_weighted_minnorm
+from .errors import ConfigurationError, NumericalInconsistencyError, RegimeError, UnknownTargetError
 
 UNIT_DOMAIN = (0.0, 1.0)
+
+# A min-norm fit must reproduce its samples to this, relative to max(1, ||y||).
+RESIDUAL_TOLERANCE = 1e-10
 
 
 class Method(enum.Enum):
@@ -210,7 +226,9 @@ class FittedInterpolant:
     """Coefficient tensor of shape (p_axis,)*d plus fit diagnostics.
 
     weighted_norm is ||W^(-q) theta|| for the problem's weight tensor (the
-    quantity the weighted estimator minimises); plain_norm is ||theta||.
+    quantity the weighted estimator minimises), inf where it overflows a
+    double; log10_weighted_norm is its base-10 logarithm, finite for any q
+    (-inf only for an all-zero fit); plain_norm is ||theta||.
     """
 
     coefficients: np.ndarray = field(repr=False)
@@ -219,6 +237,7 @@ class FittedInterpolant:
     weight_kind: WeightKind
     residual: float
     weighted_norm: float
+    log10_weighted_norm: float
     plain_norm: float
     problem: InterpolationProblem = field(repr=False)
 
@@ -226,17 +245,78 @@ class FittedInterpolant:
         return evaluate_interpolant(self.coefficients, axes, self.problem.domain)
 
 
-def _apply_per_axis(matrix: np.ndarray, tensor: np.ndarray) -> np.ndarray:
-    """Apply one matrix along every axis of a tensor (same matrix per axis)."""
-    out = tensor
-    for _ in range(tensor.ndim):
-        out = np.tensordot(matrix, out, axes=(1, 0))
-        out = np.moveaxis(out, 0, -1)
+def _fold_axis(a: np.ndarray, m: int, axis: int, reduce: np.ufunc) -> np.ndarray:
+    a = np.moveaxis(a, axis, -1)
+    p = a.shape[-1]
+    if p <= m:  # at most one frequency per residue: a scatter
+        folded = np.zeros(a.shape[:-1] + (m,), dtype=a.dtype)
+        folded[..., symmetric_frequencies(p) % m] = a
+    else:
+        # In ascending order the frequencies -(p//2), ... start at slot
+        # (-(p//2)) mod m, so slot j holds a frequency = j (mod m).
+        start = (-(p // 2)) % m
+        blocks = -(-(start + p) // m)
+        padded = np.zeros(a.shape[:-1] + (blocks * m,), dtype=a.dtype)
+        padded[..., start : start + p] = np.fft.fftshift(a, axes=-1)
+        folded = reduce.reduce(padded.reshape(a.shape[:-1] + (blocks, m)), axis=-2)
+    return np.moveaxis(folded, -1, axis)
+
+
+def fold_frequencies(coefficients: np.ndarray, m: int, reduce: np.ufunc = np.add) -> np.ndarray:
+    """Combine the entries of an FFT-layout tensor that share a residue mod m, per axis.
+
+    Returns shape (m,)*d, entry c holding ``reduce`` over the frequencies
+    k = c (mod m); residues no frequency reaches hold 0, so ``reduce`` must
+    treat 0 as neutral (sums, or maxima of positive values).
+    """
+    out = np.asarray(coefficients)
+    for axis in range(out.ndim):
+        out = _fold_axis(out, m, axis, reduce)
     return out
 
 
+def evaluate_on_grid(coefficients: np.ndarray, points_per_axis: int) -> np.ndarray:
+    """The series on the problem grid ``axes(points_per_axis)``, shape (m,)*d, complex.
+
+    Every such point is x0 + L*j/m per axis, where the basis reads
+    exp(2*pi*i*k*j/m), so the values are m^d * ifftn of the coefficients
+    folded modulo m, for any domain.  Folding and transforming one axis at
+    a time skips the transforms of rows the fold has not filled yet.
+    """
+    m = points_per_axis
+    out = np.asarray(coefficients)
+    for axis in range(out.ndim):
+        out = m * np.fft.ifft(_fold_axis(out, m, axis, np.add), axis=axis)
+    return out
+
+
+def _class_fit(y: np.ndarray, weights: np.ndarray, q: float) -> np.ndarray:
+    """theta_k = s_k * fftn(y)[k mod n] / (n^d * Lambda[k mod n]) for (p,)*d weights."""
+    d, n, p = y.ndim, y.shape[0], weights.shape[0]
+    classes = np.ix_(*[symmetric_frequencies(p) % n] * d)
+    s = np.power(weights / fold_frequencies(weights, n, np.maximum)[classes], 2.0 * q)  # 1 at q = 0
+    lam = fold_frequencies(s, n)
+    # Occupied classes have Lambda >= 1 (their leader has s = 1); empty ones
+    # (p < n) hold 0 and are never read, the floor only avoids 0/0.
+    return s * (np.fft.fftn(y) / (n**d * np.maximum(lam, 1.0)))[classes]
+
+
+def _log_weighted_norm(theta: np.ndarray, weights: np.ndarray, q: float) -> float:
+    """log ||W^(-q) theta||, by a log-sum-exp over log|theta_k| - q*log w_k."""
+    with np.errstate(divide="ignore"):
+        terms = 2.0 * (np.log(np.abs(theta)) - q * np.log(weights))
+    top = float(terms.max())
+    if top == -math.inf:
+        return top
+    return 0.5 * (top + math.log(float(np.sum(np.exp(terms - top)))))
+
+
 def fit_interpolant(problem: InterpolationProblem, method: Method) -> FittedInterpolant:
-    """Fit the chosen estimator; see the module docstring for the solve paths."""
+    """Fit the chosen estimator by fold and FFT; see the module docstring.
+
+    Raises NumericalInconsistencyError when a min-norm fit misses its
+    samples by more than RESIDUAL_TOLERANCE * max(1, ||y||).
+    """
     d, n, p = problem.dimension, problem.n_axis, problem.p_axis
     if method is Method.LEAST_SQUARES and p > n:
         raise RegimeError(f"least squares needs p_axis <= n_axis, got {p} > {n}")
@@ -244,31 +324,20 @@ def fit_interpolant(problem: InterpolationProblem, method: Method) -> FittedInte
         raise RegimeError(f"min-norm interpolation needs p_axis >= n_axis, got {p} < {n}")
 
     _, observed = training_samples(problem)
-    phi = axis_feature_matrix(sample_axis(n, problem.domain), p, problem.domain)
+    weights = tensor_weights(p, d, problem.weight_kind)
     q_eff = problem.q if method is Method.WEIGHTED_MIN_NORM else 0.0
+    theta = _class_fit(observed, weights, q_eff)
 
-    if d == 1:
-        theta = solve_weighted_minnorm(phi, axis_weights(p), q_eff, observed)
-    elif method is Method.WEIGHTED_MIN_NORM and problem.weight_kind is WeightKind.EUCLIDEAN:
-        if d > 3:
-            raise ConfigurationError("dense Euclidean-weight solve is limited to d <= 3")
-        flat_features = phi
-        for _ in range(d - 1):
-            flat_features = np.kron(flat_features, phi)
-        w_flat = tensor_weights(p, d, WeightKind.EUCLIDEAN).ravel()
-        theta = solve_weighted_minnorm(flat_features, w_flat, q_eff, observed.ravel())
-    else:
-        # Separable (or unweighted) case: pseudoinvert one axis at a time.
-        wq = axis_weights(p) ** q_eff
-        pinv = np.linalg.pinv(phi * wq[None, :])
-        beta = _apply_per_axis(pinv, observed.astype(complex))
-        theta = beta * tensor_weights(p, d, WeightKind.SEPARABLE) ** q_eff
-
-    theta = np.asarray(theta).reshape((p,) * d)
-    y_hat = evaluate_interpolant(theta, problem.axes(), problem.domain)
-    residual = float(np.linalg.norm((y_hat - observed).ravel()))
-    w_tensor = tensor_weights(p, d, problem.weight_kind)
-    weighted_norm = float(np.linalg.norm((theta / w_tensor**problem.q).ravel()))
+    residual = float(np.linalg.norm((evaluate_on_grid(theta, n) - observed).ravel()))
+    if method is not Method.LEAST_SQUARES:
+        tolerance = RESIDUAL_TOLERANCE * max(1.0, float(np.linalg.norm(observed.ravel())))
+        if not residual <= tolerance:
+            raise NumericalInconsistencyError(
+                f"{method.value} fit misses its samples by {residual!r} > {tolerance!r} (q={problem.q})"
+            )
+    log_norm = _log_weighted_norm(theta, weights, problem.q)
+    with np.errstate(over="ignore"):
+        weighted_norm = float(np.exp(log_norm))
     theta.setflags(write=False)
     return FittedInterpolant(
         coefficients=theta,
@@ -277,6 +346,7 @@ def fit_interpolant(problem: InterpolationProblem, method: Method) -> FittedInte
         weight_kind=problem.weight_kind,
         residual=residual,
         weighted_norm=weighted_norm,
+        log10_weighted_norm=log_norm / math.log(10.0),
         plain_norm=float(np.linalg.norm(theta.ravel())),
         problem=problem,
     )
@@ -287,9 +357,11 @@ def evaluate_interpolant(
     axes: Sequence[np.ndarray],
     domain: tuple[float, float] = UNIT_DOMAIN,
 ) -> np.ndarray:
-    """Synthesise the truncated Fourier series on a tensor evaluation grid.
+    """Synthesise the truncated Fourier series on a tensor grid of arbitrary points.
 
-    ``axes`` holds one 1-D point array per dimension; the result has shape
+    The dense matrix route: ``evaluate_on_grid`` gives the same values on
+    the problem's equispaced grids.  ``axes`` holds one 1-D point array per
+    dimension; the result has shape
     (len(axes[0]), ..., len(axes[d-1])) and is complex (imaginary parts of
     fits to real data are rounding-level).
     """
@@ -313,7 +385,7 @@ def dense_grid_rmse(fit: FittedInterpolant, points_per_axis: int) -> float:
         raise ConfigurationError("dense-grid RMSE needs a named target")
     target = builtin_targets(problem.target)
     axes = problem.axes(points_per_axis)
-    values = fit.evaluate(axes)
+    values = evaluate_on_grid(fit.coefficients, points_per_axis)
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     truth = target(mesh[..., 0]) if problem.dimension == 1 else target(mesh)
     return float(np.sqrt(np.mean(np.abs(values - truth) ** 2)))

@@ -102,15 +102,27 @@ class LowestRisks(NamedTuple):
     argmin_p_over: int
 
 
+def _finalize_risks(values) -> tuple[np.ndarray, np.ndarray]:
+    """Check and clamp raw risks in one array pass: (risks, clamped mask).
+
+    A value in [-NEGATIVE_RISK_TOLERANCE, 0) becomes 0.0 and is flagged; the
+    first value, in order, that is not finite or lies further below zero
+    raises NumericalInconsistencyError.
+    """
+    values = np.asarray(values, dtype=float)
+    bad = ~(values >= -NEGATIVE_RISK_TOLERANCE) | (values == math.inf)
+    if bad.any():
+        value = float(values[np.argmax(bad)])
+        if not math.isfinite(value):
+            raise NumericalInconsistencyError(f"risk evaluated to {value}, which is not a finite number")
+        raise NumericalInconsistencyError(f"risk evaluated to {value}, below -{NEGATIVE_RISK_TOLERANCE}")
+    clamped = values < 0.0
+    return np.where(clamped, 0.0, values), clamped
+
+
 def _finalize_risk(value: float) -> tuple[float, bool]:
-    value = float(value)
-    if not math.isfinite(value):
-        raise NumericalInconsistencyError(f"risk evaluated to {value}, which is not a finite number")
-    if value >= 0.0:
-        return value, False
-    if value >= -NEGATIVE_RISK_TOLERANCE:
-        return 0.0, True
-    raise NumericalInconsistencyError(f"risk evaluated to {value}, below -{NEGATIVE_RISK_TOLERANCE}")
+    risks, clamped = _finalize_risks([value])
+    return float(risks[0]), bool(clamped[0])
 
 
 def _require_aligned_over(grid: GridConfig) -> None:
@@ -362,9 +374,9 @@ def lowest_risks(spectrum: Spectrum, n: int, q: float) -> LowestRisks:
         raise StructureError(f"scan needs D = tau*n, got D={D}, n={n}")
     _check_q(q)
     under_star = 2.0 * spectrum.c_r * spectrum.tail_sum(2.0 * spectrum.decay_r, start=n)
-    over = [_finalize_risk(value)[0] for value in _over_sweep(spectrum, n, q)[3]]
+    over, _ = _finalize_risks(_over_sweep(spectrum, n, q)[3])
     best = int(np.argmin(over))
-    return LowestRisks(under_star=under_star, over_star=over[best], argmin_p_over=(best + 1) * n)
+    return LowestRisks(under_star=under_star, over_star=float(over[best]), argmin_p_over=(best + 1) * n)
 
 
 def theory_risks(spectrum: Spectrum, n: int, q: float, p_values: Sequence[int]) -> np.ndarray:
@@ -389,7 +401,7 @@ def theory_risks(spectrum: Spectrum, n: int, q: float, p_values: Sequence[int]) 
         raw[aligned] = _over_sweep(spectrum, n, q)[3][p[aligned] // n - 1]
     if general.any():
         raw[general] = _over_points(spectrum, n, q, p[general])
-    return np.array([_finalize_risk(value)[0] for value in raw])
+    return _finalize_risks(raw)[0]
 
 
 def theory_risk(spectrum: Spectrum, grid: GridConfig, q: float) -> float:

@@ -16,6 +16,7 @@ from fourier_minnorm.cli import (
     spec_from_dict,
     spec_to_dict,
 )
+import fourier_minnorm.interpolation as interpolation
 from fourier_minnorm import build_spectrum, classify_grid, risk_trace_over
 from fourier_minnorm.interpolation import sample_axis
 
@@ -379,6 +380,66 @@ class TestInterp:
                 + (tmp_path / f"i{tag}.metrics.json").read_bytes()
             )
         assert blobs[0] == blobs[1]
+
+
+    def test_large_q_metrics_are_strict_json(self, tmp_path):
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        out = tmp_path / "lq"
+        code = main(["interp", "--target", "cubic1d", "--n-axis", "15", "--p-axis", "1000",
+                     "--d-axis", "1000", "--q", "200", "--eval-points", "64", "--out", str(out)])
+        assert code == 0
+        per = json.loads((tmp_path / "lq.metrics.json").read_text(), parse_constant=reject)["per_method"]
+        for metrics in per.values():
+            assert metrics["sample_residual"] <= 1e-12
+            assert math.isfinite(metrics["log10_weighted_norm"])
+        assert per["plain-min-norm"]["weighted_norm"] is None  # overflows a double
+        assert per["weighted-min-norm"]["log10_weighted_norm"] < per["plain-min-norm"]["log10_weighted_norm"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--target", "cubic1d", "--n-axis", "15", "--p-axis", "15", "--d-axis", "20",
+             "--methods", "least-squares,plain-min-norm,weighted-min-norm"],
+            ["--target", "stage1d", "--n-axis", "15", "--p-axis", "1000", "--d-axis", "1000"],
+            ["--target", "cos2d", "--n-axis", "10", "--p-axis", "41", "--d-axis", "100", "--eval-points", "101",
+             "--weight-kind", "separable"],
+        ],
+        ids=["square", "1d", "2d"],
+    )
+    def test_no_feature_matrix_on_the_interp_route(self, tmp_path, monkeypatch, argv):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dense feature matrix built on the interp route")
+
+        monkeypatch.setattr(interpolation, "axis_feature_matrix", forbidden)
+        assert main(["interp", *argv, "--q", "2", "--out", str(tmp_path / "x")]) == 0
+
+    def test_residual_guard_exits_3(self, tmp_path, monkeypatch, capsys):
+        real_fit = interpolation._class_fit
+        monkeypatch.setattr(interpolation, "_class_fit", lambda *args: real_fit(*args) + 1e-3)
+        code = main(["interp", "--target", "cubic1d", "--n-axis", "15", "--p-axis", "45", "--d-axis", "45",
+                     "--q", "2", "--out", str(tmp_path / "x")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical inconsistency: weighted-min-norm fit misses its samples")
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_samples_are_a_configuration_error(self, tmp_path, capsys, cell):
+        samples = tmp_path / "samples.csv"
+        samples.write_text(f"x0,y\n0.0,1.0\n0.5,{cell}\n", encoding="utf-8")
+        code = main(["interp", "--samples-file", str(samples), "--dimension", "1", "--n-axis", "2",
+                     "--p-axis", "2", "--d-axis", "4", "--q", "1", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "non-finite value" in capsys.readouterr().err
+
+    def test_samples_off_the_training_grid_are_a_configuration_error(self, tmp_path, capsys):
+        samples = tmp_path / "samples.csv"
+        samples.write_text("x0,y\n0.0,1.0\n0.25,2.0\n", encoding="utf-8")
+        code = main(["interp", "--samples-file", str(samples), "--dimension", "1", "--n-axis", "2",
+                     "--p-axis", "2", "--d-axis", "4", "--q", "1", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "do not match the equispaced training grid" in capsys.readouterr().err
 
 
 class TestConfigFile:

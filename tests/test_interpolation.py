@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fourier_minnorm.interpolation as interpolation
 from fourier_minnorm import (
     ConfigurationError,
     InterpolationProblem,
     Method,
+    NumericalInconsistencyError,
     RegimeError,
     UnknownTargetError,
     WeightKind,
@@ -20,6 +22,8 @@ from fourier_minnorm import (
 from fourier_minnorm.interpolation import (
     axis_feature_matrix,
     axis_weights,
+    evaluate_on_grid,
+    fold_frequencies,
     frequency_to_index,
     sample_axis,
     tensor_weights,
@@ -193,6 +197,95 @@ class TestFitInterpolant:
             InterpolationProblem(dimension=2, n_axis=8, p_axis=8, D_axis=8, q=1.0, target="cubic1d")
         with pytest.raises(ConfigurationError):
             InterpolationProblem(dimension=1, n_axis=8, p_axis=8, D_axis=8, q=-1.0, target="cubic1d")
+
+
+def dense_fit(problem, method):
+    """The fit from one dense solve of the flattened (Kronecker) system."""
+    d, n, p = problem.dimension, problem.n_axis, problem.p_axis
+    phi = axis_feature_matrix(sample_axis(n, problem.domain), p, problem.domain)
+    flat = phi
+    for _ in range(d - 1):
+        flat = np.kron(flat, phi)
+    weights = tensor_weights(p, d, problem.weight_kind).ravel()
+    q = problem.q if method is Method.WEIGHTED_MIN_NORM else 0.0
+    _, observed = training_samples(problem)
+    return solve_weighted_minnorm(flat, weights, q, observed.ravel()).reshape((p,) * d)
+
+
+class TestFoldAndFft:
+    @given(
+        d=st.sampled_from([1, 2]),
+        n=st.integers(min_value=1, max_value=6),
+        extra=st.integers(min_value=0, max_value=7),
+        kind=st.sampled_from(list(WeightKind)),
+        method=st.sampled_from(list(Method)),
+        q=st.floats(min_value=0.0, max_value=4.0),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_dense_flattened_solve(self, d, n, extra, kind, method, q, seed):
+        # least squares truncates below n, the min-norm fits extend above it
+        p = max(1, n - extra) if method is Method.LEAST_SQUARES else n + extra
+        y = np.random.default_rng(seed).standard_normal((n,) * d)
+        problem = InterpolationProblem(
+            dimension=d, n_axis=n, p_axis=p, D_axis=p, q=q, target=y, weight_kind=kind, domain=(-0.5, 1.5)
+        )
+        fit = fit_interpolant(problem, method)
+        oracle = dense_fit(problem, method)
+        assert np.linalg.norm(fit.coefficients - oracle) <= 1e-9 * max(1.0, np.linalg.norm(oracle))
+
+    @pytest.mark.parametrize("q", [16.0, 50.0, 200.0, 400.0])
+    @pytest.mark.parametrize(
+        "dimension, n, p, target", [(1, 15, 1000, "cubic1d"), (2, 10, 41, "cos2d")], ids=["cubic1d", "cos2d"]
+    )
+    def test_large_q_still_interpolates(self, q, dimension, n, p, target):
+        problem = InterpolationProblem(dimension=dimension, n_axis=n, p_axis=p, D_axis=1000, q=q, target=target)
+        _, observed = training_samples(problem)
+        fit = fit_interpolant(problem, Method.WEIGHTED_MIN_NORM)
+        assert fit.residual <= 1e-12 * np.linalg.norm(observed)
+        assert np.isfinite(fit.log10_weighted_norm)
+
+    def test_log10_weighted_norm_matches_the_direct_norm(self):
+        problem = InterpolationProblem(dimension=2, n_axis=5, p_axis=9, D_axis=12, q=2.0, target="cos2d")
+        for method in (Method.WEIGHTED_MIN_NORM, Method.PLAIN_MIN_NORM):
+            fit = fit_interpolant(problem, method)
+            direct = np.linalg.norm(fit.coefficients / tensor_weights(9, 2, problem.weight_kind) ** 2.0)
+            assert fit.weighted_norm == pytest.approx(direct, rel=1e-12)
+            assert fit.log10_weighted_norm == pytest.approx(np.log10(direct), rel=1e-12)
+
+    def test_overflowing_weighted_norm_is_inf_with_a_finite_log(self):
+        problem = InterpolationProblem(dimension=1, n_axis=15, p_axis=1000, D_axis=1000, q=200.0, target="cubic1d")
+        fit = fit_interpolant(problem, Method.PLAIN_MIN_NORM)
+        assert fit.weighted_norm == np.inf
+        assert 300 < fit.log10_weighted_norm < 1000
+
+    def test_residual_guard(self, monkeypatch):
+        problem = InterpolationProblem(dimension=1, n_axis=9, p_axis=27, D_axis=27, q=1.0, target="cubic1d")
+        real_fit = interpolation._class_fit
+        monkeypatch.setattr(interpolation, "_class_fit", lambda *args: real_fit(*args) * (1.0 + 1e-6))
+        for method in (Method.WEIGHTED_MIN_NORM, Method.PLAIN_MIN_NORM):
+            with pytest.raises(NumericalInconsistencyError, match="misses its samples"):
+                fit_interpolant(problem, method)
+        # least squares below n never interpolates, so it is not guarded
+        under = InterpolationProblem(dimension=1, n_axis=9, p_axis=5, D_axis=27, q=1.0, target="cubic1d")
+        assert fit_interpolant(under, Method.LEAST_SQUARES).residual > 1e-3
+
+
+class TestEvaluateOnGrid:
+    @pytest.mark.parametrize("d, p, m", [(1, 7, 20), (1, 20, 20), (1, 30, 7), (1, 1000, 15), (2, 6, 9), (2, 9, 4)])
+    def test_matches_the_matrix_route(self, d, p, m):
+        rng = np.random.default_rng(p * m + d)
+        coefficients = rng.standard_normal((p,) * d) + 1j * rng.standard_normal((p,) * d)
+        domain = (-1.0, 2.0)
+        axes = [sample_axis(m, domain)] * d
+        expected = evaluate_interpolant(coefficients, axes, domain)
+        np.testing.assert_allclose(evaluate_on_grid(coefficients, m), expected, rtol=0, atol=1e-11 * p**d)
+
+    def test_fold_sums_and_maxima_per_residue_class(self):
+        values = np.arange(1.0, 8.0)  # frequencies 0, 1, 2, 3, -3, -2, -1
+        np.testing.assert_array_equal(fold_frequencies(values, 3), [1 + 4 + 5, 2 + 6, 3 + 7])
+        np.testing.assert_array_equal(fold_frequencies(values, 3, np.maximum), [5, 6, 7])
+        np.testing.assert_array_equal(fold_frequencies(values, 9), [1, 2, 3, 4, 0, 0, 5, 6, 7])
 
 
 class TestEvaluateInterpolant:

@@ -22,7 +22,7 @@ from fourier_minnorm import (
     risk_under_closed,
     theory_risk,
 )
-from fourier_minnorm.risktheory import _finalize_risk
+from fourier_minnorm.risktheory import _finalize_risk, _finalize_risks
 
 Q_GRID = [0.0, 0.5, 1.0, 2.0]
 R_GRID = [0.0, 0.3, 0.5, 1.0, 1.5]
@@ -287,6 +287,32 @@ class TestFinalizeRisk:
     def test_large_negative_raises(self):
         with pytest.raises(NumericalInconsistencyError):
             _finalize_risk(-1e-6)
+
+    def test_array_pass_matches_the_per_value_rule(self):
+        def reference(value):  # the per-value rule the array pass replaces
+            return (value, False) if value >= 0.0 else (0.0, True)
+
+        values = [0.25, -0.0, 0.0, -5e-11, 1e300, -1e-10, 3.5e-17, 5e-324]
+        risks, clamped = _finalize_risks(values)
+        expected = [reference(value) for value in values]
+        assert [(math.copysign(1.0, r), r) for r in risks.tolist()] == [
+            (math.copysign(1.0, r), r) for r, _ in expected
+        ]
+        assert clamped.tolist() == [c for _, c in expected]
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ([0.5, -1e-6, math.nan], "risk evaluated to -1e-06, below -1e-10"),
+            ([0.5, math.nan, -1e-6], "risk evaluated to nan, which is not a finite number"),
+            ([math.inf, 0.5], "risk evaluated to inf, which is not a finite number"),
+            ([0.1, -math.inf], "risk evaluated to -inf, which is not a finite number"),
+        ],
+    )
+    def test_array_pass_reports_the_first_bad_value(self, values, message):
+        with pytest.raises(NumericalInconsistencyError) as array_error:
+            _finalize_risks(values)
+        assert str(array_error.value) == message
 
 
 class TestTheoryRisk:
