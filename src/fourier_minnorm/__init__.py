@@ -6,15 +6,7 @@ circulant solvers, Monte Carlo validation, and trigonometric function
 interpolation in one and higher dimensions.
 """
 
-from .circulant import (
-    CirculantGram,
-    FourierFeatures,
-    circulant_solve,
-    equispaced_predict,
-    feature_matrix,
-    fourier_matrix,
-    gram_eigenvalues,
-)
+from .circulant import equispaced_predict, fourier_matrix, gram_eigenvalues
 from .errors import (
     ConfigurationError,
     NumericalInconsistencyError,
@@ -72,7 +64,6 @@ from .risktheory import (
     concentration_bound,
     lowest_risks,
     risk_over_closed,
-    risk_over_plain,
     risk_trace_over,
     risk_trace_under,
     risk_under_closed,
@@ -84,14 +75,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundReport",
-    "CirculantGram",
     "CoefficientCovariance",
     "CoefficientModel",
     "ConcentrationBound",
     "ConfigurationError",
     "EstimatorResult",
     "FittedInterpolant",
-    "FourierFeatures",
     "GridConfig",
     "InterpolationProblem",
     "LowestRisks",
@@ -113,7 +102,6 @@ __all__ = [
     "asymptotic_bound",
     "build_spectrum",
     "builtin_targets",
-    "circulant_solve",
     "classify_grid",
     "concentration_bound",
     "concentration_check",
@@ -123,7 +111,6 @@ __all__ = [
     "empirical_risks",
     "equispaced_predict",
     "evaluate_interpolant",
-    "feature_matrix",
     "fit_interpolant",
     "fourier_matrix",
     "gram_eigenvalues",
@@ -131,7 +118,6 @@ __all__ = [
     "lowest_risks",
     "minnorm_kkt_check",
     "risk_over_closed",
-    "risk_over_plain",
     "risk_trace_over",
     "risk_trace_under",
     "risk_under_closed",

@@ -401,6 +401,8 @@ def _curve_groups(spec) -> tuple[list[tuple[float, float]], np.ndarray]:
     """(r, q) row groups in output order, and the p grid each group sweeps."""
     if not spec.r_values:
         raise ConfigurationError("r grid is empty (field r_values)")
+    if spec.q_values == ():
+        raise ConfigurationError("q grid is empty (field q_values)")
     p = _resolve_p_grid(spec)
     groups = []
     for r in sorted(set(spec.r_values)):

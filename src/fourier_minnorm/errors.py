@@ -15,7 +15,7 @@ class RegimeError(ConfigurationError):
 
 
 class StructureError(ConfigurationError):
-    """Grid lacks the divisibility structure a fast path or closed form needs."""
+    """Grid lacks the divisibility structure (n | D, n | p) the rate bound needs."""
 
 
 class SingularConstantError(RegimeError):

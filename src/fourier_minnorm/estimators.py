@@ -25,7 +25,7 @@ import numpy as np
 
 from .circulant import equispaced_predict, fourier_matrix
 from .errors import ConfigurationError, RegimeError
-from .model import GridConfig, Spectrum
+from .model import GridConfig, Spectrum, check_finite_nonnegative
 
 
 class SolverPath(enum.Enum):
@@ -102,8 +102,7 @@ def weighted_minnorm(
     y = np.asarray(y, dtype=complex)
     if y.shape != (grid.n,):
         raise ConfigurationError(f"y has shape {y.shape}, expected ({grid.n},)")
-    if q < 0:
-        raise ConfigurationError(f"weighting exponent q must be >= 0, got {q}")
+    check_finite_nonnegative(q, "weighting exponent q")
     if grid.p < grid.n:
         raise RegimeError(f"min-norm estimation needs p >= n, got p={grid.p}, n={grid.n}")
     n, p = grid.n, grid.p

@@ -41,6 +41,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, NumericalInconsistencyError, RegimeError, UnknownTargetError
+from .model import check_finite_nonnegative
 
 UNIT_DOMAIN = (0.0, 1.0)
 
@@ -180,10 +181,8 @@ class InterpolationProblem:
             raise ConfigurationError("per-axis sample and truncation counts must be >= 1")
         if self.p_axis > self.D_axis:
             raise ConfigurationError(f"p_axis={self.p_axis} exceeds ambient D_axis={self.D_axis}")
-        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
-            raise ConfigurationError(f"field noise_sigma must be finite and >= 0, got {self.noise_sigma}")
-        if not (math.isfinite(self.q) and self.q >= 0):
-            raise ConfigurationError(f"field q must be finite and >= 0, got {self.q}")
+        check_finite_nonnegative(self.noise_sigma, "field noise_sigma")
+        check_finite_nonnegative(self.q, "field q")
         if isinstance(self.target, str):
             named = builtin_targets(self.target)
             if named.dimension != self.dimension:

@@ -57,12 +57,17 @@ class Spectrum:
         return math.fsum(self.t_pow(u)[start:stop])
 
 
+def check_finite_nonnegative(value: float, name: str) -> None:
+    """Raise ConfigurationError unless ``value`` is a finite number >= 0."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ConfigurationError(f"{name} must be finite and >= 0, got {value}")
+
+
 def build_spectrum(D: int, r: float) -> Spectrum:
     """Construct the D-term decay sequence and its normaliser for exponent r."""
     if D < 1:
         raise ConfigurationError(f"feature count D must be >= 1, got {D}")
-    if not (math.isfinite(r) and r >= 0):
-        raise ConfigurationError(f"decay exponent r must be finite and >= 0, got {r}")
+    check_finite_nonnegative(r, "decay exponent r")
     t = 1.0 / np.arange(1, D + 1, dtype=float)
     # Direct summation, smallest terms first; fsum compensates exactly.
     c_r = 1.0 / math.fsum((t ** (2.0 * r))[::-1])
@@ -151,8 +156,7 @@ class CoefficientCovariance:
     q_weight: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.q_weight < 0:
-            raise ConfigurationError(f"weighting exponent must be >= 0, got {self.q_weight}")
+        check_finite_nonnegative(self.q_weight, "weighting exponent")
 
     def diagonal(self) -> np.ndarray:
         s = self.spectrum
@@ -192,7 +196,7 @@ def accumulate_blocks(blocks: np.ndarray, compensated: bool = False) -> np.ndarr
     accurate as a compensated sum of its own.
     """
     if not compensated:
-        return np.cumsum(blocks, axis=0, out=blocks)
+        return blocks.cumsum(axis=0, out=blocks)
     carry = np.zeros(blocks.shape[1:], dtype=blocks.dtype)
     for i in range(1, len(blocks)):
         y = blocks[i] - carry

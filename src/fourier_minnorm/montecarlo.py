@@ -34,7 +34,7 @@ import numpy as np
 from .circulant import equispaced_predict
 from .errors import ConfigurationError
 from .estimators import _circulant_minnorm, _class_weights
-from .model import GridConfig, Spectrum, check_truncations
+from .model import GridConfig, Spectrum, check_finite_nonnegative, check_truncations
 from .risktheory import concentration_bound
 
 # Trials are solved in blocks of about this many complex coefficients (16
@@ -113,29 +113,34 @@ def empirical_risks(
     once and shared by all p (see the module docstring); the returned
     ``samples`` arrays are read-only.
     """
-    if not (math.isfinite(q) and q >= 0):
-        raise ConfigurationError(f"weighting exponent q must be finite and >= 0, got {q}")
+    check_finite_nonnegative(q, "weighting exponent q")
     p_list = check_truncations(spectrum.D, n, p_values).tolist()
     kernels = {p: _class_weights(spectrum.t[:p], n, q) for p in p_list if p > n}
     need_ls = any(p <= n for p in p_list)
     scale = _theta_scale(spectrum)
     step = max(1, _BLOCK_ELEMENTS // spectrum.D)
     samples = np.empty((len(p_list), mc.trials))
+    # One set of block arrays serves every block: arrays this large, allocated
+    # afresh per block, can be handed back to the system on each free and
+    # page-faulted in again.
+    shape = (min(step, mc.trials), spectrum.D)
+    theta_buffer, diff_buffer = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+    err_buffer, imag_buffer = np.empty(shape), np.empty(shape)
     for first in range(0, mc.trials, step):
         block = range(first, min(first + step, mc.trials))
-        theta = np.empty((len(block), spectrum.D), dtype=complex)
+        theta, diff = theta_buffer[: len(block)], diff_buffer[: len(block)]
         for theta_i, trial in zip(theta, block):
             theta_i[:] = _draw_theta(scale, mc.coefficient_model, trial_generator(mc.seed, trial))
         y = equispaced_predict(theta, n)
         y_fft = np.fft.fft(y) if kernels else None
         y_ifft = np.fft.ifft(y) if need_ls else None
-        diff = np.empty_like(theta)  # reused by every p; fit is dropped before the error temporaries
         for row, p in zip(samples, p_list):
             fit = y_ifft[:, :p] if p <= n else _circulant_minnorm(y_fft, *kernels[p], p)
             np.subtract(theta[:, :p], fit, out=diff[:, :p])
             diff[:, p:] = theta[:, p:]
-            del fit
-            row[block.start : block.stop] = np.sum(diff.real**2 + diff.imag**2, axis=1)
+            err = np.square(diff.real, out=err_buffer[: len(block)])
+            err += np.square(diff.imag, out=imag_buffer[: len(block)])
+            row[block.start : block.stop] = np.sum(err, axis=1)
     samples.setflags(write=False)
     alpha = 100.0 * (1.0 - mc.confidence) / 2.0
     estimates = []

@@ -26,21 +26,20 @@ fitted classes,
 
     risk = c_r * (sum_{j >= p} t_j^(2r) + sum_{m < p} C(m, 2r) at p = n).
 
-``theory_risks`` evaluates a whole p sweep in one pass.  On n | D grids,
-A(., u) at p = l*n is row l of the running block sums of t^u, and C(., 2r)
-is row l of the running sums taken from the last block down (suffix sums,
-never a total minus a prefix), so every aligned p reads one row of a
-(tau+1, n) array.  Any other p = l*n + s > n reads the same kind of sums,
-with the weights zero-padded to whole blocks: class m takes row l + 1 if
-m < s and row l otherwise.  Every p <= n reads one entry of the tail and
-cumulative alias sums.
+``theory_risks`` evaluates a whole p sweep in one pass.  Every p <= n reads
+one entry of the tail and cumulative alias sums.  Every p > n reads running
+sums over blocks of n features, on any D: with the weights zero-padded to
+whole blocks, A(., u) at p = l*n + s is row l of the prefix block sums of t^u
+for the classes m >= s and row l + 1 for m < s, and C(., 2r) the same rows of
+the suffix sums (taken from the last block down, never a total minus a
+prefix).  A point with s = 0 reads one whole row.
 Class m is scaled by t_m^(-2q), i.e. summed with weights (t_k / t_m)^(2q)
 whose leading term is 1; every ratio above is unchanged, and A(m, 2q) >= 1
 keeps t^(4q) from underflowing to 0/0 at large q.  At D >=
 COMPENSATED_SUM_MIN_D the running sums carry Kahan compensation from block to
-block.  The single-point functions ``risk_over_closed`` and
-``risk_under_closed`` (aligned grids only) and ``theory_risk`` (any grid)
-read the same sweeps, so they agree bit for bit with ``theory_risks``.
+block.  The single-point functions ``risk_over_closed``,
+``risk_under_closed`` and ``theory_risk`` accept any grid and read the same
+sums, so they agree bit for bit with ``theory_risks``.
 """
 
 from __future__ import annotations
@@ -64,6 +63,7 @@ from .model import (
     GridConfig,
     Spectrum,
     accumulate_blocks,
+    check_finite_nonnegative,
     check_truncations,
     folded_sums,
 )
@@ -125,94 +125,74 @@ def _finalize_risk(value: float) -> tuple[float, bool]:
     return float(risks[0]), bool(clamped[0])
 
 
-def _require_aligned_over(grid: GridConfig) -> None:
+def _require_over(grid: GridConfig) -> None:
     if grid.p < grid.n:
         raise RegimeError(f"overparameterized form needs p >= n, got p={grid.p}, n={grid.n}")
-    if grid.l is None or grid.tau is None:
-        raise StructureError(
-            f"closed form needs p = l*n and D = tau*n, got D={grid.D}, n={grid.n}, p={grid.p}"
-        )
 
 
 def _check_q(q: float) -> None:
-    if not (math.isfinite(q) and q >= 0):
-        raise ConfigurationError(f"weighting exponent q must be finite and >= 0, got {q}")
+    check_finite_nonnegative(q, "weighting exponent q")
 
 
-def _over_sweep(spectrum: Spectrum, n: int, q: float) -> tuple[np.ndarray, ...]:
-    """P_q, Q_q1, Q_q2 and the unfinalised risk at every p = l*n (entry l-1).
+def _over_points(spectrum: Spectrum, n: int, q: float, p_values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """P_q, Q_q1, Q_q2 and the unfinalised risk at each p in p_values, n <= p <= D, any D.
 
-    Needs n | D.  Works on (tau, n) blocks, row nu holding features nu*n + m,
-    accumulated in place so that at most two block arrays are alive at once.
+    Works in three (blocks + 1, n) slots: in the prefix layout row i + 1
+    holds block i (features i*n + m), in the suffix layout row i does, and
+    the spare row and the padding past D are zero (the weights are padded,
+    never t: 0**0 would add phantom features at q = 0 or r = 0).  Running
+    sums taken in place make row i sum the blocks before i (prefix) or from
+    i onwards (suffix).  At p = l*n + s the member of class m in block l is
+    fitted iff m < s, so class m reads row l + 1 if m < s and row l
+    otherwise; a point with s = 0 reads row l whole.  A(., 2q), A(., 4q) and
+    A(., 2q+2r) are summed in one pass; the slots then serve A(., 2r) and
+    C(., 2r) in turn.
     """
-    comp = spectrum.D >= COMPENSATED_SUM_MIN_D
-    t = spectrum.t.reshape(-1, n)
-    two_r, cr = 2.0 * spectrum.decay_r, spectrum.c_r
-
-    def class_scaled(u: float) -> np.ndarray:
-        # t_k^u / t_m^u, class m scaled by its leading term
-        x = t / t[0]
-        return np.power(x, u, out=x)
-
-    a_2q = class_scaled(2.0 * q)
-    ratio = np.power(t, two_r)
-    ratio *= a_2q
-    accumulate_blocks(a_2q, comp)
-    accumulate_blocks(ratio, comp)
-    ratio /= a_2q
-    P_q = cr * np.sum(ratio, axis=1)
-    del ratio
-
-    weight = accumulate_blocks(class_scaled(4.0 * q), comp)
-    weight /= np.square(a_2q, out=a_2q)  # A(., 4q) / A(., 2q)^2
-    del a_2q
-
-    terms = accumulate_blocks(np.power(t, two_r), comp)
-    terms *= weight
-    Q_q1 = cr * np.sum(terms, axis=1)
-    np.power(t, two_r, out=terms)
-    accumulate_blocks(terms[::-1], comp)  # row nu: sum over blocks >= nu
-    terms[1:] *= weight[:-1]
-    Q_q2 = np.zeros(len(t))  # p = D leaves no complement
-    Q_q2[:-1] = cr * np.sum(terms[1:], axis=1)
-    return P_q, Q_q1, Q_q2, 1.0 - 2.0 * P_q + Q_q1 + Q_q2
-
-
-def _over_points(spectrum: Spectrum, n: int, q: float, p_values: np.ndarray) -> np.ndarray:
-    """Unfinalised overparameterized risk at each p in p_values, n <= p <= D, any D.
-
-    The class sums come from running sums over blocks of n features, the
-    weights zero-padded to a whole last block (never t: 0**0 would add
-    phantom features at q = 0).  Row i of ``prefix`` sums blocks before i
-    and row i of ``suffix`` blocks i onwards.  At p = l*n + s the member of
-    class m in block l is fitted iff m < s, so class m reads row l + 1 of
-    both arrays if m < s and row l otherwise.
-    """
-    D, comp = spectrum.D, spectrum.D >= COMPENSATED_SUM_MIN_D
-    t, blocks = spectrum.t, -(-D // n)
-    t2r = np.power(t, 2.0 * spectrum.decay_r)
-    w2 = np.power(t / t[np.arange(D) % n], 2.0 * q)  # class m scaled by its leading term
-    prefix = np.zeros((4, blocks + 1, n))  # A(., 2q), A(., 4q), A(., 2q+2r), A(., 2r)
-    for sums, values in zip(prefix, (w2, np.square(w2), w2 * t2r, t2r)):
-        sums[1:].reshape(-1)[:D] = values
-    suffix = np.zeros((blocks + 1, n))  # C(., 2r)
-    suffix[:-1].reshape(-1)[:D] = t2r
-    accumulate_blocks(np.moveaxis(prefix, 1, 0), comp)
-    accumulate_blocks(suffix[::-1], comp)
+    D, comp, cr = spectrum.D, spectrum.D >= COMPENSATED_SUM_MIN_D, spectrum.c_r
+    t, two_r, blocks = spectrum.t, 2.0 * spectrum.decay_r, -(-D // n)
     l, s = np.divmod(np.asarray(p_values), n)
-    classes, cr = np.arange(n), spectrum.c_r
-    raw = np.empty(len(l))
-    step = blocks + 1  # points per chunk: the gathered (points, n) sums stay about D long
-    for first in range(0, len(l), step):
-        chunk = slice(first, first + step)
-        row = np.where(classes < s[chunk, None], l[chunk, None] + 1, l[chunk, None])
-        a_2q, a_4q, a_2q2r, a_2r = prefix[:, row, classes]
-        weight = a_4q / np.square(a_2q)
-        P_q = cr * np.sum(a_2q2r / a_2q, axis=1)
-        Q_q1 = cr * np.sum(weight * a_2r, axis=1)
-        Q_q2 = cr * np.sum(weight * suffix[row, classes], axis=1)
-        raw[chunk] = 1.0 - 2.0 * P_q + Q_q1 + Q_q2
-    return raw
+    split, classes = s.nonzero()[0], np.arange(n)
+    slots = np.zeros((3, blocks + 1, n))
+    a_2q, a_4q, a_2q2r = slots
+    flat = slots.reshape(3, -1)
+
+    def t2r(k: int, first_row: int) -> np.ndarray:
+        """Slot k refilled with t^(2r), block i in row first_row + i."""
+        slots[k].fill(0.0)
+        np.power(t, two_r, out=flat[k, first_row * n : first_row * n + D])
+        return slots[k]
+
+    def reduce(terms: np.ndarray) -> np.ndarray:
+        """cr * sum over classes m of terms[row of m, m], at every point."""
+        out = np.add.reduce(terms, axis=1)[l]  # row l: every class of a point with s = 0
+        step = blocks + 1  # points per chunk: the gathered (points, n) terms stay about D long
+        for first in range(0, len(split), step):
+            points = split[first : first + step]
+            row = l[points, None] + (classes < s[points, None])
+            out[points] = np.add.reduce(terms[row, classes], axis=1)
+        return cr * out
+
+    w = flat[0, n : n + D]
+    w[:] = t
+    a_2q /= t[:n]  # class m scaled by its leading term t_m (row 0 stays 0)
+    np.power(w, 2.0 * q, out=w)
+    np.square(a_2q, out=a_4q)
+    np.multiply(t2r(2, 1), a_2q, out=a_2q2r)
+    accumulate_blocks(slots.transpose(1, 0, 2), comp)
+    a_2q2r[1:] /= a_2q[1:]
+    P_q = reduce(a_2q2r)
+
+    np.square(a_2q, out=a_2q)
+    weight = a_4q
+    weight[1:] /= a_2q[1:]  # A(., 4q) / A(., 2q)^2
+    terms = accumulate_blocks(t2r(0, 1), comp)  # A(., 2r)
+    terms *= weight
+    Q_q1 = reduce(terms)
+    terms = t2r(2, 0)
+    accumulate_blocks(terms[::-1], comp)  # C(., 2r)
+    terms *= weight
+    Q_q2 = reduce(terms)
+    return P_q, Q_q1, Q_q2, 1.0 - 2.0 * P_q + Q_q1 + Q_q2
 
 
 def _under_curve(spectrum: Spectrum, n: int) -> np.ndarray:
@@ -227,22 +207,12 @@ def _under_curve(spectrum: Spectrum, n: int) -> np.ndarray:
 
 
 def risk_over_closed(spectrum: Spectrum, grid: GridConfig, q: float) -> RiskBreakdown:
-    """Closed-form risk of the weighted min-norm estimator on aligned grids."""
-    _require_aligned_over(grid)
+    """Closed-form risk of the weighted min-norm estimator at any p >= n."""
+    _require_over(grid)
     _check_q(q)
-    P_q, Q_q1, Q_q2, raw = (v[grid.l - 1] for v in _over_sweep(spectrum, grid.n, q))
+    P_q, Q_q1, Q_q2, raw = (float(v[0]) for v in _over_points(spectrum, grid.n, q, [grid.p]))
     risk, clamped = _finalize_risk(raw)
-    return RiskBreakdown(P_q=float(P_q), Q_q1=float(Q_q1), Q_q2=float(Q_q2), risk=risk, clamped=clamped)
-
-
-def risk_over_plain(spectrum: Spectrum, grid: GridConfig) -> float:
-    """Closed-form risk of the plain (q = 0) min-norm estimator."""
-    _require_aligned_over(grid)
-    n, p = grid.n, grid.p
-    tail = spectrum.tail_sum(2.0 * spectrum.decay_r, start=p)
-    value = 1.0 - n / p + (2.0 * n / p) * spectrum.c_r * tail
-    risk, _ = _finalize_risk(value)
-    return risk
+    return RiskBreakdown(P_q=P_q, Q_q1=Q_q1, Q_q2=Q_q2, risk=risk, clamped=clamped)
 
 
 def risk_trace_over(spectrum: Spectrum, grid: GridConfig, q: float) -> RiskBreakdown:
@@ -259,10 +229,8 @@ def risk_trace_over(spectrum: Spectrum, grid: GridConfig, q: float) -> RiskBreak
     in which the singular values cancel everywhere except the benign Q_q2
     factor, keeping the oracle accurate at large weighting exponents.
     """
-    if grid.p < grid.n:
-        raise RegimeError(f"overparameterized form needs p >= n, got p={grid.p}, n={grid.n}")
-    if q < 0:
-        raise ConfigurationError(f"weighting exponent q must be >= 0, got {q}")
+    _require_over(grid)
+    _check_q(q)
     n, p, D = grid.n, grid.p, grid.D
     r = spectrum.decay_r
     t = spectrum.t
@@ -289,11 +257,9 @@ def risk_trace_over(spectrum: Spectrum, grid: GridConfig, q: float) -> RiskBreak
 
 
 def risk_under_closed(spectrum: Spectrum, grid: GridConfig) -> float:
-    """Closed-form least-squares risk for p <= n on grids with D = tau*n."""
+    """Closed-form least-squares risk for p <= n on any grid."""
     if grid.p > grid.n:
         raise RegimeError(f"underparameterized form needs p <= n, got p={grid.p}, n={grid.n}")
-    if grid.tau is None:
-        raise StructureError(f"closed form needs D = tau*n, got D={grid.D}, n={grid.n}")
     risk, _ = _finalize_risk(_under_curve(spectrum, grid.n)[grid.p])
     return risk
 
@@ -323,7 +289,11 @@ def asymptotic_bound(spectrum: Spectrum, grid: GridConfig) -> BoundReport:
     Valid for r > 1/2 and p = l*n with l >= 2; the reported bound dominates
     the closed-form risk on that domain.
     """
-    _require_aligned_over(grid)
+    _require_over(grid)
+    if grid.l is None or grid.tau is None:
+        raise StructureError(
+            f"rate bound needs p = l*n and D = tau*n, got D={grid.D}, n={grid.n}, p={grid.p}"
+        )
     r = spectrum.decay_r
     if r <= 0.5:
         raise RegimeError(f"rate bound requires r > 1/2, got r={r}")
@@ -364,17 +334,15 @@ def lowest_risks(spectrum: Spectrum, n: int, q: float) -> LowestRisks:
     """Lowest under-regime risk and the best aligned overparameterized risk.
 
     The under-regime optimum is attained at p = n; the over-regime value
-    is the minimum of the closed form over p in {n, 2n, ..., D}, read from
+    is the minimum of the closed form over p = l*n <= D, any D, read from
     one sweep.  For q >= r >= 1 the over-regime minimum is strictly smaller.
     """
     D = spectrum.D
     if not 1 <= n <= D:
         raise ConfigurationError(f"sample count n={n} outside [1, D={D}]")
-    if D % n != 0:
-        raise StructureError(f"scan needs D = tau*n, got D={D}, n={n}")
     _check_q(q)
     under_star = 2.0 * spectrum.c_r * spectrum.tail_sum(2.0 * spectrum.decay_r, start=n)
-    over, _ = _finalize_risks(_over_sweep(spectrum, n, q)[3])
+    over, _ = _finalize_risks(_over_points(spectrum, n, q, n * np.arange(1, D // n + 1))[3])
     best = int(np.argmin(over))
     return LowestRisks(under_star=under_star, over_star=float(over[best]), argmin_p_over=(best + 1) * n)
 
@@ -383,24 +351,19 @@ def theory_risks(spectrum: Spectrum, n: int, q: float, p_values: Sequence[int]) 
     """Regime-dispatched theoretical risk at every truncation in p_values.
 
     Every point comes from the residue-class sums (see the module docstring):
-    p <= n from the least-squares curve, p = l*n on n | D grids from the
-    aligned sweep, and every other p > n from running block sums read at
-    p = l*n + s.  The cost is O(D), plus O(n) per point off the aligned
-    sweep, however many points are asked for.  For p <= n the value is
+    p <= n from the least-squares curve and every p > n from running block
+    sums read at p = l*n + s.  The cost is O(D), plus O(n) per point with
+    s > 0, however many points are asked for.  For p <= n the value is
     independent of q.
     """
     _check_q(q)
     p = check_truncations(spectrum.D, n, p_values)
     under = p <= n
-    aligned = ~under & (p % n == 0) & (spectrum.D % n == 0)
-    general = ~under & ~aligned
     raw = np.empty(len(p))
     if under.any():
         raw[under] = _under_curve(spectrum, n)[p[under]]
-    if aligned.any():
-        raw[aligned] = _over_sweep(spectrum, n, q)[3][p[aligned] // n - 1]
-    if general.any():
-        raw[general] = _over_points(spectrum, n, q, p[general])
+    if not under.all():
+        raw[~under] = _over_points(spectrum, n, q, p[~under])[3]
     return _finalize_risks(raw)[0]
 
 

@@ -25,7 +25,6 @@ from fourier_minnorm import (
     empirical_risk,
     fit_interpolant,
     risk_over_closed,
-    risk_over_plain,
     risk_trace_over,
     risk_trace_under,
     risk_under_closed,
@@ -95,7 +94,7 @@ def test_criterion_2_special_cases():
         for tau in TAU_GRID:
             n = D // tau
             s = build_spectrum(D, 1.0)
-            worst_full = max(worst_full, abs(risk_over_plain(s, classify_grid(D, n, D)) - (1 - n / D)))
+            worst_full = max(worst_full, abs(risk_over_closed(s, classify_grid(D, n, D), 0.0).risk - (1 - n / D)))
         square = classify_grid(D, D, D)
         for r in R_GRID:
             s = build_spectrum(D, r)

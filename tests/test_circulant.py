@@ -1,18 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fourier_minnorm import (
-    CirculantGram,
     ConfigurationError,
-    SingularSystemError,
-    StructureError,
     build_spectrum,
-    circulant_solve,
     classify_grid,
     equispaced_predict,
-    feature_matrix,
     fourier_matrix,
     gram_eigenvalues,
 )
@@ -31,36 +28,22 @@ def dense_gram(spectrum, grid, u, side):
 
 class TestFeatureMatrix:
     def test_two_point_dft(self):
-        g = classify_grid(4, 2, 2)
-        f = feature_matrix(g, (0, 2))
-        np.testing.assert_allclose(f.matrix, [[1, 1], [1, -1]], atol=1e-15)
+        np.testing.assert_allclose(fourier_matrix(2, 0, 2), [[1, 1], [1, -1]], atol=1e-15)
 
     def test_row_orthogonality_aligned(self):
         # explicit 2x4 product; oracle for the p = l*n identity F F^* = p I
-        g = classify_grid(8, 2, 4)
-        f = feature_matrix(g, (0, 4)).matrix
+        f = fourier_matrix(2, 0, 4)
         np.testing.assert_allclose(f @ f.conj().T, 4 * np.eye(2), atol=1e-10)
 
     def test_dft3_row_norms(self):
-        g = classify_grid(6, 3, 3)
-        f = feature_matrix(g, (0, 3)).matrix
+        f = fourier_matrix(3, 0, 3)
         gram = f @ f.conj().T
         np.testing.assert_allclose(gram, 3 * np.eye(3), atol=1e-10)
 
     def test_unit_modulus(self):
-        g = classify_grid(12, 4, 8)
-        f = feature_matrix(g, (2, 9)).matrix
+        f = fourier_matrix(4, 2, 9)
+        assert f.shape == (4, 7)
         np.testing.assert_allclose(np.abs(f), 1.0, atol=1e-12)
-
-    def test_rejects_empty_range(self):
-        g = classify_grid(8, 2, 4)
-        with pytest.raises(ConfigurationError):
-            feature_matrix(g, (3, 3))
-
-    def test_rejects_out_of_bounds(self):
-        g = classify_grid(8, 2, 4)
-        with pytest.raises(ConfigurationError):
-            feature_matrix(g, (0, 9))
 
 
 class TestGramEigenvalues:
@@ -107,77 +90,34 @@ class TestGramEigenvalues:
         np.testing.assert_allclose(a, a.conj().T, atol=1e-12)
         assert np.all(gram_eigenvalues(s, g, 2.0, "T") > 0)
 
-    def test_misaligned_grid_rejected(self):
-        s = build_spectrum(8, 1.0)
-        with pytest.raises(StructureError):
-            gram_eigenvalues(s, classify_grid(8, 3, 5), 2.0, "T")
-
-    def test_tc_side_needs_tau(self):
+    def test_tc_side_places_class_m_at_offset_p_mod_n(self):
+        # D = 10, n = 4, p = 5: the complement k = 5..9 lies in classes 1, 2, 3, 0, 1
         s = build_spectrum(10, 1.0)
-        with pytest.raises(StructureError):
-            gram_eigenvalues(s, classify_grid(10, 4, 4), 2.0, "Tc")
-
-
-class TestCirculantSolve:
-    def test_identity_column(self):
-        gram = CirculantGram.from_first_column(np.array([1.0, 0.0, 0.0, 0.0]))
-        rhs = np.arange(4, dtype=complex)
-        np.testing.assert_allclose(circulant_solve(gram, rhs), rhs, atol=1e-14)
-
-    def test_scaled_identity(self):
-        p = 6.0
-        gram = CirculantGram.from_first_column(np.array([p, 0.0, 0.0]))
-        rhs = np.array([1 + 1j, 2.0, -3j])
-        np.testing.assert_allclose(circulant_solve(gram, rhs), rhs / p, atol=1e-14)
-
-    def test_random_vs_dense_lu(self):
-        rng = np.random.default_rng(3)
-        col = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        col[0] += 16.0  # diagonal dominance keeps the system well-posed
-        gram = CirculantGram.from_first_column(col)
-        rhs = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        fast = circulant_solve(gram, rhs)
-        dense = np.linalg.solve(gram.dense(), rhs)
-        assert np.linalg.norm(fast - dense) <= 1e-9 * np.linalg.norm(dense)
-
-    def test_zero_eigenvalue_rejected(self):
-        gram = CirculantGram.from_first_column(np.ones(4))  # eigenvalues (4, 0, 0, 0)
-        with pytest.raises(SingularSystemError):
-            circulant_solve(gram, np.ones(4))
-
-    def test_solves_actual_weighted_gram(self):
-        # an A_u built from its true first column solves against dense LU
-        s = build_spectrum(24, 1.0)
-        g = classify_grid(24, 4, 8)
-        a = dense_gram(s, g, 2.0, "T")
-        gram = CirculantGram.from_first_column(a[:, 0])
-        np.testing.assert_allclose(gram.dense(), a, atol=1e-12)
-        rng = np.random.default_rng(17)
-        rhs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        fast = circulant_solve(gram, rhs)
-        dense = np.linalg.solve(a, rhs)
-        assert np.linalg.norm(fast - dense) <= 1e-9 * np.linalg.norm(dense)
-
-    def test_matvec_matches_dense(self):
-        rng = np.random.default_rng(11)
-        col = rng.standard_normal(7) + 1j * rng.standard_normal(7)
-        gram = CirculantGram.from_first_column(col)
-        x = rng.standard_normal(7) + 1j * rng.standard_normal(7)
-        direct = gram.dense() @ x
-        assert np.linalg.norm(gram.matvec(x) - direct) <= 1e-10 * np.linalg.norm(direct)
+        t2 = s.t**2
+        expected = 4 * np.array([t2[8], t2[5] + t2[9], t2[6], t2[7]])
+        np.testing.assert_allclose(gram_eigenvalues(s, classify_grid(10, 4, 5), 2.0, "Tc"), expected, rtol=1e-15)
 
     @given(
-        n=st.integers(min_value=1, max_value=16),
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        D=st.integers(min_value=1, max_value=40),
+        data=st.data(),
+        u=st.floats(min_value=0.0, max_value=4.0, allow_nan=False),
+        side=st.sampled_from(["T", "Tc"]),
     )
-    @settings(max_examples=60, deadline=None)
-    def test_solve_roundtrip(self, n, seed):
-        rng = np.random.default_rng(seed)
-        eig = rng.uniform(0.5, 4.0, n) + 1j * rng.uniform(-0.5, 0.5, n)
-        gram = CirculantGram.from_eigenvalues(eig)
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        recovered = circulant_solve(gram, gram.matvec(x))
-        assert np.linalg.norm(recovered - x) <= 1e-9 * max(1.0, np.linalg.norm(x))
+    @settings(max_examples=80, deadline=None)
+    def test_any_grid_matches_dense_gram_entrywise(self, D, data, u, side):
+        # n | D or not, any p: eigenvalue m is f_m^* G f_m / n for the DFT vector f_m
+        n = data.draw(st.integers(min_value=1, max_value=D))
+        p = data.draw(st.integers(min_value=1, max_value=D))
+        s = build_spectrum(D, 1.0)
+        g = classify_grid(D, n, p)
+        dft = fourier_matrix(n, 0, n)
+        dense = np.einsum("jm,jk,km->m", dft.conj(), dense_gram(s, g, u, side), dft).real / n
+        np.testing.assert_allclose(gram_eigenvalues(s, g, u, side), dense, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("u", [-1.0, math.nan, math.inf])
+    def test_rejects_bad_exponent(self, u):
+        with pytest.raises(ConfigurationError, match="weight exponent u must be finite and >= 0"):
+            gram_eigenvalues(build_spectrum(8, 1.0), classify_grid(8, 2, 4), u, "T")
 
 
 class TestEquispacedPredict:

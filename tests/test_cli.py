@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fourier_minnorm.cli import (
     BoundCheckSpec,
@@ -613,3 +617,76 @@ class TestRangeChecks:
         code = main([command, "-D", "64", "-n", "0", "--r-values", "1.0", "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert capsys.readouterr().err == "error: sample count n=0 outside [1, D=64]\n"
+
+    @pytest.mark.parametrize("command", ["risk-curve", "mc-risk"])
+    def test_empty_q_grid(self, tmp_path, capsys, command):
+        argv = [command, "-D", "16", "-n", "4", "--r-values", "1.0", "--q-values", ",", "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: q grid is empty (field q_values)\n"
+
+
+def _list(values):
+    return st.lists(values, min_size=1, max_size=3).map(lambda vs: ",".join(vs))
+
+
+def _ints(low, high):
+    return st.integers(min_value=low, max_value=high).map(str)
+
+
+_SIZE = _ints(1, 64)
+_FLOAT = st.sampled_from(["0.0", "0.3", "0.6", "1.0", "1.5", "2.5"])
+_BAD = st.sampled_from(["-1", "0", "nan", "inf", "-inf", "", "x", "1,,2"])
+
+# per command: flag -> strategy for a valid value text
+_FLAGS = {
+    "risk-curve": {"-D": _SIZE, "-n": _ints(1, 16), "--r-values": _list(_FLOAT), "--q-values": _list(_FLOAT),
+                   "--p-values": _list(_SIZE)},
+    "heatmap": {"-D": _SIZE, "-n": _ints(1, 16), "--r-values": _list(_FLOAT),
+                "--q-rule": st.sampled_from(["match-r", "fixed"]), "--q-fixed": _FLOAT, "--p-values": _list(_SIZE)},
+    "bound-check": {"--n-values": _list(_ints(1, 4)), "--r-values": _list(_FLOAT), "--l-values": _list(_ints(1, 4)),
+                    "--tau-multipliers": _list(_ints(1, 4))},
+    "interp": {"--target": st.sampled_from(["stage1d", "cubic1d", "cos2d"]), "--n-axis": _ints(1, 16),
+               "--p-axis": _ints(1, 32), "--d-axis": _SIZE, "--q": _FLOAT, "--noise-sigma": _FLOAT,
+               "--eval-points": _ints(1, 32),
+               "--methods": st.sampled_from(["least-squares", "weighted-min-norm,plain-min-norm"]),
+               "--weight-kind": st.sampled_from(["euclidean", "separable"])},
+    "concentration": {"-D": _SIZE, "-n": _ints(1, 16), "-p": _SIZE, "--r": st.sampled_from(["1.0", "2.5"]),
+                      "--q": st.sampled_from(["0.6", "1.0"]), "--t-multipliers": _list(_FLOAT),
+                      "--trials": _ints(1, 16), "--confidence": st.sampled_from(["0.5", "0.8"])},
+}
+_FLAGS["mc-risk"] = {**_FLAGS["risk-curve"], "--trials": _ints(1, 4), "--seed": _SIZE}
+# flags that are mostly left out
+_RARE = {command: {"--threads": _ints(1, 2), "--format": st.sampled_from(["csv", "json"]),
+                   "--config": st.just("missing.json")} for command in _FLAGS}
+for command in ("risk-curve", "mc-risk", "heatmap"):
+    _RARE[command]["--p-rule"] = st.just("paper")
+_RARE["interp"].update({"--dimension": _ints(1, 2), "--samples-file": st.just("missing.csv")})
+
+
+@st.composite
+def cli_argvs(draw):
+    """A command whose flags are each left out, given a valid value or given a bad one."""
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command]
+    for flags, kinds in ((_FLAGS, ["valid"] * 18 + ["bad", "omit"]), (_RARE, ["omit"] * 18 + ["bad", "valid"])):
+        for flag, values in flags[command].items():
+            kind = draw(st.sampled_from(kinds))
+            if kind != "omit":
+                argv += [flag, draw(_BAD if kind == "bad" else values)]
+    return argv
+
+
+class TestExitCodes:
+    @given(argv=cli_argvs())
+    @settings(max_examples=150, deadline=None)
+    def test_random_argv_exits_cleanly(self, argv, tmp_path_factory):
+        out = tmp_path_factory.getbasetemp() / "fuzz"
+        out.mkdir(exist_ok=True)
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            try:
+                code = main(argv + ["--out", str(out / "run")])
+            except SystemExit as exc:  # argparse rejects the command line
+                code = exc.code
+        assert code in (0, 2, 3), (argv, stderr.getvalue())
+        assert "Traceback" not in stderr.getvalue()

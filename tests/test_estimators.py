@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -241,3 +243,10 @@ def test_invalid_q_rejected():
     s = build_spectrum(8, 1.0)
     with pytest.raises(ConfigurationError):
         weighted_minnorm(np.zeros(2), s, classify_grid(8, 2, 4), -1.0)
+
+
+@pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
+def test_non_finite_q_rejected(q):
+    s = build_spectrum(8, 1.0)
+    with pytest.raises(ConfigurationError, match="weighting exponent q must be finite and >= 0"):
+        weighted_minnorm(np.zeros(2), s, classify_grid(8, 2, 4), q)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,16 +17,33 @@ from fourier_minnorm import (
     concentration_bound,
     lowest_risks,
     risk_over_closed,
-    risk_over_plain,
     risk_trace_over,
     risk_trace_under,
     risk_under_closed,
     theory_risk,
+    theory_risks,
 )
 from fourier_minnorm.risktheory import _finalize_risk, _finalize_risks
 
 Q_GRID = [0.0, 0.5, 1.0, 2.0]
 R_GRID = [0.0, 0.3, 0.5, 1.0, 1.5]
+
+
+def plain_risk(spectrum, grid):
+    """The q = 0 closed form at p = l*n, any D: every class holds l fitted features."""
+    n, p = grid.n, grid.p
+    tail = spectrum.tail_sum(2.0 * spectrum.decay_r, start=p)
+    return 1.0 - n / p + (2.0 * n / p) * spectrum.c_r * tail
+
+
+@st.composite
+def any_grids(draw, max_D=48):
+    """(D, n) with n | D or not, n = 1 included, and r, q in [0, 2]."""
+    D = draw(st.integers(min_value=1, max_value=max_D))
+    n = draw(st.integers(min_value=1, max_value=D))
+    r = draw(st.floats(min_value=0.0, max_value=2.0, allow_nan=False))
+    q = draw(st.floats(min_value=0.0, max_value=2.0, allow_nan=False))
+    return D, n, r, q
 
 
 def aligned_grids(D_values=(8, 16, 32), taus=(2, 4)):
@@ -66,10 +84,18 @@ class TestOverClosedVsTrace:
         value = risk_trace_over(s, classify_grid(6, 2, 3), 1.0)
         assert math.isfinite(value.risk)
 
-    def test_closed_rejects_general_grid(self):
-        s = build_spectrum(6, 1.0)
-        with pytest.raises(StructureError):
-            risk_over_closed(s, classify_grid(6, 2, 3), 1.0)
+    @given(grid=any_grids(), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_closed_matches_trace_on_any_grid(self, grid, data):
+        D, n, r, q = grid
+        p = data.draw(st.integers(min_value=n, max_value=D))
+        s = build_spectrum(D, r)
+        closed = risk_over_closed(s, classify_grid(D, n, p), q)
+        trace = risk_trace_over(s, classify_grid(D, n, p), q)
+        for term in ("P_q", "Q_q1", "Q_q2"):
+            assert abs(getattr(closed, term) - getattr(trace, term)) <= 1e-10
+        if p > n:  # p = n is the least-squares curve's point in theory_risks
+            assert closed.risk == theory_risks(s, n, q, [p])[0]
 
     def test_single_sample_grids(self):
         # n = 1 (tau = D): every p is aligned
@@ -103,7 +129,7 @@ class TestSpecialCases:
         for D, n in [(8, 2), (16, 4), (64, 8)]:
             s = build_spectrum(D, 1.0)
             grid = classify_grid(D, n, D)
-            assert abs(risk_over_plain(s, grid) - (1 - n / D)) <= 1e-14
+            assert abs(risk_over_closed(s, grid, 0.0).risk - (1 - n / D)) <= 1e-14
 
     def test_square_full_model_zero_risk(self):
         for q in Q_GRID:
@@ -112,11 +138,13 @@ class TestSpecialCases:
             assert abs(risk_over_closed(s, grid, q).risk) <= 1e-12
 
     def test_plain_equals_closed_at_q0(self):
-        for D, n, p in aligned_grids():
+        # n = 3 and n = 5 divide p but not D = 16 or D = 32
+        grids = [*aligned_grids(), (16, 3, 6), (16, 3, 15), (32, 5, 10), (32, 5, 30)]
+        for D, n, p in grids:
             for r in R_GRID:
                 s = build_spectrum(D, r)
                 grid = classify_grid(D, n, p)
-                assert abs(risk_over_plain(s, grid) - risk_over_closed(s, grid, 0.0).risk) <= 1e-12
+                assert abs(plain_risk(s, grid) - risk_over_closed(s, grid, 0.0).risk) <= 1e-12
 
     def test_p_equals_n_closed_form_value(self):
         # algebraic simplification: risk at l = 1 is twice the covariance tail
@@ -160,10 +188,15 @@ class TestUnder:
         s = build_spectrum(7, 1.0)
         assert math.isfinite(risk_trace_under(s, classify_grid(7, 3, 2)))
 
-    def test_closed_needs_aligned_d(self):
-        s = build_spectrum(7, 1.0)
-        with pytest.raises(StructureError):
-            risk_under_closed(s, classify_grid(7, 3, 2))
+    @given(grid=any_grids(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_closed_matches_trace_on_any_grid(self, grid, data):
+        D, n, r, _ = grid
+        p = data.draw(st.integers(min_value=1, max_value=n))
+        s = build_spectrum(D, r)
+        g = classify_grid(D, n, p)
+        assert abs(risk_under_closed(s, g) - risk_trace_under(s, g)) <= 1e-12
+        assert risk_under_closed(s, g) == theory_risks(s, n, 1.0, [p])[0]
 
     def test_wrong_regime(self):
         s = build_spectrum(8, 1.0)
@@ -210,6 +243,12 @@ class TestAsymptoticBound:
         grid = classify_grid(4096, 64, 128)
         report = asymptotic_bound(s, grid)
         assert report.bound <= report.large_D_bound * 1.05
+
+    def test_needs_aligned_grid(self):
+        s = build_spectrum(60, 1.0)
+        for n, p in ((8, 16), (6, 14)):  # 8 does not divide D; 6 divides D, not p
+            with pytest.raises(StructureError):
+                asymptotic_bound(s, classify_grid(60, n, p))
 
     def test_domain_validation(self):
         s = build_spectrum(64, 0.4)
@@ -265,10 +304,17 @@ class TestLowestRisks:
         candidates = [risk_over_closed(s, classify_grid(32, 4, l * 4), 1.0).risk for l in range(1, 9)]
         assert result.over_star == pytest.approx(min(candidates), rel=0)
 
-    def test_needs_aligned_d(self):
-        s = build_spectrum(10, 1.0)
-        with pytest.raises(StructureError):
-            lowest_risks(s, 3, 1.0)
+    @given(grid=any_grids(max_D=64))
+    @settings(max_examples=60, deadline=None)
+    def test_any_grid_scans_multiples_of_n(self, grid):
+        D, n, r, q = grid
+        s = build_spectrum(D, r)
+        p_values = [l * n for l in range(1, D // n + 1)]
+        # theory_risks reads p = n from the least-squares curve; the scan reads the over form
+        over = [risk_over_closed(s, classify_grid(D, n, n), q).risk, *theory_risks(s, n, q, p_values[1:])]
+        result = lowest_risks(s, n, q)
+        assert result.over_star == np.min(over)
+        assert result.argmin_p_over == p_values[int(np.argmin(over))]
 
     @pytest.mark.parametrize("n", [0, -4, 16])
     def test_rejects_n_outside_one_to_d(self, n):
