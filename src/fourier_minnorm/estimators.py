@@ -77,18 +77,27 @@ def _class_weights(t_T: np.ndarray, n: int, q: float) -> tuple[np.ndarray, np.nd
     return weights, lam
 
 
-def _circulant_minnorm(y_fft: np.ndarray, weights: np.ndarray, lam: np.ndarray, p: int) -> np.ndarray:
+def _circulant_minnorm(
+    y_fft: np.ndarray, weights: np.ndarray, lam: np.ndarray, p: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """theta_T of the min-norm fit from fft(y), batched over leading axes.
 
     Takes (..., n) transforms and the blocked weights of ``_class_weights``
-    and returns (..., p) coefficients; each row comes out bit for bit as it
-    would alone.
+    and returns (..., p) coefficients, written into ``out`` when given (its
+    last axis must be contiguous, so whole blocks of n reshape as a view);
+    each row comes out bit for bit as it would alone.
     """
     n = len(lam)
     z = np.fft.ifft(y_fft / lam)
     v = n * np.fft.ifft(z)
-    # v repeats in every block of n features: (..., blocks, n), then (..., p)
-    return (weights * v[..., None, :]).reshape(*v.shape[:-1], -1)[..., :p]
+    if out is None:
+        out = np.empty((*v.shape[:-1], p), dtype=complex)
+    # v repeats in every block of n features: whole blocks, then the partial one
+    full, rest = divmod(p, n)
+    np.multiply(weights[:full], v[..., None, :], out=out[..., : full * n].reshape(*v.shape[:-1], full, n))
+    if rest:
+        np.multiply(weights[full, :rest], v[..., :rest], out=out[..., full * n :])
+    return out
 
 
 def weighted_minnorm(

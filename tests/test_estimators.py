@@ -16,6 +16,7 @@ from fourier_minnorm import (
     minnorm_kkt_check,
     weighted_minnorm,
 )
+from fourier_minnorm.estimators import _circulant_minnorm, _class_weights
 
 
 def dense_pinv_minnorm(y, spectrum, grid, q):
@@ -250,3 +251,18 @@ def test_non_finite_q_rejected(q):
     s = build_spectrum(8, 1.0)
     with pytest.raises(ConfigurationError, match="weighting exponent q must be finite and >= 0"):
         weighted_minnorm(np.zeros(2), s, classify_grid(8, 2, 4), q)
+
+
+@pytest.mark.parametrize("n, p", [(8, 8), (8, 32), (8, 20), (5, 23)])
+def test_circulant_minnorm_out_buffer_is_bit_identical(n, p):
+    # the fit lands in a strided window of a wider buffer, as in a Monte
+    # Carlo block, and matches the freshly allocated result bit for bit
+    rng = np.random.default_rng(n * p)
+    y_fft = np.fft.fft(rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n)))
+    kernel = _class_weights(build_spectrum(64, 1.0).t[:p], n, 1.5)
+    buffer = np.full((4, 64), np.nan, dtype=complex)
+    out = buffer[:3, :p]
+    got = _circulant_minnorm(y_fft, *kernel, p, out=out)
+    assert got is out
+    assert np.array_equal(out, _circulant_minnorm(y_fft, *kernel, p))
+    assert np.isnan(buffer[:3, p:]).all() and np.isnan(buffer[3]).all()

@@ -22,6 +22,8 @@ from fourier_minnorm import (
     trial_generator,
     weighted_minnorm,
 )
+from fourier_minnorm import montecarlo
+from fourier_minnorm.montecarlo import _trial_keys
 
 DRAWS = 100_000
 
@@ -137,6 +139,19 @@ class TestEmpiricalRisk:
         with pytest.raises(ConfigurationError):
             McConfig(trials=1, seed=-1)
 
+    @pytest.mark.parametrize(
+        "trials, seed", [(2.5, 0), (3, 1.5), (3, float("nan")), (3, 2.0), (True, 0), (3, True), (3, "1"), (3, None)]
+    )
+    def test_config_rejects_non_integers(self, trials, seed):
+        with pytest.raises(ConfigurationError):
+            McConfig(trials=trials, seed=seed)
+
+    def test_config_accepts_numpy_integers(self):
+        spectrum = build_spectrum(16, 1.0)
+        a = empirical_risk(spectrum, classify_grid(16, 4, 8), 1.0, McConfig(trials=np.int64(3), seed=np.uint64(7)))
+        b = empirical_risk(spectrum, classify_grid(16, 4, 8), 1.0, McConfig(trials=3, seed=7))
+        assert np.array_equal(a.samples, b.samples)
+
 
 class TestConcentrationCheck:
     def test_tail_shape(self):
@@ -164,6 +179,16 @@ class TestConcentrationCheck:
         for row in rows:
             if row.bound_tail < 1.0:
                 assert row.empirical_tail <= row.bound_tail + 3 * row.std_err
+
+    @pytest.mark.parametrize("t", [-0.5, float("nan"), float("inf")])
+    def test_bad_t_rejected_before_sampling(self, t, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("sampled before validating t_grid")
+
+        monkeypatch.setattr(montecarlo, "empirical_risk", no_sampling)
+        spectrum = build_spectrum(64, 1.0)
+        with pytest.raises(ConfigurationError):
+            concentration_check(spectrum, classify_grid(64, 8, 16), 1.0, [1.0, t], McConfig(trials=10, seed=0))
 
     def test_out_of_regime_rejected(self):
         spectrum = build_spectrum(64, 0.4)
@@ -201,7 +226,7 @@ def sweeps(draw):
     q = draw(st.sampled_from([0.0, 0.5, 1.0, 3.0, 100.0]))
     mc = McConfig(
         trials=draw(st.integers(1, 19)),
-        seed=draw(st.integers(0, 2**32)),
+        seed=draw(st.integers(0, 2**96)),
         coefficient_model=draw(st.sampled_from(list(CoefficientModel))),
     )
     return build_spectrum(D, draw(st.sampled_from([0.0, 0.5, 1.0]))), n, q, p_values, mc
@@ -250,3 +275,49 @@ class TestEmpiricalRisks:
     def test_rejects_bad_q(self, q):
         with pytest.raises(ConfigurationError):
             empirical_risks(build_spectrum(16, 1.0), 4, q, [8], McConfig(trials=2, seed=0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**200),
+    st.lists(st.integers(0, 2**64 - 1) | st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**32 + 1]), max_size=6),
+)
+def test_trial_keys_match_seed_sequence(seed, trials):
+    trials = [2**32 - 1, 2**32, *trials]
+    keys = _trial_keys(seed, np.array(trials, dtype=np.uint64))
+    assert keys.dtype == np.uint64 and keys.shape == (len(trials), 2)
+    for trial, key in zip(trials, keys):
+        want = np.random.SeedSequence(entropy=seed, spawn_key=(trial,)).generate_state(2, np.uint64)
+        assert np.array_equal(key, want)
+
+
+def test_trial_keys_key_the_trial_streams():
+    keys = _trial_keys(99, np.arange(3))
+    for trial, key in enumerate(keys):
+        assert np.array_equal(trial_generator(99, trial).bit_generator.state["state"]["key"], key)
+
+
+# Samples of empirical_risks(build_spectrum(64, 1.0), 8, 1.0, [4, 8, 20],
+# McConfig(trials=3, seed=2024, coefficient_model=model)), one row per p
+# (least squares, p = n and a misaligned min-norm p), as produced by
+# trial_generator -> sample_theta per trial.  A change to key derivation,
+# draw order or scaling shows here as a changed bit.
+GOLDEN_SAMPLES = {
+    CoefficientModel.COMPLEX_GAUSSIAN: [
+        ["0x1.dac246014549ap-4", "0x1.37854a999da56p-3", "0x1.5ad49a358e931p-3"],
+        ["0x1.8bd89c538055fp-4", "0x1.43b5c4c7bc2c0p-3", "0x1.32a4c5853db3fp-3"],
+        ["0x1.66d0f724a14e0p-4", "0x1.1a11394b33ad2p-3", "0x1.f806e9660df0ep-4"],
+    ],
+    CoefficientModel.REAL_GAUSSIAN: [
+        ["0x1.cce86e088239fp-4", "0x1.8de3a28330cbfp-3", "0x1.041342f61d5c8p-2"],
+        ["0x1.0840e12d3dd07p-3", "0x1.b2c3583464051p-3", "0x1.96f2e1bc1c6eep-3"],
+        ["0x1.b78021f69606cp-4", "0x1.7606c95fd4daap-3", "0x1.37f1837f17cd3p-3"],
+    ],
+}
+
+
+@pytest.mark.parametrize("model", list(CoefficientModel))
+def test_golden_samples(model):
+    mc = McConfig(trials=3, seed=2024, coefficient_model=model)
+    estimates = empirical_risks(build_spectrum(64, 1.0), 8, 1.0, [4, 8, 20], mc)
+    assert [[float(x).hex() for x in est.samples] for est in estimates] == GOLDEN_SAMPLES[model]
