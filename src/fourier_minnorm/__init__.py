@@ -37,7 +37,6 @@ from .interpolation import (
     symmetric_frequencies,
 )
 from .model import (
-    CoefficientCovariance,
     GridConfig,
     Regime,
     Spectrum,
@@ -75,7 +74,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundReport",
-    "CoefficientCovariance",
     "CoefficientModel",
     "ConcentrationBound",
     "ConfigurationError",

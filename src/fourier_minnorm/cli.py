@@ -26,7 +26,8 @@ Output contracts:
 * skipped out-of-domain rows are logged to a ``<out>.log`` sidecar, never
   into data files.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical inconsistency.
+Exit codes: 0 success, 2 configuration error (sizes too large to allocate
+included), 3 numerical inconsistency.
 """
 
 from __future__ import annotations
@@ -157,12 +158,15 @@ class Table:
 
 
 def _write_text(path: Path, text: str) -> None:
-    """Write one output file; a missing parent directory is a configuration error."""
+    """Write one output file; a missing directory or an unwritable path is a configuration error."""
     path = Path(path)
     if not path.parent.is_dir():
         raise ConfigurationError(f"output directory {str(path.parent)!r} does not exist (field out)")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:  # a directory, no permission, a full disk
+        raise ConfigurationError(f"cannot write output file {str(path)!r}: {exc} (field out)") from None
 
 
 def write_csv(path: Path, header: Sequence[str], table: Table) -> None:
@@ -570,7 +574,7 @@ def _load_samples_file(path: str, dimension: int, n_axis: int) -> np.ndarray:
     """Read a training-sample CSV (x columns then y, row-major grid order), one row per point."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # a directory, not UTF-8, a NUL in the path
         raise ConfigurationError(f"cannot read samples file {path}: {exc} (field samples_file)") from None
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
@@ -799,6 +803,8 @@ def spec_from_args(args: argparse.Namespace):
             raise ConfigurationError(f"config file not found: {args.config}") from None
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"config file is not valid JSON: {exc}") from None
+        except (OSError, ValueError, RecursionError) as exc:  # a directory, not UTF-8, nested too deeply
+            raise ConfigurationError(f"cannot read config file {args.config}: {exc}") from None
         if not isinstance(file_config, dict):
             raise ConfigurationError("config file must hold a JSON object")
     field_names = {f.name for f in dataclasses.fields(cls)}
@@ -822,6 +828,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # sizes (D, trials, ...) too large for this machine
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except (SingularSystemError, NumericalInconsistencyError) as exc:
         print(f"numerical inconsistency: {exc}", file=sys.stderr)

@@ -5,15 +5,20 @@ Overparameterized (p >= n): the weighted min-norm estimator
     theta_T = S^(2q) F_T^* (F_T S^(2q) F_T^*)^(-1) y,   S = diag(t_T),
 
 is the minimiser of ||S^(-q) theta|| among interpolants with support in T.
-Features on n equispaced points alias modulo n for any column window, so
-the Gram matrix F_T S^(2q) F_T^* is circulant for every p >= n and the fit
-is a fold followed by length-n FFTs (O(n log n + p)), the default path.  The
-SVD pseudoinverse of F_T S^q stays as an explicit ``path=`` choice and the
-oracle it is tested against.
+Features on n equispaced points alias modulo n for any column window, so the
+samples fix exactly the per-class sums c = ifft(y): sum_{k = m mod n}
+theta_k = c[m].  The minimiser spreads each class sum over its members in
+proportion to their weights s_k = t_k^(2q),
+
+    theta_k = s_k c[k mod n] / Lambda[k mod n],   Lambda[m] = sum_{k = m mod n} s_k,
+
+one inverse FFT of y and one broadcast (O(n log n + p)) for every p >= n.
+``solve_weighted_minnorm``, the SVD pseudoinverse of F_T S^q, is the dense
+oracle this is tested against.
 
 Underparameterized (p <= n): least squares; the equispaced geometry gives
-F_T^* F_T = n I, so the normal equations collapse to theta_T = F_T^* y / n,
-independent of any weighting exponent.
+F_T^* F_T = n I, so the normal equations collapse to theta_T = c[:p],
+independent of any weighting exponent: the same formula with s = Lambda = 1.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ from .model import GridConfig, Spectrum, check_finite_nonnegative
 
 
 class SolverPath(enum.Enum):
-    DENSE_SVD = "dense_svd"
     CIRCULANT_FFT = "circulant_fft"
     NORMAL_EQUATIONS = "normal_equations"
 
@@ -49,7 +53,8 @@ def solve_weighted_minnorm(features: np.ndarray, weights: np.ndarray, q: float, 
 
     Solved through the SVD pseudoinverse of the column-scaled system (lstsq),
     never by explicit Gram inversion.  Also usable with p <= n, where it
-    returns the unique least-squares solution instead.
+    returns the unique least-squares solution instead.  The dense oracle of
+    ``weighted_minnorm``.
     """
     weights = np.asarray(weights, dtype=float)
     if np.any(weights <= 0):
@@ -59,54 +64,42 @@ def solve_weighted_minnorm(features: np.ndarray, weights: np.ndarray, q: float, 
     return wq * beta
 
 
-def _class_weights(t_T: np.ndarray, n: int, q: float) -> tuple[np.ndarray, np.ndarray]:
-    """Weights and Gram eigenvalues of the circulant solve for any p >= n.
+def _minnorm_kernel(t_T: np.ndarray, n: int, q: float) -> np.ndarray:
+    """s_k / Lambda[k mod n] for every feature k < p, in blocks of n features.
 
-    The weight of feature k is (t_k / t_{k mod n})^(2q): t^(2q) with each
-    residue class scaled by its leading term.  The min-norm fit is invariant
-    under per-class scaling, and every class sum stays >= 1, so no class
-    underflows to zero however large q is.  The weights come in blocks of n
-    features, (ceil(p/n), n), zero-padded past p.
+    The weight of feature k is s_k = (t_k / t_{k mod n})^(2q): t^(2q) with
+    each residue class scaled by its leading term.  The min-norm fit is
+    invariant under per-class scaling, and every class sum Lambda stays >= 1,
+    so no class underflows to zero however large q is.  Returns
+    (ceil(p/n), n), zero-padded past p.
     """
     p = len(t_T)
-    weights = np.zeros((-(-p // n), n))
-    weights.reshape(-1)[:p] = np.power(t_T / t_T[np.arange(p) % n], 2.0 * q)
-    # fft(first column of the Gram) carries the aliased sums in
-    # index-reversed order under the exp(-2*pi*i*j*k/n) convention
-    lam = n * weights.sum(axis=0)[(-np.arange(n)) % n]
-    return weights, lam
+    kernel = np.zeros((-(-p // n), n))
+    kernel.reshape(-1)[:p] = np.power(t_T / t_T[np.arange(p) % n], 2.0 * q)
+    kernel /= kernel.sum(axis=0)
+    return kernel
 
 
-def _circulant_minnorm(
-    y_fft: np.ndarray, weights: np.ndarray, lam: np.ndarray, p: int, out: np.ndarray | None = None
-) -> np.ndarray:
-    """theta_T of the min-norm fit from fft(y), batched over leading axes.
+def _minnorm_fit(c: np.ndarray, kernel: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarray:
+    """theta_T = kernel[k] * c[k mod n] from c = ifft(y), batched over leading axes.
 
-    Takes (..., n) transforms and the blocked weights of ``_class_weights``
+    Takes (..., n) class sums and the blocked kernel of ``_minnorm_kernel``
     and returns (..., p) coefficients, written into ``out`` when given (its
     last axis must be contiguous, so whole blocks of n reshape as a view);
     each row comes out bit for bit as it would alone.
     """
-    n = len(lam)
-    z = np.fft.ifft(y_fft / lam)
-    v = n * np.fft.ifft(z)
+    n = kernel.shape[1]
     if out is None:
-        out = np.empty((*v.shape[:-1], p), dtype=complex)
-    # v repeats in every block of n features: whole blocks, then the partial one
+        out = np.empty((*c.shape[:-1], p), dtype=complex)
+    # c repeats in every block of n features: whole blocks, then the partial one
     full, rest = divmod(p, n)
-    np.multiply(weights[:full], v[..., None, :], out=out[..., : full * n].reshape(*v.shape[:-1], full, n))
+    np.multiply(kernel[:full], c[..., None, :], out=out[..., : full * n].reshape(*c.shape[:-1], full, n))
     if rest:
-        np.multiply(weights[full, :rest], v[..., :rest], out=out[..., full * n :])
+        np.multiply(kernel[full, :rest], c[..., :rest], out=out[..., full * n :])
     return out
 
 
-def weighted_minnorm(
-    y: np.ndarray,
-    spectrum: Spectrum,
-    grid: GridConfig,
-    q: float,
-    path: SolverPath = SolverPath.CIRCULANT_FFT,
-) -> EstimatorResult:
+def weighted_minnorm(y: np.ndarray, spectrum: Spectrum, grid: GridConfig, q: float) -> EstimatorResult:
     """Fit the (weighted for q > 0, plain for q = 0) min-norm interpolator."""
     y = np.asarray(y, dtype=complex)
     if y.shape != (grid.n,):
@@ -115,19 +108,11 @@ def weighted_minnorm(
     if grid.p < grid.n:
         raise RegimeError(f"min-norm estimation needs p >= n, got p={grid.p}, n={grid.n}")
     n, p = grid.n, grid.p
-    t_T = spectrum.t[:p]
-
-    if path is SolverPath.CIRCULANT_FFT:
-        theta_T = _circulant_minnorm(np.fft.fft(y), *_class_weights(t_T, n, q), p)
-    elif path is SolverPath.DENSE_SVD:
-        theta_T = solve_weighted_minnorm(fourier_matrix(n, 0, p), t_T, q, y)
-    else:
-        raise ConfigurationError(f"unsupported path for min-norm estimation: {path}")
-
+    theta_T = _minnorm_fit(np.fft.ifft(y), _minnorm_kernel(spectrum.t[:p], n, q), p)
     theta = np.zeros(grid.D, dtype=complex)
     theta[:p] = theta_T
     residual = float(np.linalg.norm(equispaced_predict(theta_T, n) - y))
-    return EstimatorResult(theta_hat=theta, q_used=float(q), path=path, residual=residual)
+    return EstimatorResult(theta_hat=theta, q_used=float(q), path=SolverPath.CIRCULANT_FFT, residual=residual)
 
 
 def least_squares(y: np.ndarray, grid: GridConfig) -> EstimatorResult:

@@ -67,14 +67,6 @@ def symmetric_frequencies(m: int) -> np.ndarray:
     return np.concatenate([np.arange(0, (m + 1) // 2), np.arange(-(m // 2), 0)])
 
 
-def frequency_to_index(k: int, m: int) -> int:
-    """Column index of frequency k in the m-term layout (inverse mapping)."""
-    half = (m + 1) // 2
-    if not -(m // 2) <= k < half:
-        raise ConfigurationError(f"frequency {k} outside the size-{m} window")
-    return k if k >= 0 else k + m
-
-
 def axis_weights(m: int) -> np.ndarray:
     """Per-axis weights (1 + |k|)^(-1) in the m-term frequency layout."""
     return 1.0 / (1.0 + np.abs(symmetric_frequencies(m)))

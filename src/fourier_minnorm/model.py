@@ -1,4 +1,4 @@
-"""Spectral model: decaying weights, coefficient covariance, grid structure.
+"""Spectral model: decaying weights, covariance normaliser, grid structure.
 
 Conventions fixed for the whole package:
 
@@ -142,28 +142,6 @@ def regime_tags(n: int, p: np.ndarray) -> np.ndarray:
     """``classify_grid(D, n, p).regime.value`` for every p of an int array."""
     aligned = np.where(p % n == 0, Regime.OVER_ALIGNED.value, Regime.OVER_GENERAL.value)
     return np.where(p < n, Regime.UNDER.value, aligned)
-
-
-@dataclass(frozen=True)
-class CoefficientCovariance:
-    """Diagonal coefficient covariance K = c_r * diag(t^(2r)), unit trace.
-
-    q_weight records the weighting exponent used for estimation; it is
-    deliberately distinct from the decay exponent of the spectrum.
-    """
-
-    spectrum: Spectrum
-    q_weight: float = 0.0
-
-    def __post_init__(self) -> None:
-        check_finite_nonnegative(self.q_weight, "weighting exponent")
-
-    def diagonal(self) -> np.ndarray:
-        s = self.spectrum
-        return s.c_r * s.t_pow(2.0 * s.decay_r)
-
-    def trace(self) -> float:
-        return self.spectrum.c_r * self.spectrum.tail_sum(2.0 * self.spectrum.decay_r)
 
 
 def folded_sums(values: np.ndarray, n: int, compensated: bool = False) -> np.ndarray:

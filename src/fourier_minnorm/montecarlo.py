@@ -7,12 +7,12 @@ squared recovery error of the regime-appropriate estimator.
 ``empirical_risks`` is the Monte Carlo twin of ``risktheory.theory_risks``:
 it estimates a whole p sweep in one pass.  Trials are taken in blocks of a
 fixed number of coefficients (16 trials at D = 1024).  Each trial's theta is
-drawn once per sweep, the block is folded to its samples y once, and fft(y)
-and ifft(y) are taken once; y and its transforms are shared by every p,
-because features alias modulo n.  Each p then costs only elementwise work
-(p <= n reads ifft(y), every p > n runs the batched circulant solve, the
-Gram being circulant for any p >= n).  ``empirical_risk`` is the one-point
-call.
+drawn once per sweep, the block is folded to its samples y once, and the
+class sums c = ifft(y) are taken once; c is shared by every p, because
+features alias modulo n.  Each p then costs only elementwise work: p <= n
+reads c[:, :p] (least squares), every p > n broadcasts c against the
+min-norm kernel s_k / Lambda[k mod n] of ``estimators``, built once per p.
+``empirical_risk`` is the one-point call.
 
 Reproducibility: trial i draws from a Philox stream keyed by
 (seed, spawn_key=(i,)), so the sample stream is bit-identical for a given
@@ -38,7 +38,7 @@ import numpy as np
 
 from .circulant import equispaced_predict
 from .errors import ConfigurationError
-from .estimators import _circulant_minnorm, _class_weights
+from .estimators import _minnorm_fit, _minnorm_kernel
 from .model import GridConfig, Spectrum, check_finite_nonnegative, check_truncations
 from .risktheory import concentration_bound
 
@@ -219,8 +219,7 @@ def empirical_risks(
     """
     check_finite_nonnegative(q, "weighting exponent q")
     p_list = check_truncations(spectrum.D, n, p_values).tolist()
-    kernels = {p: _class_weights(spectrum.t[:p], n, q) for p in p_list if p > n}
-    need_ls = any(p <= n for p in p_list)
+    kernels = {p: _minnorm_kernel(spectrum.t[:p], n, q) for p in p_list if p > n}
     keys = _trial_keys(mc.seed, np.arange(mc.trials))
     scale = _theta_scale(spectrum)
     width = _draw_width(mc.coefficient_model, spectrum.D)
@@ -249,12 +248,10 @@ def empirical_risks(
             bit_generator.state = state
             rng.standard_normal(out=g)
         _scale_block(scale, mc.coefficient_model, draws, theta)
-        y = equispaced_predict(theta, n)
-        y_fft = np.fft.fft(y) if kernels else None
-        y_ifft = np.fft.ifft(y) if need_ls else None
+        c = np.fft.ifft(equispaced_predict(theta, n))
         for row, p in zip(samples, p_list):
             # the min-norm fit is written into diff, then diff = theta - fit in place
-            fit = y_ifft[:, :p] if p <= n else _circulant_minnorm(y_fft, *kernels[p], p, out=diff[:, :p])
+            fit = c[:, :p] if p <= n else _minnorm_fit(c, kernels[p], p, out=diff[:, :p])
             np.subtract(theta[:, :p], fit, out=diff[:, :p])
             diff[:, p:] = theta[:, p:]
             err = np.square(diff.real, out=err_buffer[: len(block)])

@@ -14,7 +14,6 @@ from fourier_minnorm import (
     InterpolationProblem,
     McConfig,
     Method,
-    SolverPath,
     asymptotic_bound,
     build_spectrum,
     classify_grid,
@@ -24,10 +23,12 @@ from fourier_minnorm import (
     dense_grid_rmse,
     empirical_risk,
     fit_interpolant,
+    fourier_matrix,
     risk_over_closed,
     risk_trace_over,
     risk_trace_under,
     risk_under_closed,
+    solve_weighted_minnorm,
     theory_risk,
     weighted_minnorm,
 )
@@ -232,6 +233,10 @@ def test_criterion_8_concentration_tails():
 
 
 def test_criterion_9_solver_paths_and_speed():
+    # the FFT fit against the dense SVD oracle, in accuracy and in speed
+    def dense(y, s, grid, q):
+        return solve_weighted_minnorm(fourier_matrix(grid.n, 0, grid.p), s.t[: grid.p], q, y)
+
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(50):
@@ -244,24 +249,24 @@ def test_criterion_9_solver_paths_and_speed():
         s = build_spectrum(D, r)
         grid = classify_grid(D, n, p)
         y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        fast = weighted_minnorm(y, s, grid, q, SolverPath.CIRCULANT_FFT)
-        dense = weighted_minnorm(y, s, grid, q, SolverPath.DENSE_SVD)
-        rel = np.linalg.norm(fast.theta_hat - dense.theta_hat) / np.linalg.norm(dense.theta_hat)
+        fast = weighted_minnorm(y, s, grid, q).theta_hat[:p]
+        oracle = dense(y, s, grid, q)
+        rel = np.linalg.norm(fast - oracle) / np.linalg.norm(oracle)
         worst = max(worst, rel)
 
     s = build_spectrum(4096, 1.0)
     grid = classify_grid(4096, 256, 1024)
     y = rng.standard_normal(256) + 1j * rng.standard_normal(256)
     timings = {}
-    for path in (SolverPath.CIRCULANT_FFT, SolverPath.DENSE_SVD):
-        weighted_minnorm(y, s, grid, 1.0, path)  # warm-up
+    for solve in (weighted_minnorm, dense):
+        solve(y, s, grid, 1.0)  # warm-up
         best = float("inf")
         for _ in range(3):
             t0 = time.perf_counter()
-            weighted_minnorm(y, s, grid, 1.0, path)
+            solve(y, s, grid, 1.0)
             best = min(best, time.perf_counter() - t0)
-        timings[path] = best
-    speedup = timings[SolverPath.DENSE_SVD] / timings[SolverPath.CIRCULANT_FFT]
+        timings[solve] = best
+    speedup = timings[dense] / timings[weighted_minnorm]
 
     ok_accuracy = worst <= 1e-8
     ok_speed = speedup >= 10.0

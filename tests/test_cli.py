@@ -1,7 +1,10 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
+import types
+import typing
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fourier_minnorm.cli import (
+    SPEC_TYPES,
     BoundCheckSpec,
     ConcentrationSpec,
     HeatmapSpec,
@@ -504,6 +508,20 @@ class TestConfigFile:
                        "'real-gaussian', got 'bogus'\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "contents", [None, b"\xff\xfe{}", b"[" * 100_000], ids=["directory", "not-utf8", "deep"]
+    )
+    def test_unreadable_config_file_is_one_error_line(self, tmp_path, capsys, contents):
+        path = tmp_path / "spec.json"
+        if contents is None:
+            path.mkdir()
+        else:
+            path.write_bytes(contents)
+        code = main(["risk-curve", "--config", str(path), "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config file") and err.count("\n") == 1
+
     def test_int_config_values_widen_to_float(self):
         spec = spec_from_dict(HeatmapSpec, {"D": 16, "n": 4, "r_values": [1], "q_rule": "fixed", "q_fixed": 0})
         assert spec.r_values == (1.0,) and isinstance(spec.r_values[0], float)
@@ -526,6 +544,13 @@ class TestOutputDirectory:
         err = capsys.readouterr().err
         assert err.startswith("error: output directory") and err.count("\n") == 1
         assert not (tmp_path / "nodir").exists()
+
+    def test_output_path_that_is_a_directory(self, tmp_path, capsys):
+        (tmp_path / "x.csv").mkdir()
+        code = main(["risk-curve", "-D", "64", "-n", "8", "--r-values", "1.0", "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output file") and err.count("\n") == 1
 
 
 def test_numerical_inconsistency_exit_code(monkeypatch, capsys):
@@ -676,17 +701,154 @@ def cli_argvs(draw):
     return argv
 
 
+# Any JSON value, small: sizes stay in [-2, 64], so a valid config runs in milliseconds.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 64) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=2),
+    max_leaves=6,
+)
+_CONFIG_FLOAT = _FLOAT.map(float)
+# per field type, a strategy for a value of that type; per field name, overrides
+_CONFIG_TYPES = {
+    int: st.integers(1, 16),
+    float: _CONFIG_FLOAT,
+    str: st.text(max_size=6),
+    tuple[int, ...]: st.lists(st.integers(1, 64), min_size=1, max_size=3),
+    tuple[float, ...]: st.lists(_CONFIG_FLOAT, min_size=1, max_size=3),
+    tuple[str, ...]: st.lists(st.sampled_from([m.value for m in interpolation.Method]), min_size=1, max_size=2),
+}
+_CONFIG_FIELDS = {
+    "D": st.integers(1, 64), "D_axis": st.integers(1, 64), "threads": st.integers(1, 2),
+    "dimension": st.integers(1, 2), "seed": st.integers(0, 2**70), "confidence": st.sampled_from([0.5, 0.8]),
+    "p_rule": st.just("paper"), "q_rule": st.sampled_from(["match-r", "fixed"]),
+    "format": st.sampled_from(["csv", "json"]), "target": st.sampled_from(["stage1d", "cubic1d", "cos2d"]),
+    "samples_file": st.just("missing.csv"),
+    "coefficient_model": st.sampled_from(["complex-gaussian", "real-gaussian"]),
+    "weight_kind": st.sampled_from(["euclidean", "separable"]),
+}
+
+
+@st.composite
+def config_argvs(draw):
+    """A command with a JSON config file: each field left out, given a valid value or any JSON value."""
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    cls = SPEC_TYPES[command]
+    kinds = typing.get_type_hints(cls)
+    config = {}
+    for field in dataclasses.fields(cls):
+        mode = draw(st.sampled_from(["valid"] * 8 + ["any", "omit"]))
+        if field.name == "out" or mode == "omit":
+            continue
+        kind = kinds[field.name]  # X or X | None
+        options = typing.get_args(kind) if isinstance(kind, types.UnionType) else (kind,)
+        valid = _CONFIG_FIELDS.get(field.name, _CONFIG_TYPES[options[0]])
+        config[field.name] = draw(valid if mode == "valid" else _JSON)
+    edit = draw(st.sampled_from(["none"] * 16 + ["unknown key", "command", "not an object"]))
+    if edit == "unknown key":
+        config[draw(st.text(max_size=4))] = draw(_JSON)
+    elif edit == "command":
+        config["command"] = draw(st.sampled_from(sorted(_FLAGS)) | st.text(max_size=4))
+    argv = [command]
+    for flag, values in _FLAGS[command].items():  # a flag wins over its field
+        if draw(st.integers(0, 7)) == 0:
+            argv += [flag, draw(values)]
+    if command == "interp" and "eval_points" not in config:
+        argv += ["--eval-points", "8"]  # the default, 512 per axis, writes 2^18-row files in 2-D
+    return argv, json.dumps(draw(_JSON) if edit == "not an object" else config)
+
+
+_GOOD_CELL = st.floats(-4, 4).map(repr)
+_BAD_CELL = st.sampled_from(["1e400", "nan", "-inf", "", "x", "0x1p3"]) | st.text(max_size=3)
+
+
+@st.composite
+def samples_file_argvs(draw):
+    """``interp --samples-file`` with a file close to valid, or any text."""
+    dimension = draw(st.integers(1, 2))
+    n_axis = draw(st.integers(1, 4))
+    lines = [",".join([*(f"x{i}" for i in range(dimension)), "y"])]
+    axes = np.meshgrid(*[sample_axis(n_axis)] * dimension, indexing="ij")
+    for point in np.stack(axes, axis=-1).reshape(-1, dimension):  # the training grid, row-major
+        kind = draw(st.sampled_from(["good"] * 30 + ["bad", "width"]))
+        cells = [*map(repr, point.tolist()), draw(_GOOD_CELL)]
+        if kind == "bad":
+            cells[draw(st.integers(0, dimension))] = draw(_BAD_CELL)
+        elif kind == "width":
+            cells = cells[: draw(st.integers(0, dimension))] if draw(st.booleans()) else [*cells, "0"]
+        lines.append(",".join(cells))
+    edit = draw(st.sampled_from(["none"] * 6 + ["header", "drop", "add", "shuffle", "text"]))
+    if edit == "header":
+        lines[0] = draw(st.text(max_size=8))
+    elif edit == "drop":
+        del lines[draw(st.integers(0, len(lines) - 1))]
+    elif edit == "add":
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.text(max_size=8)))
+    elif edit == "shuffle":
+        lines = draw(st.permutations(lines))
+    text = draw(st.text(max_size=40)) if edit == "text" else "\n".join(lines)
+    D_axis = draw(st.integers(1, 16))
+    argv = ["interp", "--dimension", str(dimension), "--n-axis", str(n_axis), "--p-axis", draw(_ints(1, D_axis + 1)),
+            "--d-axis", str(D_axis), "--q", draw(_FLOAT), "--eval-points", draw(_ints(1, 8))]
+    if draw(st.booleans()):
+        argv += ["--methods", draw(_FLAGS["interp"]["--methods"])]
+    return argv, text
+
+
+def _exit_code(argv, out):
+    """main's exit code and stderr; argparse's own exits count too."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv + ["--out", str(out / "run")])
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    return code, stderr.getvalue()
+
+
 class TestExitCodes:
     @given(argv=cli_argvs())
     @settings(max_examples=150, deadline=None)
     def test_random_argv_exits_cleanly(self, argv, tmp_path_factory):
         out = tmp_path_factory.getbasetemp() / "fuzz"
         out.mkdir(exist_ok=True)
-        stderr = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-            try:
-                code = main(argv + ["--out", str(out / "run")])
-            except SystemExit as exc:  # argparse rejects the command line
-                code = exc.code
-        assert code in (0, 2, 3), (argv, stderr.getvalue())
-        assert "Traceback" not in stderr.getvalue()
+        code, err = _exit_code(argv, out)
+        assert code in (0, 2, 3), (argv, err)
+        assert "Traceback" not in err
+
+    @given(case=config_argvs())
+    @settings(max_examples=150, deadline=None)
+    def test_random_config_file_exits_cleanly(self, case, tmp_path_factory):
+        argv, text = case
+        out = tmp_path_factory.getbasetemp() / "fuzz-config"
+        out.mkdir(exist_ok=True)
+        (out / "spec.json").write_text(text, encoding="utf-8")
+        code, err = _exit_code(argv + ["--config", str(out / "spec.json")], out)
+        assert code in (0, 2, 3), (argv, text, err)
+        assert "Traceback" not in err
+
+    @given(case=samples_file_argvs())
+    @settings(max_examples=150, deadline=None)
+    def test_random_samples_file_exits_cleanly(self, case, tmp_path_factory):
+        argv, text = case
+        out = tmp_path_factory.getbasetemp() / "fuzz-samples"
+        out.mkdir(exist_ok=True)
+        (out / "samples.csv").write_text(text, encoding="utf-8")
+        code, err = _exit_code(argv + ["--samples-file", str(out / "samples.csv")], out)
+        assert code in (0, 2, 3), (argv, text, err)
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mc-risk", "-D", "8", "-n", "2", "--r-values", "1", "--p-values", "1", "--trials", str(2**56)],
+            ["risk-curve", "-D", str(2**56), "-n", "1", "--r-values", "1", "--p-values", "1"],
+        ],
+        ids=["trials", "D"],
+    )
+    def test_unallocatable_size_is_one_error_line(self, tmp_path, capsys, argv):
+        # 2^56 eight-byte elements (512 PiB) exceed any 64-bit address space,
+        # so the allocation fails at once, without touching memory
+        assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())

@@ -14,9 +14,17 @@ from fourier_minnorm import (
     fourier_matrix,
     least_squares,
     minnorm_kkt_check,
+    solve_weighted_minnorm,
     weighted_minnorm,
 )
-from fourier_minnorm.estimators import _circulant_minnorm, _class_weights
+from fourier_minnorm.estimators import _minnorm_fit, _minnorm_kernel
+
+
+def dense_minnorm(y, spectrum, grid, q):
+    """Oracle: the SVD least-squares solve of the column-scaled system, zero past p."""
+    theta = np.zeros(grid.D, dtype=complex)
+    theta[: grid.p] = solve_weighted_minnorm(fourier_matrix(grid.n, 0, grid.p), spectrum.t[: grid.p], q, y)
+    return theta
 
 
 def dense_pinv_minnorm(y, spectrum, grid, q):
@@ -80,10 +88,9 @@ class TestWeightedMinnorm:
         g = classify_grid(8, 2, 4)
         rng = np.random.default_rng(3)
         y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        fast = weighted_minnorm(y, s, g, 1.0, SolverPath.CIRCULANT_FFT)
-        dense = weighted_minnorm(y, s, g, 1.0, SolverPath.DENSE_SVD)
-        scale = np.linalg.norm(dense.theta_hat)
-        assert np.linalg.norm(fast.theta_hat - dense.theta_hat) <= 1e-8 * scale
+        fast = weighted_minnorm(y, s, g, 1.0)
+        dense = dense_minnorm(y, s, g, 1.0)
+        assert np.linalg.norm(fast.theta_hat - dense) <= 1e-8 * np.linalg.norm(dense)
 
     @pytest.mark.parametrize("q", [0.0, 0.5, 1.0, 2.0])
     @pytest.mark.parametrize("D,n,p", [(8, 2, 4), (16, 4, 8), (32, 4, 16), (24, 3, 12)])
@@ -92,9 +99,9 @@ class TestWeightedMinnorm:
         g = classify_grid(D, n, p)
         rng = np.random.default_rng(hash((D, n, p, q)) % 2**32)
         y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        fast = weighted_minnorm(y, s, g, q, SolverPath.CIRCULANT_FFT)
-        dense = weighted_minnorm(y, s, g, q, SolverPath.DENSE_SVD)
-        assert np.linalg.norm(fast.theta_hat - dense.theta_hat) <= 1e-8 * np.linalg.norm(dense.theta_hat)
+        fast = weighted_minnorm(y, s, g, q)
+        dense = dense_minnorm(y, s, g, q)
+        assert np.linalg.norm(fast.theta_hat - dense) <= 1e-8 * np.linalg.norm(dense)
         np.testing.assert_allclose(fast.theta_hat[:p], dense_pinv_minnorm(y, s, g, q), atol=1e-8)
 
     def test_interpolation_constraint(self):
@@ -146,10 +153,10 @@ class TestWeightedMinnorm:
         g = classify_grid(8, 3, 5)
         rng = np.random.default_rng(6)
         y = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        fast = weighted_minnorm(y, s, g, 1.0, SolverPath.CIRCULANT_FFT)
-        dense = weighted_minnorm(y, s, g, 1.0, SolverPath.DENSE_SVD)
+        fast = weighted_minnorm(y, s, g, 1.0)
+        dense = dense_minnorm(y, s, g, 1.0)
         assert fast.path is SolverPath.CIRCULANT_FFT
-        assert np.linalg.norm(fast.theta_hat - dense.theta_hat) <= 1e-12 * np.linalg.norm(dense.theta_hat)
+        assert np.linalg.norm(fast.theta_hat - dense) <= 1e-12 * np.linalg.norm(dense)
 
     def test_general_grid_defaults_to_circulant_path(self):
         s = build_spectrum(8, 1.0)
@@ -167,9 +174,9 @@ class TestWeightedMinnorm:
         rng = np.random.default_rng(seed)
         y = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
         fit = weighted_minnorm(y, s, grid, q)
-        dense = weighted_minnorm(y, s, grid, q, SolverPath.DENSE_SVD)
+        dense = dense_minnorm(y, s, grid, q)
         assert fit.path is SolverPath.CIRCULANT_FFT
-        assert np.linalg.norm(fit.theta_hat - dense.theta_hat) <= 1e-10 * np.linalg.norm(dense.theta_hat)
+        assert np.linalg.norm(fit.theta_hat - dense) <= 1e-10 * np.linalg.norm(dense)
         assert fit.residual <= 1e-10 * np.linalg.norm(y)
         assert np.all(fit.theta_hat[grid.p :] == 0)
 
@@ -258,11 +265,35 @@ def test_circulant_minnorm_out_buffer_is_bit_identical(n, p):
     # the fit lands in a strided window of a wider buffer, as in a Monte
     # Carlo block, and matches the freshly allocated result bit for bit
     rng = np.random.default_rng(n * p)
-    y_fft = np.fft.fft(rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n)))
-    kernel = _class_weights(build_spectrum(64, 1.0).t[:p], n, 1.5)
+    c = np.fft.ifft(rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n)))
+    kernel = _minnorm_kernel(build_spectrum(64, 1.0).t[:p], n, 1.5)
     buffer = np.full((4, 64), np.nan, dtype=complex)
     out = buffer[:3, :p]
-    got = _circulant_minnorm(y_fft, *kernel, p, out=out)
+    got = _minnorm_fit(c, kernel, p, out=out)
     assert got is out
-    assert np.array_equal(out, _circulant_minnorm(y_fft, *kernel, p))
+    assert np.array_equal(out, _minnorm_fit(c, kernel, p))
     assert np.isnan(buffer[:3, p:]).all() and np.isnan(buffer[3]).all()
+
+
+@given(
+    D=st.integers(min_value=2, max_value=64),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_large_q_fit_is_least_squares_bit_for_bit(D, data, seed):
+    # Every non-leader weight (t_k / t_{k mod n})^(2q) is at most 2^(-2q)
+    # (k >= k mod n + n gives a ratio <= 1/2), so at q = 40 each class sum
+    # Lambda rounds to 1 and the fit's first n coefficients are c = ifft(y)
+    # itself: the least-squares fit at p = n, bit for bit.
+    n = data.draw(st.integers(min_value=1, max_value=D - 1))
+    p = data.draw(st.integers(min_value=n + 1, max_value=D))
+    q = 40.0
+    s = build_spectrum(D, 1.0)
+    k = np.arange(n, p)
+    assert np.all((s.t[k] / s.t[k % n]) ** (2 * q) < 2.0**-60)
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    fit = weighted_minnorm(y, s, classify_grid(D, n, p), q)
+    ls = least_squares(y, classify_grid(D, n, n))
+    assert np.array_equal(fit.theta_hat[:n], ls.theta_hat[:n])

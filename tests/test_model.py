@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fourier_minnorm import (
-    CoefficientCovariance,
     ConfigurationError,
     Regime,
     RegimeError,
@@ -176,23 +175,6 @@ class TestCheckTruncations:
     def test_values_beyond_int64(self):
         with pytest.raises(ConfigurationError, match=f"truncation p={2**70} outside"):
             check_truncations(8, 2, [4, 2**70])
-
-class TestCoefficientCovariance:
-    @pytest.mark.parametrize("D,r", [(4, 1.0), (64, 0.0), (256, 1.5)])
-    def test_unit_trace(self, D, r):
-        cov = CoefficientCovariance(build_spectrum(D, r), q_weight=1.0)
-        assert cov.trace() == pytest.approx(1.0, rel=1e-14)
-        assert cov.diagonal().sum() == pytest.approx(1.0, rel=1e-13)
-
-    def test_diagonal_matches_definition(self):
-        s = build_spectrum(4, 1.0)
-        cov = CoefficientCovariance(s)
-        np.testing.assert_allclose(cov.diagonal(), s.c_r * s.t**2, rtol=1e-15)
-
-    def test_rejects_negative_weighting(self):
-        with pytest.raises(ConfigurationError):
-            CoefficientCovariance(build_spectrum(4, 1.0), q_weight=-0.5)
-
 
 class TestFoldedSums:
     def test_plain_fold(self):

@@ -306,7 +306,7 @@ GOLDEN_SAMPLES = {
     CoefficientModel.COMPLEX_GAUSSIAN: [
         ["0x1.dac246014549ap-4", "0x1.37854a999da56p-3", "0x1.5ad49a358e931p-3"],
         ["0x1.8bd89c538055fp-4", "0x1.43b5c4c7bc2c0p-3", "0x1.32a4c5853db3fp-3"],
-        ["0x1.66d0f724a14e0p-4", "0x1.1a11394b33ad2p-3", "0x1.f806e9660df0ep-4"],
+        ["0x1.66d0f724a14e0p-4", "0x1.1a11394b33ad2p-3", "0x1.f806e9660df0dp-4"],
     ],
     CoefficientModel.REAL_GAUSSIAN: [
         ["0x1.cce86e088239fp-4", "0x1.8de3a28330cbfp-3", "0x1.041342f61d5c8p-2"],
