@@ -1,17 +1,25 @@
 """Equispaced Fourier features and their aliasing modulo n.
 
-The feature matrix restricted to a column window [start, stop) has entries
-F[j, k] = exp(-2*pi*i*j*k/n).  Columns alias modulo n, so for any window the
-weighted Gram matrices F diag(w) F^* are circulant, with eigenvalues n times
-the per-residue-class sums of w (``gram_eigenvalues``), and evaluating a
-coefficient vector on the n points folds it modulo n into one length-n FFT
-(``equispaced_predict``).  numpy's pocketfft handles arbitrary (mixed-radix)
-lengths, so n need not be a power of two.  ``fourier_matrix`` materialises F
-for the dense oracles.
+The fact every fast route rests on, stated once: on n equispaced points the
+feature of frequency k, exp(-2*pi*i*j*k/n), depends on k only through its
+residue class k mod n (per axis in d dimensions).  So, for any window of
+frequencies, the samples of a coefficient vector are one length-n FFT of
+its fold modulo n (``model.folded_sums``, ``equispaced_predict``) and fix
+exactly its class sums c = ifft(y); every weighted Gram F diag(w) F^* is
+(multi-level) circulant with eigenvalues n times the class sums of w
+(``gram_eigenvalues``), so every risk splits into sums over classes; and
+the minimiser of ||W^(-q) theta|| among coefficients with class sums c is
 
-Sign convention: exp(-2*pi*i*j*k/n) throughout.  The conjugate convention
-exp(+2*pi*i*j*k/n) differs by relabelling and yields identical Gram matrices
-and risks; only the one above is used internally.
+    theta_k = s_k c[k mod n] / Lambda[k mod n],   s = (w / leader)^(2q),
+
+with Lambda the class sums of s and each class scaled by its largest
+weight, its leader, which keeps every occupied Lambda >= 1 for any q
+(``class_weights``).  ``fourier_matrix`` materialises F for the dense
+oracles; pocketfft takes any n, not only powers of two.
+
+Sign convention: exp(-2*pi*i*j*k/n) in the regression code.  The conjugate
+exp(+2*pi*i*j*k/n), used by ``interpolation`` (where c = fftn(y) / n^d),
+differs by relabelling and yields identical Gram matrices and risks.
 """
 
 from __future__ import annotations
@@ -41,14 +49,34 @@ def gram_eigenvalues(spectrum: Spectrum, grid: GridConfig, u: float, side: str) 
     is unaffected.
     """
     check_finite_nonnegative(u, "weight exponent u")
+    if side not in ("T", "Tc"):
+        raise ConfigurationError(f"side must be 'T' or 'Tc', got {side!r}")
+    start, stop = (0, grid.p) if side == "T" else (grid.p, spectrum.D)
     compensated = spectrum.D >= COMPENSATED_SUM_MIN_D
-    values = spectrum.t_pow(u)
-    if side == "T":
-        return grid.n * folded_sums(values[: grid.p], grid.n, compensated)
-    if side == "Tc":
-        # the fold starts at feature p, which lies in class p mod n
-        return grid.n * np.roll(folded_sums(values[grid.p :], grid.n, compensated), grid.p % grid.n)
-    raise ConfigurationError(f"side must be 'T' or 'Tc', got {side!r}")
+    return grid.n * folded_sums(spectrum.t_pow(u)[start:stop], grid.n, compensated, start=start)
+
+
+def class_weights(weights: np.ndarray, n: int, q: float, start: int = 0) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Class-scaled weights s, their class sums Lambda, and each entry's class.
+
+    Entry i along every axis of ``weights`` is frequency start + i.  Each
+    class is scaled by its leader, the largest weight it holds (a maximum
+    fold over every axis), so s = (weights / leader[classes])^(2q) has
+    max s = 1 in every class; Lambda, shape (n,)*d, holds the per-class sums
+    of s: >= 1 in every occupied class, 0 in the empty ones.  ``classes`` is
+    an open mesh of class indices, so ``Lambda[classes]`` has the shape of
+    ``weights``.
+    """
+    weights = np.asarray(weights)
+    leader = weights
+    for axis in range(weights.ndim):
+        leader = folded_sums(leader, n, start=start, axis=axis, reduce=np.maximum)
+    classes = np.ix_(*[(start + np.arange(size)) % n for size in weights.shape])
+    s = np.power(weights / leader[classes], 2.0 * q)
+    lam = s
+    for axis in range(s.ndim):
+        lam = folded_sums(lam, n, start=start, axis=axis)
+    return s, lam, classes
 
 
 def equispaced_predict(theta: np.ndarray, n: int) -> np.ndarray:

@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import enum
+import functools
 import json
 import math
 import sys
@@ -384,6 +385,18 @@ SPEC_TYPES = {
 # Runners
 # ---------------------------------------------------------------------------
 
+# No 64-bit address space holds 2^56 array elements (2^59 bytes of doubles),
+# and from 2^59 on numpy raises ValueError, not MemoryError: such specs are
+# refused before anything is allocated.
+MAX_ELEMENTS = 1 << 56
+
+
+def _check_element_counts(counts: dict[str, Sequence[int]]) -> None:
+    """Refuse the first count (a product of sizes) >= MAX_ELEMENTS; sizes < 1 are left to the range checks."""
+    for what, factors in counts.items():
+        if min(factors, default=0) >= 1 and math.prod(factors) >= MAX_ELEMENTS:
+            raise ConfigurationError(f"out of memory: {what} = {' x '.join(map(str, factors))} elements, 2^56 or more")
+
 
 def _resolve_p_grid(spec) -> np.ndarray:
     """The sorted p grid of a sweep, checked against D and n."""
@@ -393,7 +406,8 @@ def _resolve_p_grid(spec) -> np.ndarray:
         check_truncations(spec.D, spec.n, ())  # n first: the rule divides by it
         if spec.D % spec.n != 0:
             raise ConfigurationError(f"p_rule 'paper' needs n | D, got D={spec.D}, n={spec.n} (field n)")
-        p_list = list(range(1, spec.n)) + [l * spec.n for l in range(1, spec.D // spec.n + 1)]
+        # ranges, not a comprehension: a list too large to allocate fails at once
+        p_list = [*range(1, spec.n), *range(spec.n, spec.D + 1, spec.n)]
     else:
         raise ConfigurationError(f"unknown p_rule {spec.p_rule!r} (field p_rule)")
     if not p_list:
@@ -433,6 +447,7 @@ def _sweep_columns(spec, groups: Sequence[tuple[float, float]], p: np.ndarray) -
 
 def run_risk_curve(spec: RiskCurveSpec) -> list[Path]:
     _check_format(spec.format)
+    _check_element_counts({"D": [spec.D]})
     groups, p = _curve_groups(spec)
     spectra = _spectra(spec.D, groups)
 
@@ -450,6 +465,7 @@ def run_risk_curve(spec: RiskCurveSpec) -> list[Path]:
 
 def run_mc_risk(spec: McRiskSpec) -> list[Path]:
     _check_format(spec.format)
+    _check_element_counts({"D": [spec.D], "trials x D": [spec.trials, spec.D]})  # bounds len(p) x trials too
     groups, p = _curve_groups(spec)
     spectra = _spectra(spec.D, groups)
     mc = McConfig(
@@ -481,6 +497,7 @@ def run_mc_risk(spec: McRiskSpec) -> list[Path]:
 
 def run_heatmap(spec: HeatmapSpec) -> list[Path]:
     _check_format(spec.format)
+    _check_element_counts({"D": [spec.D]})
     if spec.q_rule not in ("match-r", "fixed"):
         raise ConfigurationError(f"q_rule must be 'match-r' or 'fixed', got {spec.q_rule!r} (field q_rule)")
     if not spec.r_values:
@@ -526,6 +543,7 @@ def run_bound_check(spec: BoundCheckSpec) -> list[Path]:
             warnings.append(f"skipped {label}: rate bound needs l >= 2")
             continue
         if (D, r) not in spectra:
+            _check_element_counts({"D = tau x n": [tau, n]})
             spectra[D, r] = build_spectrum(D, r)
         spectrum = spectra[D, r]
         grid = classify_grid(D, n, p)
@@ -551,6 +569,7 @@ def run_bound_check(spec: BoundCheckSpec) -> list[Path]:
 
 def run_concentration(spec: ConcentrationSpec) -> list[Path]:
     _check_format(spec.format)
+    _check_element_counts({"D": [spec.D], "trials x D": [spec.trials, spec.D]})  # bounds len(p) x trials too
     spectrum = build_spectrum(spec.D, spec.r)
     grid = classify_grid(spec.D, spec.n, spec.p)
     mc = McConfig(
@@ -608,12 +627,13 @@ def run_interp(spec: InterpSpec) -> list[Path]:
     if not spec.methods:
         raise ConfigurationError("method list is empty (field methods)")
     methods = [_enum_value(Method, name, "methods") for name in spec.methods]
+    dimension = spec.dimension if spec.target is None else builtin_targets(spec.target).dimension
+    # d factors per grid; from d = 64 on any size >= 2 is past the limit already
+    sizes = {"n_axis": spec.n_axis, "p_axis": spec.p_axis, "eval_points": spec.eval_points}
+    _check_element_counts({f"{name}^d": [size] * min(dimension, 64) for name, size in sizes.items()})
     samples = None
-    if spec.target is not None:
-        dimension = builtin_targets(spec.target).dimension
-        target: str | np.ndarray = spec.target
-    else:
-        dimension = spec.dimension
+    target: str | np.ndarray | None = spec.target
+    if spec.samples_file is not None:
         samples = _load_samples_file(spec.samples_file, dimension, spec.n_axis)
         target = samples[:, -1].reshape((spec.n_axis,) * dimension)
     problem = InterpolationProblem(
@@ -818,9 +838,14 @@ def spec_from_args(args: argparse.Namespace):
     return spec_from_dict(cls, merged)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built on the first ``main`` call and reused by every later one."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         spec = spec_from_args(args)
         for path in RUNNERS[args.command](spec):
@@ -830,7 +855,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # sizes (D, trials, ...) too large for this machine
-        print(f"error: out of memory: {exc}", file=sys.stderr)
+        print(f"error: out of memory: {str(exc) or 'the sizes of the spec do not fit'}", file=sys.stderr)
         return 2
     except (SingularSystemError, NumericalInconsistencyError) as exc:
         print(f"numerical inconsistency: {exc}", file=sys.stderr)

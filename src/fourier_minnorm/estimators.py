@@ -5,14 +5,10 @@ Overparameterized (p >= n): the weighted min-norm estimator
     theta_T = S^(2q) F_T^* (F_T S^(2q) F_T^*)^(-1) y,   S = diag(t_T),
 
 is the minimiser of ||S^(-q) theta|| among interpolants with support in T.
-Features on n equispaced points alias modulo n for any column window, so the
-samples fix exactly the per-class sums c = ifft(y): sum_{k = m mod n}
-theta_k = c[m].  The minimiser spreads each class sum over its members in
-proportion to their weights s_k = t_k^(2q),
-
-    theta_k = s_k c[k mod n] / Lambda[k mod n],   Lambda[m] = sum_{k = m mod n} s_k,
-
-one inverse FFT of y and one broadcast (O(n log n + p)) for every p >= n.
+By the aliasing fact (see ``circulant``) the samples fix exactly the class
+sums c = ifft(y), and the fit is theta_k = s_k c[k mod n] / Lambda[k mod n]
+with the class weights of ``circulant.class_weights``: one inverse FFT of y
+and one broadcast (O(n log n + p)) for every p >= n.
 ``solve_weighted_minnorm``, the SVD pseudoinverse of F_T S^q, is the dense
 oracle this is tested against.
 
@@ -28,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circulant import equispaced_predict, fourier_matrix
+from .circulant import class_weights, equispaced_predict, fourier_matrix
 from .errors import ConfigurationError, RegimeError
 from .model import GridConfig, Spectrum, check_finite_nonnegative
 
@@ -67,16 +63,15 @@ def solve_weighted_minnorm(features: np.ndarray, weights: np.ndarray, q: float, 
 def _minnorm_kernel(t_T: np.ndarray, n: int, q: float) -> np.ndarray:
     """s_k / Lambda[k mod n] for every feature k < p, in blocks of n features.
 
-    The weight of feature k is s_k = (t_k / t_{k mod n})^(2q): t^(2q) with
-    each residue class scaled by its leading term.  The min-norm fit is
-    invariant under per-class scaling, and every class sum Lambda stays >= 1,
-    so no class underflows to zero however large q is.  Returns
-    (ceil(p/n), n), zero-padded past p.
+    s and Lambda are ``class_weights`` of t_T: the leader of class m < n is
+    t_m, so s_k = (t_k / t_{k mod n})^(2q).  Returns (ceil(p/n), n),
+    zero-padded past p.
     """
     p = len(t_T)
+    s, lam, _ = class_weights(t_T, n, q)
     kernel = np.zeros((-(-p // n), n))
-    kernel.reshape(-1)[:p] = np.power(t_T / t_T[np.arange(p) % n], 2.0 * q)
-    kernel /= kernel.sum(axis=0)
+    kernel.reshape(-1)[:p] = s
+    kernel /= lam
     return kernel
 
 

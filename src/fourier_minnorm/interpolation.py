@@ -14,21 +14,13 @@ Frequency weighting uses (1 + |k|)^(-1) per axis; in d > 1 either the
 separable product of axis weights or the non-separable Euclidean variant
 (1 + ||k||_2)^(-1).
 
-On n equispaced points per axis, feature k only depends on k mod n (per
-axis), so the weighted Gram matrix is multi-level circulant and every fit
-is a fold followed by one FFT.  With s_k = w_k^(2q), each residue class
-divided by its largest weight before the power, and Lambda the per-class
-sums of s, the weighted min-norm fit is
-
-    theta_k = s_k * fftn(y)[k mod n] / (n^d * Lambda[k mod n]).
-
-Plain min-norm and least squares are the same formula with s = 1 (for
-p <= n each class holds at most one frequency, so it is the projection
-onto the kept modes).  The class scaling leaves the fit unchanged and keeps
-every Lambda >= 1, so no q underflows it.  Likewise the series on the
-m-point equispaced grid of the problem's domain is m^d * ifftn of the
-coefficients folded modulo m (``evaluate_on_grid``); the dense matrix route
-(``evaluate_interpolant``) stays for arbitrary points.
+By the aliasing fact (see ``circulant``), on n equispaced points per axis
+the weighted min-norm fit is theta_k = s_k * fftn(y)[k mod n] / (n^d *
+Lambda[k mod n]) with ``circulant.class_weights``; plain min-norm and least
+squares take s = 1 (for p <= n each class holds at most one frequency).
+The series on the m-point grid of the problem's domain is m^d * ifftn of
+the coefficients folded modulo m (``evaluate_on_grid``); the dense matrix
+route (``evaluate_interpolant``) stays for arbitrary points.
 """
 
 from __future__ import annotations
@@ -41,7 +33,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, NumericalInconsistencyError, RegimeError, UnknownTargetError
-from .model import check_finite_nonnegative
+from .circulant import class_weights
+from .model import _check_integer, check_finite_nonnegative, folded_sums
 
 UNIT_DOMAIN = (0.0, 1.0)
 
@@ -167,6 +160,8 @@ class InterpolationProblem:
     domain: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
+        for name in ("dimension", "n_axis", "p_axis", "D_axis", "noise_seed"):
+            _check_integer(getattr(self, name), f"field {name}")
         if self.dimension < 1:
             raise ConfigurationError(f"dimension must be >= 1, got {self.dimension}")
         if self.n_axis < 1 or self.p_axis < 1:
@@ -236,36 +231,6 @@ class FittedInterpolant:
         return evaluate_interpolant(self.coefficients, axes, self.problem.domain)
 
 
-def _fold_axis(a: np.ndarray, m: int, axis: int, reduce: np.ufunc) -> np.ndarray:
-    a = np.moveaxis(a, axis, -1)
-    p = a.shape[-1]
-    if p <= m:  # at most one frequency per residue: a scatter
-        folded = np.zeros(a.shape[:-1] + (m,), dtype=a.dtype)
-        folded[..., symmetric_frequencies(p) % m] = a
-    else:
-        # In ascending order the frequencies -(p//2), ... start at slot
-        # (-(p//2)) mod m, so slot j holds a frequency = j (mod m).
-        start = (-(p // 2)) % m
-        blocks = -(-(start + p) // m)
-        padded = np.zeros(a.shape[:-1] + (blocks * m,), dtype=a.dtype)
-        padded[..., start : start + p] = np.fft.fftshift(a, axes=-1)
-        folded = reduce.reduce(padded.reshape(a.shape[:-1] + (blocks, m)), axis=-2)
-    return np.moveaxis(folded, -1, axis)
-
-
-def fold_frequencies(coefficients: np.ndarray, m: int, reduce: np.ufunc = np.add) -> np.ndarray:
-    """Combine the entries of an FFT-layout tensor that share a residue mod m, per axis.
-
-    Returns shape (m,)*d, entry c holding ``reduce`` over the frequencies
-    k = c (mod m); residues no frequency reaches hold 0, so ``reduce`` must
-    treat 0 as neutral (sums, or maxima of positive values).
-    """
-    out = np.asarray(coefficients)
-    for axis in range(out.ndim):
-        out = _fold_axis(out, m, axis, reduce)
-    return out
-
-
 def evaluate_on_grid(coefficients: np.ndarray, points_per_axis: int) -> np.ndarray:
     """The series on the problem grid ``axes(points_per_axis)``, shape (m,)*d, complex.
 
@@ -277,19 +242,19 @@ def evaluate_on_grid(coefficients: np.ndarray, points_per_axis: int) -> np.ndarr
     m = points_per_axis
     out = np.asarray(coefficients)
     for axis in range(out.ndim):
-        out = m * np.fft.ifft(_fold_axis(out, m, axis, np.add), axis=axis)
+        # ascending frequencies -(p//2), ..., so entry i is frequency start + i
+        p = out.shape[axis]
+        folded = folded_sums(np.fft.fftshift(out, axes=axis), m, start=-(p // 2), axis=axis)
+        out = m * np.fft.ifft(folded, axis=axis)
     return out
 
 
 def _class_fit(y: np.ndarray, weights: np.ndarray, q: float) -> np.ndarray:
     """theta_k = s_k * fftn(y)[k mod n] / (n^d * Lambda[k mod n]) for (p,)*d weights."""
     d, n, p = y.ndim, y.shape[0], weights.shape[0]
-    classes = np.ix_(*[symmetric_frequencies(p) % n] * d)
-    s = np.power(weights / fold_frequencies(weights, n, np.maximum)[classes], 2.0 * q)  # 1 at q = 0
-    lam = fold_frequencies(s, n)
-    # Occupied classes have Lambda >= 1 (their leader has s = 1); empty ones
-    # (p < n) hold 0 and are never read, the floor only avoids 0/0.
-    return s * (np.fft.fftn(y) / (n**d * np.maximum(lam, 1.0)))[classes]
+    s, lam, classes = class_weights(np.fft.fftshift(weights), n, q, start=-(p // 2))  # s = 1 at q = 0
+    # Empty classes (p < n) hold Lambda = 0 and are never read; the floor only avoids 0/0.
+    return np.fft.ifftshift(s * (np.fft.fftn(y) / (n**d * np.maximum(lam, 1.0)))[classes])
 
 
 def _log_weighted_norm(theta: np.ndarray, weights: np.ndarray, q: float) -> float:

@@ -63,8 +63,15 @@ def check_finite_nonnegative(value: float, name: str) -> None:
         raise ConfigurationError(f"{name} must be finite and >= 0, got {value}")
 
 
+def _check_integer(value, name: str) -> None:
+    """Raise ConfigurationError unless ``value`` is an int or numpy integer (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+
+
 def build_spectrum(D: int, r: float) -> Spectrum:
     """Construct the D-term decay sequence and its normaliser for exponent r."""
+    _check_integer(D, "feature count D")
     if D < 1:
         raise ConfigurationError(f"feature count D must be >= 1, got {D}")
     check_finite_nonnegative(r, "decay exponent r")
@@ -105,8 +112,11 @@ class GridConfig:
 
 def classify_grid(D: int, n: int, p: int) -> GridConfig:
     """Tag a (D, n, p) configuration; deterministic in its inputs."""
+    _check_integer(D, "feature count D")
+    _check_integer(n, "sample count n")
     if not 1 <= n <= D:
         raise ConfigurationError(f"sample count n={n} outside [1, D={D}]")
+    _check_integer(p, "truncation p")
     if not 1 <= p <= D:
         raise ConfigurationError(f"truncation p={p} outside [1, D={D}]")
     tau = D // n if D % n == 0 else None
@@ -123,19 +133,22 @@ def classify_grid(D: int, n: int, p: int) -> GridConfig:
 def check_truncations(D: int, n: int, p_values: Sequence[int]) -> np.ndarray:
     """``p_values`` as an int array, checked in one pass as ``classify_grid`` checks each.
 
-    Raises ``classify_grid``'s error for an n outside [1, D], else for the
-    first p outside [1, D].
+    Raises ``classify_grid``'s error for a bad D or n, else for the first p
+    that is not an integer in [1, D].  An integer array is checked in one
+    array pass; any other sequence value by value.
     """
-    if not 1 <= n <= D:
-        raise ConfigurationError(f"sample count n={n} outside [1, D={D}]")
-    try:
-        p = np.asarray(p_values, dtype=int)
-    except OverflowError:  # beyond int64, so outside [1, D] too
-        p = None
-    if p is None or ((p < 1) | (p > D)).any():
-        first = next(int(v) for v in p_values if not 1 <= int(v) <= D)
-        raise ConfigurationError(f"truncation p={first} outside [1, D={D}]")
-    return p
+    classify_grid(D, n, 1)
+    p = np.asarray(p_values)
+    if not (isinstance(p_values, np.ndarray) and p.dtype.kind in "iu"):
+        for value in p_values:
+            _check_integer(value, "truncation p")
+            if not 1 <= value <= D:
+                raise ConfigurationError(f"truncation p={value} outside [1, D={D}]")
+        return p.astype(int)
+    outside = (p < 1) | (p > D)
+    if outside.any():
+        raise ConfigurationError(f"truncation p={p[outside.argmax()]} outside [1, D={D}]")
+    return p.astype(int, copy=False)
 
 
 def regime_tags(n: int, p: np.ndarray) -> np.ndarray:
@@ -144,25 +157,36 @@ def regime_tags(n: int, p: np.ndarray) -> np.ndarray:
     return np.where(p < n, Regime.UNDER.value, aligned)
 
 
-def folded_sums(values: np.ndarray, n: int, compensated: bool = False) -> np.ndarray:
-    """Per-residue sums s_m = sum of values[..., k] over k = m (mod n), m in [0, n).
+def folded_sums(
+    values: np.ndarray, n: int, compensated: bool = False, *, start: int = 0, axis: int = -1,
+    reduce: np.ufunc = np.add,
+) -> np.ndarray:
+    """Fold ``values`` along ``axis`` modulo n: entry m holds ``reduce`` over residue class m.
 
-    Folds the last axis; leading axes are a batch, and each row is summed
-    exactly as it would be on its own.  Accumulation runs in ascending block
-    order; with ``compensated`` a Kahan loop replaces the vectorised sum
-    (engaged for very large D).
+    Entry i along ``axis`` is frequency start + i, in class (start + i) mod n.
+    Classes no entry reaches hold 0, so ``reduce`` must treat 0 as neutral
+    (sums, or maxima of values >= 0).  Other axes are a batch, each row folded
+    exactly as on its own.  The fold adds blocks of n from entry 0 in order
+    (zero-padded at the end), then rolls by start mod n.  With ``compensated``
+    sums take a Kahan loop instead of the vectorised sum (engaged for very
+    large D); maxima are exact either way.
     """
     if n < 1:
         raise ConfigurationError(f"fold length must be >= 1, got {n}")
     values = np.asarray(values)
-    pad = (-values.shape[-1]) % n
+    shape = values.shape
+    axis %= len(shape)
+    blocks = -(-shape[axis] // n) or 1  # one block at least: an empty fold is all zeros, maxima too
+    pad = blocks * n - shape[axis]
     if pad:
-        values = np.concatenate([values, np.zeros(values.shape[:-1] + (pad,), dtype=values.dtype)], axis=-1)
-    block = values.reshape(*values.shape[:-1], -1, n)
-    if not compensated:
-        return block.sum(axis=-2)
-    stacked = np.concatenate([np.zeros(block.shape[:-2] + (1, n), dtype=block.dtype), block], axis=-2)
-    return accumulate_blocks(np.moveaxis(stacked, -2, 0), compensated=True)[-1]
+        values = np.concatenate([values, np.zeros(shape[:axis] + (pad,) + shape[axis + 1 :], values.dtype)], axis)
+    block = values.reshape(shape[:axis] + (blocks, n) + shape[axis + 1 :])
+    if compensated and reduce is np.add:
+        folded = accumulate_blocks(np.moveaxis(block, axis, 0).copy(), compensated=True)[-1]
+    else:
+        folded = reduce.reduce(block, axis=axis)
+    shift = start % n
+    return np.roll(folded, shift, axis=axis) if shift else folded
 
 
 def accumulate_blocks(blocks: np.ndarray, compensated: bool = False) -> np.ndarray:

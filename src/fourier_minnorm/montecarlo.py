@@ -8,8 +8,8 @@ squared recovery error of the regime-appropriate estimator.
 it estimates a whole p sweep in one pass.  Trials are taken in blocks of a
 fixed number of coefficients (16 trials at D = 1024).  Each trial's theta is
 drawn once per sweep, the block is folded to its samples y once, and the
-class sums c = ifft(y) are taken once; c is shared by every p, because
-features alias modulo n.  Each p then costs only elementwise work: p <= n
+class sums c = ifft(y) are taken once; c is shared by every p (the aliasing
+fact, see ``circulant``).  Each p then costs only elementwise work: p <= n
 reads c[:, :p] (least squares), every p > n broadcasts c against the
 min-norm kernel s_k / Lambda[k mod n] of ``estimators``, built once per p.
 ``empirical_risk`` is the one-point call.
@@ -39,7 +39,7 @@ import numpy as np
 from .circulant import equispaced_predict
 from .errors import ConfigurationError
 from .estimators import _minnorm_fit, _minnorm_kernel
-from .model import GridConfig, Spectrum, check_finite_nonnegative, check_truncations
+from .model import GridConfig, Spectrum, _check_integer, check_finite_nonnegative, check_truncations
 from .risktheory import concentration_bound
 
 # Trials are solved in blocks of about this many complex coefficients (16
@@ -63,9 +63,7 @@ class McConfig:
 
     def __post_init__(self) -> None:
         for name in ("trials", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+            _check_integer(getattr(self, name), name)
         if self.trials < 1:
             raise ConfigurationError(f"trials must be >= 1, got {self.trials}")
         if not 0.0 < self.confidence < 1.0:

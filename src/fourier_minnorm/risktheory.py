@@ -9,12 +9,11 @@ provided for each regime and cross-validated in the tests:
 * trace forms that materialise the feature matrices densely (any grid with
   the right (n, p) ordering), kept as test and benchmark oracles.
 
-Feature k = m + n*nu lies in residue class m and block nu.  Features on n
-equispaced points alias modulo n for any column window, so the weighted Gram
-F_T W F_T^* is circulant with eigenvalues n times the per-class sums of W
-(empty classes give 0).  Overparameterized closed form at any p >= n, with
-A(m, u) the sum of t_k^u over the members k of class m in [0, p) and C(m, u)
-the same sum over members in [p, D):
+Feature k = m + n*nu lies in residue class m and block nu.  By the aliasing
+fact (see ``circulant``) every risk splits into sums over residue classes.
+Overparameterized closed form at any p >= n, with A(m, u) the sum of t_k^u
+over the members k of class m in [0, p) and C(m, u) the same sum over
+members in [p, D):
 
     P_q  = c_r * sum_m A(m, 2q+2r) / A(m, 2q)
     Q_q1 = c_r * sum_m A(m, 4q) A(m, 2r) / A(m, 2q)^2
@@ -27,15 +26,11 @@ fitted classes,
     risk = c_r * (sum_{j >= p} t_j^(2r) + sum_{m < p} C(m, 2r) at p = n).
 
 ``theory_risks`` evaluates a whole p sweep in one pass.  Every p <= n reads
-one entry of the tail and cumulative alias sums.  Every p > n reads running
-sums over blocks of n features, on any D: with the weights zero-padded to
-whole blocks, A(., u) at p = l*n + s is row l of the prefix block sums of t^u
-for the classes m >= s and row l + 1 for m < s, and C(., 2r) the same rows of
-the suffix sums (taken from the last block down, never a total minus a
-prefix).  A point with s = 0 reads one whole row.
-Class m is scaled by t_m^(-2q), i.e. summed with weights (t_k / t_m)^(2q)
-whose leading term is 1; every ratio above is unchanged, and A(m, 2q) >= 1
-keeps t^(4q) from underflowing to 0/0 at large q.  At D >=
+one entry of the tail and cumulative alias sums; every p > n, on any D, reads
+prefix and suffix sums over blocks of n features (``_over_points``).
+Class m is scaled by its leader t_m as in ``circulant.class_weights``, i.e.
+summed with weights (t_k / t_m)^(2q); every ratio above is unchanged, and
+A(m, 2q) >= 1 keeps t^(4q) from underflowing to 0/0 at large q.  At D >=
 COMPENSATED_SUM_MIN_D the running sums carry Kahan compensation from block to
 block.  The single-point functions ``risk_over_closed``,
 ``risk_under_closed`` and ``theory_risk`` accept any grid and read the same
@@ -338,8 +333,7 @@ def lowest_risks(spectrum: Spectrum, n: int, q: float) -> LowestRisks:
     one sweep.  For q >= r >= 1 the over-regime minimum is strictly smaller.
     """
     D = spectrum.D
-    if not 1 <= n <= D:
-        raise ConfigurationError(f"sample count n={n} outside [1, D={D}]")
+    check_truncations(D, n, ())
     _check_q(q)
     under_star = 2.0 * spectrum.c_r * spectrum.tail_sum(2.0 * spectrum.decay_r, start=n)
     over, _ = _finalize_risks(_over_points(spectrum, n, q, n * np.arange(1, D // n + 1))[3])

@@ -13,6 +13,7 @@ from fourier_minnorm import (
     fourier_matrix,
     gram_eigenvalues,
 )
+from fourier_minnorm.circulant import class_weights
 
 
 def dense_gram(spectrum, grid, u, side):
@@ -127,3 +128,31 @@ class TestEquispacedPredict:
         n = 4
         dense = fourier_matrix(n, 0, 13) @ theta
         np.testing.assert_allclose(equispaced_predict(theta, n), dense, atol=1e-12)
+
+
+class TestClassWeights:
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_every_occupied_class_has_leader_one_and_sum_at_least_one(self, data):
+        d = data.draw(st.integers(1, 2), label="d")
+        n = data.draw(st.integers(1, 7), label="n")
+        size = data.draw(st.integers(1, 3 * n + 1), label="size")
+        start = data.draw(st.integers(-20, 20), label="start")
+        q = data.draw(st.sampled_from([0.0, 0.5, 1.0, 3.0, 40.0]), label="q")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        weights = rng.uniform(0.01, 1.0, (size,) * d)
+        s, lam, classes = class_weights(weights, n, q, start)
+        assert s.shape == lam[classes].shape == weights.shape and lam.shape == (n,) * d
+        # per-class loop over every entry, its class read from its frequency start + i per axis
+        members: dict[tuple, list] = {}
+        for index in np.ndindex(*weights.shape):
+            members.setdefault(tuple((start + i) % n for i in index), []).append(index)
+        for cls in np.ndindex(*lam.shape):
+            if cls not in members:
+                assert lam[cls] == 0.0
+                continue
+            in_class = [s[index] for index in members[cls]]
+            assert max(in_class) == 1.0
+            assert lam[cls] >= 1.0
+            np.testing.assert_allclose(lam[cls], math.fsum(in_class), rtol=1e-13)
+            assert all(lam[classes][index] == lam[cls] for index in members[cls])

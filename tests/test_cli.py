@@ -3,8 +3,13 @@ import dataclasses
 import io
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
 import types
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +29,7 @@ from fourier_minnorm.cli import (
     spec_from_dict,
     spec_to_dict,
 )
+import fourier_minnorm
 import fourier_minnorm.interpolation as interpolation
 from fourier_minnorm import build_spectrum, classify_grid, risk_trace_over
 from fourier_minnorm.interpolation import sample_axis
@@ -842,13 +848,73 @@ class TestExitCodes:
         [
             ["mc-risk", "-D", "8", "-n", "2", "--r-values", "1", "--p-values", "1", "--trials", str(2**56)],
             ["risk-curve", "-D", str(2**56), "-n", "1", "--r-values", "1", "--p-values", "1"],
+            # from 2^60 elements on, numpy's own error was a ValueError and exit 1
+            ["mc-risk", "-D", "8", "-n", "2", "--r-values", "1", "--p-values", "1", "--trials", str(2**60)],
+            ["concentration", "-D", "8", "-n", "2", "-p", "4", "--r", "1", "--q", "1", "--trials", str(2**60)],
+            ["heatmap", "-D", str(2**60), "-n", "1", "--r-values", "1", "--p-values", "1"],
+            ["bound-check", "--n-values", str(2**58), "--r-values", "1", "--l-values", "2", "--tau-multipliers", "2"],
+            ["interp", "--target", "cos2d", "--n-axis", "4", "--p-axis", "4", "--d-axis", "8", "--q", "1",
+             "--eval-points", str(2**40)],
+            ["interp", "--target", "cubic1d", "--n-axis", str(2**60), "--p-axis", "4", "--d-axis", "8", "--q", "1",
+             "--methods", "least-squares"],
         ],
-        ids=["trials", "D"],
+        ids=["trials", "D", "trials-2^60", "concentration", "heatmap", "bound-check", "eval-points", "n-axis"],
     )
     def test_unallocatable_size_is_one_error_line(self, tmp_path, capsys, argv):
-        # 2^56 eight-byte elements (512 PiB) exceed any 64-bit address space,
-        # so the allocation fails at once, without touching memory
+        # 2^56 eight-byte elements (512 PiB) exceed any 64-bit address space:
+        # the spec is refused before anything is allocated
         assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory") and err.count("\n") == 1
         assert not list(tmp_path.iterdir())
+
+    def test_paper_rule_too_large_to_list_fails_at_once(self, tmp_path):
+        # D is below the element limit, but the paper rule's 2^55 truncations
+        # cannot be listed.  The run gets a 1 GiB address-space limit, so a list
+        # built entry by entry stops there instead of filling the machine.
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        argv = ["risk-curve", "-D", str(2**55), "-n", "1", "--r-values", "1", "--out", str(tmp_path / "x.csv")]
+        env = dict(os.environ, PYTHONPATH=str(Path(fourier_minnorm.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
+        done = subprocess.run([sys.executable, "-m", "fourier_minnorm", *argv], env=env, preexec_fn=limit,
+                              capture_output=True, timeout=120)
+        err = done.stderr.decode()
+        assert done.returncode == 2 and err == "error: out of memory: the sizes of the spec do not fit\n", err
+        assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss < 512 * 1024  # KiB: nothing was filled
+        assert not list(tmp_path.iterdir())
+
+    def test_large_ambient_axis_allocates_nothing_and_runs(self, tmp_path):
+        # D_axis^d is 2^60, but only the p_axis^d fit is ever allocated
+        argv = ["interp", "--target", "cos2d", "--n-axis", "4", "--p-axis", "4", "--d-axis", str(2**30), "--q", "1",
+                "--methods", "least-squares", "--eval-points", "4", "--out", str(tmp_path / "x")]
+        assert main(argv) == 0
+
+
+class TestParserReuse:
+    ARGV = ["mc-risk", "-D", "64", "-n", "8", "--r-values", "1.0", "--q-values", "0.0,1.0", "--trials", "20",
+            "--seed", "3"]
+
+    def _fresh(self, argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(fourier_minnorm.__file__).parents[1]), COLUMNS="100")
+        return subprocess.run([sys.executable, "-m", "fourier_minnorm", *argv], env=env, capture_output=True,
+                              timeout=120)
+
+    def test_run_after_rejected_argvs_matches_a_fresh_process(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "100")
+        with pytest.raises(SystemExit) as exc:
+            main(["mc-risk", "--trials", "many"])  # argparse rejects it
+        assert exc.value.code == 2
+        assert main(["risk-curve", "-D", "8", "-n", "16", "--r-values", "1", "--out", str(tmp_path / "bad.csv")]) == 2
+        assert main([*self.ARGV, "--out", str(tmp_path / "here.csv")]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["mc-risk", "--help"])
+        assert exc.value.code == 0
+        help_here = capsys.readouterr().out.split("\n", 1)[1]  # after the "wrote ..." line
+
+        fresh = self._fresh([*self.ARGV, "--out", str(tmp_path / "fresh.csv")])
+        assert fresh.returncode == 0, fresh.stderr
+        assert (tmp_path / "here.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+        fresh_help = self._fresh(["mc-risk", "--help"])
+        assert fresh_help.returncode == 0
+        assert help_here == fresh_help.stdout.decode()

@@ -23,11 +23,11 @@ from fourier_minnorm.interpolation import (
     axis_feature_matrix,
     axis_weights,
     evaluate_on_grid,
-    fold_frequencies,
     sample_axis,
     tensor_weights,
     training_samples,
 )
+from fourier_minnorm.model import folded_sums
 
 
 class TestFrequencyLayout:
@@ -190,6 +190,13 @@ class TestFitInterpolant:
         with pytest.raises(ConfigurationError):
             InterpolationProblem(dimension=1, n_axis=8, p_axis=8, D_axis=8, q=-1.0, target="cubic1d")
 
+    @pytest.mark.parametrize("field, value", [("n_axis", 15.5), ("p_axis", 31.0), ("D_axis", float("nan")),
+                                              ("dimension", True), ("noise_seed", 1.5)])
+    def test_sizes_must_be_integers(self, field, value):
+        sizes = dict(dimension=1, n_axis=15, p_axis=31, D_axis=100, noise_seed=0)
+        with pytest.raises(ConfigurationError, match=f"^field {field} must be an integer, got {value!r}$"):
+            InterpolationProblem(q=1.0, target="cubic1d", **{**sizes, field: value})
+
 
 def dense_fit(problem, method):
     """The fit from one dense solve of the flattened (Kronecker) system."""
@@ -275,9 +282,14 @@ class TestEvaluateOnGrid:
 
     def test_fold_sums_and_maxima_per_residue_class(self):
         values = np.arange(1.0, 8.0)  # frequencies 0, 1, 2, 3, -3, -2, -1
-        np.testing.assert_array_equal(fold_frequencies(values, 3), [1 + 4 + 5, 2 + 6, 3 + 7])
-        np.testing.assert_array_equal(fold_frequencies(values, 3, np.maximum), [5, 6, 7])
-        np.testing.assert_array_equal(fold_frequencies(values, 9), [1, 2, 3, 4, 0, 0, 5, 6, 7])
+        ascending = np.fft.fftshift(values)  # frequencies -3, ..., 3: the fold starts at -3
+
+        def fold(m, reduce=np.add):
+            return folded_sums(ascending, m, start=-(len(values) // 2), reduce=reduce)
+
+        np.testing.assert_array_equal(fold(3), [1 + 4 + 5, 2 + 6, 3 + 7])
+        np.testing.assert_array_equal(fold(3, np.maximum), [5, 6, 7])
+        np.testing.assert_array_equal(fold(9), [1, 2, 3, 4, 0, 0, 5, 6, 7])
 
 
 class TestEvaluateInterpolant:

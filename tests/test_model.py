@@ -7,11 +7,14 @@ from hypothesis import strategies as st
 
 from fourier_minnorm import (
     ConfigurationError,
+    McConfig,
     Regime,
     RegimeError,
     build_spectrum,
     classify_grid,
     cr_bounds,
+    empirical_risks,
+    theory_risks,
 )
 from fourier_minnorm.model import accumulate_blocks, check_truncations, folded_sums, regime_tags
 
@@ -144,6 +147,34 @@ class TestClassifyGrid:
 
 
 
+# integers in and out of range, numpy integers, and values that are not integers
+SIZES = st.one_of(
+    st.integers(min_value=-3, max_value=70),
+    st.integers(min_value=-3, max_value=70).map(np.int64),
+    st.integers(min_value=0, max_value=70).map(np.uint16),
+    st.floats(),
+    st.booleans(),
+)
+
+
+def first_bad_size(D, n, p_values):
+    """Reference: the error text for the first bad value, checking n, then each p in turn."""
+
+    def is_integer(value):
+        return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+    if not is_integer(n):
+        return f"sample count n must be an integer, got {n!r}"
+    if not 1 <= n <= D:
+        return f"sample count n={n} outside [1, D={D}]"
+    for p in p_values:
+        if not is_integer(p):
+            return f"truncation p must be an integer, got {p!r}"
+        if not 1 <= p <= D:
+            return f"truncation p={p} outside [1, D={D}]"
+    return None
+
+
 class TestCheckTruncations:
     @given(
         D=st.integers(min_value=1, max_value=64),
@@ -176,6 +207,51 @@ class TestCheckTruncations:
         with pytest.raises(ConfigurationError, match=f"truncation p={2**70} outside"):
             check_truncations(8, 2, [4, 2**70])
 
+    @given(
+        D=st.integers(min_value=1, max_value=64),
+        n=SIZES,
+        p_values=st.lists(SIZES, max_size=8),
+        as_array=st.booleans(),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_names_the_first_value_that_is_not_an_integer_in_range(self, D, n, p_values, as_array):
+        expected = first_bad_size(D, n, p_values)
+        if as_array and expected is None:
+            p_values = np.asarray(p_values, dtype=np.int64)
+        checks = (
+            lambda: check_truncations(D, n, p_values),
+            lambda: [classify_grid(D, n, p) for p in [1, *p_values]],  # point by point
+        )
+        for check in checks:
+            if expected is None:
+                check()
+            else:
+                with pytest.raises(ConfigurationError) as raised:
+                    check()
+                assert str(raised.value) == expected
+        if expected is None:
+            assert check_truncations(D, n, p_values).tolist() == [int(p) for p in p_values]
+
+    @pytest.mark.parametrize("p", [16.7, 16.0, math.nan, math.inf, True])
+    def test_sweeps_reject_a_p_that_is_not_an_integer(self, p):
+        spectrum, mc = build_spectrum(64, 1.0), McConfig(trials=2, seed=0)
+        message = f"^truncation p must be an integer, got {p!r}$"
+        with pytest.raises(ConfigurationError, match=message):
+            theory_risks(spectrum, 8, 1.0, [4, p])
+        with pytest.raises(ConfigurationError, match=message):
+            empirical_risks(spectrum, 8, 1.0, [4, p], mc)
+        with pytest.raises(ConfigurationError, match=message):
+            classify_grid(64, 8, p)
+
+    @pytest.mark.parametrize("D", [64.0, 16.7, math.nan, False])
+    def test_rejects_a_D_that_is_not_an_integer(self, D):
+        message = f"^feature count D must be an integer, got {D!r}$"
+        with pytest.raises(ConfigurationError, match=message):
+            classify_grid(D, 8, 16)
+        with pytest.raises(ConfigurationError, match=message):
+            build_spectrum(D, 1.0)
+
+
 class TestFoldedSums:
     def test_plain_fold(self):
         out = folded_sums(np.arange(6, dtype=float), 3)
@@ -184,6 +260,38 @@ class TestFoldedSums:
     def test_pads_partial_block(self):
         out = folded_sums(np.arange(5, dtype=float), 3)
         np.testing.assert_allclose(out, [3.0, 5.0, 2.0])
+
+    def test_start_places_entry_i_in_class_start_plus_i(self):
+        values = np.arange(1.0, 8.0)  # frequencies -3, ..., 3
+        np.testing.assert_array_equal(folded_sums(values, 3, start=-3), [1 + 4 + 7, 2 + 5, 3 + 6])
+        np.testing.assert_array_equal(folded_sums(values, 3, start=-3, reduce=np.maximum), [7, 5, 6])
+        np.testing.assert_array_equal(folded_sums(values, 9, start=-3), [4, 5, 6, 7, 0, 0, 1, 2, 3])
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_a_per_class_loop(self, data):
+        n = data.draw(st.integers(1, 9), label="n")
+        length = data.draw(st.integers(0, 3 * n + 2), label="length")
+        batch = data.draw(st.integers(0, 3), label="batch")
+        axis = data.draw(st.sampled_from([0, 1, -1, -2]), label="axis")
+        start = data.draw(st.integers(-40, 40), label="start")
+        reduce = data.draw(st.sampled_from([np.add, np.maximum]), label="reduce")
+        compensated = data.draw(st.booleans(), label="compensated")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        shape = [batch, batch]
+        shape[axis] = length
+        values = rng.random(shape)
+        out = folded_sums(values, n, compensated, start=start, axis=axis, reduce=reduce)
+        rows = np.moveaxis(values, axis, -1)
+        expected = np.zeros((batch, n))
+        for i in range(length):  # entry i is frequency start + i, in class (start + i) mod n
+            expected[:, (start + i) % n] = reduce(expected[:, (start + i) % n], rows[:, i])
+        got = np.moveaxis(out, axis, -1)
+        if compensated and reduce is np.add:
+            exact = [[math.fsum(row[(np.arange(length) + start) % n == m]) for m in range(n)] for row in rows]
+            np.testing.assert_allclose(got, np.reshape(exact, (batch, n)), rtol=1e-15, atol=0)
+        else:  # the same additions in the same order, or exact maxima
+            np.testing.assert_array_equal(got, expected)
 
     def test_compensated_matches_plain(self):
         rng = np.random.default_rng(7)
