@@ -9,22 +9,37 @@ it estimates a whole p sweep in one pass.  Trials are taken in blocks of a
 fixed number of coefficients (16 trials at D = 1024).  Each trial's theta is
 drawn once per sweep, the block is folded to its samples y once, and the
 class sums c = ifft(y) are taken once; c is shared by every p (the aliasing
-fact, see ``circulant``).  Each p then costs only elementwise work: p <= n
-reads c[:, :p] (least squares), every p > n broadcasts c against the
-min-norm kernel s_k / Lambda[k mod n] of ``estimators``, built once per p.
-``empirical_risk`` is the one-point call.
+fact, see ``circulant``): p <= n fits c[:, :p] (least squares), every p > n
+broadcasts c against the min-norm kernel s_k / Lambda[k mod n] of
+``estimators``, built once per p.  ``empirical_risk`` is the one-point call.
+
+The same fact splits each trial's error sum_k |theta_k - theta_hat_k|^2 into
+a head over the fitted features and |theta_k|^2 summed over fixed blocks of
+n.  Per block of trials, P_k = |theta_k|^2 is squared once, B_j sums P over
+block j of n columns (zero-padded past D), and S_j = sum_{i >= j} B_i is one
+reversed cumulative sum.  Every p <= n then reads H[p - 1] + R[p] + S_1 from
+one prefix sum H of the fit's squared errors and one reversed prefix sum R of
+P over the first n columns; a p > n sums the fit's squared errors over its
+ceil(p/n) blocks (P past p fills the last one) and adds S_ceil(p/n).  So only
+a min-norm p costs work in proportion to p, and each part is summed in an
+order fixed by (D, n, p) alone.
 
 Reproducibility: trial i draws from a Philox stream keyed by
-(seed, spawn_key=(i,)), so the sample stream is bit-identical for a given
-(seed, trials) regardless of execution order, blocking or worker count, and
-every estimate equals, bit for bit, the one-trial-at-a-time loop
-trial_generator -> sample_theta -> equispaced_predict -> least_squares or
-weighted_minnorm.  Philox is counter-based: a stream is fixed by its 128-bit
-key alone.  ``empirical_risks`` therefore derives every trial's key up front
-in a few uint32 array passes that replay SeedSequence's hash (``_trial_keys``),
-re-keys one generator per call for each trial, draws the trial's normals
-straight into its row of a block buffer, and scales the whole block with
-``_scale_block``, the arithmetic ``sample_theta`` applies to one row.
+(seed, spawn_key=(i,)), and the coefficient vectors are, bit for bit, those
+of the one-trial-at-a-time loop trial_generator -> sample_theta.  Philox is
+counter-based: a stream is fixed by its 128-bit key alone.
+``empirical_risks`` therefore derives every trial's key up front in a few
+uint32 array passes that replay SeedSequence's hash (``_trial_keys``), and
+``_block_sampler`` re-keys one generator for each trial, draws the trial's
+normals straight into its row of a block buffer and scales the whole block
+with ``_scale_block``, the arithmetic ``sample_theta`` applies to one row.
+Since every sum's order is fixed by (D, n, p), each sample is bit-identical
+across block sizes, worker counts, reruns and the other p of the sweep (a
+point call equals its sweep entry).  Each error sums the same nonnegative
+terms as the loop's theta - least_squares or weighted_minnorm fit, with no
+term passing through more than n + ceil(D/n) additions, so it lies within
+gamma_d = d u / (1 - d u) of their math.fsum, relative, for
+d = n + ceil(D/n) + 2 and u = 2^-53.
 """
 
 from __future__ import annotations
@@ -205,6 +220,36 @@ def _trial_keys(seed: int, trials: np.ndarray) -> np.ndarray:
     return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=-1)
 
 
+def _block_sampler(scale: np.ndarray, model: CoefficientModel):
+    """``draw(keys, draws, theta)``: the coefficient vectors of keyed trials, one per row.
+
+    Row i of ``theta`` becomes, bit for bit, sample_theta(spectrum, model,
+    trial_generator(seed, trial_i)) for keys = _trial_keys(seed, trials):
+    one generator, re-keyed for each trial (counter 0 and an empty buffer
+    make it that trial's stream), draws straight into row i of ``draws``
+    ((len(keys), _draw_width) scratch), and ``_scale_block`` scales them all.
+    """
+    bit_generator = np.random.Philox(0)
+    rng = np.random.Generator(bit_generator)
+    state = bit_generator.state
+
+    def draw(keys: np.ndarray, draws: np.ndarray, theta: np.ndarray) -> None:
+        for g, key in zip(draws, keys):
+            state["state"]["key"] = key
+            bit_generator.state = state
+            rng.standard_normal(out=g)
+        _scale_block(scale, model, draws, theta)
+
+    return draw
+
+
+def _squared_modulus(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = z.real**2 + z.imag**2, bit for bit; ``z`` is overwritten."""
+    parts = z.view(float)
+    np.square(parts, out=parts)
+    return np.add(parts[..., 0::2], parts[..., 1::2], out=out)
+
+
 def empirical_risks(
     spectrum: Spectrum, n: int, q: float, p_values: Sequence[int], mc: McConfig
 ) -> list[McRiskEstimate]:
@@ -212,57 +257,90 @@ def empirical_risks(
 
     p <= n fits least squares (q has no effect there, sample by sample);
     p > n fits the min-norm estimator with exponent q.  Every trial is drawn
-    once and shared by all p (see the module docstring); the returned
+    once and shared by all p, and each error is a head over the fitted
+    features plus block tails (see the module docstring); the returned
     ``samples`` arrays are read-only.
     """
     check_finite_nonnegative(q, "weighting exponent q")
-    p_list = check_truncations(spectrum.D, n, p_values).tolist()
-    kernels = {p: _minnorm_kernel(spectrum.t[:p], n, q) for p in p_list if p > n}
-    keys = _trial_keys(mc.seed, np.arange(mc.trials))
-    scale = _theta_scale(spectrum)
-    width = _draw_width(mc.coefficient_model, spectrum.D)
-    step = max(1, _BLOCK_ELEMENTS // spectrum.D)
-    samples = np.empty((len(p_list), mc.trials))
-    # One set of block arrays serves every block: arrays this large, allocated
-    # afresh per block, can be handed back to the system on each free and
-    # page-faulted in again.  The draws are spent once theta is scaled, so
-    # the two halves of their memory serve as the (contiguous) squared-error
-    # buffers.
-    rows, D = min(step, mc.trials), spectrum.D
-    theta_buffer, diff_buffer = np.empty((rows, D), dtype=complex), np.empty((rows, D), dtype=complex)
-    draw_buffer = np.empty((rows, 2 * D))
-    err_buffer, imag_buffer = draw_buffer.reshape(2, rows, D)
-    # One generator per call, re-keyed for each trial: counter 0 and an empty
-    # buffer make it the stream of trial_generator(seed, trial).
-    bit_generator = np.random.Philox(0)
-    rng = np.random.Generator(bit_generator)
-    state = bit_generator.state
-    for first in range(0, mc.trials, step):
-        block = range(first, min(first + step, mc.trials))
-        theta, diff = theta_buffer[: len(block)], diff_buffer[: len(block)]
-        draws = draw_buffer[: len(block), :width]
-        for g, key in zip(draws, keys[block.start : block.stop]):
-            state["state"]["key"] = key
-            bit_generator.state = state
-            rng.standard_normal(out=g)
-        _scale_block(scale, mc.coefficient_model, draws, theta)
-        c = np.fft.ifft(equispaced_predict(theta, n))
-        for row, p in zip(samples, p_list):
-            # the min-norm fit is written into diff, then diff = theta - fit in place
-            fit = c[:, :p] if p <= n else _minnorm_fit(c, kernels[p], p, out=diff[:, :p])
-            np.subtract(theta[:, :p], fit, out=diff[:, :p])
-            diff[:, p:] = theta[:, p:]
-            err = np.square(diff.real, out=err_buffer[: len(block)])
-            err += np.square(diff.imag, out=imag_buffer[: len(block)])
-            row[block.start : block.stop] = np.sum(err, axis=1)
+    # every distinct p once, ascending: the least-squares p <= n come first
+    p_sorted, where = np.unique(check_truncations(spectrum.D, n, p_values), return_inverse=True)
+    samples = _squared_errors(spectrum, n, q, p_sorted, mc)
+    if not np.array_equal(where, np.arange(len(where))):
+        samples = samples[where]  # the caller's order, repeats included
     samples.setflags(write=False)
     alpha = 100.0 * (1.0 - mc.confidence) / 2.0
-    estimates = []
-    for row in samples:
-        ci_low, ci_high = np.percentile(row, [alpha, 100.0 - alpha])
-        mean = float(row.mean())
-        estimates.append(McRiskEstimate(mean=mean, ci_low=float(ci_low), ci_high=float(ci_high), samples=row))
-    return estimates
+    ci_low, ci_high = np.percentile(samples, [alpha, 100.0 - alpha], axis=1)
+    return [
+        McRiskEstimate(mean=float(mean), ci_low=float(low), ci_high=float(high), samples=row)
+        for row, mean, low, high in zip(samples, samples.mean(axis=1), ci_low, ci_high)
+    ]
+
+
+def _squared_errors(spectrum: Spectrum, n: int, q: float, p_sorted: np.ndarray, mc: McConfig) -> np.ndarray:
+    """(len(p_sorted), trials) squared recovery errors for ascending, distinct p.
+
+    The block buffers die on return, before the statistics copy the samples.
+    """
+    D = spectrum.D
+    lows = int(np.searchsorted(p_sorted, n, side="right"))
+    p_low, p_high = p_sorted[:lows], p_sorted[lows:].tolist()
+    kernels = [_minnorm_kernel(spectrum.t[:p], n, q) for p in p_high]
+    keys = _trial_keys(mc.seed, np.arange(mc.trials))
+    draw = _block_sampler(_theta_scale(spectrum), mc.coefficient_model)
+    width = _draw_width(mc.coefficient_model, D)
+    blocks = -(-D // n)
+    W = blocks * n
+    step = max(1, _BLOCK_ELEMENTS // D)
+    samples = np.empty((len(p_sorted), mc.trials))
+    # One set of block arrays serves every block: arrays this large, allocated
+    # afresh per block (or per p), can be handed back to the system on each
+    # free and page-faulted in again.  The draws are spent once theta is
+    # scaled, so the two halves of their memory hold |theta_k|^2 (zero-padded
+    # to whole blocks of n) and the squared errors of a fit.
+    rows = min(step, mc.trials)
+    theta_buffer = np.empty((rows, D), dtype=complex)
+    diff_buffer = np.empty((rows, D), dtype=complex)
+    draw_buffer = np.empty((rows, 2 * W))
+    power_buffer, err_buffer = draw_buffer.reshape(2, rows, W)
+    head_buffer, block_buffer = np.empty((rows, n)), np.empty((rows, blocks))
+    low_buffer = np.empty((rows, lows))
+    # R[:, p] = sum_{p <= k < n} |theta_k|^2 and S[:, j] = sum_{i >= j} B[:, i]
+    # sum from the far end, so their last columns stay 0
+    tail_buffer, suffix_buffer = np.zeros((rows, n + 1)), np.zeros((rows, blocks + 1))
+    for first in range(0, mc.trials, step):
+        block = slice(first, min(first + step, mc.trials))
+        m = block.stop - first
+        theta, diff, err, power = theta_buffer[:m], diff_buffer[:m], err_buffer[:m], power_buffer[:m]
+        draw(keys[block], draw_buffer[:m, :width], theta)
+        c = np.fft.ifft(equispaced_predict(theta, n))
+        np.square(theta.real, out=power[:, :D])
+        power[:, :D] += np.square(theta.imag, out=err[:, :D])
+        power[:, D:] = 0.0
+        B = np.add.reduce(power.reshape(m, blocks, n), axis=2, out=block_buffer[:m])
+        S = suffix_buffer[:m]
+        np.cumsum(B[:, ::-1], axis=1, out=S[:, blocks - 1 :: -1])
+        if lows:
+            # p <= n: H[p - 1] + R[p] + S[1], one prefix sum for every p
+            np.subtract(theta[:, :n], c, out=diff[:, :n])
+            H = np.cumsum(_squared_modulus(diff[:, :n], err[:, :n]), axis=1, out=head_buffer[:m])
+            R = tail_buffer[:m]
+            np.cumsum(power[:, n - 1 :: -1], axis=1, out=R[:, n - 1 :: -1])
+            # the indices are in range; mode="raise" would copy through a buffer
+            low = np.take(H, p_low - 1, axis=1, out=samples[:lows, block].T, mode="clip")
+            low += np.take(R, p_low, axis=1, out=low_buffer[:m], mode="clip")
+            low += S[:, 1:2]
+        for col, (p, kernel) in enumerate(zip(p_high, kernels), start=lows):
+            # p > n: the fit's error over whole blocks of n, then the tail past them
+            fitted = len(kernel)  # ceil(p / n) blocks
+            fit = _minnorm_fit(c, kernel, p, out=diff[:, :p])
+            np.subtract(theta[:, :p], fit, out=fit)
+            _squared_modulus(fit, err[:, :p])
+            err[:, p : fitted * n] = power[:, p : fitted * n]
+            heads = err[:, : fitted * n].reshape(m, fitted, n)
+            heads = np.add.reduce(heads, axis=2, out=block_buffer[:m, :fitted])
+            out = samples[col, block]
+            np.add(np.add.reduce(heads, axis=1, out=out), S[:, fitted], out=out)
+    return samples
 
 
 def empirical_risk(spectrum: Spectrum, grid: GridConfig, q: float, mc: McConfig) -> McRiskEstimate:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,7 @@ from fourier_minnorm import (
     weighted_minnorm,
 )
 from fourier_minnorm import montecarlo
-from fourier_minnorm.montecarlo import _trial_keys
+from fourier_minnorm.montecarlo import _block_sampler, _draw_width, _theta_scale, _trial_keys
 
 DRAWS = 100_000
 
@@ -198,7 +200,11 @@ class TestConcentrationCheck:
 
 
 def one_trial_at_a_time(spectrum, n, q, p_values, mc):
-    """The per-trial, per-p algorithm that empirical_risks batches."""
+    """The per-trial, per-p algorithm that empirical_risks batches; one sample array per p.
+
+    Each error is math.fsum of the same terms |theta_k - theta_hat_k|^2, the
+    exact sum rounded once.
+    """
     estimates = []
     for p in p_values:
         grid = classify_grid(spectrum.D, n, p)
@@ -208,11 +214,43 @@ def one_trial_at_a_time(spectrum, n, q, p_values, mc):
             y = equispaced_predict(theta, n)
             fit = least_squares(y, grid) if p <= n else weighted_minnorm(y, spectrum, grid, q)
             diff = theta - fit.theta_hat
-            samples[trial] = float(np.sum(diff.real**2 + diff.imag**2))
-        alpha = 100.0 * (1.0 - mc.confidence) / 2.0
-        ci_low, ci_high = np.percentile(samples, [alpha, 100.0 - alpha])
-        estimates.append((samples, float(samples.mean()), float(ci_low), float(ci_high)))
+            samples[trial] = math.fsum(diff.real**2 + diff.imag**2)
+        estimates.append(samples)
     return estimates
+
+
+def fsum_bound(D, n):
+    """Largest relative distance of an empirical_risks sample from math.fsum of its terms.
+
+    The terms are nonnegative, so a sum in which no term passes through more
+    than d additions lies within gamma_d = d u / (1 - d u) of the exact sum
+    (u = 2^-53).  empirical_risks adds a term at most n - 1 times inside its
+    block of n (block sum, prefix sum over the first n columns), at most
+    ceil(D/n) - 1 times across blocks (suffix sum of block sums, sum of a
+    fit's head blocks) and twice more to join head, partial block and tail:
+    d <= n + ceil(D/n).  fsum rounds the exact sum once more (u), and the
+    bound is taken relative to the rounded value, so gamma_(n + ceil(D/n) + 2)
+    covers both.
+    """
+    d = n + -(-D // n) + 2
+    u = 2.0**-53
+    return d * u / (1.0 - d * u)
+
+
+def assert_within_fsum_bound(estimates, exact, D, n):
+    bound = fsum_bound(D, n)
+    for est, want in zip(estimates, exact):
+        assert np.all(np.abs(est.samples - want) <= bound * want)
+
+
+def assert_stats_are_per_row_calls(est, confidence):
+    alpha = 100.0 * (1.0 - confidence) / 2.0
+    ci_low, ci_high = np.percentile(est.samples, [alpha, 100.0 - alpha])
+    assert (est.mean, est.ci_low, est.ci_high) == (float(est.samples.mean()), float(ci_low), float(ci_high))
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @st.composite
@@ -235,15 +273,48 @@ def sweeps(draw):
 class TestEmpiricalRisks:
     @settings(max_examples=60, deadline=None)
     @given(sweeps())
-    def test_bit_identical_to_one_trial_at_a_time(self, sweep):
+    def test_within_fsum_bound_of_one_trial_at_a_time(self, sweep):
         spectrum, n, q, p_values, mc = sweep
         got = empirical_risks(spectrum, n, q, p_values, mc)
-        want = one_trial_at_a_time(spectrum, n, q, p_values, mc)
         assert len(got) == len(p_values)
-        for est, (samples, mean, ci_low, ci_high) in zip(got, want):
-            assert np.array_equal(est.samples, samples)
-            assert (est.mean, est.ci_low, est.ci_high) == (mean, ci_low, ci_high)
+        assert_within_fsum_bound(got, one_trial_at_a_time(spectrum, n, q, p_values, mc), spectrum.D, n)
+        for est in got:
+            assert_stats_are_per_row_calls(est, mc.confidence)
             assert not est.samples.flags.writeable
+
+    @settings(max_examples=30, deadline=None)
+    @given(sweeps())
+    def test_samples_independent_of_block_size(self, sweep):
+        spectrum, n, q, p_values, mc = sweep
+        runs = []
+        for elements in (1, montecarlo._BLOCK_ELEMENTS, 1 << 20):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(montecarlo, "_BLOCK_ELEMENTS", elements)
+                runs.append(empirical_risks(spectrum, n, q, p_values, mc))
+        for single_rows, default, one_block in zip(*runs):
+            assert same_bits(single_rows.samples, default.samples)
+            assert same_bits(one_block.samples, default.samples)
+
+    @settings(max_examples=30, deadline=None)
+    @given(sweeps())
+    def test_point_calls_are_sweep_entries(self, sweep):
+        spectrum, n, q, p_values, mc = sweep
+        for p, est in zip(p_values, empirical_risks(spectrum, n, q, p_values, mc)):
+            single = empirical_risk(spectrum, classify_grid(spectrum.D, n, p), q, mc)
+            assert same_bits(single.samples, est.samples)
+            assert (single.mean, single.ci_low, single.ci_high) == (est.mean, est.ci_low, est.ci_high)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(1, 5000),
+        st.lists(st.integers(1, 8), min_size=1, max_size=12),
+        st.sampled_from([0.5, 0.8, 0.9, 0.99]),
+    )
+    def test_stats_equal_per_row_calls(self, trials, p_values, confidence):
+        # one percentile call and one mean over all rows give each row's bits
+        mc = McConfig(trials=trials, seed=trials, confidence=confidence)
+        for est in empirical_risks(build_spectrum(8, 1.0), 2, 1.0, p_values, mc):
+            assert_stats_are_per_row_calls(est, confidence)
 
     def test_point_call_is_one_sweep_entry(self):
         spectrum = build_spectrum(256, 1.0)
@@ -291,6 +362,30 @@ def test_trial_keys_match_seed_sequence(seed, trials):
         assert np.array_equal(key, want)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 64) | st.sampled_from([1000, 1024]),
+    st.sampled_from([0.0, 0.5, 1.0]),
+    st.sampled_from(list(CoefficientModel)),
+    st.integers(0, 2**96),
+    st.lists(st.integers(0, 2**64 - 1) | st.integers(0, 40), min_size=1, max_size=6),
+)
+def test_block_sampler_is_the_trial_stream(D, r, model, seed, trials):
+    # the block draw of empirical_risks: keys in one pass, one re-keyed
+    # generator, rows of a strided scratch block, one scaling pass
+    spectrum = build_spectrum(D, r)
+    draw = _block_sampler(_theta_scale(spectrum), model)
+    keys = _trial_keys(seed, np.array(trials, dtype=np.uint64))
+    width = _draw_width(model, D)
+    theta = np.empty((len(trials), D), dtype=complex)
+    split = len(trials) // 2  # a second call re-keys the same generator
+    for part in (slice(0, split), slice(split, len(trials))):
+        draws = np.empty((part.stop - part.start, width + 3))[:, :width]
+        draw(keys[part], draws, theta[part])
+    for row, trial in zip(theta, trials):
+        assert same_bits(row, sample_theta(spectrum, model, trial_generator(seed, trial)))
+
+
 def test_trial_keys_key_the_trial_streams():
     keys = _trial_keys(99, np.arange(3))
     for trial, key in enumerate(keys):
@@ -300,18 +395,20 @@ def test_trial_keys_key_the_trial_streams():
 # Samples of empirical_risks(build_spectrum(64, 1.0), 8, 1.0, [4, 8, 20],
 # McConfig(trials=3, seed=2024, coefficient_model=model)), one row per p
 # (least squares, p = n and a misaligned min-norm p), as produced by
-# trial_generator -> sample_theta per trial.  A change to key derivation,
-# draw order or scaling shows here as a changed bit.
+# trial_generator -> sample_theta per trial and the head/block-tail sums of
+# empirical_risks; each lies within fsum_bound(64, 8) of math.fsum.  A change
+# to key derivation, draw order, scaling or summation order shows here as a
+# changed bit.
 GOLDEN_SAMPLES = {
     CoefficientModel.COMPLEX_GAUSSIAN: [
-        ["0x1.dac246014549ap-4", "0x1.37854a999da56p-3", "0x1.5ad49a358e931p-3"],
-        ["0x1.8bd89c538055fp-4", "0x1.43b5c4c7bc2c0p-3", "0x1.32a4c5853db3fp-3"],
-        ["0x1.66d0f724a14e0p-4", "0x1.1a11394b33ad2p-3", "0x1.f806e9660df0dp-4"],
+        ["0x1.dac2460145499p-4", "0x1.37854a999da56p-3", "0x1.5ad49a358e930p-3"],
+        ["0x1.8bd89c538055fp-4", "0x1.43b5c4c7bc2c0p-3", "0x1.32a4c5853db3ep-3"],
+        ["0x1.66d0f724a14e0p-4", "0x1.1a11394b33ad2p-3", "0x1.f806e9660df0ep-4"],
     ],
     CoefficientModel.REAL_GAUSSIAN: [
-        ["0x1.cce86e088239fp-4", "0x1.8de3a28330cbfp-3", "0x1.041342f61d5c8p-2"],
-        ["0x1.0840e12d3dd07p-3", "0x1.b2c3583464051p-3", "0x1.96f2e1bc1c6eep-3"],
-        ["0x1.b78021f69606cp-4", "0x1.7606c95fd4daap-3", "0x1.37f1837f17cd3p-3"],
+        ["0x1.cce86e088239fp-4", "0x1.8de3a28330cbep-3", "0x1.041342f61d5c8p-2"],
+        ["0x1.0840e12d3dd07p-3", "0x1.b2c3583464050p-3", "0x1.96f2e1bc1c6eep-3"],
+        ["0x1.b78021f69606ep-4", "0x1.7606c95fd4daap-3", "0x1.37f1837f17cd3p-3"],
     ],
 }
 
