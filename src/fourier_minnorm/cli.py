@@ -10,10 +10,13 @@ Output contracts:
 * every data file is a column table (``Table`` of ``Column``): a constant
   (D, n) is one value repeated, a grid axis (p, r, q, regime, x_i) its
   values repeated or tiled, a per-row column (risks, Monte Carlo
-  estimates, f_true, f_hat) a plain array; constants and axis values are
-  rendered once each, per-row floats are formatted straight into a
-  per-table row template, and columns shared by several files (interp's
-  x_i and f_true) are rendered once per invocation;
+  estimates, f_true, f_hat) a plain array; a rendered float column formats
+  each distinct bit pattern once, columns shared by several files
+  (interp's x_i and f_true) are rendered once per invocation, and a CSV
+  file is joined and written in chunks of rows, per-row floats formatted
+  as their rows are joined and never kept; the cell rules below and the
+  bytes written are the same either way, and a failure part way through
+  removes the file;
 * CSV: UTF-8, comma-separated, one header row, LF line endings; cells
   follow ``render_cell``: floats with 17 significant digits (round-trip
   exact for doubles, so ``-0``, ``nan``, ``inf`` and ``-inf`` appear as
@@ -33,9 +36,11 @@ included), 3 numerical inconsistency.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import enum
 import functools
+import itertools
 import json
 import math
 import sys
@@ -44,7 +49,7 @@ import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, ClassVar, Sequence
+from typing import Callable, ClassVar, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -81,11 +86,20 @@ def render_cell(value) -> str:
     return str(value)
 
 
+def _format_floats(values: Iterable[float]) -> Iterator[str]:
+    """``render_cell`` of each float, one at a time as they are read."""
+    return map("%.17g".__mod__, values)
+
+
 def _render(values: list) -> list[str]:
-    """``render_cell`` of each value; lists of floats (and None) take one fast pass."""
+    """``render_cell`` of each value; a list of floats formats each distinct bit pattern once."""
     kinds = set(map(type, values))
     if kinds <= {float}:
-        return ["%.17g" % v for v in values]
+        # bit patterns, not values: 0.0 == -0.0, and NaN differs from itself
+        bits = np.array(values, dtype=float).view(np.int64).tolist()
+        distinct = dict(zip(bits, values))
+        formatted = dict(zip(distinct, _format_floats(distinct.values())))
+        return list(map(formatted.__getitem__, bits))
     if kinds <= {float, type(None)}:
         return ["" if v is None else "%.17g" % v for v in values]
     return list(map(render_cell, values))
@@ -104,11 +118,11 @@ class Column:
 
     A constant is one value repeated for every row, a grid axis its values
     repeated (outer axis) or tiled (inner axis), a per-row column a plain
-    array.  Each position of ``values`` is rendered once, never each
-    distinct value (``0.0 == -0.0`` and NaN differs from itself).  Rendered
-    cells are kept, so a column shared by several tables renders once; a
-    per-row float column nobody rendered goes straight into the CSV row
-    template instead (``row_format``).
+    array.  Rendering formats each distinct bit pattern of a float list
+    once (``-0.0`` stays apart from ``0.0``, every NaN is ``nan``) and keeps
+    the cells, so a column shared by several tables renders once; a per-row
+    float column nobody rendered is formatted cell by cell while its file
+    is written, and its cells are not kept (``cell_chunks``).
     """
 
     def __init__(self, values, repeat: int = 1, tile: int = 1):
@@ -130,15 +144,18 @@ class Column:
             self._cells = self._expand(_render(self.values))
         return self._cells
 
-    def row_format(self) -> tuple[str, list]:
-        """A %-format for this column's part of a CSV row, and its per-row arguments.
+    def cell_chunks(self, size: int) -> Iterator[Iterator[str]]:
+        """This column's cells, ``size`` rows at a time; read each chunk before the next.
 
-        A per-row float column not yet rendered is formatted inside the row
-        template (no cell strings are kept); any other column supplies its cells.
+        A per-row float column not yet rendered is formatted cell by cell as
+        its rows are joined and keeps no cells; any other column is rendered
+        (once) and read in place.
         """
-        if self._cells is None and self.repeat == self.tile == 1 and set(map(type, self.values)) <= {float}:
-            return "%.17g", self.values
-        return "%s", self.cells()
+        streamed = self._cells is None and self.repeat == self.tile == 1 and set(map(type, self.values)) <= {float}
+        items = iter(self.values if streamed else self.cells())
+        for _ in range(0, len(self), size):
+            chunk = itertools.islice(items, size)
+            yield _format_floats(chunk) if streamed else chunk
 
     def json_values(self) -> list:
         return self._expand([_json_value(v) for v in self.values])
@@ -158,30 +175,43 @@ class Table:
         return self.rows
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Write one output file; a missing directory or an unwritable path is a configuration error."""
+# Rows per chunk of a CSV file: each chunk is formatted, joined and written
+# before the next, so a file's text is never held whole.
+CSV_CHUNK_ROWS = 512
+
+
+def _write_text(path: Path, chunks: Iterable[str]) -> None:
+    """Write one output file, chunk by chunk; a failure part way removes the file.
+
+    A missing directory or an unwritable path is a configuration error.
+    """
     path = Path(path)
     if not path.parent.is_dir():
         raise ConfigurationError(f"output directory {str(path.parent)!r} does not exist (field out)")
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            try:
+                fh.writelines(chunks)
+            except BaseException:  # never leave a truncated file behind; re-raised
+                with contextlib.suppress(OSError):
+                    path.unlink()
+                raise
     except OSError as exc:  # a directory, no permission, a full disk
         raise ConfigurationError(f"cannot write output file {str(path)!r}: {exc} (field out)") from None
 
 
+def _csv_chunks(header: Sequence[str], table: Table) -> Iterator[str]:
+    yield ",".join(header) + "\n"
+    for cells in zip(*(column.cell_chunks(CSV_CHUNK_ROWS) for column in table.columns)):
+        yield "\n".join([*map(",".join, zip(*cells)), ""])  # "" ends the last row
+
+
 def write_csv(path: Path, header: Sequence[str], table: Table) -> None:
-    formats, arguments = [], []
-    for column in table.columns:
-        fmt, values = column.row_format()
-        formats.append(fmt)
-        arguments.append(values)
-    rows = map(",".join(formats).__mod__, zip(*arguments))
-    _write_text(path, "\n".join([",".join(header), *rows, ""]))  # "" ends the last line without a copy
+    _write_text(path, _csv_chunks(header, table))
 
 
 def write_json(path: Path, payload) -> None:
-    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_text(path, [json.dumps(payload, sort_keys=True, indent=2) + "\n"])
 
 
 def write_table(path: Path, fmt: str, header: Sequence[str], table: Table) -> None:
@@ -562,7 +592,7 @@ def run_bound_check(spec: BoundCheckSpec) -> list[Path]:
     paths = [path]
     if warnings:
         log_path = Path(str(spec.out) + ".log")
-        _write_text(log_path, "\n".join(warnings) + "\n")
+        _write_text(log_path, ["\n".join(warnings) + "\n"])
         paths.append(log_path)
     return paths
 

@@ -87,10 +87,18 @@ finite_or_special = st.one_of(st.floats(allow_subnormal=True), st.sampled_from([
 
 
 @st.composite
-def tables(draw):
+def tables(draw, min_axis=0, max_axis=3):
     """Random tables over an (a, b, c) row grid: constant, axis and per-row columns."""
-    a, b, c = (draw(st.integers(min_value=0, max_value=3)) for _ in range(3))
+    a, b, c = (draw(st.integers(min_value=min_axis, max_value=max_axis)) for _ in range(3))
     rows = a * b * c
+
+    def per_row(values):
+        if rows <= 27:
+            return draw(st.lists(values, min_size=rows, max_size=rows))
+        # a long column: picks from a short drawn pool, so values repeat too
+        pool, rng = draw(st.lists(values, min_size=1, max_size=8)), draw(st.randoms(use_true_random=False))
+        return [rng.choice(pool) for _ in range(rows)]
+
     columns = []
     for kind in draw(st.lists(st.sampled_from(
             ["constant", "outer", "middle", "inner", "cells", "floats", "float_array", "int_array", "bool_array"]),
@@ -104,18 +112,17 @@ def tables(draw):
         elif kind == "inner":
             columns.append(Column(draw(st.lists(cells, min_size=c, max_size=c)), tile=a * b))
         elif kind == "cells":
-            columns.append(Column(draw(st.lists(cells, min_size=rows, max_size=rows))))
+            columns.append(Column(per_row(cells)))
         elif kind == "floats":  # the fast paths: all floats, or floats and None
             pool = st.one_of(finite_or_special, st.none()) if draw(st.booleans()) else finite_or_special
-            columns.append(Column(draw(st.lists(pool, min_size=rows, max_size=rows))))
+            columns.append(Column(per_row(pool)))
         elif kind == "float_array":
-            columns.append(Column(np.array(draw(st.lists(finite_or_special, min_size=rows, max_size=rows)),
-                                           dtype=float)))
+            columns.append(Column(np.array(per_row(finite_or_special), dtype=float)))
         elif kind == "int_array":
-            values = draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=rows, max_size=rows))
+            values = per_row(st.integers(-(2**63), 2**63 - 1))
             columns.append(Column(np.array(values, dtype=np.int64)))
         else:
-            columns.append(Column(np.array(draw(st.lists(st.booleans(), min_size=rows, max_size=rows)), dtype=bool)))
+            columns.append(Column(np.array(per_row(st.booleans()), dtype=bool)))
     return Table(columns)
 
 
@@ -136,6 +143,46 @@ class TestWriterEquivalence:
                 assert path.read_bytes() == expected
                 for column in table.columns:
                     column.cells()
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3, cli.CSV_CHUNK_ROWS])
+    @given(table=st.one_of(tables(), tables(min_axis=8, max_axis=12)))  # the second: 512 to 1728 rows
+    @settings(max_examples=40, deadline=None)
+    def test_random_tables_across_chunk_boundaries(self, chunk_rows, table):
+        header = [f"c{i}" for i in range(len(table.columns))]
+        expected = reference_csv(header, table_rows(table))
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "CSV_CHUNK_ROWS", chunk_rows)
+            for name in ("streamed", "cells"):  # per-row floats formatted chunk by chunk, then kept
+                path = Path(tmp) / name
+                write_table(path, "csv", header, table)
+                assert path.read_bytes() == expected
+                for column in table.columns:
+                    column.cells()
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0.0, -0.0, -0.0, 0.0, 0.0, -0.0],
+            # quiet NaNs of either sign, payloads, a signalling NaN
+            np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001, 0x7FF0000000000001,
+                      0xFFFFFFFFFFFFFFFF, 0x7FF8000000000000, 0x7FF8000000000001], dtype=np.uint64).view(float).tolist(),
+            [5e-324, -5e-324, 2.2250738585072009e-308, 5e-324, 1e-310, -5e-324, 2.2250738585072014e-308],
+            [math.inf, -math.inf, math.inf, 1.0, -math.inf],
+            [1 / 3] * 1000,
+            [0.1, -0.0, math.nan, 5e-324, math.inf, 0.1, 0.0, -math.inf, 5e-324] * 150,
+        ],
+        ids=["zeros", "nans", "subnormals", "infinities", "repeated", "mixed"],
+    )
+    def test_shared_float_columns_with_repeats(self, tmp_path, values):
+        shared = Column(values)
+        header, rows = ["v", "w"], [[v, i] for i, v in enumerate(values)]
+        expected = reference_csv(header, rows)
+        write_table(tmp_path / "streamed.csv", "csv", header, Table([shared, Column(range(len(values)))]))
+        assert shared.cells() == [reference_cell(v) for v in values]
+        for name in ("first.csv", "second.csv"):  # rendered once, read by both
+            write_table(tmp_path / name, "csv", header, Table([shared, Column(range(len(values)))]))
+        for name in ("streamed.csv", "first.csv", "second.csv"):
+            assert (tmp_path / name).read_bytes() == expected, name
 
     @pytest.mark.parametrize(
         "values, cells",
@@ -211,20 +258,43 @@ class TestCommandsMatchTheRowReference:
             assert path.read_bytes() == expected, path.name
 
     def test_interp_methods_share_the_coordinate_and_truth_cells(self, tmp_path, monkeypatch):
-        tables, formats = [], []
+        tables, kept_before, kept_after = [], [], []
 
         def recording_write_table(path, fmt, header, table):
             tables.append(table)
-            formats.append([column.row_format()[0] for column in table.columns])
+            kept_before.append([column._cells is not None for column in table.columns])
             write_table(path, fmt, header, table)
+            kept_after.append([column._cells is not None for column in table.columns])
 
         monkeypatch.setattr(cli, "write_table", recording_write_table)
         assert main(COMMANDS["interp-2d"] + ["--out", str(tmp_path / "out")]) == 0
         first, second = tables
         assert [id(c) for c in first.columns[:3]] == [id(c) for c in second.columns[:3]]
         assert first.columns[3] is not second.columns[3]
-        # x0, x1 and f_true come rendered; each method's file formats only f_hat
-        assert formats == [["%s", "%s", "%s", "%.17g"]] * 2
+        # x0, x1 and f_true come rendered; each method's file formats only f_hat and keeps none of its cells
+        assert kept_before == kept_after == [[True, True, True, False]] * 2
+
+    def test_a_failure_mid_stream_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        # 2-D, 101 x 101 evaluation points: 10,201 rows, 20 chunks per method file
+        argv = ["interp", "--target", "cos2d", "--n-axis", "8", "--p-axis", "17", "--d-axis", "40", "--q", "2",
+                "--eval-points", "101", "--out", str(tmp_path / "out")]
+        first_file, open_at_chunk = tmp_path / "out.weighted-min-norm.csv", []
+        format_floats = cli._format_floats
+
+        def failing_format_floats(values):
+            values = list(values)
+            if len(values) == cli.CSV_CHUNK_ROWS:  # an f_hat chunk: the shared columns have other sizes
+                open_at_chunk.append(first_file.exists())
+                if len(open_at_chunk) == 2:
+                    raise MemoryError
+            return format_floats(values)
+
+        monkeypatch.setattr(cli, "_format_floats", failing_format_floats)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
+        assert open_at_chunk == [True, True]  # the file was already open when the second chunk failed
+        assert not list(tmp_path.glob("out.*.csv"))
 
     def test_interp_coordinates_follow_the_row_major_grid(self, tmp_path):
         assert main(COMMANDS["interp-2d"] + ["--out", str(tmp_path / "out")]) == 0
