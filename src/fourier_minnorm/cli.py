@@ -10,13 +10,14 @@ Output contracts:
 * every data file is a column table (``Table`` of ``Column``): a constant
   (D, n) is one value repeated, a grid axis (p, r, q, regime, x_i) its
   values repeated or tiled, a per-row column (risks, Monte Carlo
-  estimates, f_true, f_hat) a plain array; a rendered float column formats
-  each distinct bit pattern once, columns shared by several files
-  (interp's x_i and f_true) are rendered once per invocation, and a CSV
-  file is joined and written in chunks of rows, per-row floats formatted
-  as their rows are joined and never kept; the cell rules below and the
-  bytes written are the same either way, and a failure part way through
-  removes the file;
+  estimates, f_true, f_hat) a plain array; float cells are formatted in
+  numpy (exact ``%.17g`` digits for 1e-11 <= |v| < 1e17, Python's ``%``
+  for every other value), a CSV file is written in chunks of rows, each a
+  byte matrix of fixed-width cells with its NUL padding deleted, per-row
+  floats are formatted chunk by chunk and never kept, and a repeated,
+  tiled or shared column (interp's x_i and f_true) is formatted once per
+  invocation; the cell rules below and the bytes written are the same
+  either way, and a failure part way through removes the file;
 * CSV: UTF-8, comma-separated, one header row, LF line endings; cells
   follow ``render_cell``: floats with 17 significant digits (round-trip
   exact for doubles, so ``-0``, ``nan``, ``inf`` and ``-inf`` appear as
@@ -40,7 +41,6 @@ import contextlib
 import dataclasses
 import enum
 import functools
-import itertools
 import json
 import math
 import sys
@@ -86,23 +86,29 @@ def render_cell(value) -> str:
     return str(value)
 
 
-def _format_floats(values: Iterable[float]) -> Iterator[str]:
-    """``render_cell`` of each float, one at a time as they are read."""
-    return map("%.17g".__mod__, values)
+def _float_cells(values: np.ndarray) -> np.ndarray:
+    """``"%.17g" % v`` of each float, as rows of a NUL-padded byte matrix."""
+    from . import _decimal  # compiled on first use, not when the CLI starts
+
+    return _decimal.float_cells(values)
 
 
-def _render(values: list) -> list[str]:
-    """``render_cell`` of each value; a list of floats formats each distinct bit pattern once."""
+def _text_cells(cells: Sequence[str]) -> np.ndarray:
+    """Rendered cells as rows of a NUL-padded byte matrix."""
+    text = np.array([cell.encode("utf-8") for cell in cells], dtype=bytes)
+    return text.view(np.uint8).reshape(len(cells), text.itemsize)
+
+
+def _float_values(values) -> tuple[np.ndarray, np.ndarray | None] | None:
+    """A float column's values as float64 and the mask of its None cells; None if it holds anything else."""
+    if isinstance(values, np.ndarray):
+        return values, None
     kinds = set(map(type, values))
-    if kinds <= {float}:
-        # bit patterns, not values: 0.0 == -0.0, and NaN differs from itself
-        bits = np.array(values, dtype=float).view(np.int64).tolist()
-        distinct = dict(zip(bits, values))
-        formatted = dict(zip(distinct, _format_floats(distinct.values())))
-        return list(map(formatted.__getitem__, bits))
-    if kinds <= {float, type(None)}:
-        return ["" if v is None else "%.17g" % v for v in values]
-    return list(map(render_cell, values))
+    if not all(issubclass(kind, (float, np.floating, type(None))) for kind in kinds):
+        return None
+    if type(None) not in kinds:
+        return np.array(values, dtype=np.float64), None
+    return np.array([0.0 if v is None else v for v in values]), np.array([v is None for v in values])
 
 
 def _json_value(value):
@@ -118,18 +124,23 @@ class Column:
 
     A constant is one value repeated for every row, a grid axis its values
     repeated (outer axis) or tiled (inner axis), a per-row column a plain
-    array.  Rendering formats each distinct bit pattern of a float list
-    once (``-0.0`` stays apart from ``0.0``, every NaN is ``nan``) and keeps
-    the cells, so a column shared by several tables renders once; a per-row
-    float column nobody rendered is formatted cell by cell while its file
-    is written, and its cells are not kept (``cell_chunks``).
+    array.  Rendering formats the column's values once (a per-row float
+    column each distinct bit pattern once, so ``-0.0`` stays apart from
+    ``0.0``) as rows of a NUL-padded byte matrix, and keeps them, so a
+    column shared by several tables renders once.  A per-row float column
+    nobody rendered is formatted chunk by chunk while its file is written,
+    and keeps nothing.  Cells hold no NUL: the writer deletes every one.
     """
 
     def __init__(self, values, repeat: int = 1, tile: int = 1):
-        self.values = values.tolist() if isinstance(values, np.ndarray) else list(values)
+        if isinstance(values, np.ndarray) and values.dtype.kind == "f":
+            self.values = values.astype(np.float64, copy=False)
+        else:
+            self.values = values.tolist() if isinstance(values, np.ndarray) else list(values)
         self.repeat = repeat
         self.tile = tile
-        self._cells: list[str] | None = None
+        self._cells: np.ndarray | None = None  # the rendered byte rows
+        self._codes: np.ndarray | None = None  # each value's row of _cells; None: row i for value i
 
     def __len__(self) -> int:
         return len(self.values) * self.repeat * self.tile
@@ -139,26 +150,36 @@ class Column:
             items = [item for item in items for _ in range(self.repeat)]
         return items * self.tile
 
+    def render(self) -> None:
+        """Format this column's cells once and keep them for every file that reads it."""
+        if self._cells is not None:
+            return
+        floats = _float_values(self.values)
+        if floats is None:
+            self._cells = _text_cells(list(map(render_cell, self.values)))
+            return
+        values, empty = floats
+        if empty is None and self.repeat == self.tile == 1:  # per-row values repeat: each bit pattern once
+            values, self._codes = np.unique(values.view(np.int64), return_inverse=True)
+        self._cells = _float_cells(values.view(np.float64))
+        if empty is not None:
+            self._cells[empty] = 0
+
+    def chunk(self, start: int, stop: int) -> np.ndarray:
+        """Byte rows of cells ``start`` to ``stop - 1`` of this rendered column."""
+        if self._codes is None and self.repeat == self.tile == 1:
+            return self._cells[start:stop]
+        index = np.arange(start, stop) // self.repeat % len(self.values)
+        return self._cells[index if self._codes is None else self._codes[index]]
+
     def cells(self) -> list[str]:
-        if self._cells is None:
-            self._cells = self._expand(_render(self.values))
-        return self._cells
-
-    def cell_chunks(self, size: int) -> Iterator[Iterator[str]]:
-        """This column's cells, ``size`` rows at a time; read each chunk before the next.
-
-        A per-row float column not yet rendered is formatted cell by cell as
-        its rows are joined and keeps no cells; any other column is rendered
-        (once) and read in place.
-        """
-        streamed = self._cells is None and self.repeat == self.tile == 1 and set(map(type, self.values)) <= {float}
-        items = iter(self.values if streamed else self.cells())
-        for _ in range(0, len(self), size):
-            chunk = itertools.islice(items, size)
-            yield _format_floats(chunk) if streamed else chunk
+        """This column's cells as text, one per row; renders the column."""
+        self.render()
+        return [row.tobytes().translate(None, b"\0").decode("utf-8") for row in self.chunk(0, len(self))]
 
     def json_values(self) -> list:
-        return self._expand([_json_value(v) for v in self.values])
+        values = self.values.tolist() if isinstance(self.values, np.ndarray) else self.values
+        return self._expand([_json_value(v) for v in values])
 
 
 class Table:
@@ -177,10 +198,10 @@ class Table:
 
 # Rows per chunk of a CSV file: each chunk is formatted, joined and written
 # before the next, so a file's text is never held whole.
-CSV_CHUNK_ROWS = 512
+CSV_CHUNK_ROWS = 2048
 
 
-def _write_text(path: Path, chunks: Iterable[str]) -> None:
+def _write_file(path: Path, chunks: Iterable[bytes]) -> None:
     """Write one output file, chunk by chunk; a failure part way removes the file.
 
     A missing directory or an unwritable path is a configuration error.
@@ -189,7 +210,7 @@ def _write_text(path: Path, chunks: Iterable[str]) -> None:
     if not path.parent.is_dir():
         raise ConfigurationError(f"output directory {str(path.parent)!r} does not exist (field out)")
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with open(path, "wb") as fh:
             try:
                 fh.writelines(chunks)
             except BaseException:  # never leave a truncated file behind; re-raised
@@ -200,18 +221,40 @@ def _write_text(path: Path, chunks: Iterable[str]) -> None:
         raise ConfigurationError(f"cannot write output file {str(path)!r}: {exc} (field out)") from None
 
 
-def _csv_chunks(header: Sequence[str], table: Table) -> Iterator[str]:
-    yield ",".join(header) + "\n"
-    for cells in zip(*(column.cell_chunks(CSV_CHUNK_ROWS) for column in table.columns)):
-        yield "\n".join([*map(",".join, zip(*cells)), ""])  # "" ends the last row
+def _csv_chunks(header: Sequence[str], table: Table) -> Iterator[bytes]:
+    """The CSV text in chunks of rows: each a byte matrix of cells, commas and LFs, NULs deleted."""
+    yield (",".join(header) + "\n").encode("utf-8")
+    streamed = {}  # column index -> (float64 values, None mask) of per-row float columns not rendered
+    for i, column in enumerate(table.columns):
+        per_row = column._cells is None and column.repeat == column.tile == 1
+        floats = _float_values(column.values) if per_row else None
+        if floats is None:
+            column.render()
+        else:
+            streamed[i] = floats
+    size = CSV_CHUNK_ROWS
+    separators = np.full((size, len(table.columns)), ord(","), dtype=np.uint8)
+    separators[:, -1:] = ord("\n")
+    for start in range(0, len(table), size):
+        stop = min(start + size, len(table))
+        if streamed:  # every per-row float column of the chunk in one call
+            formatted = _float_cells(np.concatenate([values[start:stop] for values, _ in streamed.values()]))
+            blocks = dict(zip(streamed, np.split(formatted, len(streamed))))
+            for i, (_, empty) in streamed.items():
+                if empty is not None:
+                    blocks[i][empty[start:stop]] = 0
+        parts = []
+        for i, column in enumerate(table.columns):
+            parts += [blocks[i] if i in streamed else column.chunk(start, stop), separators[: stop - start, i : i + 1]]
+        yield np.concatenate(parts, axis=1).tobytes().translate(None, b"\0")
 
 
 def write_csv(path: Path, header: Sequence[str], table: Table) -> None:
-    _write_text(path, _csv_chunks(header, table))
+    _write_file(path, _csv_chunks(header, table))
 
 
 def write_json(path: Path, payload) -> None:
-    _write_text(path, [json.dumps(payload, sort_keys=True, indent=2) + "\n"])
+    _write_file(path, [(json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8")])
 
 
 def write_table(path: Path, fmt: str, header: Sequence[str], table: Table) -> None:
@@ -592,7 +635,7 @@ def run_bound_check(spec: BoundCheckSpec) -> list[Path]:
     paths = [path]
     if warnings:
         log_path = Path(str(spec.out) + ".log")
-        _write_text(log_path, ["\n".join(warnings) + "\n"])
+        _write_file(log_path, [("\n".join(warnings) + "\n").encode("utf-8")])
         paths.append(log_path)
     return paths
 
@@ -696,7 +739,7 @@ def run_interp(spec: InterpSpec) -> list[Path]:
     header.append("f_hat")
     if spec.format == "csv":
         for column in shared:
-            column.cells()  # rendered once here, read by every method's file
+            column.render()  # once here, read by every method's file
 
     paths = []
     metrics: dict = {

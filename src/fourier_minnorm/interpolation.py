@@ -258,11 +258,12 @@ def _class_fit(y: np.ndarray, weights: np.ndarray, q: float) -> np.ndarray:
 
 
 def _log_weighted_norm(theta: np.ndarray, weights: np.ndarray, q: float) -> float:
-    """log ||W^(-q) theta||, by a log-sum-exp over log|theta_k| - q*log w_k."""
-    with np.errstate(divide="ignore"):
+    """log ||W^(-q) theta||, by a log-sum-exp over log|theta_k| - q*log w_k; +-inf where those overflow."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # log 0, or q * log w_k past the float range
         terms = 2.0 * (np.log(np.abs(theta)) - q * np.log(weights))
+    terms[theta == 0] = -math.inf  # a zero theta_k adds nothing, whatever its weight
     top = float(terms.max())
-    if top == -math.inf:
+    if math.isinf(top):
         return top
     return 0.5 * (top + math.log(float(np.sum(np.exp(terms - top)))))
 

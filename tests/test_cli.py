@@ -411,6 +411,19 @@ class TestInterp:
         assert per["plain-min-norm"]["weighted_norm"] is None  # overflows a double
         assert per["weighted-min-norm"]["log10_weighted_norm"] < per["plain-min-norm"]["log10_weighted_norm"]
 
+    def test_overflowing_log_norm_is_null_without_a_warning(self, tmp_path):
+        # q * log w_k leaves the float range: the norm and its log are infinite, written as null
+        argv = ["interp", "--target", "cubic1d", "--n-axis", "15", "--p-axis", "60", "--d-axis", "100",
+                "--q", "1e308", "--eval-points", "3", "--out", str(tmp_path / "big")]
+        env = dict(os.environ, PYTHONPATH=str(Path(fourier_minnorm.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
+        done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "fourier_minnorm", *argv],
+                              env=env, capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr.decode()
+        assert b"Warning" not in done.stderr
+        per = json.loads((tmp_path / "big.metrics.json").read_text())["per_method"]
+        for metrics in per.values():
+            assert metrics["log10_weighted_norm"] is None and metrics["weighted_norm"] is None
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -144,7 +144,7 @@ class TestWriterEquivalence:
                 for column in table.columns:
                     column.cells()
 
-    @pytest.mark.parametrize("chunk_rows", [1, 2, 3, cli.CSV_CHUNK_ROWS])
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3, 512, cli.CSV_CHUNK_ROWS])
     @given(table=st.one_of(tables(), tables(min_axis=8, max_axis=12)))  # the second: 512 to 1728 rows
     @settings(max_examples=40, deadline=None)
     def test_random_tables_across_chunk_boundaries(self, chunk_rows, table):
@@ -205,6 +205,74 @@ class TestWriterEquivalence:
     def test_unequal_columns_rejected(self):
         with pytest.raises(ValueError, match="differ in length"):
             Table([Column([1.0, 2.0]), Column([3], repeat=3)])
+
+
+def formatted(values) -> list[str]:
+    """The formatter's cells as text: each byte row with its NUL padding deleted."""
+    rows = cli._float_cells(np.asarray(values, dtype=np.float64))
+    return [row.tobytes().translate(None, b"\0").decode() for row in rows]
+
+
+def percent_17g(values) -> list[str]:
+    return ["%.17g" % v for v in np.asarray(values, dtype=np.float64).tolist()]
+
+
+POWERS = 10.0 ** np.arange(-330, 309)  # 0 below the subnormals, exact decades up to 1e22, then the nearest doubles
+
+
+class TestFloatCells:
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+    @settings(max_examples=300, deadline=None)
+    def test_any_bit_pattern(self, words):
+        # NaN payloads of either sign, subnormals, +-0, +-inf and every finite double
+        values = np.array(words, dtype=np.uint64).view(np.float64)
+        assert formatted(values) == percent_17g(values)
+
+    @pytest.mark.parametrize("side", [-np.inf, None, np.inf], ids=["below", "at", "above"])
+    def test_powers_of_ten_and_their_neighbours(self, side):
+        values = POWERS if side is None else np.nextafter(POWERS, side)
+        values = np.concatenate([values, -values])
+        assert formatted(values) == percent_17g(values)
+
+    def test_edges_of_the_exact_range(self):
+        edges = np.array([1e-11, 1e-10, 1e-5, 1e-4, 1.0, 1e16, 1e17, 2.0**-37, 2.0**57, 99999999999999999.0,
+                          9999999999999999.0, 0.000099999999999999991, 0.099999999999999992])
+        values = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf)])
+        values = np.concatenate([values, -values])
+        assert formatted(values) == percent_17g(values)
+
+    def test_exact_ties_round_half_even(self):
+        assert formatted([1000000000000000.25, 1000000000000000.75]) == ["1000000000000000.2", "1000000000000000.8"]
+        j = np.arange(2 * 10**15, 2 * 10**15 + 4000, dtype=np.float64)
+        values = np.concatenate([(2 * j + 1) / 4, (2 * j + 1) / 2 ** 12, (2 * j + 1) * 2.0 ** -60])
+        assert formatted(values) == percent_17g(values)
+
+    def test_magnitudes_across_the_decades(self):
+        rng = np.random.default_rng(14)
+        values = 10.0 ** rng.uniform(-13, 18, 20000) * rng.choice([-1.0, 1.0], 20000)
+        values = np.concatenate([values, np.round(values, 3), np.trunc(values), rng.integers(-10**17, 10**17, 2000)])
+        assert formatted(values) == percent_17g(values)
+
+    def test_empty(self):
+        assert cli._float_cells(np.array([])).shape[0] == 0
+
+    @pytest.mark.parametrize("chunk_rows", [1, 3, cli.CSV_CHUNK_ROWS])
+    def test_float_columns_with_none(self, tmp_path, chunk_rows, monkeypatch):
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk_rows)
+        cells = [0.5, None, -0.0, None, math.nan, 1e-300, None, 123456789.0, -math.inf]
+        columns = [
+            Column(cells * 3),  # per-row: formatted chunk by chunk
+            Column(cells, tile=3),  # tiled: rendered once
+            Column([None] * 27),
+            Column(np.arange(27.0) - 13.5),
+        ]
+        header = ["a", "b", "c", "d"]
+        expected = reference_csv(header, table_rows(Table(columns)))
+        for name in ("streamed.csv", "rendered.csv"):
+            write_table(tmp_path / name, "csv", header, Table(columns))
+            assert (tmp_path / name).read_bytes() == expected, name
+            for column in columns:
+                column.render()
 
 
 def _samples_file(tmp_path) -> Path:
@@ -275,21 +343,20 @@ class TestCommandsMatchTheRowReference:
         assert kept_before == kept_after == [[True, True, True, False]] * 2
 
     def test_a_failure_mid_stream_leaves_no_file(self, tmp_path, monkeypatch, capsys):
-        # 2-D, 101 x 101 evaluation points: 10,201 rows, 20 chunks per method file
+        # 2-D, 101 x 101 evaluation points: 10,201 rows, 5 chunks per method file
         argv = ["interp", "--target", "cos2d", "--n-axis", "8", "--p-axis", "17", "--d-axis", "40", "--q", "2",
                 "--eval-points", "101", "--out", str(tmp_path / "out")]
         first_file, open_at_chunk = tmp_path / "out.weighted-min-norm.csv", []
-        format_floats = cli._format_floats
+        float_cells = cli._float_cells
 
-        def failing_format_floats(values):
-            values = list(values)
+        def failing_float_cells(values):
             if len(values) == cli.CSV_CHUNK_ROWS:  # an f_hat chunk: the shared columns have other sizes
                 open_at_chunk.append(first_file.exists())
                 if len(open_at_chunk) == 2:
                     raise MemoryError
-            return format_floats(values)
+            return float_cells(values)
 
-        monkeypatch.setattr(cli, "_format_floats", failing_format_floats)
+        monkeypatch.setattr(cli, "_float_cells", failing_float_cells)
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory") and err.count("\n") == 1
