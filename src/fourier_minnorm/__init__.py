@@ -12,7 +12,6 @@ from .errors import (
     NumericalInconsistencyError,
     RegimeError,
     SingularConstantError,
-    SingularSystemError,
     StructureError,
     UnknownTargetError,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "RegimeError",
     "RiskBreakdown",
     "SingularConstantError",
-    "SingularSystemError",
     "SolverPath",
     "Spectrum",
     "StructureError",

@@ -1,9 +1,12 @@
 """Experiment runner CLI: deterministic sweeps serialised to CSV/JSON.
 
 Subcommands: risk-curve, mc-risk, heatmap, bound-check, interp,
-concentration.  Every command accepts ``--config <json-file>`` (strictly
-validated, unknown keys rejected) with CLI flags taking precedence, and
-``--out/--format/--threads`` plus command-specific parameters.
+concentration, one per spec dataclass.  Each spec field is one flag,
+``--field-name`` (four aliases: ``-D/--ambient``, ``-n/--samples``,
+``-p/--truncation``, ``--d-axis``), and one key of the ``--config
+<json-file>`` every command accepts (strictly validated, unknown keys
+rejected); CLI flags take precedence.  Flags and config values pass the
+same checks: types, fixed choices, ranges, and no empty grid.
 
 Output contracts:
 
@@ -39,7 +42,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import enum
 import functools
 import json
 import math
@@ -53,7 +55,7 @@ from typing import Callable, ClassVar, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalInconsistencyError, SingularSystemError
+from .errors import ConfigurationError, NumericalInconsistencyError
 from .interpolation import (
     InterpolationProblem,
     Method,
@@ -61,6 +63,7 @@ from .interpolation import (
     builtin_targets,
     evaluate_on_grid,
     fit_interpolant,
+    target_on_grid,
     training_grid,
     training_samples,
 )
@@ -279,12 +282,30 @@ def ordered_map(fn: Callable, items: Sequence, threads: int) -> list:
 
 _SCALAR_TYPES = {int: (int,), float: (int, float), str: (str,)}
 
+# Fixed choices of spec fields, for flags and config files alike; each item
+# of a list field (methods) is one of them.
+_CHOICES = {
+    "format": ("csv", "json"),
+    "p_rule": ("paper",),
+    "q_rule": ("match-r", "fixed"),
+    "coefficient_model": tuple(m.value for m in CoefficientModel),
+    "weight_kind": tuple(k.value for k in WeightKind),
+    "methods": tuple(m.value for m in Method),
+}
+
 # Range rules on spec fields, checked after the types: name -> (test, rule).
 _RANGES = {
     "threads": (lambda v: v >= 1, "be >= 1"),
     "eval_points": (lambda v: v >= 1, "be >= 1"),
     "t_multipliers": (lambda v: all(map(math.isfinite, v)), "hold finite values only"),
 }
+
+
+def _value_type(kind):
+    """The type ``X`` of a field annotated ``X`` or ``X | None``."""
+    options = typing.get_args(kind) if typing.get_origin(kind) is types.UnionType else (kind,)
+    (kind,) = [option for option in options if option is not type(None)]
+    return kind
 
 
 def _check_scalar(name: str, kind: type, value):
@@ -294,17 +315,32 @@ def _check_scalar(name: str, kind: type, value):
 
 
 def _check_field(name: str, kind, value):
-    """A config value checked against its field's annotation; ints widen to float."""
-    options = typing.get_args(kind) if typing.get_origin(kind) is types.UnionType else (kind,)
-    if value is None and type(None) in options:
+    """A flag or config value checked against its field's annotation, choices and range; ints widen to float.
+
+    A list field that is set is never empty: an empty grid is refused here,
+    before any runner starts.
+    """
+    value_type = _value_type(kind)
+    if value is None and value_type is not kind:  # X | None
         return None
-    (kind,) = [option for option in options if option is not type(None)]
-    if typing.get_origin(kind) is not tuple:
-        return _check_scalar(name, kind, value)
-    scalar = typing.get_args(kind)[0]
-    if not isinstance(value, (list, tuple)):
-        raise ConfigurationError(f"field {name} must be a list of {scalar.__name__}, got {value!r}")
-    return tuple(_check_scalar(name, scalar, v) for v in value)
+    if typing.get_origin(value_type) is not tuple:
+        value = _check_scalar(name, value_type, value)
+    else:
+        scalar = typing.get_args(value_type)[0]
+        if not isinstance(value, (list, tuple)):
+            raise ConfigurationError(f"field {name} must be a list of {scalar.__name__}, got {value!r}")
+        value = tuple(_check_scalar(name, scalar, v) for v in value)
+        if not value:
+            what = f"{name.partition('_')[0]} grid" if "_" in name else name
+            raise ConfigurationError(f"{what} is empty (field {name})")
+    if name in _CHOICES:
+        for item in value if isinstance(value, tuple) else (value,):
+            if item not in _CHOICES[name]:
+                choices = ", ".join(map(repr, _CHOICES[name]))
+                raise ConfigurationError(f"field {name} must be one of {choices}, got {item!r}")
+    if name in _RANGES and not _RANGES[name][0](value):
+        raise ConfigurationError(f"field {name} must {_RANGES[name][1]}, got {value!r}")
+    return value
 
 
 def spec_from_dict(cls, data: dict):
@@ -319,14 +355,9 @@ def spec_from_dict(cls, data: dict):
     kinds = typing.get_type_hints(cls)
     data = {name: _check_field(name, kinds[name], value) for name, value in data.items()}
     try:
-        spec = cls(**data)
+        return cls(**data)
     except TypeError as exc:
         raise ConfigurationError(f"invalid {cls.COMMAND} config: {exc}") from None
-    for name, (holds, rule) in _RANGES.items():
-        value = getattr(spec, name, None)
-        if value is not None and not holds(value):
-            raise ConfigurationError(f"field {name} must {rule}, got {value!r}")
-    return spec
 
 
 def spec_to_dict(spec) -> dict:
@@ -335,20 +366,6 @@ def spec_to_dict(spec) -> dict:
         value = getattr(spec, f.name)
         out[f.name] = list(value) if isinstance(value, tuple) else value
     return out
-
-
-def _check_format(fmt: str) -> None:
-    if fmt not in ("csv", "json"):
-        raise ConfigurationError(f"format must be 'csv' or 'json', got {fmt!r}")
-
-
-def _enum_value(kind: type[enum.Enum], value: str, name: str):
-    """The member of ``kind`` named by ``value``; anything else is a configuration error."""
-    try:
-        return kind(value)
-    except ValueError:
-        choices = ", ".join(repr(member.value) for member in kind)
-        raise ConfigurationError(f"field {name} must be one of {choices}, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -389,7 +406,7 @@ class HeatmapSpec:
     D: int
     n: int
     r_values: tuple[float, ...]
-    q_rule: str = "match-r"  # or "fixed"
+    q_rule: str = "match-r"
     q_fixed: float = 0.0
     p_values: tuple[int, ...] | None = None
     p_rule: str = "paper"
@@ -475,25 +492,17 @@ def _resolve_p_grid(spec) -> np.ndarray:
     """The sorted p grid of a sweep, checked against D and n."""
     if spec.p_values is not None:
         p_list = sorted(set(spec.p_values))
-    elif spec.p_rule == "paper":
+    else:  # p_rule "paper": every p < n, then the multiples of n up to D
         check_truncations(spec.D, spec.n, ())  # n first: the rule divides by it
         if spec.D % spec.n != 0:
             raise ConfigurationError(f"p_rule 'paper' needs n | D, got D={spec.D}, n={spec.n} (field n)")
         # ranges, not a comprehension: a list too large to allocate fails at once
         p_list = [*range(1, spec.n), *range(spec.n, spec.D + 1, spec.n)]
-    else:
-        raise ConfigurationError(f"unknown p_rule {spec.p_rule!r} (field p_rule)")
-    if not p_list:
-        raise ConfigurationError("p grid is empty (field p_values)")
     return check_truncations(spec.D, spec.n, p_list)
 
 
 def _curve_groups(spec) -> tuple[list[tuple[float, float]], np.ndarray]:
     """(r, q) row groups in output order, and the p grid each group sweeps."""
-    if not spec.r_values:
-        raise ConfigurationError("r grid is empty (field r_values)")
-    if spec.q_values == ():
-        raise ConfigurationError("q grid is empty (field q_values)")
     p = _resolve_p_grid(spec)
     groups = []
     for r in sorted(set(spec.r_values)):
@@ -519,7 +528,6 @@ def _sweep_columns(spec, groups: Sequence[tuple[float, float]], p: np.ndarray) -
 
 
 def run_risk_curve(spec: RiskCurveSpec) -> list[Path]:
-    _check_format(spec.format)
     _check_element_counts({"D": [spec.D]})
     groups, p = _curve_groups(spec)
     spectra = _spectra(spec.D, groups)
@@ -536,17 +544,17 @@ def run_risk_curve(spec: RiskCurveSpec) -> list[Path]:
     return [path]
 
 
-def run_mc_risk(spec: McRiskSpec) -> list[Path]:
-    _check_format(spec.format)
+def _mc_config(spec: McRiskSpec | ConcentrationSpec) -> McConfig:
+    """The Monte Carlo settings of a spec; its trials x D elements are checked against MAX_ELEMENTS first."""
     _check_element_counts({"D": [spec.D], "trials x D": [spec.trials, spec.D]})  # bounds len(p) x trials too
+    model = CoefficientModel(spec.coefficient_model)
+    return McConfig(trials=spec.trials, seed=spec.seed, coefficient_model=model, confidence=spec.confidence)
+
+
+def run_mc_risk(spec: McRiskSpec) -> list[Path]:
+    mc = _mc_config(spec)
     groups, p = _curve_groups(spec)
     spectra = _spectra(spec.D, groups)
-    mc = McConfig(
-        trials=spec.trials,
-        seed=spec.seed,
-        coefficient_model=_enum_value(CoefficientModel, spec.coefficient_model, "coefficient_model"),
-        confidence=spec.confidence,
-    )
 
     def compute(group):
         r, q = group
@@ -569,12 +577,7 @@ def run_mc_risk(spec: McRiskSpec) -> list[Path]:
 
 
 def run_heatmap(spec: HeatmapSpec) -> list[Path]:
-    _check_format(spec.format)
     _check_element_counts({"D": [spec.D]})
-    if spec.q_rule not in ("match-r", "fixed"):
-        raise ConfigurationError(f"q_rule must be 'match-r' or 'fixed', got {spec.q_rule!r} (field q_rule)")
-    if not spec.r_values:
-        raise ConfigurationError("r grid is empty (field r_values)")
     p = _resolve_p_grid(spec)
     groups = [(r, r if spec.q_rule == "match-r" else spec.q_fixed) for r in sorted(set(spec.r_values))]
     spectra = _spectra(spec.D, groups)
@@ -592,9 +595,6 @@ def run_heatmap(spec: HeatmapSpec) -> list[Path]:
 
 
 def run_bound_check(spec: BoundCheckSpec) -> list[Path]:
-    _check_format(spec.format)
-    if not (spec.n_values and spec.r_values and spec.l_values and spec.tau_multipliers):
-        raise ConfigurationError("bound-check grids must be nonempty")
     params = [
         (r, n, l, m)
         for r in sorted(set(spec.r_values))
@@ -641,16 +641,9 @@ def run_bound_check(spec: BoundCheckSpec) -> list[Path]:
 
 
 def run_concentration(spec: ConcentrationSpec) -> list[Path]:
-    _check_format(spec.format)
-    _check_element_counts({"D": [spec.D], "trials x D": [spec.trials, spec.D]})  # bounds len(p) x trials too
+    mc = _mc_config(spec)
     spectrum = build_spectrum(spec.D, spec.r)
     grid = classify_grid(spec.D, spec.n, spec.p)
-    mc = McConfig(
-        trials=spec.trials,
-        seed=spec.seed,
-        coefficient_model=_enum_value(CoefficientModel, spec.coefficient_model, "coefficient_model"),
-        confidence=spec.confidence,
-    )
     T_q = concentration_bound(spec.r, spec.q, 0.0).T_q
     t_grid = [m * T_q for m in spec.t_multipliers]
     tails = concentration_check(spectrum, grid, spec.q, t_grid, mc)
@@ -694,12 +687,8 @@ def _finite_or_none(value: float) -> float | None:
 
 
 def run_interp(spec: InterpSpec) -> list[Path]:
-    _check_format(spec.format)
     if (spec.target is None) == (spec.samples_file is None):
         raise ConfigurationError("exactly one of 'target' and 'samples_file' must be set")
-    if not spec.methods:
-        raise ConfigurationError("method list is empty (field methods)")
-    methods = [_enum_value(Method, name, "methods") for name in spec.methods]
     dimension = spec.dimension if spec.target is None else builtin_targets(spec.target).dimension
     # d factors per grid; from d = 64 on any size >= 2 is past the limit already
     sizes = {"n_axis": spec.n_axis, "p_axis": spec.p_axis, "eval_points": spec.eval_points}
@@ -717,7 +706,7 @@ def run_interp(spec: InterpSpec) -> list[Path]:
         q=spec.q,
         target=target,
         noise_sigma=spec.noise_sigma,
-        weight_kind=_enum_value(WeightKind, spec.weight_kind, "weight_kind"),
+        weight_kind=WeightKind(spec.weight_kind),
         noise_seed=spec.seed,
     )
     if samples is not None:
@@ -731,9 +720,7 @@ def run_interp(spec: InterpSpec) -> list[Path]:
     shared = [Column(axis, repeat=m ** (dimension - 1 - i), tile=m**i) for i, axis in enumerate(eval_axes)]
     header = [f"x{i}" for i in range(dimension)]
     if named:
-        fn = builtin_targets(spec.target)
-        mesh = np.stack(np.meshgrid(*eval_axes, indexing="ij"), axis=-1)
-        truth = (fn(mesh[..., 0]) if dimension == 1 else fn(mesh)).ravel()
+        truth = target_on_grid(problem, m).ravel()
         shared.append(Column(truth))
         header.append("f_true")
     header.append("f_hat")
@@ -742,30 +729,19 @@ def run_interp(spec: InterpSpec) -> list[Path]:
             column.render()  # once here, read by every method's file
 
     paths = []
+    # the fields that shape the fits (methods key per_method), with the dimension a named target fixes
+    skip = ("command", "methods", "out", "format", "threads")
     metrics: dict = {
-        "problem": {
-            "dimension": dimension,
-            "n_axis": spec.n_axis,
-            "p_axis": spec.p_axis,
-            "D_axis": spec.D_axis,
-            "q": spec.q,
-            "target": spec.target,
-            "samples_file": spec.samples_file,
-            "weight_kind": spec.weight_kind,
-            "noise_sigma": spec.noise_sigma,
-            "seed": spec.seed,
-            "eval_points": spec.eval_points,
-        },
+        "problem": {**{k: v for k, v in spec_to_dict(spec).items() if k not in skip}, "dimension": dimension},
         "samples": [float(v) for v in observed.ravel()],
         "per_method": {},
     }
-    for method in methods:
+    for method in map(Method, spec.methods):
         fit = fit_interpolant(problem, method)
         values = evaluate_on_grid(fit.coefficients, m).ravel()
         max_imag = float(np.max(np.abs(values.imag))) if values.size else 0.0
         rmse = float(np.sqrt(np.mean(np.abs(values - truth) ** 2))) if named else None
-        suffix = "csv" if spec.format == "csv" else "json"
-        grid_path = Path(f"{spec.out}.{method.value}.{suffix}")
+        grid_path = Path(f"{spec.out}.{method.value}.{spec.format}")
         write_table(grid_path, spec.format, header, Table(shared + [Column(values.real)]))
         paths.append(grid_path)
         metrics["per_method"][method.value] = {
@@ -809,80 +785,73 @@ def _strs(text: str) -> tuple[str, ...]:
     return tuple(v.strip() for v in text.split(",") if v.strip())
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON config file; CLI flags override its fields")
-    sub.add_argument("--out", help="output path (or path stem for interp)")
-    sub.add_argument("--format", choices=("csv", "json"), help="output format")
-    sub.add_argument("--threads", type=int, help="worker threads for grid sweeps")
+# Value parser of a flag, by the type of its field's values; lists are comma-separated.
+_FLAG_TYPES = {
+    int: int,
+    float: float,
+    str: None,
+    tuple[int, ...]: _ints,
+    tuple[float, ...]: _floats,
+    tuple[str, ...]: _strs,
+}
+
+# Option strings of the fields whose flag is not ``--field-name``.
+_ALIASES = {"D": ("--ambient", "-D"), "n": ("--samples", "-n"), "p": ("--truncation", "-p"), "D_axis": ("--d-axis",)}
+
+# Help of each field's flag, in every command that has the field.
+_HELP = {
+    "D": "ambient feature count D",
+    "n": "sample count n",
+    "p": "truncation p",
+    "r": "decay exponent",
+    "q": "weighting exponent of the weighted fit",
+    "r_values": "comma-separated decay exponents",
+    "q_values": "comma-separated weighting exponents (default q=r)",
+    "p_values": "explicit comma-separated truncations",
+    "p_rule": "p grid rule when p-values absent (default 'paper')",
+    "q_rule": "q per row: match-r (q = r) or fixed (q = q-fixed)",
+    "q_fixed": "weighting exponent of the fixed q rule",
+    "n_values": "comma-separated sample counts",
+    "l_values": "comma-separated overparametrisation ratios l = p/n",
+    "tau_multipliers": "comma-separated ratios D/p",
+    "t_multipliers": "deviation levels as multiples of T_q",
+    "trials": "Monte Carlo trials per configuration",
+    "seed": "base RNG seed (interp: observation noise)",
+    "confidence": "confidence level for percentile CIs",
+    "coefficient_model": "distribution of the Monte Carlo coefficients",
+    "target": "built-in target name (stage1d, cubic1d, cos2d)",
+    "samples_file": "CSV of training samples (x columns then y)",
+    "dimension": "dimension (required for samples-file input)",
+    "n_axis": "per-axis sample count",
+    "p_axis": "per-axis truncation",
+    "D_axis": "per-axis ambient feature count",
+    "methods": "comma-separated method list",
+    "weight_kind": "frequency weights in d > 1: a product of axis weights or 1/(1 + ||k||_2)",
+    "noise_sigma": "additive Gaussian noise level",
+    "eval_points": "dense evaluation points per axis",
+    "out": "output path (or path stem for interp)",
+    "format": "output format",
+    "threads": "worker threads for grid sweeps",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per spec class, one flag per field: ``--field-name`` unless aliased."""
     parser = argparse.ArgumentParser(
         prog="fourier-minnorm",
         description="Risk and interpolation experiments for min-norm Fourier regression.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name in ("risk-curve", "mc-risk"):
-        p = sub.add_parser(name)
-        p.add_argument("--ambient", "-D", dest="D", type=int, help="ambient feature count D")
-        p.add_argument("--samples", "-n", dest="n", type=int, help="sample count n")
-        p.add_argument("--r-values", type=_floats, help="comma-separated decay exponents")
-        p.add_argument("--q-values", type=_floats, help="comma-separated weighting exponents (default q=r)")
-        p.add_argument("--p-values", type=_ints, help="explicit comma-separated truncations")
-        p.add_argument("--p-rule", help="p grid rule when p-values absent (default 'paper')")
-        if name == "mc-risk":
-            p.add_argument("--trials", type=int, help="Monte Carlo trials per configuration")
-            p.add_argument("--seed", type=int, help="base RNG seed")
-            p.add_argument("--confidence", type=float, help="confidence level for percentile CIs")
-            p.add_argument("--coefficient-model", choices=[m.value for m in CoefficientModel])
-        _add_common(p)
-
-    p = sub.add_parser("heatmap")
-    p.add_argument("--ambient", "-D", dest="D", type=int)
-    p.add_argument("--samples", "-n", dest="n", type=int)
-    p.add_argument("--r-values", type=_floats)
-    p.add_argument("--q-rule", choices=("match-r", "fixed"))
-    p.add_argument("--q-fixed", type=float)
-    p.add_argument("--p-values", type=_ints)
-    p.add_argument("--p-rule")
-    _add_common(p)
-
-    p = sub.add_parser("bound-check")
-    p.add_argument("--n-values", type=_ints)
-    p.add_argument("--r-values", type=_floats)
-    p.add_argument("--l-values", type=_ints)
-    p.add_argument("--tau-multipliers", type=_ints)
-    _add_common(p)
-
-    p = sub.add_parser("interp")
-    p.add_argument("--target", help="built-in target name (stage1d, cubic1d, cos2d)")
-    p.add_argument("--samples-file", help="CSV of training samples (x columns then y)")
-    p.add_argument("--dimension", type=int, help="dimension (required for samples-file input)")
-    p.add_argument("--n-axis", type=int, help="per-axis sample count")
-    p.add_argument("--p-axis", type=int, help="per-axis truncation")
-    p.add_argument("--d-axis", dest="D_axis", type=int, help="per-axis ambient feature count")
-    p.add_argument("--q", type=float, help="weighting exponent for the weighted fit")
-    p.add_argument("--methods", type=_strs, help="comma-separated method list")
-    p.add_argument("--weight-kind", choices=[k.value for k in WeightKind])
-    p.add_argument("--noise-sigma", type=float, help="additive Gaussian noise level")
-    p.add_argument("--eval-points", type=int, help="dense evaluation points per axis")
-    p.add_argument("--seed", type=int, help="noise RNG seed")
-    _add_common(p)
-
-    p = sub.add_parser("concentration")
-    p.add_argument("--ambient", "-D", dest="D", type=int)
-    p.add_argument("--samples", "-n", dest="n", type=int)
-    p.add_argument("--truncation", "-p", dest="p", type=int)
-    p.add_argument("--r", type=float, help="decay exponent")
-    p.add_argument("--q", type=float, help="weighting exponent")
-    p.add_argument("--t-multipliers", type=_floats, help="deviation levels as multiples of T_q")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--confidence", type=float)
-    p.add_argument("--coefficient-model", choices=[m.value for m in CoefficientModel])
-    _add_common(p)
-
+    for command, cls in SPEC_TYPES.items():
+        p = sub.add_parser(command)
+        p.add_argument("--config", help="JSON config file; CLI flags override its fields")
+        kinds = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            value_type = _value_type(kinds[f.name])
+            flags = _ALIASES.get(f.name, ("--" + f.name.replace("_", "-"),))
+            # argparse checks a whole value against choices: a list field's items are checked in spec_from_dict
+            choices = None if typing.get_origin(value_type) is tuple else _CHOICES.get(f.name)
+            p.add_argument(*flags, dest=f.name, type=_FLAG_TYPES[value_type], choices=choices, help=_HELP[f.name])
     return parser
 
 
@@ -930,7 +899,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except MemoryError as exc:  # sizes (D, trials, ...) too large for this machine
         print(f"error: out of memory: {str(exc) or 'the sizes of the spec do not fit'}", file=sys.stderr)
         return 2
-    except (SingularSystemError, NumericalInconsistencyError) as exc:
+    except NumericalInconsistencyError as exc:
         print(f"numerical inconsistency: {exc}", file=sys.stderr)
         return 3
 

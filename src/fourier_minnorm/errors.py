@@ -1,8 +1,7 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps ``ConfigurationError`` (and subclasses) to exit code 2 and the
-numerical family (``SingularSystemError``, ``NumericalInconsistencyError``)
-to exit code 3.
+The CLI maps ``ConfigurationError`` (and subclasses) to exit code 2 and
+``NumericalInconsistencyError`` to exit code 3.
 """
 
 
@@ -24,10 +23,6 @@ class SingularConstantError(RegimeError):
 
 class UnknownTargetError(ConfigurationError):
     """Requested a built-in target function that does not exist."""
-
-
-class SingularSystemError(ArithmeticError):
-    """Linear system has a (numerically) zero eigenvalue."""
 
 
 class NumericalInconsistencyError(ArithmeticError):

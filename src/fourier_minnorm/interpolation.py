@@ -184,19 +184,24 @@ class InterpolationProblem:
         return [sample_axis(m, self.domain)] * self.dimension
 
 
-def training_grid(problem: InterpolationProblem) -> np.ndarray:
-    """Training points, shape (n_axis,)*d + (d,)."""
-    mesh = np.meshgrid(*problem.axes(), indexing="ij")
+def training_grid(problem: InterpolationProblem, points_per_axis: int | None = None) -> np.ndarray:
+    """Points of the problem grid ``axes(points_per_axis)``, the training grid by default; shape (m,)*d + (d,)."""
+    mesh = np.meshgrid(*problem.axes(points_per_axis), indexing="ij")
     return np.stack(mesh, axis=-1)
+
+
+def target_on_grid(problem: InterpolationProblem, points_per_axis: int | None = None) -> np.ndarray:
+    """The problem's named target on the grid ``axes(points_per_axis)``, shape (m,)*d."""
+    target = builtin_targets(problem.target)
+    points = training_grid(problem, points_per_axis)
+    return target(points[..., 0]) if problem.dimension == 1 else target(points)
 
 
 def training_samples(problem: InterpolationProblem) -> tuple[np.ndarray, np.ndarray]:
     """(clean, observed) sample tensors on the training grid."""
     d, n = problem.dimension, problem.n_axis
     if isinstance(problem.target, str):
-        target = builtin_targets(problem.target)
-        pts = training_grid(problem)
-        clean = target(pts[..., 0]) if d == 1 else target(pts)
+        clean = target_on_grid(problem)
     else:
         clean = np.asarray(problem.target).reshape((n,) * d)
     if problem.noise_sigma > 0:
@@ -340,9 +345,6 @@ def dense_grid_rmse(fit: FittedInterpolant, points_per_axis: int) -> float:
     problem = fit.problem
     if not isinstance(problem.target, str):
         raise ConfigurationError("dense-grid RMSE needs a named target")
-    target = builtin_targets(problem.target)
-    axes = problem.axes(points_per_axis)
     values = evaluate_on_grid(fit.coefficients, points_per_axis)
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    truth = target(mesh[..., 0]) if problem.dimension == 1 else target(mesh)
+    truth = target_on_grid(problem, points_per_axis)
     return float(np.sqrt(np.mean(np.abs(values - truth) ** 2)))

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -24,8 +25,10 @@ from fourier_minnorm.cli import (
     InterpSpec,
     McRiskSpec,
     RiskCurveSpec,
+    build_parser,
     main,
     render_cell,
+    spec_from_args,
     spec_from_dict,
     spec_to_dict,
 )
@@ -77,6 +80,84 @@ class TestSpecs:
         assert float(render_cell(value)) == value
         assert render_cell(True) == "true"
         assert render_cell(None) == ""
+
+
+def _subparsers():
+    """The parser of each command, by name."""
+    parser = build_parser()
+    (commands,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    return commands.choices
+
+
+_COMMON_FLAGS = {"-h", "--help", "--config", "--out", "--format", "--threads"}
+_CURVE_FLAGS = {"--ambient", "-D", "--samples", "-n", "--r-values", "--p-values", "--p-rule"}
+_MC_FLAGS = {"--trials", "--seed", "--confidence", "--coefficient-model"}
+
+
+class TestGeneratedParser:
+    OPTION_STRINGS = {
+        "risk-curve": _CURVE_FLAGS | {"--q-values"},
+        "mc-risk": _CURVE_FLAGS | {"--q-values"} | _MC_FLAGS,
+        "heatmap": _CURVE_FLAGS | {"--q-rule", "--q-fixed"},
+        "bound-check": {"--n-values", "--r-values", "--l-values", "--tau-multipliers"},
+        "interp": {"--n-axis", "--p-axis", "--d-axis", "--q", "--dimension", "--target", "--samples-file",
+                   "--methods", "--weight-kind", "--noise-sigma", "--eval-points", "--seed"},
+        "concentration": {"--ambient", "-D", "--samples", "-n", "--truncation", "-p", "--r", "--q",
+                          "--t-multipliers"} | _MC_FLAGS,
+    }
+    SPECS = TestSpecs.CASES + [
+        McRiskSpec(D=32, n=4, r_values=(0.5, 1.5), q_values=(0.0, 2.0), p_values=(2, 8), p_rule="paper", trials=3,
+                   seed=2**70, confidence=0.9, coefficient_model="real-gaussian", out="a.json", format="json",
+                   threads=2),
+        HeatmapSpec(D=16, n=4, r_values=(1.0,), q_rule="fixed", q_fixed=0.25, p_values=(4,)),
+        BoundCheckSpec(n_values=(4, 8), r_values=(0.6,), l_values=(2, 3), tau_multipliers=(5,), format="json"),
+        InterpSpec(n_axis=4, p_axis=9, D_axis=30, q=1.5, dimension=2, samples_file="s.csv",
+                   methods=("least-squares", "weighted-min-norm"), weight_kind="separable", noise_sigma=0.1,
+                   eval_points=7, seed=3, out="stem", threads=2),
+        ConcentrationSpec(D=64, n=8, p=16, r=1.0, q=0.75, t_multipliers=(0.0, 3.5), coefficient_model="real-gaussian"),
+    ]
+
+    @pytest.mark.parametrize("command", sorted(SPEC_TYPES))
+    def test_one_flag_per_field(self, command):
+        actions = _subparsers()[command]._actions
+        assert {flag for action in actions for flag in action.option_strings} == (
+            _COMMON_FLAGS | self.OPTION_STRINGS[command])
+        dests = [action.dest for action in actions]
+        for f in dataclasses.fields(SPEC_TYPES[command]):
+            assert dests.count(f.name) == 1, f.name
+        assert set(dests) == {f.name for f in dataclasses.fields(SPEC_TYPES[command])} | {"help", "config"}
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.COMMAND)
+    def test_spec_as_argv_parses_back(self, spec):
+        flags = {action.dest: action.option_strings[0] for action in _subparsers()[spec.COMMAND]._actions}
+        argv = [spec.COMMAND]
+        for name, value in spec_to_dict(spec).items():
+            if name != "command" and value is not None:
+                argv += [flags[name], ",".join(map(str, value)) if isinstance(value, list) else str(value)]
+        assert spec_from_args(build_parser().parse_args(argv)) == spec
+
+    @pytest.mark.parametrize(
+        "command, config, field, choices",
+        [
+            ("risk-curve", {"D": 16, "n": 4, "r_values": [1.0], "format": "bogus"}, "format", "'csv', 'json'"),
+            # rejected even where p_values makes the rule unused
+            ("heatmap", {"D": 16, "n": 4, "r_values": [1.0], "p_values": [4], "p_rule": "bogus"}, "p_rule", "'paper'"),
+            ("heatmap", {"D": 16, "n": 4, "r_values": [1.0], "q_rule": "bogus"}, "q_rule", "'match-r', 'fixed'"),
+            ("interp", {"n_axis": 15, "p_axis": 30, "D_axis": 100, "q": 1.0, "target": "cubic1d",
+                        "weight_kind": "bogus"}, "weight_kind", "'separable', 'euclidean'"),
+            ("interp", {"n_axis": 15, "p_axis": 30, "D_axis": 100, "q": 1.0, "target": "cubic1d",
+                        "methods": ["plain-min-norm", "bogus"]}, "methods",
+             "'least-squares', 'plain-min-norm', 'weighted-min-norm'"),
+        ],
+        ids=["format", "p_rule", "q_rule", "weight_kind", "methods"],
+    )
+    def test_bad_choice_in_a_config_file(self, tmp_path, capsys, command, config, field, choices):
+        # coefficient_model: TestConfigFile.test_bad_coefficient_model_lists_the_choices
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(config))
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"error: field {field} must be one of {choices}, got 'bogus'\n"
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestRiskCurve:
@@ -667,6 +748,19 @@ class TestRangeChecks:
         argv = [command, "-D", "16", "-n", "4", "--r-values", "1.0", "--q-values", ",", "--out", str(tmp_path / "x.csv")]
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: q grid is empty (field q_values)\n"
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_t_grid(self, tmp_path, capsys, source):
+        argv = SMALL_RUNS[5] + ["--out", str(tmp_path / "x.csv")]
+        if source == "flag":
+            argv += ["--t-multipliers", ","]
+        else:
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps({"t_multipliers": []}))
+            argv += ["--config", str(path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: t grid is empty (field t_multipliers)\n"
+        assert not (tmp_path / "x.csv").exists()
 
 
 def _list(values):
