@@ -1,54 +1,93 @@
 """Exact ``"%.17g"`` text of float64 arrays, as rows of a NUL-padded byte matrix.
 
-A cell is one row of ``CELL_WIDTH`` bytes, read as six little-endian int64
-words: sign, ``0.000`` prefix, first digit, point | 16 x (digit, point) |
-``e-XX`` and padding.  NUL fills every unused byte, so deleting the NULs of
-a row leaves the cell's text.
+A cell is one row of ``CELL_WIDTH = 24`` bytes, read as three little-endian
+int64 words.  NUL fills every unused byte, so deleting the NULs of a row
+leaves the cell's text.  Byte 0 holds the sign (``-``, or NUL for a
+positive value); the text follows: ``d.ddd``, ``0.000ddd`` or
+``d.ddde-XX``.  The exponent always sits in bytes 19 to 22, so a cell of
+this path uses at most bytes 0 to 22 and its row's last byte stays NUL.
+Only a ``%``-formatted cell can fill all 24 bytes
+(``-4.9406564584124654e-324``).
 
 For ``1e-11 <= |v| < 1e17`` the 17 significant digits come from exact
 integer arithmetic: ``v * 10**(16 - E)`` for the decimal exponent ``E`` of
-``v``, rounded half to even on the exact remainder, as ``%`` rounds.  Every
-other value (0, -0, nan, inf, subnormals, far exponents, and the double
-nearest a power of ten below 1 where it lies under that power) is
-formatted by ``%`` one at a time.  The arithmetic keeps to int64 and to few distinct
-numpy kernels: each kernel a process first runs adds its code pages to the
-resident set.  The CSV writer in ``cli`` imports this module on its first
-float column, so the CLI's start-up never compiles it.
+``v``, rounded half to even on the exact remainder, as ``%`` rounds.  The
+digits are written one byte each after the sign slot.  Then one per-row
+byte shift opens the gap for the point (or, for ``E < 0``, the ``0.000``
+prefix): the digits past the split move right by the gap's width.  Tables
+indexed by ``E`` give the split mask, the gap, and the point, prefix and
+exponent bytes.  A mask indexed by the text's length cuts the trailing
+zeros, and the point too when no digit follows it.  Every other value (0,
+-0, nan, inf, subnormals, far exponents, and the double nearest a power of
+ten below 1 where it lies under that power) is formatted by ``%`` one at a
+time.  The arithmetic keeps to int64 and to few distinct numpy kernels:
+each kernel a process first runs adds its code pages to the resident set.
+The CSV writer in ``cli`` imports this module on its first float column, so
+the CLI's start-up never compiles it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-CELL_WIDTH = 48
+CELL_WIDTH = 24
 
 
-def _words(texts) -> np.ndarray:
-    """Each text, NUL-padded to 8 bytes, as one little-endian int64."""
-    return np.frombuffer("".join(text.ljust(8, "\0") for text in texts).encode(), dtype="<i8")
+def _row(*parts: tuple[int, bytes]) -> list[int]:
+    """A 24-byte row holding each ``(offset, text)`` part, as three little-endian words."""
+    row = bytearray(CELL_WIDTH)
+    for offset, text in parts:
+        row[offset : offset + len(text)] = text
+    return np.frombuffer(bytes(row), dtype="<i8").tolist()
 
 
 _FIXED = range(-4, 17)  # the exponents %.17g writes without "e"
-_EXPONENTS = range(-11, 18)  # E + 11 indexes the tables below
-_HEAD = _words("\0" + ("0.000"[: 1 - E] if E < 0 and E in _FIXED else "") for E in _EXPONENTS)  # sign slot, prefix
-_TAIL = _words("" if E in _FIXED else f"e{E:+03d}" for E in _EXPONENTS)
-_POINT = np.array([E if E in _FIXED else 0 for E in _EXPONENTS])  # the digit the point follows
+_EXPONENTS = range(-11, 18)  # E + 11 indexes the layout table
+
+
+def _layout_table() -> np.ndarray:
+    """Per exponent E: split mask and fill (3 words each), exponent word, last digit kept, split, gap.
+
+    The last digit kept is the last integer digit (or the first digit) even
+    when it is a zero.  The digits start at byte 1.  Those before the split
+    stay; the rest move right by the gap, whose bytes the fill takes: the
+    point after digit E (d.ddd), the point after the first digit
+    (d.ddde-XX), or ``0.`` and -1 - E zeros before every digit (0.000ddd).
+    """
+    table = []
+    for E in _EXPONENTS:
+        if E in _FIXED and E < 0:
+            split, gap, fill = 0, 1 - E, (1, b"0.000"[: 1 - E])
+        else:
+            split = E + 1 if E in _FIXED else 1
+            gap, fill = 1, (1 + split, b".")
+        exponent = b"" if E in _FIXED else f"e{E:+03d}".encode()
+        masks = _row((0, b"\xff" * (1 + split))) + _row(fill) + _row((19, exponent))[2:]
+        table.append(masks + [max(split - 1, 0), split, gap])
+    return np.array(table, dtype=np.int64).T.copy()
+
+
+_LAYOUT = _layout_table()
+# the first n bytes of a row, as three words: column n of each row of the table
+_LENGTH_MASKS = np.array([_row((0, b"\xff" * n)) for n in range(CELL_WIDTH + 1)], dtype=np.int64).T.copy()
 _POW10 = np.array([10.0**j for j in range(-12, 19)])
 _POW5 = np.array([5**k for k in range(28)])
 _MASKS = np.array([(1 << s) - 1 for s in range(63)])
-_KEEP_DIGITS = np.array([0, 0xFF, 0xFF00FF, 0xFF00FF00FF, 0xFF00FF00FF00FF])  # the first 0..4 digits of a group
 
 
-def _group_table() -> np.ndarray:
-    """Four-digit group abcd -> bytes a0b0c0d, then how many digits end at its last nonzero one."""
-    groups = np.zeros((10,) * 4 + (8,), dtype=np.uint8)
-    for i in range(4):  # axis i is digit i
-        np.moveaxis(groups, i, -2)[..., 2 * i] = np.arange(ord("0"), ord("9") + 1)
-        np.moveaxis(groups, i, 0)[1:, ..., 7] = i + 1
-    return groups.view("<i8").ravel()
+def _quad_table() -> np.ndarray:
+    """Four digits abcd -> the bytes "abcd" in the low half, the index of the last nonzero digit in the high half.
+
+    The index counts from 1 (4 for abc1); it is -64 for 0000, so it never
+    wins a maximum.
+    """
+    value = np.arange(10**4)
+    text = sum((value // 10**k % 10 + ord("0")) << (8 * (3 - k)) for k in range(4))
+    significant = np.select([value % 10**k > 0 for k in range(1, 5)], [4, 3, 2, 1], -64)
+    return text | (significant << 32)
 
 
-_GROUPS = _group_table()
+_QUAD_TEXT = _quad_table()
 
 
 def _scaled(m: np.ndarray, e: np.ndarray, E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -74,6 +113,28 @@ def _scaled(m: np.ndarray, e: np.ndarray, E: np.ndarray) -> tuple[np.ndarray, np
     return N, (lo > half) | ((lo == half) & (half > 0) & (N & 1 == 1))
 
 
+def _digit_words(N: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The 17 digits of each 10**16 <= N < 10**17 as three words, digit i in byte 1 + i, and its last nonzero digit.
+
+    Overwrites N.
+    """
+    lead = N // 10**16
+    N -= lead * 10**16
+    hi = N // 10**8
+    N -= hi * 10**8
+    quads = []
+    for half in (hi, N):
+        quad = half // 10**4
+        half -= quad * 10**4
+        quads += [np.take(_QUAD_TEXT, quad), np.take(_QUAD_TEXT, half)]
+    last = np.zeros_like(lead)
+    for quad, first in zip(quads, (1, 5, 9, 13)):
+        np.maximum(last, (quad >> 32) + (first - 1), out=last)
+    y = (quads[0] & 0xFFFFFFFF) | (quads[1] << 32)  # digits 1-8
+    z = (quads[2] & 0xFFFFFFFF) | (quads[3] << 32)  # digits 9-16
+    return ((lead + ord("0")) << 8) | (y << 16), (y >> 48) | (z << 16), z >> 48, last
+
+
 def float_cells(values: np.ndarray) -> np.ndarray:
     """``"%.17g" % v`` of each float, as a ``(len(values), CELL_WIDTH)`` uint8 matrix."""
     x = np.asarray(values, dtype=np.float64)
@@ -95,27 +156,25 @@ def float_cells(values: np.ndarray) -> np.ndarray:
     carry = N == 10**17
     N[carry] = 10**16
     E += carry
-    E += 11  # from here a row of the exponent tables
+    E += 11
+    low0, low1, low2, fill0, fill1, fill2, exponent, last, split, gap = np.take(_LAYOUT, E, axis=1)
+    w0, w1, w2, last_digit = _digit_words(N)
+    np.maximum(last, last_digit, out=last)  # the last digit kept: the last nonzero or integer one
+    length = 2 + last + (last >= split) * gap  # of the text before the exponent
+    low0 &= w0  # the digits before the split stay
+    low1 &= w1
+    low2 &= w2
+    w0 ^= low0  # the rest move right by the gap, across word boundaries
+    w1 ^= low1
+    w2 ^= low2
+    gap <<= 3
+    back = 64 - gap
+    mask0, mask1, mask2 = np.take(_LENGTH_MASKS, length, axis=1)
     words = np.empty((len(sel), CELL_WIDTH // 8), dtype="<i8")
-    lead = N // 10**16
-    words[:, 0] = _HEAD[E] | (-(b >> 63) * ord("-")) | ((lead + ord("0")) << 48)
-    words[:, -1] = _TAIL[E]
-    N -= lead * 10**16
-    digits = np.ones(len(N), dtype=np.int64)  # significant digits, trailing zeros dropped
-    for j in range(4, 0, -1):
-        rest = N // 10**4
-        group = _GROUPS[N - rest * 10**4]
-        words[:, j] = group & ((1 << 56) - 1)
-        significant = group >> 56
-        digits = np.maximum(digits, (significant + (4 * j - 3)) * (significant > 0))
-        N = rest
-    point = _POINT[E]
-    keep = np.maximum(digits, point + 1)  # integer digits stay
-    for j in range(1, 5):
-        words[:, j] &= _KEEP_DIGITS[np.minimum(np.maximum(keep - (4 * j - 3), 0), 4)]
-    dot = np.flatnonzero((digits - 1 > point) & (point >= 0))
+    np.bitwise_and(low0 | (w0 << gap) | fill0 | ((b >> 63) & ord("-")), mask0, out=words[:, 0])  # and the sign
+    np.bitwise_and(low1 | (w1 << gap) | (w0 >> back) | fill1, mask1, out=words[:, 1])
+    np.bitwise_or((low2 | (w2 << gap) | (w1 >> back) | fill2) & mask2, exponent, out=words[:, 2])
     cells = words.view(np.uint8)
-    cells[dot, 7 + 2 * point[dot]] = ord(".")
     if len(sel) == len(x):
         return cells
     cells, fast_cells = np.zeros((len(x), CELL_WIDTH), dtype=np.uint8), cells

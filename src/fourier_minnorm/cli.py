@@ -5,7 +5,8 @@ concentration, one per spec dataclass.  Each spec field is one flag,
 ``--field-name`` (four aliases: ``-D/--ambient``, ``-n/--samples``,
 ``-p/--truncation``, ``--d-axis``), and one key of the ``--config
 <json-file>`` every command accepts (strictly validated, unknown keys
-rejected); CLI flags take precedence.  Flags and config values pass the
+rejected); CLI flags take precedence.  Every spec checks its fields when
+it is built, so flags, config values and specs built in Python pass the
 same checks: types, fixed choices, ranges, and no empty grid.
 
 Output contracts:
@@ -15,21 +16,23 @@ Output contracts:
   values repeated or tiled, a per-row column (risks, Monte Carlo
   estimates, f_true, f_hat) a plain array; float cells are formatted in
   numpy (exact ``%.17g`` digits for 1e-11 <= |v| < 1e17, Python's ``%``
-  for every other value), a CSV file is written in chunks of rows, each a
-  byte matrix of fixed-width cells with its NUL padding deleted, per-row
-  floats are formatted chunk by chunk and never kept, and a repeated,
-  tiled or shared column (interp's x_i and f_true) is formatted once per
-  invocation; the cell rules below and the bytes written are the same
-  either way, and a failure part way through removes the file;
+  for every other value), a CSV file is written in chunks of rows into
+  one byte matrix per file, a slot of whole words per column holding the
+  cell, its NUL padding and the column's separator, with the NULs deleted
+  from each chunk; per-row floats are formatted chunk by chunk and never
+  kept, and a repeated, tiled or shared column (interp's x_i and f_true)
+  is formatted once per invocation; the cell rules below and the bytes
+  written are the same either way, and a failure part way through
+  removes the file;
 * CSV: UTF-8, comma-separated, one header row, LF line endings; cells
   follow ``render_cell``: floats with 17 significant digits (round-trip
   exact for doubles, so ``-0``, ``nan``, ``inf`` and ``-inf`` appear as
   such), ints exactly, bools as ``true``/``false``, None as an empty cell;
 * JSON: UTF-8, sorted keys, ``{"columns": header, "rows": [...]}`` holding
   the same values as the CSV;
-* outputs are pure functions of (spec, seed) and byte-identical across
-  reruns and thread counts (rows are computed in grid order and merged in
-  submission order);
+* outputs are pure functions of (spec, seed), computed in grid order in
+  one thread, and byte-identical across reruns; ``--threads`` (at least 1)
+  changes nothing;
 * skipped out-of-domain rows are logged to a ``<out>.log`` sidecar, never
   into data files.
 
@@ -48,10 +51,9 @@ import math
 import sys
 import types
 import typing
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, ClassVar, Iterable, Iterator, Sequence
+from typing import ClassVar, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -96,10 +98,42 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
     return _decimal.float_cells(values)
 
 
+def _widest_float(values: np.ndarray) -> int:
+    """A bound on the bytes of the widest ``%.17g`` cell of these floats.
+
+    Only a negative value with a three-digit exponent takes 24
+    (``-4.9406564584124654e-324``); every other cell takes at most 23.
+    """
+    magnitudes = -values[values < 0]
+    return 24 if np.any((magnitudes < 1e-99) | (magnitudes >= 1e99)) else 23
+
+
 def _text_cells(cells: Sequence[str]) -> np.ndarray:
     """Rendered cells as rows of a NUL-padded byte matrix."""
     text = np.array([cell.encode("utf-8") for cell in cells], dtype=bytes)
     return text.view(np.uint8).reshape(len(cells), text.itemsize)
+
+
+# A CSV row is one slot per column: the column's cell, NUL-padded, then its
+# separator (a comma, or LF after the last column).  A slot spans whole
+# words, the fewest that hold the column's widest cell and the separator.
+def _cell_bytes(widest: int) -> int:
+    """The bytes before the separator in the slot of a column whose cells take at most ``widest`` bytes."""
+    return widest // 8 * 8 + 7
+
+
+def _fit(cells: np.ndarray) -> np.ndarray:
+    """Byte rows cut or NUL-padded to ``_cell_bytes`` of their widest cell."""
+    used = np.flatnonzero(cells.any(axis=0))
+    widest = used[-1] + 1 if used.size else 0
+    fitted = np.zeros((len(cells), _cell_bytes(widest)), dtype=np.uint8)
+    fitted[:, :widest] = cells[:, :widest]
+    return fitted
+
+
+def _items(cells: np.ndarray) -> np.ndarray:
+    """Byte rows (last axis contiguous) as one array of fixed-size items, so each row moves in one copy."""
+    return cells.view(f"V{cells.shape[1]}")[:, 0]
 
 
 def _float_values(values) -> tuple[np.ndarray, np.ndarray | None] | None:
@@ -129,10 +163,11 @@ class Column:
     repeated (outer axis) or tiled (inner axis), a per-row column a plain
     array.  Rendering formats the column's values once (a per-row float
     column each distinct bit pattern once, so ``-0.0`` stays apart from
-    ``0.0``) as rows of a NUL-padded byte matrix, and keeps them, so a
-    column shared by several tables renders once.  A per-row float column
-    nobody rendered is formatted chunk by chunk while its file is written,
-    and keeps nothing.  Cells hold no NUL: the writer deletes every one.
+    ``0.0``) as rows of a NUL-padded byte matrix, one CSV slot wide less
+    the separator's byte, and keeps them, so a column shared by several
+    tables renders once.  A per-row float column nobody rendered is
+    formatted chunk by chunk while its file is written, and keeps nothing.
+    Cells hold no NUL: the writer deletes every one.
     """
 
     def __init__(self, values, repeat: int = 1, tile: int = 1):
@@ -159,21 +194,23 @@ class Column:
             return
         floats = _float_values(self.values)
         if floats is None:
-            self._cells = _text_cells(list(map(render_cell, self.values)))
+            self._cells = _fit(_text_cells(list(map(render_cell, self.values))))
             return
         values, empty = floats
         if empty is None and self.repeat == self.tile == 1:  # per-row values repeat: each bit pattern once
             values, self._codes = np.unique(values.view(np.int64), return_inverse=True)
-        self._cells = _float_cells(values.view(np.float64))
+        cells = _float_cells(values.view(np.float64))
         if empty is not None:
-            self._cells[empty] = 0
+            cells[empty] = 0
+        self._cells = _fit(cells)
 
     def chunk(self, start: int, stop: int) -> np.ndarray:
         """Byte rows of cells ``start`` to ``stop - 1`` of this rendered column."""
-        if self._codes is None and self.repeat == self.tile == 1:
+        if self._codes is not None:
+            return np.take(self._cells, self._codes[start:stop], axis=0)
+        if self.repeat == self.tile == 1:
             return self._cells[start:stop]
-        index = np.arange(start, stop) // self.repeat % len(self.values)
-        return self._cells[index if self._codes is None else self._codes[index]]
+        return np.take(self._cells, np.arange(start, stop) // self.repeat % len(self.values), axis=0)
 
     def cells(self) -> list[str]:
         """This column's cells as text, one per row; renders the column."""
@@ -225,31 +262,43 @@ def _write_file(path: Path, chunks: Iterable[bytes]) -> None:
 
 
 def _csv_chunks(header: Sequence[str], table: Table) -> Iterator[bytes]:
-    """The CSV text in chunks of rows: each a byte matrix of cells, commas and LFs, NULs deleted."""
+    """The CSV text in chunks of rows: each one byte matrix of slots, a cell then its separator, NULs deleted.
+
+    The matrix is allocated once, with every separator in place; each chunk
+    overwrites only the cells.
+    """
     yield (",".join(header) + "\n").encode("utf-8")
+    if not len(table):
+        return
     streamed = {}  # column index -> (float64 values, None mask) of per-row float columns not rendered
+    widths = []  # bytes before each column's separator
     for i, column in enumerate(table.columns):
         per_row = column._cells is None and column.repeat == column.tile == 1
         floats = _float_values(column.values) if per_row else None
         if floats is None:
             column.render()
+            widths.append(column._cells.shape[1])
         else:
             streamed[i] = floats
-    size = CSV_CHUNK_ROWS
-    separators = np.full((size, len(table.columns)), ord(","), dtype=np.uint8)
-    separators[:, -1:] = ord("\n")
-    for start in range(0, len(table), size):
-        stop = min(start + size, len(table))
+            widths.append(_cell_bytes(_widest_float(floats[0])))
+    separators = np.cumsum(widths) + np.arange(len(widths))
+    rows = np.zeros((min(CSV_CHUNK_ROWS, len(table)), separators[-1] + 1), dtype=np.uint8)
+    rows[:, separators] = ord(",")
+    rows[:, -1] = ord("\n")
+    cells = [rows[:, end - width : end] for end, width in zip(separators, widths)]  # each slot less its separator
+    for start in range(0, len(table), CSV_CHUNK_ROWS):
+        stop = min(start + CSV_CHUNK_ROWS, len(table))
         if streamed:  # every per-row float column of the chunk in one call
             formatted = _float_cells(np.concatenate([values[start:stop] for values, _ in streamed.values()]))
-            blocks = dict(zip(streamed, np.split(formatted, len(streamed))))
-            for i, (_, empty) in streamed.items():
+            for (i, (_, empty)), block in zip(streamed.items(), np.split(formatted, len(streamed))):
                 if empty is not None:
-                    blocks[i][empty[start:stop]] = 0
-        parts = []
+                    block[empty[start:stop]] = 0
+                width = min(widths[i], block.shape[1])  # a wider slot keeps NULs past the formatter's rows
+                _items(cells[i][: stop - start, :width])[...] = _items(block[:, :width])
         for i, column in enumerate(table.columns):
-            parts += [blocks[i] if i in streamed else column.chunk(start, stop), separators[: stop - start, i : i + 1]]
-        yield np.concatenate(parts, axis=1).tobytes().translate(None, b"\0")
+            if i not in streamed:
+                _items(cells[i][: stop - start])[...] = _items(column.chunk(start, stop))
+        yield rows[: stop - start].tobytes().translate(None, b"\0")
 
 
 def write_csv(path: Path, header: Sequence[str], table: Table) -> None:
@@ -266,13 +315,6 @@ def write_table(path: Path, fmt: str, header: Sequence[str], table: Table) -> No
     else:
         rows = list(zip(*(column.json_values() for column in table.columns)))
         write_json(path, {"columns": list(header), "rows": rows})
-
-
-def ordered_map(fn: Callable, items: Sequence, threads: int) -> list:
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +357,11 @@ def _check_scalar(name: str, kind: type, value):
 
 
 def _check_field(name: str, kind, value):
-    """A flag or config value checked against its field's annotation, choices and range; ints widen to float.
+    """A spec field's value checked against its annotation, choices and range; ints widen to float.
 
-    A list field that is set is never empty: an empty grid is refused here,
+    Every spec runs it on each of its fields when it is built (``_Spec``),
+    so flags, config keys and specs built in Python pass the same checks.
+    A list field that is set is never empty: an empty grid is refused
     before any runner starts.
     """
     value_type = _value_type(kind)
@@ -343,6 +387,21 @@ def _check_field(name: str, kind, value):
     return value
 
 
+@functools.cache
+def _field_types(cls) -> dict:
+    """Each field of a spec class and its annotation, resolved once per class."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+
+
+class _Spec:
+    """Base of the spec dataclasses: however a spec is built, ``_check_field`` checks every field."""
+
+    def __post_init__(self):
+        for name, kind in _field_types(type(self)).items():
+            object.__setattr__(self, name, _check_field(name, kind, getattr(self, name)))
+
+
 def spec_from_dict(cls, data: dict):
     data = dict(data)
     command = data.pop("command", cls.COMMAND)
@@ -352,8 +411,6 @@ def spec_from_dict(cls, data: dict):
     unknown = sorted(set(data) - names)
     if unknown:
         raise ConfigurationError(f"unknown config field(s) for {cls.COMMAND}: {', '.join(unknown)}")
-    kinds = typing.get_type_hints(cls)
-    data = {name: _check_field(name, kinds[name], value) for name, value in data.items()}
     try:
         return cls(**data)
     except TypeError as exc:
@@ -369,7 +426,7 @@ def spec_to_dict(spec) -> dict:
 
 
 @dataclass(frozen=True)
-class RiskCurveSpec:
+class RiskCurveSpec(_Spec):
     COMMAND: ClassVar[str] = "risk-curve"
     D: int
     n: int
@@ -383,7 +440,7 @@ class RiskCurveSpec:
 
 
 @dataclass(frozen=True)
-class McRiskSpec:
+class McRiskSpec(_Spec):
     COMMAND: ClassVar[str] = "mc-risk"
     D: int
     n: int
@@ -401,7 +458,7 @@ class McRiskSpec:
 
 
 @dataclass(frozen=True)
-class HeatmapSpec:
+class HeatmapSpec(_Spec):
     COMMAND: ClassVar[str] = "heatmap"
     D: int
     n: int
@@ -416,7 +473,7 @@ class HeatmapSpec:
 
 
 @dataclass(frozen=True)
-class BoundCheckSpec:
+class BoundCheckSpec(_Spec):
     COMMAND: ClassVar[str] = "bound-check"
     n_values: tuple[int, ...]
     r_values: tuple[float, ...]
@@ -428,7 +485,7 @@ class BoundCheckSpec:
 
 
 @dataclass(frozen=True)
-class InterpSpec:
+class InterpSpec(_Spec):
     COMMAND: ClassVar[str] = "interp"
     n_axis: int
     p_axis: int
@@ -448,7 +505,7 @@ class InterpSpec:
 
 
 @dataclass(frozen=True)
-class ConcentrationSpec:
+class ConcentrationSpec(_Spec):
     COMMAND: ClassVar[str] = "concentration"
     D: int
     n: int
@@ -531,12 +588,7 @@ def run_risk_curve(spec: RiskCurveSpec) -> list[Path]:
     _check_element_counts({"D": [spec.D]})
     groups, p = _curve_groups(spec)
     spectra = _spectra(spec.D, groups)
-
-    def compute(group):
-        r, q = group
-        return theory_risks(spectra[r], spec.n, q, p)
-
-    risks = np.concatenate(ordered_map(compute, groups, spec.threads))
+    risks = np.concatenate([theory_risks(spectra[r], spec.n, q, p) for r, q in groups])
     columns = _sweep_columns(spec, groups, p)
     columns += [Column(regime_tags(spec.n, p), tile=len(groups)), Column(risks)]
     path = Path(spec.out)
@@ -555,12 +607,9 @@ def run_mc_risk(spec: McRiskSpec) -> list[Path]:
     mc = _mc_config(spec)
     groups, p = _curve_groups(spec)
     spectra = _spectra(spec.D, groups)
-
-    def compute(group):
-        r, q = group
-        return theory_risks(spectra[r], spec.n, q, p), empirical_risks(spectra[r], spec.n, q, p, mc)
-
-    results = ordered_map(compute, groups, spec.threads)
+    results = [
+        (theory_risks(spectra[r], spec.n, q, p), empirical_risks(spectra[r], spec.n, q, p, mc)) for r, q in groups
+    ]
     estimates = [est for _, group_estimates in results for est in group_estimates]
     columns = _sweep_columns(spec, groups, p)
     columns += [
@@ -581,12 +630,7 @@ def run_heatmap(spec: HeatmapSpec) -> list[Path]:
     p = _resolve_p_grid(spec)
     groups = [(r, r if spec.q_rule == "match-r" else spec.q_fixed) for r in sorted(set(spec.r_values))]
     spectra = _spectra(spec.D, groups)
-
-    def compute(group):
-        r, q = group
-        return theory_risks(spectra[r], spec.n, q, p)
-
-    risks = np.concatenate(ordered_map(compute, groups, spec.threads)).tolist()
+    risks = np.concatenate([theory_risks(spectra[r], spec.n, q, p) for r, q in groups]).tolist()
     log10_risks = [math.log10(risk) if risk > 0 else None for risk in risks]
     columns = _sweep_columns(spec, groups, p) + [Column(risks), Column(log10_risks)]
     path = Path(spec.out)
@@ -831,7 +875,7 @@ _HELP = {
     "eval_points": "dense evaluation points per axis",
     "out": "output path (or path stem for interp)",
     "format": "output format",
-    "threads": "worker threads for grid sweeps",
+    "threads": "accepted for compatibility (>= 1); changes neither the output nor the speed",
 }
 
 
@@ -845,13 +889,12 @@ def build_parser() -> argparse.ArgumentParser:
     for command, cls in SPEC_TYPES.items():
         p = sub.add_parser(command)
         p.add_argument("--config", help="JSON config file; CLI flags override its fields")
-        kinds = typing.get_type_hints(cls)
-        for f in dataclasses.fields(cls):
-            value_type = _value_type(kinds[f.name])
-            flags = _ALIASES.get(f.name, ("--" + f.name.replace("_", "-"),))
-            # argparse checks a whole value against choices: a list field's items are checked in spec_from_dict
-            choices = None if typing.get_origin(value_type) is tuple else _CHOICES.get(f.name)
-            p.add_argument(*flags, dest=f.name, type=_FLAG_TYPES[value_type], choices=choices, help=_HELP[f.name])
+        for name, kind in _field_types(cls).items():
+            value_type = _value_type(kind)
+            flags = _ALIASES.get(name, ("--" + name.replace("_", "-"),))
+            # argparse checks a whole value against choices: a list field's items are checked by the spec
+            choices = None if typing.get_origin(value_type) is tuple else _CHOICES.get(name)
+            p.add_argument(*flags, dest=name, type=_FLAG_TYPES[value_type], choices=choices, help=_HELP[name])
     return parser
 
 

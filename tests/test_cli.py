@@ -28,6 +28,8 @@ from fourier_minnorm.cli import (
     build_parser,
     main,
     render_cell,
+    run_heatmap,
+    run_interp,
     spec_from_args,
     spec_from_dict,
     spec_to_dict,
@@ -35,6 +37,7 @@ from fourier_minnorm.cli import (
 import fourier_minnorm
 import fourier_minnorm.interpolation as interpolation
 from fourier_minnorm import build_spectrum, classify_grid, risk_trace_over
+from fourier_minnorm.errors import ConfigurationError
 from fourier_minnorm.interpolation import sample_axis
 
 
@@ -74,6 +77,54 @@ class TestSpecs:
     def test_command_mismatch_rejected(self):
         with pytest.raises(Exception, match="command"):
             spec_from_dict(RiskCurveSpec, {"command": "heatmap", "D": 8, "n": 2, "r_values": [1.0]})
+
+    CURVE = {"D": 16, "n": 4, "r_values": (1.0,)}
+    INTERP = {"n_axis": 4, "p_axis": 8, "D_axis": 16, "q": 1.0, "target": "cubic1d"}
+    CONCENTRATION = {"D": 64, "n": 8, "p": 16, "r": 1.0, "q": 1.0}
+
+    @pytest.mark.parametrize(
+        "cls, fields, name, value",
+        [
+            (RiskCurveSpec, CURVE, "D", "16"),
+            (RiskCurveSpec, CURVE, "n", True),
+            (RiskCurveSpec, CURVE, "r_values", ()),
+            (RiskCurveSpec, CURVE, "q_values", (0.5, "1")),
+            (RiskCurveSpec, CURVE, "p_values", 8),
+            (RiskCurveSpec, CURVE, "p_rule", "bogus"),
+            (McRiskSpec, CURVE, "trials", 2.0),
+            (McRiskSpec, CURVE, "coefficient_model", "bogus"),
+            (McRiskSpec, CURVE, "threads", 0),
+            (HeatmapSpec, CURVE, "r_values", ()),
+            (HeatmapSpec, CURVE, "q_rule", "bogus"),
+            (HeatmapSpec, CURVE, "q_fixed", None),
+            (HeatmapSpec, CURVE, "format", "xml"),
+            (BoundCheckSpec, {"n_values": (4,), "r_values": (1.0,)}, "n_values", (4, 2.5)),
+            (BoundCheckSpec, {"n_values": (4,), "r_values": (1.0,)}, "tau_multipliers", ()),
+            (InterpSpec, INTERP, "methods", ("bogus",)),
+            (InterpSpec, INTERP, "methods", ()),
+            (InterpSpec, INTERP, "weight_kind", "bogus"),
+            (InterpSpec, INTERP, "eval_points", 0),
+            (InterpSpec, INTERP, "target", 3),
+            (InterpSpec, INTERP, "out", None),
+            (ConcentrationSpec, CONCENTRATION, "t_multipliers", (1.0, math.nan)),
+            (ConcentrationSpec, CONCENTRATION, "t_multipliers", ()),
+            (ConcentrationSpec, CONCENTRATION, "confidence", "0.8"),
+        ],
+    )
+    def test_a_spec_built_directly_checks_its_fields(self, cls, fields, name, value):
+        with pytest.raises(ConfigurationError, match=f"\\(field {name}\\)$|^field {name} must"):
+            cls(**{**fields, name: value})
+
+    def test_runners_refuse_bad_specs_built_directly(self):
+        with pytest.raises(ConfigurationError, match="field methods must be one of"):
+            run_interp(InterpSpec(**self.INTERP, methods=("bogus",)))
+        with pytest.raises(ConfigurationError, match="^r grid is empty"):
+            run_heatmap(HeatmapSpec(D=64, n=8, r_values=()))
+
+    def test_a_spec_built_directly_is_normalised(self):
+        spec = HeatmapSpec(D=16, n=4, r_values=[1], q_fixed=0)
+        assert spec.r_values == (1.0,) and isinstance(spec.r_values[0], float) and isinstance(spec.q_fixed, float)
+        assert spec == spec_from_dict(HeatmapSpec, spec_to_dict(spec))
 
     def test_float_formatting_roundtrip(self):
         value = 1 / 3

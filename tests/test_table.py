@@ -256,6 +256,45 @@ class TestFloatCells:
     def test_empty(self):
         assert cli._float_cells(np.array([])).shape[0] == 0
 
+    def test_fast_path_cells_leave_the_last_byte_free(self):
+        # the widest fast-path texts: a negative 0.000ddd and d.ddde-XX with 17 digits
+        rng = np.random.default_rng(16)
+        values = -(10.0 ** rng.uniform(-11, 17, 20000))
+        values = np.concatenate([values, [-0.00012345678901234567, -1.2345678901234567e-11, -1234567890123456.7]])
+        rows = cli._float_cells(values)
+        assert rows.shape == (len(values), 24)
+        assert not rows[:, -1].any()
+        assert max(map(len, formatted(values))) == 23
+
+    @pytest.mark.parametrize("chunk_rows", [1, 3, cli.CSV_CHUNK_ROWS])
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_widest_cells_in_shared_and_streamed_columns(self, chunk_rows, data):
+        widest = [-4.9406564584124654e-324, -2.2250738585072014e-308, -1.7976931348623157e308]
+        assert [len(reference_cell(v)) for v in widest] == [24, 24, 24]
+        floats = st.one_of(st.sampled_from(widest), st.floats(allow_subnormal=True),
+                           st.floats(-1e17, 1e17).filter(lambda v: abs(v) >= 1e-11))
+        pool = data.draw(st.lists(floats, min_size=1, max_size=8))
+        tiles = data.draw(st.integers(1, 6))
+        rows = len(pool) * tiles
+        pick = lambda values: data.draw(st.lists(values, min_size=rows, max_size=rows))  # noqa: E731
+        columns = [
+            Column(np.array(pick(st.sampled_from(pool)))),  # per-row floats: streamed
+            Column(pick(st.one_of(st.sampled_from(pool), st.none()))),  # floats and None: streamed
+            Column(pool, tile=tiles),  # a float axis: rendered once
+            Column(pick(st.one_of(st.sampled_from(pool), st.integers(), st.none(), st.sampled_from(["under", ""])))),
+        ]
+        header = ["a", "b", "c", "d"]
+        expected = reference_csv(header, table_rows(Table(columns)))
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "CSV_CHUNK_ROWS", chunk_rows)
+            for name in ("streamed", "shared"):  # then every column rendered, as interp's shared columns are
+                path = Path(tmp) / name
+                write_table(path, "csv", header, Table(columns))
+                assert path.read_bytes() == expected, name
+                for column in columns:
+                    column.render()
+
     @pytest.mark.parametrize("chunk_rows", [1, 3, cli.CSV_CHUNK_ROWS])
     def test_float_columns_with_none(self, tmp_path, chunk_rows, monkeypatch):
         monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk_rows)
