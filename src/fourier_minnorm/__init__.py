@@ -17,7 +17,6 @@ from .errors import (
 )
 from .estimators import (
     EstimatorResult,
-    SolverPath,
     least_squares,
     minnorm_kkt_check,
     solve_weighted_minnorm,
@@ -89,7 +88,6 @@ __all__ = [
     "RegimeError",
     "RiskBreakdown",
     "SingularConstantError",
-    "SolverPath",
     "Spectrum",
     "StructureError",
     "Target",

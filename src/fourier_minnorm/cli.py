@@ -11,19 +11,21 @@ same checks: types, fixed choices, ranges, and no empty grid.
 
 Output contracts:
 
-* every data file is a column table (``Table`` of ``Column``): a constant
-  (D, n) is one value repeated, a grid axis (p, r, q, regime, x_i) its
-  values repeated or tiled, a per-row column (risks, Monte Carlo
-  estimates, f_true, f_hat) a plain array; float cells are formatted in
-  numpy (exact ``%.17g`` digits for 1e-11 <= |v| < 1e17, Python's ``%``
-  for every other value), a CSV file is written in chunks of rows into
-  one byte matrix per file, a slot of whole words per column holding the
-  cell, its NUL padding and the column's separator, with the NULs deleted
-  from each chunk; per-row floats are formatted chunk by chunk and never
-  kept, and a repeated, tiled or shared column (interp's x_i and f_true)
-  is formatted once per invocation; the cell rules below and the bytes
-  written are the same either way, and a failure part way through
-  removes the file;
+* every data file is a column table (``Table`` of ``Column``), a column
+  its values plus a row index: a constant (D, n) is one value repeated, a
+  grid axis (p, r, q, regime, x_i) its values repeated or tiled, a per-row
+  column (risks, Monte Carlo estimates, f_hat) a plain array with no
+  index, and interp's f_true its distinct values plus an index;
+  float cells are formatted in numpy (exact ``%.17g`` digits for
+  1e-11 <= |v| < 1e17, Python's ``%`` for every other value), a CSV file
+  is written in chunks of rows into one byte matrix per file, a slot of
+  whole words per column holding the cell, its NUL padding and the
+  column's separator, with the NULs deleted from each chunk; per-row
+  floats are formatted chunk by chunk and never kept, and every other
+  column is formatted once and kept, so a column shared by several files
+  (interp's x_i and f_true) is formatted once; the cell rules below and
+  the bytes written are the same either way, and a failure part way
+  through removes the file;
 * CSV: UTF-8, comma-separated, one header row, LF line endings; cells
   follow ``render_cell``: floats with 17 significant digits (round-trip
   exact for doubles, so ``-0``, ``nan``, ``inf`` and ``-inf`` appear as
@@ -122,12 +124,12 @@ def _cell_bytes(widest: int) -> int:
     return widest // 8 * 8 + 7
 
 
-def _fit(cells: np.ndarray) -> np.ndarray:
-    """Byte rows cut or NUL-padded to ``_cell_bytes`` of their widest cell."""
-    used = np.flatnonzero(cells.any(axis=0))
-    widest = used[-1] + 1 if used.size else 0
-    fitted = np.zeros((len(cells), _cell_bytes(widest)), dtype=np.uint8)
-    fitted[:, :widest] = cells[:, :widest]
+def _fit(cells: np.ndarray, width: int) -> np.ndarray:
+    """Byte rows cut (only NULs past the widest cell) or NUL-padded to ``width`` bytes."""
+    if cells.shape[1] >= width:
+        return cells[:, :width]
+    fitted = np.zeros((len(cells), width), dtype=np.uint8)
+    fitted[:, : cells.shape[1]] = cells
     return fitted
 
 
@@ -148,6 +150,14 @@ def _float_values(values) -> tuple[np.ndarray, np.ndarray | None] | None:
     return np.array([0.0 if v is None else v for v in values]), np.array([v is None for v in values])
 
 
+def _masked_float_cells(values: np.ndarray, empty: np.ndarray | None) -> np.ndarray:
+    """``_float_cells`` of the values, with the rows of None cells (``empty``) all NUL."""
+    cells = _float_cells(values)
+    if empty is not None:
+        cells[empty] = 0
+    return cells
+
+
 def _json_value(value):
     if isinstance(value, (np.integer,)):
         return int(value)
@@ -157,69 +167,72 @@ def _json_value(value):
 
 
 class Column:
-    """A column of ``values``, each repeated ``repeat`` times, the whole tiled ``tile`` times.
+    """A column's ``values`` and its row ``index``: row i holds ``values[index[i]]``, or value i when ``index`` is None.
 
     A constant is one value repeated for every row, a grid axis its values
-    repeated (outer axis) or tiled (inner axis), a per-row column a plain
-    array.  Rendering formats the column's values once (a per-row float
-    column each distinct bit pattern once, so ``-0.0`` stays apart from
-    ``0.0``) as rows of a NUL-padded byte matrix, one CSV slot wide less
-    the separator's byte, and keeps them, so a column shared by several
-    tables renders once.  A per-row float column nobody rendered is
-    formatted chunk by chunk while its file is written, and keeps nothing.
+    repeated (outer axis) or tiled (inner axis): ``repeat`` and ``tile``
+    build the index once.  A per-row column is a plain array with no index;
+    ``distinct`` gives a per-row float column as its distinct bit patterns
+    (``-0.0`` apart from ``0.0``) plus an index.  The CSV writer reads a
+    column in chunks of byte rows, one slot wide less the separator's byte
+    (``chunk``): a per-row float column formats each chunk and keeps
+    nothing; any other column formats its values once, on first use, and
+    keeps them, so a column shared by several tables is formatted once.
     Cells hold no NUL: the writer deletes every one.
     """
 
-    def __init__(self, values, repeat: int = 1, tile: int = 1):
+    def __init__(self, values, repeat: int = 1, tile: int = 1, index: np.ndarray | None = None):
         if isinstance(values, np.ndarray) and values.dtype.kind == "f":
             self.values = values.astype(np.float64, copy=False)
         else:
             self.values = values.tolist() if isinstance(values, np.ndarray) else list(values)
-        self.repeat = repeat
-        self.tile = tile
-        self._cells: np.ndarray | None = None  # the rendered byte rows
-        self._codes: np.ndarray | None = None  # each value's row of _cells; None: row i for value i
+        if index is None and (repeat, tile) != (1, 1):
+            index = np.arange(len(self.values) * repeat * tile) // repeat % len(self.values)
+        self.index = index
+        self._floats: tuple[np.ndarray, np.ndarray | None] | None = None  # per-row floats: values and None mask
+        self._cells: np.ndarray | None = None  # any other column: each value's byte row, kept
+        self._width: int | None = None
+
+    @classmethod
+    def distinct(cls, floats: np.ndarray) -> Column:
+        """Per-row floats as their distinct bit patterns and a row index: each pattern is formatted once."""
+        bits, index = np.unique(np.asarray(floats, dtype=np.float64).view(np.int64), return_inverse=True)
+        return cls(bits.view(np.float64), index=index)
 
     def __len__(self) -> int:
-        return len(self.values) * self.repeat * self.tile
+        return len(self.values) if self.index is None else len(self.index)
 
-    def _expand(self, items: list) -> list:
-        if self.repeat != 1:
-            items = [item for item in items for _ in range(self.repeat)]
-        return items * self.tile
-
-    def render(self) -> None:
-        """Format this column's cells once and keep them for every file that reads it."""
-        if self._cells is not None:
-            return
-        floats = _float_values(self.values)
-        if floats is None:
-            self._cells = _fit(_text_cells(list(map(render_cell, self.values))))
-            return
-        values, empty = floats
-        if empty is None and self.repeat == self.tile == 1:  # per-row values repeat: each bit pattern once
-            values, self._codes = np.unique(values.view(np.int64), return_inverse=True)
-        cells = _float_cells(values.view(np.float64))
-        if empty is not None:
-            cells[empty] = 0
-        self._cells = _fit(cells)
+    def width(self) -> int:
+        """The bytes before the separator in this column's CSV slot; formats a column that keeps its cells."""
+        if self._width is None:
+            floats = _float_values(self.values)
+            if floats is not None and self.index is None:  # per-row floats: each chunk formatted as it is written
+                self._floats = floats
+                self._width = _cell_bytes(_widest_float(floats[0]))
+            else:
+                if floats is None:
+                    cells = _text_cells(list(map(render_cell, self.values)))
+                else:
+                    cells = _masked_float_cells(*floats)
+                used = np.flatnonzero(cells.any(axis=0))
+                # contiguous, not a view of wider rows: a chunk's gather then reads about twice as fast
+                self._cells = np.ascontiguousarray(_fit(cells, _cell_bytes(used[-1] + 1 if used.size else 0)))
+                self._width = self._cells.shape[1]
+        return self._width
 
     def chunk(self, start: int, stop: int) -> np.ndarray:
-        """Byte rows of cells ``start`` to ``stop - 1`` of this rendered column."""
-        if self._codes is not None:
-            return np.take(self._cells, self._codes[start:stop], axis=0)
-        if self.repeat == self.tile == 1:
+        """Byte rows of cells ``start`` to ``stop - 1``, ``width()`` bytes each."""
+        width = self.width()
+        if self._floats is not None:
+            values, empty = self._floats
+            return _fit(_masked_float_cells(values[start:stop], None if empty is None else empty[start:stop]), width)
+        if self.index is None:
             return self._cells[start:stop]
-        return np.take(self._cells, np.arange(start, stop) // self.repeat % len(self.values), axis=0)
-
-    def cells(self) -> list[str]:
-        """This column's cells as text, one per row; renders the column."""
-        self.render()
-        return [row.tobytes().translate(None, b"\0").decode("utf-8") for row in self.chunk(0, len(self))]
+        return np.take(self._cells, self.index[start:stop], axis=0)
 
     def json_values(self) -> list:
-        values = self.values.tolist() if isinstance(self.values, np.ndarray) else self.values
-        return self._expand([_json_value(v) for v in values])
+        values = self.values.tolist() if isinstance(self.values, np.ndarray) else [_json_value(v) for v in self.values]
+        return values if self.index is None else [values[i] for i in self.index.tolist()]
 
 
 class Table:
@@ -270,34 +283,16 @@ def _csv_chunks(header: Sequence[str], table: Table) -> Iterator[bytes]:
     yield (",".join(header) + "\n").encode("utf-8")
     if not len(table):
         return
-    streamed = {}  # column index -> (float64 values, None mask) of per-row float columns not rendered
-    widths = []  # bytes before each column's separator
-    for i, column in enumerate(table.columns):
-        per_row = column._cells is None and column.repeat == column.tile == 1
-        floats = _float_values(column.values) if per_row else None
-        if floats is None:
-            column.render()
-            widths.append(column._cells.shape[1])
-        else:
-            streamed[i] = floats
-            widths.append(_cell_bytes(_widest_float(floats[0])))
+    widths = [column.width() for column in table.columns]  # bytes before each column's separator
     separators = np.cumsum(widths) + np.arange(len(widths))
     rows = np.zeros((min(CSV_CHUNK_ROWS, len(table)), separators[-1] + 1), dtype=np.uint8)
     rows[:, separators] = ord(",")
     rows[:, -1] = ord("\n")
-    cells = [rows[:, end - width : end] for end, width in zip(separators, widths)]  # each slot less its separator
+    slots = [_items(rows[:, end - width : end]) for end, width in zip(separators, widths)]  # each less its separator
     for start in range(0, len(table), CSV_CHUNK_ROWS):
         stop = min(start + CSV_CHUNK_ROWS, len(table))
-        if streamed:  # every per-row float column of the chunk in one call
-            formatted = _float_cells(np.concatenate([values[start:stop] for values, _ in streamed.values()]))
-            for (i, (_, empty)), block in zip(streamed.items(), np.split(formatted, len(streamed))):
-                if empty is not None:
-                    block[empty[start:stop]] = 0
-                width = min(widths[i], block.shape[1])  # a wider slot keeps NULs past the formatter's rows
-                _items(cells[i][: stop - start, :width])[...] = _items(block[:, :width])
-        for i, column in enumerate(table.columns):
-            if i not in streamed:
-                _items(cells[i][: stop - start])[...] = _items(column.chunk(start, stop))
+        for column, slot in zip(table.columns, slots):
+            slot[: stop - start] = _items(column.chunk(start, stop))
         yield rows[: stop - start].tobytes().translate(None, b"\0")
 
 
@@ -765,12 +760,9 @@ def run_interp(spec: InterpSpec) -> list[Path]:
     header = [f"x{i}" for i in range(dimension)]
     if named:
         truth = target_on_grid(problem, m).ravel()
-        shared.append(Column(truth))
+        shared.append(Column.distinct(truth))  # each distinct value formatted once, for every method's file
         header.append("f_true")
     header.append("f_hat")
-    if spec.format == "csv":
-        for column in shared:
-            column.render()  # once here, read by every method's file
 
     paths = []
     # the fields that shape the fits (methods key per_method), with the dimension a named target fixes

@@ -19,7 +19,6 @@ independent of any weighting exponent: the same formula with s = Lambda = 1.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,18 +28,12 @@ from .errors import ConfigurationError, RegimeError
 from .model import GridConfig, Spectrum, check_finite_nonnegative
 
 
-class SolverPath(enum.Enum):
-    CIRCULANT_FFT = "circulant_fft"
-    NORMAL_EQUATIONS = "normal_equations"
-
-
 @dataclass(frozen=True)
 class EstimatorResult:
-    """Fitted coefficients (zero outside T) plus solve-path metadata."""
+    """Fitted coefficients (zero outside T), the weighting exponent used and the sample residual."""
 
     theta_hat: np.ndarray = field(repr=False)  # (D,) complex
     q_used: float
-    path: SolverPath
     residual: float  # ||F_T theta_T - y||_2
 
 
@@ -107,7 +100,7 @@ def weighted_minnorm(y: np.ndarray, spectrum: Spectrum, grid: GridConfig, q: flo
     theta = np.zeros(grid.D, dtype=complex)
     theta[:p] = theta_T
     residual = float(np.linalg.norm(equispaced_predict(theta_T, n) - y))
-    return EstimatorResult(theta_hat=theta, q_used=float(q), path=SolverPath.CIRCULANT_FFT, residual=residual)
+    return EstimatorResult(theta_hat=theta, q_used=float(q), residual=residual)
 
 
 def least_squares(y: np.ndarray, grid: GridConfig) -> EstimatorResult:
@@ -121,7 +114,7 @@ def least_squares(y: np.ndarray, grid: GridConfig) -> EstimatorResult:
     theta = np.zeros(grid.D, dtype=complex)
     theta[: grid.p] = theta_T
     residual = float(np.linalg.norm(equispaced_predict(theta_T, grid.n) - y))
-    return EstimatorResult(theta_hat=theta, q_used=0.0, path=SolverPath.NORMAL_EQUATIONS, residual=residual)
+    return EstimatorResult(theta_hat=theta, q_used=0.0, residual=residual)
 
 
 def minnorm_kkt_check(result: EstimatorResult, grid: GridConfig, spectrum: Spectrum, q: float) -> float:

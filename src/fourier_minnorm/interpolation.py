@@ -168,6 +168,8 @@ class InterpolationProblem:
             raise ConfigurationError("per-axis sample and truncation counts must be >= 1")
         if self.p_axis > self.D_axis:
             raise ConfigurationError(f"p_axis={self.p_axis} exceeds ambient D_axis={self.D_axis}")
+        if self.noise_seed < 0:
+            raise ConfigurationError(f"field noise_seed must be a nonnegative integer, got {self.noise_seed}")
         check_finite_nonnegative(self.noise_sigma, "field noise_sigma")
         check_finite_nonnegative(self.q, "field q")
         if isinstance(self.target, str):
@@ -231,9 +233,6 @@ class FittedInterpolant:
     log10_weighted_norm: float
     plain_norm: float
     problem: InterpolationProblem = field(repr=False)
-
-    def evaluate(self, axes: Sequence[np.ndarray]) -> np.ndarray:
-        return evaluate_interpolant(self.coefficients, axes, self.problem.domain)
 
 
 def evaluate_on_grid(coefficients: np.ndarray, points_per_axis: int) -> np.ndarray:

@@ -45,8 +45,6 @@ class Spectrum:
 
     def t_pow(self, u: float) -> np.ndarray:
         """Entrywise power t_j^u (returns a fresh writable array)."""
-        if u == 0.0:
-            return np.ones(self.D)
         return self.t ** u
 
     def tail_sum(self, u: float, start: int = 0, stop: int | None = None) -> float:

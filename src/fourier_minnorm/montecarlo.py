@@ -363,7 +363,7 @@ def concentration_check(
     For each t, reports the frequency of |sample - mean| > t next to
     min(1, bound); the bound is loose, only one-sided domination holds.
     """
-    T_q, _ = concentration_bound(spectrum.decay_r, q, 0.0)  # validates the (r, q) domain
+    concentration_bound(spectrum.decay_r, q, 0.0)  # validates the (r, q) domain
     for t in t_grid:
         check_finite_nonnegative(t, "deviation level t")
     estimate = empirical_risk(spectrum, grid, q, mc)
@@ -371,7 +371,7 @@ def concentration_check(
     rows = []
     for t in t_grid:
         empirical = float(np.mean(deviations > t))
-        tail = 2.0 * math.exp(-min(t * t / (T_q * T_q), t / T_q))
+        tail = concentration_bound(spectrum.decay_r, q, t).tail
         std_err = math.sqrt(empirical * (1.0 - empirical) / mc.trials)
         rows.append(TailRow(t=float(t), empirical_tail=empirical, bound_tail=min(1.0, tail), std_err=std_err))
     return rows

@@ -508,6 +508,13 @@ class TestInterp:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    def test_negative_noise_seed_is_a_configuration_error(self, tmp_path, capsys):
+        code = main(["interp", "--target", "cubic1d", "--n-axis", "15", "--p-axis", "15", "--d-axis", "15",
+                     "--q", "1", "--seed", "-1", "--noise-sigma", "0.1", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: field noise_seed must be a nonnegative integer, got -1\n"
+        assert not list(tmp_path.iterdir())
+
     def test_unknown_target_exit_code(self, tmp_path):
         code = main(["interp", "--target", "mystery", "--n-axis", "8", "--p-axis", "8",
                      "--d-axis", "8", "--q", "1.0", "--out", str(tmp_path / "x")])
@@ -838,10 +845,10 @@ _FLAGS = {
                "--p-axis": _ints(1, 32), "--d-axis": _SIZE, "--q": _FLOAT, "--noise-sigma": _FLOAT,
                "--eval-points": _ints(1, 32),
                "--methods": st.sampled_from(["least-squares", "weighted-min-norm,plain-min-norm"]),
-               "--weight-kind": st.sampled_from(["euclidean", "separable"])},
+               "--weight-kind": st.sampled_from(["euclidean", "separable"]), "--seed": _SIZE},
     "concentration": {"-D": _SIZE, "-n": _ints(1, 16), "-p": _SIZE, "--r": st.sampled_from(["1.0", "2.5"]),
                       "--q": st.sampled_from(["0.6", "1.0"]), "--t-multipliers": _list(_FLOAT),
-                      "--trials": _ints(1, 16), "--confidence": st.sampled_from(["0.5", "0.8"])},
+                      "--trials": _ints(1, 16), "--confidence": st.sampled_from(["0.5", "0.8"]), "--seed": _SIZE},
 }
 _FLAGS["mc-risk"] = {**_FLAGS["risk-curve"], "--trials": _ints(1, 4), "--seed": _SIZE}
 # flags that are mostly left out

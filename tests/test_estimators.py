@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from fourier_minnorm import (
     ConfigurationError,
     RegimeError,
-    SolverPath,
     build_spectrum,
     classify_grid,
     fourier_matrix,
@@ -155,7 +154,6 @@ class TestWeightedMinnorm:
         y = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         fast = weighted_minnorm(y, s, g, 1.0)
         dense = dense_minnorm(y, s, g, 1.0)
-        assert fast.path is SolverPath.CIRCULANT_FFT
         assert np.linalg.norm(fast.theta_hat - dense) <= 1e-12 * np.linalg.norm(dense)
 
     def test_general_grid_defaults_to_circulant_path(self):
@@ -164,7 +162,6 @@ class TestWeightedMinnorm:
         rng = np.random.default_rng(6)
         y = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         fit = weighted_minnorm(y, s, g, 1.0)
-        assert fit.path is SolverPath.CIRCULANT_FFT
         assert fit.residual <= 1e-8 * max(1.0, np.linalg.norm(y))
 
     @given(grid=misaligned_grids(), q=st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]), seed=st.integers(0, 2**32 - 1))
@@ -175,7 +172,6 @@ class TestWeightedMinnorm:
         y = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
         fit = weighted_minnorm(y, s, grid, q)
         dense = dense_minnorm(y, s, grid, q)
-        assert fit.path is SolverPath.CIRCULANT_FFT
         assert np.linalg.norm(fit.theta_hat - dense) <= 1e-10 * np.linalg.norm(dense)
         assert fit.residual <= 1e-10 * np.linalg.norm(y)
         assert np.all(fit.theta_hat[grid.p :] == 0)
@@ -209,10 +205,6 @@ class TestLeastSquares:
         with pytest.raises(RegimeError):
             least_squares(np.zeros(2), classify_grid(8, 2, 4))
 
-    def test_path_tag(self):
-        fit = least_squares(np.zeros(4, dtype=complex), classify_grid(8, 4, 2))
-        assert fit.path is SolverPath.NORMAL_EQUATIONS
-
 
 class TestKktCheck:
     def test_certificate_small_for_minnorm(self):
@@ -236,7 +228,7 @@ class TestKktCheck:
         theta[:8] += 0.1 * nullspace_perturbation(g, rng)
         from fourier_minnorm.estimators import EstimatorResult
 
-        perturbed = EstimatorResult(theta_hat=theta, q_used=q, path=fit.path, residual=fit.residual)
+        perturbed = EstimatorResult(theta_hat=theta, q_used=q, residual=fit.residual)
         assert minnorm_kkt_check(perturbed, g, s, q) > 1e-4
 
     def test_rejects_under_regime(self):

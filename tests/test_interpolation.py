@@ -114,7 +114,7 @@ class TestFitInterpolant:
     def test_training_roundtrip(self):
         problem = InterpolationProblem(dimension=1, n_axis=9, p_axis=27, D_axis=27, q=1.0, target="cubic1d")
         fit = fit_interpolant(problem, Method.WEIGHTED_MIN_NORM)
-        values = fit.evaluate(problem.axes())
+        values = evaluate_interpolant(fit.coefficients, problem.axes(), problem.domain)
         clean, _ = training_samples(problem)
         assert np.linalg.norm(values - clean) <= 1e-8
 
@@ -189,6 +189,13 @@ class TestFitInterpolant:
             InterpolationProblem(dimension=2, n_axis=8, p_axis=8, D_axis=8, q=1.0, target="cubic1d")
         with pytest.raises(ConfigurationError):
             InterpolationProblem(dimension=1, n_axis=8, p_axis=8, D_axis=8, q=-1.0, target="cubic1d")
+
+    def test_negative_noise_seed_rejected(self):
+        # SeedSequence takes no negative entropy: refused when the problem is built, before any sample is drawn
+        with pytest.raises(ConfigurationError, match="^field noise_seed must be a nonnegative integer, got -1$"):
+            InterpolationProblem(
+                dimension=1, n_axis=15, p_axis=15, D_axis=15, q=1.0, target="cubic1d", noise_sigma=0.1, noise_seed=-1
+            )
 
     @pytest.mark.parametrize("field, value", [("n_axis", 15.5), ("p_axis", 31.0), ("D_axis", float("nan")),
                                               ("dimension", True), ("noise_seed", 1.5)])

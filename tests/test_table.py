@@ -62,8 +62,31 @@ def expand(values, repeat=1, tile=1) -> list:
 
 
 def table_rows(table: Table) -> list[list]:
-    columns = [expand(c.values, c.repeat, c.tile) for c in table.columns]
+    """A table's rows, each column read as its values at its row index."""
+    columns = []
+    for column in table.columns:
+        values = column.values.tolist() if isinstance(column.values, np.ndarray) else list(column.values)
+        columns.append(values if column.index is None else [values[i] for i in column.index.tolist()])
     return [list(row) for row in zip(*columns)]
+
+
+def with_kept_cells(table: Table) -> Table:
+    """The same rows, every column given a row index, so each is formatted once and its cells kept."""
+    return Table([Column(c.values, index=np.arange(len(c)) if c.index is None else c.index) for c in table.columns])
+
+
+@pytest.fixture
+def formatter_calls(monkeypatch) -> list[int]:
+    """The number of values of every call of the float formatter, in order."""
+    calls = []
+    float_cells = cli._float_cells
+
+    def counting_float_cells(values):
+        calls.append(len(values))
+        return float_cells(values)
+
+    monkeypatch.setattr(cli, "_float_cells", counting_float_cells)
+    return calls
 
 
 SPECIALS = [
@@ -88,7 +111,7 @@ finite_or_special = st.one_of(st.floats(allow_subnormal=True), st.sampled_from([
 
 @st.composite
 def tables(draw, min_axis=0, max_axis=3):
-    """Random tables over an (a, b, c) row grid: constant, axis and per-row columns."""
+    """Random tables over an (a, b, c) row grid (constant, axis and per-row columns), and their rows."""
     a, b, c = (draw(st.integers(min_value=min_axis, max_value=max_axis)) for _ in range(3))
     rows = a * b * c
 
@@ -99,65 +122,64 @@ def tables(draw, min_axis=0, max_axis=3):
         pool, rng = draw(st.lists(values, min_size=1, max_size=8)), draw(st.randoms(use_true_random=False))
         return [rng.choice(pool) for _ in range(rows)]
 
-    columns = []
+    columns, expected = [], []
     for kind in draw(st.lists(st.sampled_from(
             ["constant", "outer", "middle", "inner", "cells", "floats", "float_array", "int_array", "bool_array"]),
             min_size=1, max_size=8)):
+        repeat, tile = 1, 1
         if kind == "constant":
-            columns.append(Column([draw(cells)], repeat=rows))
+            values, repeat = [draw(cells)], rows
         elif kind == "outer":
-            columns.append(Column(draw(st.lists(cells, min_size=a, max_size=a)), repeat=b * c))
+            values, repeat = draw(st.lists(cells, min_size=a, max_size=a)), b * c
         elif kind == "middle":
-            columns.append(Column(draw(st.lists(cells, min_size=b, max_size=b)), repeat=c, tile=a))
+            values, repeat, tile = draw(st.lists(cells, min_size=b, max_size=b)), c, a
         elif kind == "inner":
-            columns.append(Column(draw(st.lists(cells, min_size=c, max_size=c)), tile=a * b))
+            values, tile = draw(st.lists(cells, min_size=c, max_size=c)), a * b
         elif kind == "cells":
-            columns.append(Column(per_row(cells)))
+            values = per_row(cells)
         elif kind == "floats":  # the fast paths: all floats, or floats and None
             pool = st.one_of(finite_or_special, st.none()) if draw(st.booleans()) else finite_or_special
-            columns.append(Column(per_row(pool)))
+            values = per_row(pool)
         elif kind == "float_array":
-            columns.append(Column(np.array(per_row(finite_or_special), dtype=float)))
+            values = np.array(per_row(finite_or_special), dtype=float)
         elif kind == "int_array":
-            values = per_row(st.integers(-(2**63), 2**63 - 1))
-            columns.append(Column(np.array(values, dtype=np.int64)))
+            values = np.array(per_row(st.integers(-(2**63), 2**63 - 1)), dtype=np.int64)
         else:
-            columns.append(Column(np.array(per_row(st.booleans()), dtype=bool)))
-    return Table(columns)
+            values = np.array(per_row(st.booleans()), dtype=bool)
+        columns.append(Column(values, repeat=repeat, tile=tile))
+        expected.append(expand(values, repeat, tile))
+    return Table(columns), [list(row) for row in zip(*expected)]
 
 
 class TestWriterEquivalence:
-    @given(table=tables(), fmt=st.sampled_from(["csv", "json"]))
+    @given(drawn=tables(), fmt=st.sampled_from(["csv", "json"]))
     @settings(max_examples=300, deadline=None)
-    def test_random_tables_match_the_row_reference(self, table, fmt):
+    def test_random_tables_match_the_row_reference(self, drawn, fmt):
+        table, rows = drawn
         header = [f"c{i}" for i in range(len(table.columns))]
-        rows = table_rows(table)
         assert len(table) == len(rows)
         expected = reference_csv(header, rows) if fmt == "csv" else reference_json(header, rows)
         with tempfile.TemporaryDirectory() as tmp:
-            # twice: per-row float columns are formatted in the row template
-            # first, then from their rendered cells, as shared columns are
-            for name in ("template", "cells"):
+            # twice (the second time from the cells the first kept), then with every column's cells kept
+            for name, written in (("first", table), ("again", table), ("kept", with_kept_cells(table))):
                 path = Path(tmp) / name
-                write_table(path, fmt, header, table)
-                assert path.read_bytes() == expected
-                for column in table.columns:
-                    column.cells()
+                write_table(path, fmt, header, written)
+                assert path.read_bytes() == expected, name
 
     @pytest.mark.parametrize("chunk_rows", [1, 2, 3, 512, cli.CSV_CHUNK_ROWS])
-    @given(table=st.one_of(tables(), tables(min_axis=8, max_axis=12)))  # the second: 512 to 1728 rows
+    @given(drawn=st.one_of(tables(), tables(min_axis=8, max_axis=12)))  # the second: 512 to 1728 rows
     @settings(max_examples=40, deadline=None)
-    def test_random_tables_across_chunk_boundaries(self, chunk_rows, table):
+    def test_random_tables_across_chunk_boundaries(self, chunk_rows, drawn):
+        table, rows = drawn
         header = [f"c{i}" for i in range(len(table.columns))]
-        expected = reference_csv(header, table_rows(table))
+        expected = reference_csv(header, rows)
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
             patch.setattr(cli, "CSV_CHUNK_ROWS", chunk_rows)
-            for name in ("streamed", "cells"):  # per-row floats formatted chunk by chunk, then kept
+            # per-row floats formatted chunk by chunk, then every column's cells kept and gathered per chunk
+            for name, written in (("streamed", table), ("kept", with_kept_cells(table))):
                 path = Path(tmp) / name
-                write_table(path, "csv", header, table)
-                assert path.read_bytes() == expected
-                for column in table.columns:
-                    column.cells()
+                write_table(path, "csv", header, written)
+                assert path.read_bytes() == expected, name
 
     @pytest.mark.parametrize(
         "values",
@@ -173,16 +195,35 @@ class TestWriterEquivalence:
         ],
         ids=["zeros", "nans", "subnormals", "infinities", "repeated", "mixed"],
     )
-    def test_shared_float_columns_with_repeats(self, tmp_path, values):
-        shared = Column(values)
+    def test_shared_float_columns_with_repeats(self, tmp_path, formatter_calls, values):
+        shared = Column.distinct(values)
+        # one value per bit pattern: -0.0 apart from 0.0, each NaN payload apart from the others
+        assert len(shared.values) == len(set(np.array(values, dtype=np.float64).view(np.int64).tolist()))
         header, rows = ["v", "w"], [[v, i] for i, v in enumerate(values)]
-        expected = reference_csv(header, rows)
-        write_table(tmp_path / "streamed.csv", "csv", header, Table([shared, Column(range(len(values)))]))
-        assert shared.cells() == [reference_cell(v) for v in values]
-        for name in ("first.csv", "second.csv"):  # rendered once, read by both
+        write_table(tmp_path / "streamed.csv", "csv", header, Table([Column(values), Column(range(len(values)))]))
+        formatter_calls.clear()
+        for name in ("first.csv", "second.csv"):  # formatted once, read by both
             write_table(tmp_path / name, "csv", header, Table([shared, Column(range(len(values)))]))
+        assert formatter_calls == [len(shared.values)]
         for name in ("streamed.csv", "first.csv", "second.csv"):
-            assert (tmp_path / name).read_bytes() == expected, name
+            assert (tmp_path / name).read_bytes() == reference_csv(header, rows), name
+        write_table(tmp_path / "shared.json", "json", header, Table([shared, Column(range(len(values)))]))
+        assert (tmp_path / "shared.json").read_bytes() == reference_json(header, rows)
+
+    def test_a_shared_column_is_formatter_calls_once(self, tmp_path, formatter_calls):
+        axis = Column(np.linspace(0.0, 1.0, 5), tile=3)
+        for name in ("first.csv", "second.csv"):
+            write_table(tmp_path / name, "csv", ["x", "y"], Table([axis, Column(np.arange(15.0) / 7)]))
+        assert formatter_calls == [5, 15, 15]  # the axis once, the per-row column in each file
+        assert (tmp_path / "first.csv").read_bytes() == (tmp_path / "second.csv").read_bytes()
+
+    def test_per_row_floats_keep_no_cells(self, tmp_path, monkeypatch, formatter_calls):
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 4)
+        column = Column(np.arange(10.0) / 3)
+        for name in ("first.csv", "second.csv"):
+            write_table(tmp_path / name, "csv", ["v"], Table([column]))
+        assert formatter_calls == [4, 4, 2] * 2  # every chunk formatted again for the second file
+        assert not [v for v in vars(column).values() if isinstance(v, np.ndarray) and v.ndim == 2]  # no byte rows
 
     @pytest.mark.parametrize(
         "values, cells",
@@ -281,19 +322,18 @@ class TestFloatCells:
         columns = [
             Column(np.array(pick(st.sampled_from(pool)))),  # per-row floats: streamed
             Column(pick(st.one_of(st.sampled_from(pool), st.none()))),  # floats and None: streamed
-            Column(pool, tile=tiles),  # a float axis: rendered once
+            Column(pool, tile=tiles),  # a float axis: formatted once
             Column(pick(st.one_of(st.sampled_from(pool), st.integers(), st.none(), st.sampled_from(["under", ""])))),
         ]
         header = ["a", "b", "c", "d"]
         expected = reference_csv(header, table_rows(Table(columns)))
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
             patch.setattr(cli, "CSV_CHUNK_ROWS", chunk_rows)
-            for name in ("streamed", "shared"):  # then every column rendered, as interp's shared columns are
+            # then every column's cells kept, as the cells of an axis or a shared column are
+            for name, table in (("streamed", Table(columns)), ("kept", with_kept_cells(Table(columns)))):
                 path = Path(tmp) / name
-                write_table(path, "csv", header, Table(columns))
+                write_table(path, "csv", header, table)
                 assert path.read_bytes() == expected, name
-                for column in columns:
-                    column.render()
 
     @pytest.mark.parametrize("chunk_rows", [1, 3, cli.CSV_CHUNK_ROWS])
     def test_float_columns_with_none(self, tmp_path, chunk_rows, monkeypatch):
@@ -301,17 +341,15 @@ class TestFloatCells:
         cells = [0.5, None, -0.0, None, math.nan, 1e-300, None, 123456789.0, -math.inf]
         columns = [
             Column(cells * 3),  # per-row: formatted chunk by chunk
-            Column(cells, tile=3),  # tiled: rendered once
+            Column(cells, tile=3),  # tiled: formatted once
             Column([None] * 27),
             Column(np.arange(27.0) - 13.5),
         ]
         header = ["a", "b", "c", "d"]
         expected = reference_csv(header, table_rows(Table(columns)))
-        for name in ("streamed.csv", "rendered.csv"):
-            write_table(tmp_path / name, "csv", header, Table(columns))
+        for name, table in (("streamed.csv", Table(columns)), ("kept.csv", with_kept_cells(Table(columns)))):
+            write_table(tmp_path / name, "csv", header, table)
             assert (tmp_path / name).read_bytes() == expected, name
-            for column in columns:
-                column.render()
 
 
 def _samples_file(tmp_path) -> Path:
@@ -364,22 +402,22 @@ class TestCommandsMatchTheRowReference:
             expected = reference_csv(header, rows) if fmt == "csv" else reference_json(header, rows)
             assert path.read_bytes() == expected, path.name
 
-    def test_interp_methods_share_the_coordinate_and_truth_cells(self, tmp_path, monkeypatch):
-        tables, kept_before, kept_after = [], [], []
+    def test_interp_methods_share_the_coordinate_and_truth_cells(self, tmp_path, monkeypatch, formatter_calls):
+        tables, calls = [], []
 
         def recording_write_table(path, fmt, header, table):
             tables.append(table)
-            kept_before.append([column._cells is not None for column in table.columns])
+            formatter_calls.clear()
             write_table(path, fmt, header, table)
-            kept_after.append([column._cells is not None for column in table.columns])
+            calls.append(list(formatter_calls))
 
         monkeypatch.setattr(cli, "write_table", recording_write_table)
         assert main(COMMANDS["interp-2d"] + ["--out", str(tmp_path / "out")]) == 0
         first, second = tables
         assert [id(c) for c in first.columns[:3]] == [id(c) for c in second.columns[:3]]
         assert first.columns[3] is not second.columns[3]
-        # x0, x1 and f_true come rendered; each method's file formats only f_hat and keeps none of its cells
-        assert kept_before == kept_after == [[True, True, True, False]] * 2
+        # the first method's file formats x0, x1, f_true's distinct values and f_hat; the second only its f_hat
+        assert calls == [[5, 5, len(first.columns[2].values), 25], [25]]
 
     def test_a_failure_mid_stream_leaves_no_file(self, tmp_path, monkeypatch, capsys):
         # 2-D, 101 x 101 evaluation points: 10,201 rows, 5 chunks per method file
