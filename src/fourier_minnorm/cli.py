@@ -553,42 +553,39 @@ def _resolve_p_grid(spec) -> np.ndarray:
     return check_truncations(spec.D, spec.n, p_list)
 
 
-def _curve_groups(spec) -> tuple[list[tuple[float, float]], np.ndarray]:
-    """(r, q) row groups in output order, and the p grid each group sweeps."""
+def _sweep(spec, q_values: Sequence[float] | None) -> tuple[list, np.ndarray, dict, list[Column], np.ndarray]:
+    """A sweep's (r, q) groups, p grid, spectra by r, grid columns D, n, p, r, q and theory risks.
+
+    Rows run group by group in (r, q) order, each over the whole p grid; q = r when ``q_values`` is None.
+    """
+    _check_element_counts({"D": [spec.D]})
     p = _resolve_p_grid(spec)
-    groups = []
-    for r in sorted(set(spec.r_values)):
-        q_list = sorted(set(spec.q_values)) if spec.q_values is not None else [r]
-        groups.extend((r, q) for q in q_list)
-    return groups, p
-
-
-def _spectra(D: int, groups) -> dict:
-    return {r: build_spectrum(D, r) for r in dict.fromkeys(r for r, _ in groups)}
-
-
-def _sweep_columns(spec, groups: Sequence[tuple[float, float]], p: np.ndarray) -> list[Column]:
-    """D, n, p, r, q of a sweep whose rows run group by group, each over the whole p grid."""
+    r_list = sorted(set(spec.r_values))
+    groups = [(r, q) for r in r_list for q in (sorted(set(q_values)) if q_values is not None else [r])]
+    spectra = {r: build_spectrum(spec.D, r) for r in r_list}
     rows = len(groups) * len(p)
-    return [
+    columns = [
         Column([spec.D], repeat=rows),
         Column([spec.n], repeat=rows),
         Column(p, tile=len(groups)),
         Column([r for r, _ in groups], repeat=len(p)),
         Column([q for _, q in groups], repeat=len(p)),
     ]
+    return groups, p, spectra, columns, np.concatenate([theory_risks(spectra[r], spec.n, q, p) for r, q in groups])
 
 
-def run_risk_curve(spec: RiskCurveSpec) -> list[Path]:
-    _check_element_counts({"D": [spec.D]})
-    groups, p = _curve_groups(spec)
-    spectra = _spectra(spec.D, groups)
-    risks = np.concatenate([theory_risks(spectra[r], spec.n, q, p) for r, q in groups])
-    columns = _sweep_columns(spec, groups, p)
-    columns += [Column(regime_tags(spec.n, p), tile=len(groups)), Column(risks)]
+def _write_one(spec, header: Sequence[str], columns: Sequence[Column]) -> list[Path]:
+    """A single-table runner's data file, written to ``spec.out``."""
     path = Path(spec.out)
-    write_table(path, spec.format, ["D", "n", "p", "r", "q", "regime", "risk_theory"], Table(columns))
+    write_table(path, spec.format, header, Table(columns))
     return [path]
+
+
+# The sweep runners (risk-curve, mc-risk, heatmap) take their grid columns and theory risks from _sweep.
+def run_risk_curve(spec: RiskCurveSpec) -> list[Path]:
+    groups, p, _, columns, risks = _sweep(spec, spec.q_values)
+    columns += [Column(regime_tags(spec.n, p), tile=len(groups)), Column(risks)]
+    return _write_one(spec, ["D", "n", "p", "r", "q", "regime", "risk_theory"], columns)
 
 
 def _mc_config(spec: McRiskSpec | ConcentrationSpec) -> McConfig:
@@ -599,38 +596,24 @@ def _mc_config(spec: McRiskSpec | ConcentrationSpec) -> McConfig:
 
 
 def run_mc_risk(spec: McRiskSpec) -> list[Path]:
-    mc = _mc_config(spec)
-    groups, p = _curve_groups(spec)
-    spectra = _spectra(spec.D, groups)
-    results = [
-        (theory_risks(spectra[r], spec.n, q, p), empirical_risks(spectra[r], spec.n, q, p, mc)) for r, q in groups
-    ]
-    estimates = [est for _, group_estimates in results for est in group_estimates]
-    columns = _sweep_columns(spec, groups, p)
+    mc = _mc_config(spec)  # first: the trials x D refusal comes before any allocation
+    groups, p, spectra, columns, risks = _sweep(spec, spec.q_values)
+    estimates = [est for r, q in groups for est in empirical_risks(spectra[r], spec.n, q, p, mc)]
     columns += [
         Column(regime_tags(spec.n, p), tile=len(groups)),
-        Column(np.concatenate([risks for risks, _ in results])),
+        Column(risks),
         Column([est.mean for est in estimates]),
         Column([est.ci_low for est in estimates]),
         Column([est.ci_high for est in estimates]),
     ]
-    path = Path(spec.out)
     header = ["D", "n", "p", "r", "q", "regime", "risk_theory", "risk_mc_mean", "ci_low", "ci_high"]
-    write_table(path, spec.format, header, Table(columns))
-    return [path]
+    return _write_one(spec, header, columns)
 
 
 def run_heatmap(spec: HeatmapSpec) -> list[Path]:
-    _check_element_counts({"D": [spec.D]})
-    p = _resolve_p_grid(spec)
-    groups = [(r, r if spec.q_rule == "match-r" else spec.q_fixed) for r in sorted(set(spec.r_values))]
-    spectra = _spectra(spec.D, groups)
-    risks = np.concatenate([theory_risks(spectra[r], spec.n, q, p) for r, q in groups]).tolist()
-    log10_risks = [math.log10(risk) if risk > 0 else None for risk in risks]
-    columns = _sweep_columns(spec, groups, p) + [Column(risks), Column(log10_risks)]
-    path = Path(spec.out)
-    write_table(path, spec.format, ["D", "n", "p", "r", "q", "risk", "log10_risk"], Table(columns))
-    return [path]
+    *_, columns, risks = _sweep(spec, None if spec.q_rule == "match-r" else [spec.q_fixed])
+    columns += [Column(risks), Column([math.log10(risk) if risk > 0 else None for risk in risks])]
+    return _write_one(spec, ["D", "n", "p", "r", "q", "risk", "log10_risk"], columns)
 
 
 def run_bound_check(spec: BoundCheckSpec) -> list[Path]:
@@ -667,11 +650,8 @@ def run_bound_check(spec: BoundCheckSpec) -> list[Path]:
         min_slack = min(row[8] for row in rows)
         all_valid = all(row[9] for row in rows)
         rows.append(["summary", None, None, None, None, None, None, None, min_slack, all_valid])
-    path = Path(spec.out)
     header = ["kind", "D", "n", "p", "r", "q", "risk", "bound", "slack", "valid"]
-    table = Table([Column([row[i] for row in rows]) for i in range(len(header))])
-    write_table(path, spec.format, header, table)
-    paths = [path]
+    paths = _write_one(spec, header, [Column([row[i] for row in rows]) for i in range(len(header))])
     if warnings:
         log_path = Path(str(spec.out) + ".log")
         _write_file(log_path, [("\n".join(warnings) + "\n").encode("utf-8")])
@@ -689,9 +669,7 @@ def run_concentration(spec: ConcentrationSpec) -> list[Path]:
     header = ["D", "n", "p", "r", "q", "trials", "t", "empirical_tail", "bound_tail", "std_err"]
     columns = [Column([v], repeat=len(tails)) for v in (spec.D, spec.n, spec.p, spec.r, spec.q, spec.trials)]
     columns += [Column([getattr(row, name) for row in tails]) for name in header[6:]]  # TailRow fields
-    path = Path(spec.out)
-    write_table(path, spec.format, header, Table(columns))
-    return [path]
+    return _write_one(spec, header, columns)
 
 
 def _load_samples_file(path: str, dimension: int, n_axis: int) -> np.ndarray:

@@ -81,9 +81,12 @@ def build_spectrum(D: int, r: float) -> Spectrum:
 
 
 def cr_bounds(D: int, r: float) -> tuple[float, float]:
-    """Closed-form sandwich for c_r, valid for r > 1/2."""
+    """Closed-form sandwich for c_r at an integer D >= 1 and a finite r > 1/2; NaN or inf is a ConfigurationError."""
+    _check_integer(D, "feature count D")
     if D < 1:
         raise ConfigurationError(f"feature count D must be >= 1, got {D}")
+    if not math.isfinite(r):
+        raise ConfigurationError(f"decay exponent r must be finite, got {r}")
     if r <= 0.5:
         raise RegimeError(f"c_r bounds require r > 1/2, got r={r}")
     lower = (2.0 * r - 1.0) / (2.0 * r - float(D) ** (-2.0 * r + 1.0))

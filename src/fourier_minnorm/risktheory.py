@@ -310,9 +310,15 @@ def asymptotic_bound(spectrum: Spectrum, grid: GridConfig) -> BoundReport:
 def concentration_bound(r: float, q: float, t: float) -> ConcentrationBound:
     """Sub-Gaussian deviation constant T_q and the two-sided tail at level t.
 
-    Requires r >= q > 1/2: the constant diverges at q = 1/2 and the inner
-    polynomial changes sign below it, so those exponents are rejected.
+    Requires finite r >= q > 1/2 and finite t >= 0 (NaN or inf is a
+    ConfigurationError): the constant diverges at q = 1/2 and the inner
+    polynomial changes sign below it.  T_q tends to 4 (2r - 1) sqrt(3/2) as
+    q grows and is finite for every r up to about 2e307; the tail
+    2 exp(-min(u^2, u)) is built from u = t / T_q, so neither overflows.
     """
+    for name, value in (("decay exponent r", r), ("weighting exponent q", q), ("deviation level t", t)):
+        if not math.isfinite(value):
+            raise ConfigurationError(f"{name} must be finite, got {value}")
     if q <= 0.5:
         raise SingularConstantError(f"T_q is undefined for q <= 1/2, got q={q}")
     if r < q:
@@ -320,8 +326,16 @@ def concentration_bound(r: float, q: float, t: float) -> ConcentrationBound:
     if t < 0:
         raise ConfigurationError(f"deviation level t must be >= 0, got {t}")
     poly = q * (24.0 * q * q - 17.0 * q + 3.0)
-    T_q = 4.0 * (2.0 * r - 1.0) * math.sqrt(poly / ((2.0 * q - 1.0) ** 2 * (4.0 * q - 1.0)))
-    tail = 2.0 * math.exp(-min(t * t / (T_q * T_q), t / T_q))
+    if math.isfinite(poly):  # this form keeps 2q - 1 exact near q = 1/2
+        ratio = poly / ((2.0 * q - 1.0) ** 2 * (4.0 * q - 1.0))
+    else:  # q past about 2e102: both sides divided by q^3
+        v = 1.0 / q
+        ratio = (24.0 - 17.0 * v + 3.0 * v * v) / ((2.0 - v) ** 2 * (4.0 - v))
+    T_q = 4.0 * (2.0 * r - 1.0) * math.sqrt(ratio)
+    u = t / T_q
+    # u * u only once T_q^2 overflows: it rounds differently from t * t / T_q^2 in about one tail in five
+    square = t * t / (T_q * T_q) if T_q * T_q < math.inf else u * u
+    tail = 2.0 * math.exp(-min(square, u))
     return ConcentrationBound(T_q=T_q, tail=tail)
 
 

@@ -417,6 +417,61 @@ class TestConcentration:
                      "--out", str(tmp_path / "c.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "r, q, flags, limit, multiples",
+        [
+            # q^3 past the double range (first two), then T_q^2 past it (last)
+            (1e155, 1e155, ["--trials", "3"], 1.5, [0.5, 1.0, 2.0]),
+            (1e103, 1e103, ["--trials", "3"], 1.5, [0.5, 1.0, 2.0]),
+            (1e200, 1.0, ["--trials", "50", "--t-multipliers", "0.5,2"], 10 / 3, [0.5, 2.0]),
+        ],
+    )
+    def test_large_exponents_give_finite_constant_and_tails(self, tmp_path, capsys, r, q, flags, limit, multiples):
+        out = tmp_path / "conc.csv"
+        code = main(["concentration", "-D", "8", "-n", "2", "-p", "4", "--r", repr(r), "--q", repr(q),
+                     *flags, "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        header, rows = read_csv(out)
+        T_q = 4 * (2 * r - 1) * math.sqrt(limit)  # the q -> inf limit, or q = 1
+        assert column(header, rows, "t") == pytest.approx([m * T_q for m in multiples], rel=1e-13)
+        tails = [min(1.0, 2 * math.exp(-min(m * m, m))) for m in multiples]
+        assert column(header, rows, "bound_tail") == pytest.approx(tails, rel=1e-15)
+        assert column(header, rows, "bound_tail")[-1] == 0.2706705664732254
+
+
+class TestSweepAgreement:
+    """risk-curve, mc-risk and heatmap build one sweep: the columns they share agree cell for cell."""
+
+    SPEC = ["-D", "64", "-n", "8", "--r-values", "0.5,1.0"]
+
+    @staticmethod
+    def _cells(tmp_path, argv, fmt, names):
+        out = tmp_path / f"{'-'.join(argv)}.{fmt}"
+        assert main(argv + TestSweepAgreement.SPEC + ["--format", fmt, "--out", str(out)]) == 0
+        if fmt == "csv":
+            header, rows = read_csv(out)
+        else:
+            payload = json.loads(out.read_text(encoding="utf-8"))
+            header, rows = payload["columns"], payload["rows"]
+        return [[row[header.index(name)] for name in names] for row in rows]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "heatmap_flags, curve_flags", [([], []), (["--q-rule", "fixed", "--q-fixed", "0.5"], ["--q-values", "0.5"])]
+    )
+    def test_heatmap_equals_risk_curve(self, tmp_path, fmt, heatmap_flags, curve_flags):
+        grid = ["D", "n", "p", "r", "q"]
+        heatmap = self._cells(tmp_path, ["heatmap", *heatmap_flags], fmt, grid + ["risk"])
+        curve = self._cells(tmp_path, ["risk-curve", *curve_flags], fmt, grid + ["risk_theory"])
+        assert len(heatmap) == 2 * (7 + 8)
+        assert heatmap == curve
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_mc_risk_starts_with_the_risk_curve(self, tmp_path, fmt):
+        names = ["D", "n", "p", "r", "q", "regime", "risk_theory"]
+        mc = self._cells(tmp_path, ["mc-risk", "--trials", "5"], fmt, names)
+        assert mc == self._cells(tmp_path, ["risk-curve"], fmt, names)
+
 
 class TestInterp:
     def test_square_system_methods_coincide(self, tmp_path):

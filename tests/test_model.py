@@ -90,6 +90,15 @@ class TestCrBounds:
         with pytest.raises(RegimeError):
             cr_bounds(64, r)
 
+    @pytest.mark.parametrize(
+        "D, r, match",
+        [(8, math.nan, "finite"), (8, math.inf, "finite"), (8, -math.inf, "finite"),
+         (8.0, 1.0, "integer"), (True, 1.0, "integer"), ("8", 1.0, "integer")],
+    )
+    def test_rejects_non_finite_r_and_non_integer_D(self, D, r, match):
+        with pytest.raises(ConfigurationError, match=match):
+            cr_bounds(D, r)
+
     @given(
         D=st.integers(min_value=1, max_value=5000),
         r=st.floats(min_value=0.51, max_value=4.0, allow_nan=False),

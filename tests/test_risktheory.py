@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -283,6 +284,27 @@ class TestConcentrationBound:
     def test_rejects_negative_t(self):
         with pytest.raises(ConfigurationError):
             concentration_bound(1.0, 1.0, -0.5)
+
+    @pytest.mark.parametrize(
+        "r, q, t",
+        [(1.0, math.nan, 1.0), (math.nan, 1.0, 1.0), (1.0, 1.0, math.nan),
+         (math.inf, 1.0, 1.0), (math.inf, math.inf, 1.0), (1.0, 1.0, math.inf)],
+    )
+    def test_rejects_non_finite_parameters(self, r, q, t):
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            concentration_bound(r, q, t)
+
+    @pytest.mark.parametrize("q", [0.5 + 1e-9, 0.75, 1.0, 3.7, 1e102, 1e103, 1e155, 1e300])
+    def test_matches_mpmath_for_every_q(self, q):
+        # r = q: 4 (2r - 1) stays finite while q^3 and T_q^2 overflow from q ~ 2e102 and 1e154 on
+        with mpmath.workdps(50):
+            x = mpmath.mpf(q)
+            exact = 4 * (2 * x - 1) * mpmath.sqrt(x * (24 * x**2 - 17 * x + 3) / ((2 * x - 1) ** 2 * (4 * x - 1)))
+            for multiple in (0.0, 0.3, 1.0, 2.0):
+                T_q, tail = concentration_bound(q, q, multiple * float(exact))
+                u = mpmath.mpf(multiple * float(exact)) / exact
+                assert T_q == pytest.approx(float(exact), rel=1e-13)
+                assert tail == pytest.approx(float(2 * mpmath.exp(-min(u * u, u))), rel=1e-13)
 
 
 class TestLowestRisks:

@@ -210,7 +210,7 @@ class TestWriterEquivalence:
         write_table(tmp_path / "shared.json", "json", header, Table([shared, Column(range(len(values)))]))
         assert (tmp_path / "shared.json").read_bytes() == reference_json(header, rows)
 
-    def test_a_shared_column_is_formatter_calls_once(self, tmp_path, formatter_calls):
+    def test_a_shared_column_is_formatted_once(self, tmp_path, formatter_calls):
         axis = Column(np.linspace(0.0, 1.0, 5), tile=3)
         for name in ("first.csv", "second.csv"):
             write_table(tmp_path / name, "csv", ["x", "y"], Table([axis, Column(np.arange(15.0) / 7)]))
