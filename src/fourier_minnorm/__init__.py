@@ -6,7 +6,7 @@ circulant solvers, Monte Carlo validation, and trigonometric function
 interpolation in one and higher dimensions.
 """
 
-from .circulant import equispaced_predict, fourier_matrix, gram_eigenvalues
+from .circulant import equispaced_predict, gram_eigenvalues
 from .errors import (
     ConfigurationError,
     NumericalInconsistencyError,
@@ -18,8 +18,6 @@ from .errors import (
 from .estimators import (
     EstimatorResult,
     least_squares,
-    minnorm_kkt_check,
-    solve_weighted_minnorm,
     weighted_minnorm,
 )
 from .interpolation import (
@@ -30,7 +28,6 @@ from .interpolation import (
     WeightKind,
     builtin_targets,
     dense_grid_rmse,
-    evaluate_interpolant,
     fit_interpolant,
     symmetric_frequencies,
 )
@@ -49,8 +46,6 @@ from .montecarlo import (
     concentration_check,
     empirical_risk,
     empirical_risks,
-    sample_theta,
-    trial_generator,
 )
 from .risktheory import (
     BoundReport,
@@ -61,12 +56,22 @@ from .risktheory import (
     concentration_bound,
     lowest_risks,
     risk_over_closed,
-    risk_trace_over,
-    risk_trace_under,
     risk_under_closed,
     theory_risk,
     theory_risks,
 )
+
+# The dense oracles load on first access: importing the package or the CLI never loads them.
+_ORACLES = {"evaluate_interpolant", "fourier_matrix", "minnorm_kkt_check", "risk_trace_over", "risk_trace_under",
+            "sample_theta", "solve_weighted_minnorm", "trial_generator"}
+
+
+def __getattr__(name: str):
+    if name in _ORACLES:
+        from . import oracles
+        return getattr(oracles, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

@@ -14,8 +14,7 @@ the minimiser of ||W^(-q) theta|| among coefficients with class sums c is
 
 with Lambda the class sums of s and each class scaled by its largest
 weight, its leader, which keeps every occupied Lambda >= 1 for any q
-(``class_weights``).  ``fourier_matrix`` materialises F for the dense
-oracles; pocketfft takes any n, not only powers of two.
+(``class_weights``).  pocketfft takes any n, not only powers of two.
 
 Sign convention: exp(-2*pi*i*j*k/n) in the regression code.  The conjugate
 exp(+2*pi*i*j*k/n), used by ``interpolation`` (where c = fftn(y) / n^d),
@@ -28,13 +27,6 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .model import COMPENSATED_SUM_MIN_D, GridConfig, Spectrum, check_finite_nonnegative, folded_sums
-
-
-def fourier_matrix(n: int, start: int, stop: int) -> np.ndarray:
-    """Raw (n, stop-start) array with entries exp(-2*pi*i*j*k/n)."""
-    rows = np.arange(n)[:, None]
-    cols = np.arange(start, stop)[None, :]
-    return np.exp((-2.0j * np.pi / n) * rows * cols)
 
 
 def gram_eigenvalues(spectrum: Spectrum, grid: GridConfig, u: float, side: str) -> np.ndarray:

@@ -665,6 +665,9 @@ def run_concentration(spec: ConcentrationSpec) -> list[Path]:
     grid = classify_grid(spec.D, spec.n, spec.p)
     T_q = concentration_bound(spec.r, spec.q, 0.0).T_q
     t_grid = [m * T_q for m in spec.t_multipliers]
+    for m, t in zip(spec.t_multipliers, t_grid):
+        if not math.isfinite(t):
+            raise ConfigurationError(f"t = {m!r} * T_q overflows a double at T_q = {T_q!r} (field t_multipliers)")
     tails = concentration_check(spectrum, grid, spec.q, t_grid, mc)
     header = ["D", "n", "p", "r", "q", "trials", "t", "empirical_tail", "bound_tail", "std_err"]
     columns = [Column([v], repeat=len(tails)) for v in (spec.D, spec.n, spec.p, spec.r, spec.q, spec.trials)]

@@ -9,8 +9,6 @@ By the aliasing fact (see ``circulant``) the samples fix exactly the class
 sums c = ifft(y), and the fit is theta_k = s_k c[k mod n] / Lambda[k mod n]
 with the class weights of ``circulant.class_weights``: one inverse FFT of y
 and one broadcast (O(n log n + p)) for every p >= n.
-``solve_weighted_minnorm``, the SVD pseudoinverse of F_T S^q, is the dense
-oracle this is tested against.
 
 Underparameterized (p <= n): least squares; the equispaced geometry gives
 F_T^* F_T = n I, so the normal equations collapse to theta_T = c[:p],
@@ -23,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circulant import class_weights, equispaced_predict, fourier_matrix
+from .circulant import class_weights, equispaced_predict
 from .errors import ConfigurationError, RegimeError
 from .model import GridConfig, Spectrum, check_finite_nonnegative
 
@@ -35,22 +33,6 @@ class EstimatorResult:
     theta_hat: np.ndarray = field(repr=False)  # (D,) complex
     q_used: float
     residual: float  # ||F_T theta_T - y||_2
-
-
-def solve_weighted_minnorm(features: np.ndarray, weights: np.ndarray, q: float, y: np.ndarray) -> np.ndarray:
-    """Minimise ||diag(weights)^(-q) theta|| subject to features @ theta = y.
-
-    Solved through the SVD pseudoinverse of the column-scaled system (lstsq),
-    never by explicit Gram inversion.  Also usable with p <= n, where it
-    returns the unique least-squares solution instead.  The dense oracle of
-    ``weighted_minnorm``.
-    """
-    weights = np.asarray(weights, dtype=float)
-    if np.any(weights <= 0):
-        raise ConfigurationError("weights must be strictly positive")
-    wq = weights ** q if q != 0.0 else np.ones_like(weights)
-    beta, *_ = np.linalg.lstsq(features * wq[None, :], np.asarray(y, dtype=complex), rcond=None)
-    return wq * beta
 
 
 def _minnorm_kernel(t_T: np.ndarray, n: int, q: float) -> np.ndarray:
@@ -115,18 +97,3 @@ def least_squares(y: np.ndarray, grid: GridConfig) -> EstimatorResult:
     theta[: grid.p] = theta_T
     residual = float(np.linalg.norm(equispaced_predict(theta_T, grid.n) - y))
     return EstimatorResult(theta_hat=theta, q_used=0.0, residual=residual)
-
-
-def minnorm_kkt_check(result: EstimatorResult, grid: GridConfig, spectrum: Spectrum, q: float) -> float:
-    """Stationarity certificate for an overparameterized min-norm fit.
-
-    Returns the norm of the component of S^(-2q) theta_T orthogonal to the
-    row space of F_T; it vanishes exactly at the weighted-norm minimiser.
-    """
-    if grid.p < grid.n:
-        raise RegimeError("certificate applies to overparameterized fits only")
-    p = grid.p
-    gradient = (spectrum.t[:p] ** (-2.0 * q)) * result.theta_hat[:p]
-    basis = fourier_matrix(grid.n, 0, p).conj().T  # columns span row space of F_T
-    coef, *_ = np.linalg.lstsq(basis, gradient, rcond=None)
-    return float(np.linalg.norm(gradient - basis @ coef))

@@ -19,8 +19,7 @@ the weighted min-norm fit is theta_k = s_k * fftn(y)[k mod n] / (n^d *
 Lambda[k mod n]) with ``circulant.class_weights``; plain min-norm and least
 squares take s = 1 (for p <= n each class holds at most one frequency).
 The series on the m-point grid of the problem's domain is m^d * ifftn of
-the coefficients folded modulo m (``evaluate_on_grid``); the dense matrix
-route (``evaluate_interpolant``) stays for arbitrary points.
+the coefficients folded modulo m (``evaluate_on_grid``).
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -84,13 +83,6 @@ def sample_axis(n: int, domain: tuple[float, float] = UNIT_DOMAIN) -> np.ndarray
     """n equispaced points on the periodic interval [x0, x0 + L)."""
     start, length = domain
     return start + length * np.arange(n) / n
-
-
-def axis_feature_matrix(x: np.ndarray, m: int, domain: tuple[float, float] = UNIT_DOMAIN) -> np.ndarray:
-    """Entries exp(2*pi*i*k*(x - x0)/L) for the m-term frequency layout."""
-    start, length = domain
-    u = (np.asarray(x, dtype=float) - start) / length
-    return np.exp(2j * np.pi * np.outer(u, symmetric_frequencies(m)))
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +200,8 @@ def training_samples(problem: InterpolationProblem) -> tuple[np.ndarray, np.ndar
         clean = np.asarray(problem.target).reshape((n,) * d)
     if problem.noise_sigma > 0:
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=problem.noise_seed)))
-        observed = clean + problem.noise_sigma * rng.standard_normal(clean.shape)
+        with np.errstate(over="ignore"):  # a sample past the double range is inf; fit_interpolant refuses it
+            observed = clean + problem.noise_sigma * rng.standard_normal(clean.shape)
     else:
         observed = clean
     return clean, observed
@@ -253,12 +246,12 @@ def evaluate_on_grid(coefficients: np.ndarray, points_per_axis: int) -> np.ndarr
     return out
 
 
-def _class_fit(y: np.ndarray, weights: np.ndarray, q: float) -> np.ndarray:
-    """theta_k = s_k * fftn(y)[k mod n] / (n^d * Lambda[k mod n]) for (p,)*d weights."""
-    d, n, p = y.ndim, y.shape[0], weights.shape[0]
+def _class_fit(transform: np.ndarray, weights: np.ndarray, q: float) -> np.ndarray:
+    """theta_k = s_k * transform[k mod n] / (n^d * Lambda[k mod n]) for transform = fftn(y) and (p,)*d weights."""
+    d, n, p = transform.ndim, transform.shape[0], weights.shape[0]
     s, lam, classes = class_weights(np.fft.fftshift(weights), n, q, start=-(p // 2))  # s = 1 at q = 0
     # Empty classes (p < n) hold Lambda = 0 and are never read; the floor only avoids 0/0.
-    return np.fft.ifftshift(s * (np.fft.fftn(y) / (n**d * np.maximum(lam, 1.0)))[classes])
+    return np.fft.ifftshift(s * (transform / (n**d * np.maximum(lam, 1.0)))[classes])
 
 
 def _log_weighted_norm(theta: np.ndarray, weights: np.ndarray, q: float) -> float:
@@ -275,7 +268,8 @@ def _log_weighted_norm(theta: np.ndarray, weights: np.ndarray, q: float) -> floa
 def fit_interpolant(problem: InterpolationProblem, method: Method) -> FittedInterpolant:
     """Fit the chosen estimator by fold and FFT; see the module docstring.
 
-    Raises NumericalInconsistencyError when a min-norm fit misses its
+    Raises ConfigurationError when the samples' transform overflows a
+    double, and NumericalInconsistencyError when a min-norm fit misses its
     samples by more than RESIDUAL_TOLERANCE * max(1, ||y||).
     """
     d, n, p = problem.dimension, problem.n_axis, problem.p_axis
@@ -285,9 +279,16 @@ def fit_interpolant(problem: InterpolationProblem, method: Method) -> FittedInte
         raise RegimeError(f"min-norm interpolation needs p_axis >= n_axis, got {p} < {n}")
 
     _, observed = training_samples(problem)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused just below
+        transform = np.fft.fftn(observed)
+    if not np.isfinite(transform).all():
+        peak = float(np.max(np.abs(observed)))
+        raise ConfigurationError(
+            f"samples up to |y| = {peak!r} overflow their Fourier transform (noise_sigma={problem.noise_sigma!r})"
+        )
     weights = tensor_weights(p, d, problem.weight_kind)
     q_eff = problem.q if method is Method.WEIGHTED_MIN_NORM else 0.0
-    theta = _class_fit(observed, weights, q_eff)
+    theta = _class_fit(transform, weights, q_eff)
 
     residual = float(np.linalg.norm((evaluate_on_grid(theta, n) - observed).ravel()))
     if method is not Method.LEAST_SQUARES:
@@ -311,32 +312,6 @@ def fit_interpolant(problem: InterpolationProblem, method: Method) -> FittedInte
         plain_norm=float(np.linalg.norm(theta.ravel())),
         problem=problem,
     )
-
-
-def evaluate_interpolant(
-    coefficients: np.ndarray,
-    axes: Sequence[np.ndarray],
-    domain: tuple[float, float] = UNIT_DOMAIN,
-) -> np.ndarray:
-    """Synthesise the truncated Fourier series on a tensor grid of arbitrary points.
-
-    The dense matrix route: ``evaluate_on_grid`` gives the same values on
-    the problem's equispaced grids.  ``axes`` holds one 1-D point array per
-    dimension; the result has shape
-    (len(axes[0]), ..., len(axes[d-1])) and is complex (imaginary parts of
-    fits to real data are rounding-level).
-    """
-    coefficients = np.asarray(coefficients)
-    if coefficients.ndim != len(axes):
-        raise ConfigurationError(
-            f"coefficient tensor is {coefficients.ndim}-dimensional but {len(axes)} axes were given"
-        )
-    out = coefficients.astype(complex)
-    for ax in axes:
-        m = out.shape[0]
-        out = np.tensordot(axis_feature_matrix(ax, m, domain), out, axes=(1, 0))
-        out = np.moveaxis(out, 0, -1)
-    return out
 
 
 def dense_grid_rmse(fit: FittedInterpolant, points_per_axis: int) -> float:

@@ -89,7 +89,10 @@ def cr_bounds(D: int, r: float) -> tuple[float, float]:
         raise ConfigurationError(f"decay exponent r must be finite, got {r}")
     if r <= 0.5:
         raise RegimeError(f"c_r bounds require r > 1/2, got r={r}")
-    lower = (2.0 * r - 1.0) / (2.0 * r - float(D) ** (-2.0 * r + 1.0))
+    if 2.0 * r < math.inf:
+        lower = (2.0 * r - 1.0) / (2.0 * r - float(D) ** (-2.0 * r + 1.0))
+    else:  # 2r overflows: both sides divided by r; the bound tends to 1
+        lower = (2.0 - 1.0 / r) / (2.0 - float(D) ** (1.0 - 2.0 * r) / r)
     upper = (2.0 * r - 1.0) / (1.0 - float(D + 1) ** (-2.0 * r + 1.0))
     return lower, upper
 

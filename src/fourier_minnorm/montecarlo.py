@@ -26,13 +26,15 @@ order fixed by (D, n, p) alone.
 
 Reproducibility: trial i draws from a Philox stream keyed by
 (seed, spawn_key=(i,)), and the coefficient vectors are, bit for bit, those
-of the one-trial-at-a-time loop trial_generator -> sample_theta.  Philox is
-counter-based: a stream is fixed by its 128-bit key alone.
+of the one-trial-at-a-time loop ``oracles.trial_generator`` ->
+``oracles.sample_theta``, the reference definition of the stream.  Philox
+is counter-based: a stream is fixed by its 128-bit key alone.
 ``empirical_risks`` therefore derives every trial's key up front in a few
 uint32 array passes that replay SeedSequence's hash (``_trial_keys``), and
 ``_block_sampler`` re-keys one generator for each trial, draws the trial's
 normals straight into its row of a block buffer and scales the whole block
-with ``_scale_block``, the arithmetic ``sample_theta`` applies to one row.
+with ``_scale_block``, the arithmetic ``oracles.sample_theta`` applies to one
+row.
 Since every sum's order is fixed by (D, n, p), each sample is bit-identical
 across block sizes, worker counts, reruns and the other p of the sweep (a
 point call equals its sweep entry).  Each error sums the same nonnegative
@@ -100,20 +102,6 @@ class TailRow(NamedTuple):
     empirical_tail: float
     bound_tail: float
     std_err: float
-
-
-def trial_generator(seed: int, trial: int) -> np.random.Generator:
-    """Counter-based per-trial stream; independent of execution order."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(trial,))))
-
-
-def sample_theta(spectrum: Spectrum, model: CoefficientModel, rng: np.random.Generator) -> np.ndarray:
-    """Draw coefficients with E[theta] = 0 and E[theta theta^*] = c_r diag(t^(2r))."""
-    scale = _theta_scale(spectrum)
-    g = rng.standard_normal(_draw_width(model, spectrum.D))
-    theta = np.empty(spectrum.D, dtype=complex)
-    _scale_block(scale, model, g[None], theta[None])
-    return theta
 
 
 def _theta_scale(spectrum: Spectrum) -> np.ndarray:
@@ -187,7 +175,7 @@ def _uint32_words(value: int) -> list[int]:
 
 
 def _trial_keys(seed: int, trials: np.ndarray) -> np.ndarray:
-    """The Philox key of ``trial_generator(seed, trial)`` for every trial.
+    """The Philox key of ``oracles.trial_generator(seed, trial)`` for every trial.
 
     Row i is SeedSequence(entropy=seed, spawn_key=(trials[i],))
     .generate_state(2, np.uint64): the same hashmix/mix pool, computed on
@@ -223,11 +211,12 @@ def _trial_keys(seed: int, trials: np.ndarray) -> np.ndarray:
 def _block_sampler(scale: np.ndarray, model: CoefficientModel):
     """``draw(keys, draws, theta)``: the coefficient vectors of keyed trials, one per row.
 
-    Row i of ``theta`` becomes, bit for bit, sample_theta(spectrum, model,
-    trial_generator(seed, trial_i)) for keys = _trial_keys(seed, trials):
-    one generator, re-keyed for each trial (counter 0 and an empty buffer
-    make it that trial's stream), draws straight into row i of ``draws``
-    ((len(keys), _draw_width) scratch), and ``_scale_block`` scales them all.
+    Row i of ``theta`` becomes, bit for bit, oracles.sample_theta(spectrum,
+    model, oracles.trial_generator(seed, trial_i)) for keys =
+    _trial_keys(seed, trials): one generator, re-keyed for each trial
+    (counter 0 and an empty buffer make it that trial's stream), draws
+    straight into row i of ``draws`` ((len(keys), _draw_width) scratch), and
+    ``_scale_block`` scales them all.
     """
     bit_generator = np.random.Philox(0)
     rng = np.random.Generator(bit_generator)

@@ -1,13 +1,8 @@
 """Exact risk expressions, asymptotic bounds, and concentration constants.
 
 Risk means E ||theta - theta_hat||^2 over coefficients with E[theta] = 0 and
-E[theta theta^*] = c_r diag(t^(2r)) (unit trace).  Two independent routes are
-provided for each regime and cross-validated in the tests:
-
-* closed forms over residue-class sums (any grid; O(D) for a whole p
-  sweep), the runtime route;
-* trace forms that materialise the feature matrices densely (any grid with
-  the right (n, p) ordering), kept as test and benchmark oracles.
+E[theta theta^*] = c_r diag(t^(2r)) (unit trace).  Every risk is a closed
+form over residue-class sums (any grid; O(D) for a whole p sweep).
 
 Feature k = m + n*nu lies in residue class m and block nu.  By the aliasing
 fact (see ``circulant``) every risk splits into sums over residue classes.
@@ -45,7 +40,6 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .circulant import fourier_matrix
 from .errors import (
     ConfigurationError,
     NumericalInconsistencyError,
@@ -210,71 +204,11 @@ def risk_over_closed(spectrum: Spectrum, grid: GridConfig, q: float) -> RiskBrea
     return RiskBreakdown(P_q=P_q, Q_q1=Q_q1, Q_q2=Q_q2, risk=risk, clamped=clamped)
 
 
-def risk_trace_over(spectrum: Spectrum, grid: GridConfig, q: float) -> RiskBreakdown:
-    """Dense trace-form risk; works on misaligned grids too (oracle route).
-
-    Evaluated through the SVD of the column-weighted feature matrix rather
-    than the inverted Gram: with F Sigma^q = U diag(s) V^*, the three traces
-    collapse to
-
-        P_q  = tr(K V V^*),
-        Q_q1 = tr((V^* Sigma^{2q} V)(V^* K Sigma^{-2q} V)),
-        Q_q2 = tr(diag(1/s) (V^* Sigma^{2q} V) diag(1/s) U^* M_c U),
-
-    in which the singular values cancel everywhere except the benign Q_q2
-    factor, keeping the oracle accurate at large weighting exponents.
-    """
-    _require_over(grid)
-    _check_q(q)
-    n, p, D = grid.n, grid.p, grid.D
-    r = spectrum.decay_r
-    t = spectrum.t
-    k_diag = spectrum.c_r * t ** (2.0 * r)
-
-    f_T = fourier_matrix(n, 0, p)
-    wq = t[:p] ** q
-    u, sv, vh = np.linalg.svd(f_T * wq[None, :], full_matrices=False)
-    v = vh.conj().T  # (p, n), orthonormal columns
-
-    P_q = float(np.sum(k_diag[:p] * np.sum(np.abs(v) ** 2, axis=1)))
-    a = v.conj().T @ ((t[:p] ** (2.0 * q))[:, None] * v)
-    b = v.conj().T @ ((k_diag[:p] * t[:p] ** (-2.0 * q))[:, None] * v)
-    Q_q1 = float(np.sum(a * b.T).real)
-    if p < D:
-        f_c = fourier_matrix(n, p, D)
-        m_c = (f_c * k_diag[p:][None, :]) @ f_c.conj().T
-        m_tilde = u.conj().T @ m_c @ u
-        Q_q2 = float(np.sum((a / np.outer(sv, sv)) * m_tilde.T).real)
-    else:
-        Q_q2 = 0.0
-    risk, clamped = _finalize_risk(1.0 - 2.0 * P_q + Q_q1 + Q_q2)
-    return RiskBreakdown(P_q=P_q, Q_q1=Q_q1, Q_q2=Q_q2, risk=risk, clamped=clamped)
-
-
 def risk_under_closed(spectrum: Spectrum, grid: GridConfig) -> float:
     """Closed-form least-squares risk for p <= n on any grid."""
     if grid.p > grid.n:
         raise RegimeError(f"underparameterized form needs p <= n, got p={grid.p}, n={grid.n}")
     risk, _ = _finalize_risk(_under_curve(spectrum, grid.n)[grid.p])
-    return risk
-
-
-def risk_trace_under(spectrum: Spectrum, grid: GridConfig) -> float:
-    """Dense trace-form least-squares risk; no divisibility requirement."""
-    if grid.p > grid.n:
-        raise RegimeError(f"underparameterized form needs p <= n, got p={grid.p}, n={grid.n}")
-    n, p, D = grid.n, grid.p, grid.D
-    k_diag = spectrum.c_r * spectrum.t ** (2.0 * spectrum.decay_r)
-    if p == D:
-        return 0.0
-    f_T = fourier_matrix(n, 0, p)
-    f_c = fourier_matrix(n, p, D)
-    ftf = f_T.conj().T @ f_T
-    inv2 = np.linalg.inv(ftf @ ftf)
-    cross = f_T.conj().T @ (f_c * k_diag[p:][None, :])
-    back = f_c.conj().T @ f_T
-    value = math.fsum(k_diag[p:]) + float(np.trace(inv2 @ cross @ back).real)
-    risk, _ = _finalize_risk(value)
     return risk
 
 
@@ -313,8 +247,9 @@ def concentration_bound(r: float, q: float, t: float) -> ConcentrationBound:
     Requires finite r >= q > 1/2 and finite t >= 0 (NaN or inf is a
     ConfigurationError): the constant diverges at q = 1/2 and the inner
     polynomial changes sign below it.  T_q tends to 4 (2r - 1) sqrt(3/2) as
-    q grows and is finite for every r up to about 2e307; the tail
-    2 exp(-min(u^2, u)) is built from u = t / T_q, so neither overflows.
+    q grows and is finite for every r up to about 2e307; past that it
+    overflows a double, a ConfigurationError.  The tail 2 exp(-min(u^2, u))
+    is built from u = t / T_q, so neither overflows.
     """
     for name, value in (("decay exponent r", r), ("weighting exponent q", q), ("deviation level t", t)):
         if not math.isfinite(value):
@@ -332,6 +267,8 @@ def concentration_bound(r: float, q: float, t: float) -> ConcentrationBound:
         v = 1.0 / q
         ratio = (24.0 - 17.0 * v + 3.0 * v * v) / ((2.0 - v) ** 2 * (4.0 - v))
     T_q = 4.0 * (2.0 * r - 1.0) * math.sqrt(ratio)
+    if not math.isfinite(T_q):
+        raise ConfigurationError(f"T_q overflows a double at decay exponent r={r!r}, weighting exponent q={q!r}")
     u = t / T_q
     # u * u only once T_q^2 overflows: it rounds differently from t * t / T_q^2 in about one tail in five
     square = t * t / (T_q * T_q) if T_q * T_q < math.inf else u * u
@@ -378,3 +315,11 @@ def theory_risks(spectrum: Spectrum, n: int, q: float, p_values: Sequence[int]) 
 def theory_risk(spectrum: Spectrum, grid: GridConfig, q: float) -> float:
     """Theoretical risk for one configuration: one point of ``theory_risks``."""
     return float(theory_risks(spectrum, grid.n, q, [grid.p])[0])
+
+
+def __getattr__(name: str):
+    # perfbench/checks.py imports the trace oracles from here; goes once it uses oracles (ROADMAP item 6)
+    if name in ("risk_trace_over", "risk_trace_under"):
+        from . import oracles
+        return getattr(oracles, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -438,6 +438,23 @@ class TestConcentration:
         assert column(header, rows, "bound_tail") == pytest.approx(tails, rel=1e-15)
         assert column(header, rows, "bound_tail")[-1] == 0.2706705664732254
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--r", "3e307", "--q", "1"], "error: T_q overflows a double at decay exponent r=3e+307, "
+                                           "weighting exponent q=1.0\n"),
+            (["--r", "1", "--q", "1", "--t-multipliers", "1e308"],
+             "error: t = 1e+308 * T_q overflows a double at T_q = 7.302967433402215 (field t_multipliers)\n"),
+        ],
+        ids=["T_q", "t"],
+    )
+    def test_overflow_is_blamed_on_its_own_field(self, tmp_path, capsys, flags, message):
+        code = main(["concentration", "-D", "8", "-n", "2", "-p", "4", *flags, "--trials", "3",
+                     "--out", str(tmp_path / "conc.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == message
+        assert not list(tmp_path.iterdir())
+
 
 class TestSweepAgreement:
     """risk-curve, mc-risk and heatmap build one sweep: the columns they share agree cell for cell."""
@@ -620,21 +637,21 @@ class TestInterp:
 
     @pytest.mark.parametrize(
         "argv",
-        [
-            ["--target", "cubic1d", "--n-axis", "15", "--p-axis", "15", "--d-axis", "20",
-             "--methods", "least-squares,plain-min-norm,weighted-min-norm"],
-            ["--target", "stage1d", "--n-axis", "15", "--p-axis", "1000", "--d-axis", "1000"],
-            ["--target", "cos2d", "--n-axis", "10", "--p-axis", "41", "--d-axis", "100", "--eval-points", "101",
-             "--weight-kind", "separable"],
-        ],
-        ids=["square", "1d", "2d"],
+        [["--p-axis", "7", "--methods", "least-squares"], ["--p-axis", "60"]],
+        ids=["least-squares", "min-norm"],
     )
-    def test_no_feature_matrix_on_the_interp_route(self, tmp_path, monkeypatch, argv):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("dense feature matrix built on the interp route")
-
-        monkeypatch.setattr(interpolation, "axis_feature_matrix", forbidden)
-        assert main(["interp", *argv, "--q", "2", "--out", str(tmp_path / "x")]) == 0
+    def test_overflowing_noise_is_a_configuration_error(self, tmp_path, argv):
+        # the seed-0 samples stay finite, but their transform overflows
+        argv = ["interp", "--target", "cubic1d", "--n-axis", "15", "--d-axis", "100", "--q", "2",
+                "--noise-sigma", "1e308", "--eval-points", "5", *argv, "--out", str(tmp_path / "x")]
+        env = dict(os.environ, PYTHONPATH=str(Path(fourier_minnorm.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
+        done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "fourier_minnorm", *argv],
+                              env=env, capture_output=True, timeout=120)
+        err = done.stderr.decode()
+        assert done.returncode == 2, err
+        assert err == ("error: samples up to |y| = 1.680784261445413e+308 overflow their Fourier transform "
+                       "(noise_sigma=1e+308)\n")
+        assert not list(tmp_path.iterdir())
 
     def test_residual_guard_exits_3(self, tmp_path, monkeypatch, capsys):
         real_fit = interpolation._class_fit
@@ -661,6 +678,44 @@ class TestInterp:
                      "--p-axis", "2", "--d-axis", "4", "--q", "1", "--out", str(tmp_path / "x")])
         assert code == 2
         assert "do not match the equispaced training grid" in capsys.readouterr().err
+
+
+class TestOracleImport:
+    def test_no_command_loads_the_dense_oracles(self, tmp_path):
+        # every command at a small size, the interp routes at p <= n, p > n in 1-D and 2-D among them
+        interp = ["interp", "--q", "2", "--eval-points", "33"]
+        argvs = [
+            ["risk-curve", "-D", "64", "-n", "8", "--r-values", "0.5,1.0", "--p-values", "3,8,20,64"],
+            ["mc-risk", "-D", "64", "-n", "8", "--r-values", "1.0", "--p-values", "3,8,20,64", "--trials", "5"],
+            ["heatmap", "-D", "64", "-n", "8", "--r-values", "0.5,1.0"],
+            ["bound-check", "--n-values", "4,8", "--r-values", "1.0", "--l-values", "2", "--tau-multipliers", "2"],
+            ["concentration", "-D", "64", "-n", "8", "-p", "16", "--r", "1.0", "--q", "1.0", "--trials", "20"],
+            [*interp, "--target", "cubic1d", "--n-axis", "15", "--p-axis", "15", "--d-axis", "20",
+             "--methods", "least-squares,plain-min-norm,weighted-min-norm"],
+            [*interp, "--target", "stage1d", "--n-axis", "15", "--p-axis", "1000", "--d-axis", "1000"],
+            [*interp, "--target", "cos2d", "--n-axis", "10", "--p-axis", "41", "--d-axis", "100",
+             "--weight-kind", "separable"],
+        ]
+        argvs = [[*argv, "--out", str(tmp_path / f"run{i}")] for i, argv in enumerate(argvs)]
+        # after the runs: the loaded package modules, and any dense oracle one of them holds
+        script = (
+            "import json, sys\n"
+            "from fourier_minnorm.cli import main\n"
+            "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "modules = {name: vars(m) for name, m in sys.modules.items() if name.startswith('fourier_minnorm')}\n"
+            "held = sorted(f'{m}.{name}' for m, names in modules.items() for name in json.loads(sys.argv[2])\n"
+            "              if name in names)\n"
+            "print(json.dumps([codes, sorted(modules), held]))\n"
+        )
+        oracles = ["fourier_matrix", "solve_weighted_minnorm", "minnorm_kkt_check", "risk_trace_over",
+                   "risk_trace_under", "evaluate_interpolant", "axis_feature_matrix", "trial_generator", "sample_theta"]
+        env = dict(os.environ, PYTHONPATH=str(Path(fourier_minnorm.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
+        done = subprocess.run([sys.executable, "-c", script, json.dumps(argvs), json.dumps(oracles)], env=env,
+                              capture_output=True, timeout=300)
+        assert done.returncode == 0, done.stderr.decode()
+        codes, modules, held = json.loads(done.stdout.decode().splitlines()[-1])
+        assert codes == [0] * len(argvs)
+        assert "fourier_minnorm.oracles" not in modules and held == []
 
 
 class TestConfigFile:

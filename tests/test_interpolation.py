@@ -20,7 +20,6 @@ from fourier_minnorm import (
     symmetric_frequencies,
 )
 from fourier_minnorm.interpolation import (
-    axis_feature_matrix,
     axis_weights,
     evaluate_on_grid,
     sample_axis,
@@ -28,6 +27,7 @@ from fourier_minnorm.interpolation import (
     training_samples,
 )
 from fourier_minnorm.model import folded_sums
+from fourier_minnorm.oracles import axis_feature_matrix
 
 
 class TestFrequencyLayout:

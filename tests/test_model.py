@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -98,6 +99,17 @@ class TestCrBounds:
     def test_rejects_non_finite_r_and_non_integer_D(self, D, r, match):
         with pytest.raises(ConfigurationError, match=match):
             cr_bounds(D, r)
+
+    @pytest.mark.parametrize("r", [1e200, 8.98e307, 8.99e307, 1e308, 1.79e308])
+    @pytest.mark.parametrize("D", [1, 8])
+    def test_matches_mpmath_where_2r_overflows(self, D, r):
+        # 2r overflows from about 8.99e307 on; the lower bound tends to 1 and the upper to 2r - 1
+        with mpmath.workdps(50):
+            two_r = 2 * mpmath.mpf(r)
+            lower = (two_r - 1) / (two_r - mpmath.mpf(D) ** (1 - two_r))
+            upper = (two_r - 1) / (1 - mpmath.mpf(D + 1) ** (1 - two_r))
+        assert cr_bounds(D, r) == (float(lower), float(upper))
+        assert cr_bounds(D, r)[0] == 1.0
 
     @given(
         D=st.integers(min_value=1, max_value=5000),

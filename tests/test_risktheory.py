@@ -294,6 +294,12 @@ class TestConcentrationBound:
         with pytest.raises(ConfigurationError, match="must be finite"):
             concentration_bound(r, q, t)
 
+    @pytest.mark.parametrize("r, q", [(3e307, 1.0), (1.7e308, 1e155), (1e308, 1e308)])
+    def test_rejects_a_constant_past_the_double_range(self, r, q):
+        with pytest.raises(ConfigurationError) as exc:
+            concentration_bound(r, q, 0.0)
+        assert str(exc.value) == f"T_q overflows a double at decay exponent r={r!r}, weighting exponent q={q!r}"
+
     @pytest.mark.parametrize("q", [0.5 + 1e-9, 0.75, 1.0, 3.7, 1e102, 1e103, 1e155, 1e300])
     def test_matches_mpmath_for_every_q(self, q):
         # r = q: 4 (2r - 1) stays finite while q^3 and T_q^2 overflow from q ~ 2e102 and 1e154 on
