@@ -653,6 +653,28 @@ class TestInterp:
                        "(noise_sigma=1e+308)\n")
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--target", "cubic1d", "--n-axis", "15", "--p-axis", "15", "--d-axis", "20",
+             "--methods", "least-squares,plain-min-norm,weighted-min-norm"],
+            ["--target", "stage1d", "--n-axis", "15", "--p-axis", "1000", "--d-axis", "1000"],
+            ["--target", "cos2d", "--n-axis", "10", "--p-axis", "41", "--d-axis", "100", "--eval-points", "101",
+             "--weight-kind", "separable"],
+        ],
+        ids=["square", "1d", "2d"],
+    )
+    def test_no_feature_matrix_on_the_interp_route(self, tmp_path, monkeypatch, argv):
+        import fourier_minnorm.oracles as oracles
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dense feature matrix built on the interp route")
+
+        # the dense feature matrix lives only in the oracles, out of the interpolation module's reach
+        assert not hasattr(interpolation, "axis_feature_matrix")
+        monkeypatch.setattr(oracles, "axis_feature_matrix", forbidden)
+        assert main(["interp", *argv, "--q", "2", "--out", str(tmp_path / "x")]) == 0
+
     def test_residual_guard_exits_3(self, tmp_path, monkeypatch, capsys):
         real_fit = interpolation._class_fit
         monkeypatch.setattr(interpolation, "_class_fit", lambda *args: real_fit(*args) + 1e-3)
