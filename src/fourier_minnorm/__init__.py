@@ -3,7 +3,8 @@
 Exact generalization-risk formulas for plain and weighted min-norm
 estimation with polynomially decaying coefficient covariances, fast
 circulant solvers, Monte Carlo validation, and trigonometric function
-interpolation in one and higher dimensions.
+interpolation in one and higher dimensions.  The dense reference routes
+the fast ones are tested against live in ``fourier_minnorm.oracles``.
 """
 
 from .circulant import equispaced_predict, gram_eigenvalues
@@ -27,7 +28,6 @@ from .interpolation import (
     Target,
     WeightKind,
     builtin_targets,
-    dense_grid_rmse,
     fit_interpolant,
     symmetric_frequencies,
 )
@@ -61,18 +61,6 @@ from .risktheory import (
     theory_risks,
 )
 
-# The dense oracles load on first access: importing the package or the CLI never loads them.
-_ORACLES = {"evaluate_interpolant", "fourier_matrix", "minnorm_kkt_check", "risk_trace_over", "risk_trace_under",
-            "sample_theta", "solve_weighted_minnorm", "trial_generator"}
-
-
-def __getattr__(name: str):
-    if name in _ORACLES:
-        from . import oracles
-        return getattr(oracles, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __version__ = "0.1.0"
 
 __all__ = [
@@ -105,26 +93,17 @@ __all__ = [
     "concentration_bound",
     "concentration_check",
     "cr_bounds",
-    "dense_grid_rmse",
     "empirical_risk",
     "empirical_risks",
     "equispaced_predict",
-    "evaluate_interpolant",
     "fit_interpolant",
-    "fourier_matrix",
     "gram_eigenvalues",
     "least_squares",
     "lowest_risks",
-    "minnorm_kkt_check",
     "risk_over_closed",
-    "risk_trace_over",
-    "risk_trace_under",
     "risk_under_closed",
-    "sample_theta",
-    "solve_weighted_minnorm",
     "symmetric_frequencies",
     "theory_risk",
     "theory_risks",
-    "trial_generator",
     "weighted_minnorm",
 ]

@@ -7,7 +7,9 @@ concentration, one per spec dataclass.  Each spec field is one flag,
 <json-file>`` every command accepts (strictly validated, unknown keys
 rejected); CLI flags take precedence.  Every spec checks its fields when
 it is built, so flags, config values and specs built in Python pass the
-same checks: types, fixed choices, ranges, and no empty grid.
+same checks: types, fixed choices, ranges, and no empty grid.  No field
+holds what its command can work out: the p grid of a sweep without p
+values, or interp's dimension (its target's, or its samples file's).
 
 Output contracts:
 
@@ -37,6 +39,9 @@ Output contracts:
   changes nothing;
 * skipped out-of-domain rows are logged to a ``<out>.log`` sidecar, never
   into data files.
+* interp's metrics.json is strict JSON: a metric is finite wherever it
+  fits in a double (norms and RMSE never overflow through their squares)
+  and null otherwise.
 
 Exit codes: 0 success, 2 configuration error (sizes too large to allocate
 included), 3 numerical inconsistency.
@@ -64,6 +69,7 @@ from .interpolation import (
     InterpolationProblem,
     Method,
     WeightKind,
+    _overflow_free,
     builtin_targets,
     evaluate_on_grid,
     fit_interpolant,
@@ -323,7 +329,6 @@ _SCALAR_TYPES = {int: (int,), float: (int, float), str: (str,)}
 # of a list field (methods) is one of them.
 _CHOICES = {
     "format": ("csv", "json"),
-    "p_rule": ("paper",),
     "q_rule": ("match-r", "fixed"),
     "coefficient_model": tuple(m.value for m in CoefficientModel),
     "weight_kind": tuple(k.value for k in WeightKind),
@@ -427,8 +432,7 @@ class RiskCurveSpec(_Spec):
     n: int
     r_values: tuple[float, ...]
     q_values: tuple[float, ...] | None = None  # None: q = r per curve
-    p_values: tuple[int, ...] | None = None  # None: use p_rule
-    p_rule: str = "paper"
+    p_values: tuple[int, ...] | None = None  # None: the paper grid, every p < n then the multiples of n up to D
     out: str = "risk_curve.csv"
     format: str = "csv"
     threads: int = 1
@@ -442,7 +446,6 @@ class McRiskSpec(_Spec):
     r_values: tuple[float, ...]
     q_values: tuple[float, ...] | None = None
     p_values: tuple[int, ...] | None = None
-    p_rule: str = "paper"
     trials: int = 100
     seed: int = 0
     confidence: float = 0.8
@@ -461,7 +464,6 @@ class HeatmapSpec(_Spec):
     q_rule: str = "match-r"
     q_fixed: float = 0.0
     p_values: tuple[int, ...] | None = None
-    p_rule: str = "paper"
     out: str = "heatmap.csv"
     format: str = "csv"
     threads: int = 1
@@ -486,7 +488,6 @@ class InterpSpec(_Spec):
     p_axis: int
     D_axis: int
     q: float
-    dimension: int = 1
     target: str | None = None
     samples_file: str | None = None
     methods: tuple[str, ...] = ("weighted-min-norm", "plain-min-norm")
@@ -510,7 +511,6 @@ class ConcentrationSpec(_Spec):
     t_multipliers: tuple[float, ...] = (0.5, 1.0, 2.0)
     trials: int = 2000
     seed: int = 0
-    confidence: float = 0.8
     coefficient_model: str = "complex-gaussian"
     out: str = "concentration.csv"
     format: str = "csv"
@@ -544,10 +544,10 @@ def _resolve_p_grid(spec) -> np.ndarray:
     """The sorted p grid of a sweep, checked against D and n."""
     if spec.p_values is not None:
         p_list = sorted(set(spec.p_values))
-    else:  # p_rule "paper": every p < n, then the multiples of n up to D
-        check_truncations(spec.D, spec.n, ())  # n first: the rule divides by it
+    else:  # the paper grid: every p < n, then the multiples of n up to D
+        check_truncations(spec.D, spec.n, ())  # n first: the grid divides by it
         if spec.D % spec.n != 0:
-            raise ConfigurationError(f"p_rule 'paper' needs n | D, got D={spec.D}, n={spec.n} (field n)")
+            raise ConfigurationError(f"the paper p grid needs n | D, got D={spec.D}, n={spec.n} (field n)")
         # ranges, not a comprehension: a list too large to allocate fails at once
         p_list = [*range(1, spec.n), *range(spec.n, spec.D + 1, spec.n)]
     return check_truncations(spec.D, spec.n, p_list)
@@ -588,15 +588,15 @@ def run_risk_curve(spec: RiskCurveSpec) -> list[Path]:
     return _write_one(spec, ["D", "n", "p", "r", "q", "regime", "risk_theory"], columns)
 
 
-def _mc_config(spec: McRiskSpec | ConcentrationSpec) -> McConfig:
-    """The Monte Carlo settings of a spec; its trials x D elements are checked against MAX_ELEMENTS first."""
+def _mc_config(spec: McRiskSpec | ConcentrationSpec, **options) -> McConfig:
+    """A spec's Monte Carlo settings, plus ``options`` (mc-risk's confidence); trials x D is checked first."""
     _check_element_counts({"D": [spec.D], "trials x D": [spec.trials, spec.D]})  # bounds len(p) x trials too
     model = CoefficientModel(spec.coefficient_model)
-    return McConfig(trials=spec.trials, seed=spec.seed, coefficient_model=model, confidence=spec.confidence)
+    return McConfig(trials=spec.trials, seed=spec.seed, coefficient_model=model, **options)
 
 
 def run_mc_risk(spec: McRiskSpec) -> list[Path]:
-    mc = _mc_config(spec)  # first: the trials x D refusal comes before any allocation
+    mc = _mc_config(spec, confidence=spec.confidence)  # first: the trials x D refusal precedes any allocation
     groups, p, spectra, columns, risks = _sweep(spec, spec.q_values)
     estimates = [est for r, q in groups for est in empirical_risks(spectra[r], spec.n, q, p, mc)]
     columns += [
@@ -675,8 +675,8 @@ def run_concentration(spec: ConcentrationSpec) -> list[Path]:
     return _write_one(spec, header, columns)
 
 
-def _load_samples_file(path: str, dimension: int, n_axis: int) -> np.ndarray:
-    """Read a training-sample CSV (x columns then y, row-major grid order), one row per point."""
+def _load_samples_file(path: str, n_axis: int) -> np.ndarray:
+    """Read a training-sample CSV: a header x0,...,x{d-1},y fixing d, then one row per point in grid order."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, ValueError) as exc:  # a directory, not UTF-8, a NUL in the path
@@ -685,9 +685,10 @@ def _load_samples_file(path: str, dimension: int, n_axis: int) -> np.ndarray:
     if not lines:
         raise ConfigurationError(f"samples file {path} is empty")
     header = lines[0].split(",")
+    dimension = max(len(header) - 1, 1)
     expected = [f"x{i}" for i in range(dimension)] + ["y"]
     if header != expected:
-        raise ConfigurationError(f"samples file header {header} != expected {expected}")
+        raise ConfigurationError(f"samples file header {header} != expected {expected} (x0,...,x{{d-1}},y in d dims)")
     try:
         values = np.array([[float(cell) for cell in line.split(",")] for line in lines[1:]])
     except ValueError as exc:
@@ -701,23 +702,23 @@ def _load_samples_file(path: str, dimension: int, n_axis: int) -> np.ndarray:
     return values
 
 
-def _finite_or_none(value: float) -> float | None:
-    """A metric for strict JSON: non-finite values (an overflowed norm) become null."""
-    return value if math.isfinite(value) else None
+def _finite_or_none(value: float | None) -> float | None:
+    """A metric for strict JSON: a non-finite value (an overflowed norm) becomes null."""
+    return value if value is None or math.isfinite(value) else None
 
 
 def run_interp(spec: InterpSpec) -> list[Path]:
     if (spec.target is None) == (spec.samples_file is None):
         raise ConfigurationError("exactly one of 'target' and 'samples_file' must be set")
-    dimension = spec.dimension if spec.target is None else builtin_targets(spec.target).dimension
+    if spec.samples_file is None:
+        samples, target, dimension = None, spec.target, builtin_targets(spec.target).dimension
+    else:
+        samples = _load_samples_file(spec.samples_file, spec.n_axis)
+        dimension = samples.shape[1] - 1
+        target = samples[:, -1].reshape((spec.n_axis,) * dimension)
     # d factors per grid; from d = 64 on any size >= 2 is past the limit already
     sizes = {"n_axis": spec.n_axis, "p_axis": spec.p_axis, "eval_points": spec.eval_points}
     _check_element_counts({f"{name}^d": [size] * min(dimension, 64) for name, size in sizes.items()})
-    samples = None
-    target: str | np.ndarray | None = spec.target
-    if spec.samples_file is not None:
-        samples = _load_samples_file(spec.samples_file, dimension, spec.n_axis)
-        target = samples[:, -1].reshape((spec.n_axis,) * dimension)
     problem = InterpolationProblem(
         dimension=dimension,
         n_axis=spec.n_axis,
@@ -746,7 +747,7 @@ def run_interp(spec: InterpSpec) -> list[Path]:
     header.append("f_hat")
 
     paths = []
-    # the fields that shape the fits (methods key per_method), with the dimension a named target fixes
+    # the fields that shape the fits (methods key per_method), with the dimension the target or the header fixes
     skip = ("command", "methods", "out", "format", "threads")
     metrics: dict = {
         "problem": {**{k: v for k, v in spec_to_dict(spec).items() if k not in skip}, "dimension": dimension},
@@ -757,18 +758,19 @@ def run_interp(spec: InterpSpec) -> list[Path]:
         fit = fit_interpolant(problem, method)
         values = evaluate_on_grid(fit.coefficients, m).ravel()
         max_imag = float(np.max(np.abs(values.imag))) if values.size else 0.0
-        rmse = float(np.sqrt(np.mean(np.abs(values - truth) ** 2))) if named else None
+        rmse = _overflow_free(lambda e: float(np.sqrt(np.mean(e**2))), np.abs(values - truth)) if named else None
         grid_path = Path(f"{spec.out}.{method.value}.{spec.format}")
         write_table(grid_path, spec.format, header, Table(shared + [Column(values.real)]))
         paths.append(grid_path)
-        metrics["per_method"][method.value] = {
+        per_method = {
             "sample_residual": fit.residual,
-            "weighted_norm": _finite_or_none(fit.weighted_norm),
-            "log10_weighted_norm": _finite_or_none(fit.log10_weighted_norm),
+            "weighted_norm": fit.weighted_norm,
+            "log10_weighted_norm": fit.log10_weighted_norm,
             "plain_norm": fit.plain_norm,
             "rmse": rmse,
             "max_abs_imag": max_imag,
         }
+        metrics["per_method"][method.value] = {key: _finite_or_none(value) for key, value in per_method.items()}
     metrics_path = Path(f"{spec.out}.metrics.json")
     write_json(metrics_path, metrics)
     paths.append(metrics_path)
@@ -825,7 +827,6 @@ _HELP = {
     "r_values": "comma-separated decay exponents",
     "q_values": "comma-separated weighting exponents (default q=r)",
     "p_values": "explicit comma-separated truncations",
-    "p_rule": "p grid rule when p-values absent (default 'paper')",
     "q_rule": "q per row: match-r (q = r) or fixed (q = q-fixed)",
     "q_fixed": "weighting exponent of the fixed q rule",
     "n_values": "comma-separated sample counts",
@@ -837,8 +838,7 @@ _HELP = {
     "confidence": "confidence level for percentile CIs",
     "coefficient_model": "distribution of the Monte Carlo coefficients",
     "target": "built-in target name (stage1d, cubic1d, cos2d)",
-    "samples_file": "CSV of training samples (x columns then y)",
-    "dimension": "dimension (required for samples-file input)",
+    "samples_file": "CSV of training samples; its header x0,...,x{d-1},y fixes the dimension d",
     "n_axis": "per-axis sample count",
     "p_axis": "per-axis truncation",
     "D_axis": "per-axis ambient feature count",

@@ -28,10 +28,9 @@ from .model import GridConfig, Spectrum, check_finite_nonnegative
 
 @dataclass(frozen=True)
 class EstimatorResult:
-    """Fitted coefficients (zero outside T), the weighting exponent used and the sample residual."""
+    """Fitted coefficients (zero outside T) and the sample residual."""
 
     theta_hat: np.ndarray = field(repr=False)  # (D,) complex
-    q_used: float
     residual: float  # ||F_T theta_T - y||_2
 
 
@@ -82,7 +81,7 @@ def weighted_minnorm(y: np.ndarray, spectrum: Spectrum, grid: GridConfig, q: flo
     theta = np.zeros(grid.D, dtype=complex)
     theta[:p] = theta_T
     residual = float(np.linalg.norm(equispaced_predict(theta_T, n) - y))
-    return EstimatorResult(theta_hat=theta, q_used=float(q), residual=residual)
+    return EstimatorResult(theta_hat=theta, residual=residual)
 
 
 def least_squares(y: np.ndarray, grid: GridConfig) -> EstimatorResult:
@@ -96,4 +95,4 @@ def least_squares(y: np.ndarray, grid: GridConfig) -> EstimatorResult:
     theta = np.zeros(grid.D, dtype=complex)
     theta[: grid.p] = theta_T
     residual = float(np.linalg.norm(equispaced_predict(theta_T, grid.n) - y))
-    return EstimatorResult(theta_hat=theta, q_used=0.0, residual=residual)
+    return EstimatorResult(theta_hat=theta, residual=residual)

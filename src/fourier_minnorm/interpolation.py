@@ -211,21 +211,20 @@ def training_samples(problem: InterpolationProblem) -> tuple[np.ndarray, np.ndar
 class FittedInterpolant:
     """Coefficient tensor of shape (p_axis,)*d plus fit diagnostics.
 
-    weighted_norm is ||W^(-q) theta|| for the problem's weight tensor (the
-    quantity the weighted estimator minimises), inf where it overflows a
-    double; log10_weighted_norm is its base-10 logarithm, finite for any q
-    (-inf only for an all-zero fit); plain_norm is ||theta||.
+    residual is ||theta's series - y|| on the training grid; weighted_norm
+    is ||W^(-q) theta|| for the problem's weight tensor (the quantity the
+    weighted estimator minimises), inf where it overflows a double;
+    log10_weighted_norm is its base-10 logarithm, finite for any q (-inf
+    only for an all-zero fit); plain_norm is ||theta||.  The residual and
+    plain_norm are finite wherever they fit in a double, even where their
+    squares do not.
     """
 
     coefficients: np.ndarray = field(repr=False)
-    method: Method
-    q: float
-    weight_kind: WeightKind
     residual: float
     weighted_norm: float
     log10_weighted_norm: float
     plain_norm: float
-    problem: InterpolationProblem = field(repr=False)
 
 
 def evaluate_on_grid(coefficients: np.ndarray, points_per_axis: int) -> np.ndarray:
@@ -252,6 +251,27 @@ def _class_fit(transform: np.ndarray, weights: np.ndarray, q: float) -> np.ndarr
     s, lam, classes = class_weights(np.fft.fftshift(weights), n, q, start=-(p // 2))  # s = 1 at q = 0
     # Empty classes (p < n) hold Lambda = 0 and are never read; the floor only avoids 0/0.
     return np.fft.ifftshift(s * (transform / (n**d * np.maximum(lam, 1.0)))[classes])
+
+
+def _overflow_free(stat: Callable[[np.ndarray], float], values: np.ndarray) -> float:
+    """stat(values) for a statistic that scales with its values (a norm, an RMS), finite wherever it fits a double.
+
+    Computed as is first, so its bits stay wherever that is finite; only
+    where its squares overflow is it computed again from the values divided
+    by their largest magnitude, then scaled back.
+    """
+    with np.errstate(over="ignore"):
+        value = stat(values)
+    if math.isinf(value):
+        peak = float(np.max(np.abs(values)))
+        if math.isfinite(peak):
+            value = peak * stat(values / peak)
+    return value
+
+
+def _norm(values: np.ndarray) -> float:
+    """||values||_2 over every entry, by ``_overflow_free``."""
+    return _overflow_free(lambda v: float(np.linalg.norm(v.ravel())), values)
 
 
 def _log_weighted_norm(theta: np.ndarray, weights: np.ndarray, q: float) -> float:
@@ -290,9 +310,9 @@ def fit_interpolant(problem: InterpolationProblem, method: Method) -> FittedInte
     q_eff = problem.q if method is Method.WEIGHTED_MIN_NORM else 0.0
     theta = _class_fit(transform, weights, q_eff)
 
-    residual = float(np.linalg.norm((evaluate_on_grid(theta, n) - observed).ravel()))
+    residual = _norm(evaluate_on_grid(theta, n) - observed)
     if method is not Method.LEAST_SQUARES:
-        tolerance = RESIDUAL_TOLERANCE * max(1.0, float(np.linalg.norm(observed.ravel())))
+        tolerance = RESIDUAL_TOLERANCE * max(1.0, _norm(observed))
         if not residual <= tolerance:
             raise NumericalInconsistencyError(
                 f"{method.value} fit misses its samples by {residual!r} > {tolerance!r} (q={problem.q})"
@@ -303,22 +323,9 @@ def fit_interpolant(problem: InterpolationProblem, method: Method) -> FittedInte
     theta.setflags(write=False)
     return FittedInterpolant(
         coefficients=theta,
-        method=method,
-        q=problem.q,
-        weight_kind=problem.weight_kind,
         residual=residual,
         weighted_norm=weighted_norm,
         log10_weighted_norm=log_norm / math.log(10.0),
-        plain_norm=float(np.linalg.norm(theta.ravel())),
-        problem=problem,
+        plain_norm=_norm(theta),
     )
 
-
-def dense_grid_rmse(fit: FittedInterpolant, points_per_axis: int) -> float:
-    """RMSE of the interpolant against the named target on a dense tensor grid."""
-    problem = fit.problem
-    if not isinstance(problem.target, str):
-        raise ConfigurationError("dense-grid RMSE needs a named target")
-    values = evaluate_on_grid(fit.coefficients, points_per_axis)
-    truth = target_on_grid(problem, points_per_axis)
-    return float(np.sqrt(np.mean(np.abs(values - truth) ** 2)))

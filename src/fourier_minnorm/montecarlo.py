@@ -33,8 +33,8 @@ is counter-based: a stream is fixed by its 128-bit key alone.
 uint32 array passes that replay SeedSequence's hash (``_trial_keys``), and
 ``_block_sampler`` re-keys one generator for each trial, draws the trial's
 normals straight into its row of a block buffer and scales the whole block
-with ``_scale_block``, the arithmetic ``oracles.sample_theta`` applies to one
-row.
+with ``_scale_block``, which gives every row, bit for bit, the plain numpy
+arithmetic of ``oracles.sample_theta``.
 Since every sum's order is fixed by (D, n, p), each sample is bit-identical
 across block sizes, worker counts, reruns and the other p of the sweep (a
 point call equals its sweep entry).  Each error sums the same nonnegative

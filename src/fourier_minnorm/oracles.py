@@ -30,7 +30,7 @@ from .errors import ConfigurationError, RegimeError
 from .estimators import EstimatorResult
 from .interpolation import UNIT_DOMAIN, symmetric_frequencies
 from .model import GridConfig, Spectrum
-from .montecarlo import CoefficientModel, _draw_width, _scale_block, _theta_scale
+from .montecarlo import CoefficientModel
 from .risktheory import RiskBreakdown, _check_q, _finalize_risk, _require_over
 
 
@@ -172,8 +172,11 @@ def trial_generator(seed: int, trial: int) -> np.random.Generator:
 
 def sample_theta(spectrum: Spectrum, model: CoefficientModel, rng: np.random.Generator) -> np.ndarray:
     """Draw coefficients with E[theta] = 0 and E[theta theta^*] = c_r diag(t^(2r))."""
-    scale = _theta_scale(spectrum)
-    g = rng.standard_normal(_draw_width(model, spectrum.D))
-    theta = np.empty(spectrum.D, dtype=complex)
-    _scale_block(scale, model, g[None], theta[None])
-    return theta
+    D = spectrum.D
+    scale = math.sqrt(spectrum.c_r) * spectrum.t**spectrum.decay_r
+    if model is CoefficientModel.COMPLEX_GAUSSIAN:
+        g = rng.standard_normal(2 * D)  # D real parts, then D imaginary parts
+        return scale * (g[:D] + 1j * g[D:]) / math.sqrt(2)
+    if model is CoefficientModel.REAL_GAUSSIAN:
+        return scale * rng.standard_normal(D).astype(complex)
+    raise ConfigurationError(f"unknown coefficient model {model!r}")

@@ -20,19 +20,16 @@ from fourier_minnorm import (
     concentration_bound,
     concentration_check,
     cr_bounds,
-    dense_grid_rmse,
     empirical_risk,
     fit_interpolant,
-    fourier_matrix,
     risk_over_closed,
-    risk_trace_over,
-    risk_trace_under,
     risk_under_closed,
-    solve_weighted_minnorm,
     theory_risk,
     weighted_minnorm,
 )
+from fourier_minnorm.oracles import fourier_matrix, risk_trace_over, risk_trace_under, solve_weighted_minnorm
 from fourier_minnorm.cli import main
+from fourier_minnorm.interpolation import evaluate_on_grid, target_on_grid
 
 D_GRID = (8, 16, 32, 64)
 TAU_GRID = (2, 4, 8)
@@ -281,6 +278,11 @@ def test_criterion_9_solver_paths_and_speed():
         warnings.warn(f"circulant path speedup {speedup:.1f}x below the 10x target")
 
 
+def _grid_rmse(problem, fit, points_per_axis):
+    values = evaluate_on_grid(fit.coefficients, points_per_axis)
+    return float(np.sqrt(np.mean(np.abs(values - target_on_grid(problem, points_per_axis)) ** 2)))
+
+
 def test_criterion_10_interpolation_quality():
     results = {}
     cubic = InterpolationProblem(
@@ -291,8 +293,8 @@ def test_criterion_10_interpolation_quality():
         weighted = fit_interpolant(problem, Method.WEIGHTED_MIN_NORM)
         plain = fit_interpolant(problem, Method.PLAIN_MIN_NORM)
         results[label] = {
-            "rmse_w": dense_grid_rmse(weighted, dense_points),
-            "rmse_p": dense_grid_rmse(plain, dense_points),
+            "rmse_w": _grid_rmse(problem, weighted, dense_points),
+            "rmse_p": _grid_rmse(problem, plain, dense_points),
             "res_w": weighted.residual,
             "res_p": plain.residual,
             "norm_w": weighted.weighted_norm,

@@ -10,9 +10,9 @@ from fourier_minnorm import (
     build_spectrum,
     classify_grid,
     equispaced_predict,
-    fourier_matrix,
     gram_eigenvalues,
 )
+from fourier_minnorm.oracles import fourier_matrix
 from fourier_minnorm.circulant import class_weights
 
 

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import types
 import typing
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,8 @@ from fourier_minnorm.cli import (
 )
 import fourier_minnorm
 import fourier_minnorm.interpolation as interpolation
-from fourier_minnorm import build_spectrum, classify_grid, risk_trace_over
+from fourier_minnorm import build_spectrum, classify_grid
+from fourier_minnorm.oracles import risk_trace_over
 from fourier_minnorm.errors import ConfigurationError
 from fourier_minnorm.interpolation import sample_axis
 
@@ -90,7 +92,7 @@ class TestSpecs:
             (RiskCurveSpec, CURVE, "r_values", ()),
             (RiskCurveSpec, CURVE, "q_values", (0.5, "1")),
             (RiskCurveSpec, CURVE, "p_values", 8),
-            (RiskCurveSpec, CURVE, "p_rule", "bogus"),
+            (RiskCurveSpec, CURVE, "p_values", ()),
             (McRiskSpec, CURVE, "trials", 2.0),
             (McRiskSpec, CURVE, "coefficient_model", "bogus"),
             (McRiskSpec, CURVE, "threads", 0),
@@ -108,7 +110,7 @@ class TestSpecs:
             (InterpSpec, INTERP, "out", None),
             (ConcentrationSpec, CONCENTRATION, "t_multipliers", (1.0, math.nan)),
             (ConcentrationSpec, CONCENTRATION, "t_multipliers", ()),
-            (ConcentrationSpec, CONCENTRATION, "confidence", "0.8"),
+            (ConcentrationSpec, CONCENTRATION, "coefficient_model", "bogus"),
         ],
     )
     def test_a_spec_built_directly_checks_its_fields(self, cls, fields, name, value):
@@ -141,28 +143,28 @@ def _subparsers():
 
 
 _COMMON_FLAGS = {"-h", "--help", "--config", "--out", "--format", "--threads"}
-_CURVE_FLAGS = {"--ambient", "-D", "--samples", "-n", "--r-values", "--p-values", "--p-rule"}
-_MC_FLAGS = {"--trials", "--seed", "--confidence", "--coefficient-model"}
+_CURVE_FLAGS = {"--ambient", "-D", "--samples", "-n", "--r-values", "--p-values"}
+_MC_FLAGS = {"--trials", "--seed", "--coefficient-model"}
 
 
 class TestGeneratedParser:
     OPTION_STRINGS = {
         "risk-curve": _CURVE_FLAGS | {"--q-values"},
-        "mc-risk": _CURVE_FLAGS | {"--q-values"} | _MC_FLAGS,
+        "mc-risk": _CURVE_FLAGS | {"--q-values", "--confidence"} | _MC_FLAGS,
         "heatmap": _CURVE_FLAGS | {"--q-rule", "--q-fixed"},
         "bound-check": {"--n-values", "--r-values", "--l-values", "--tau-multipliers"},
-        "interp": {"--n-axis", "--p-axis", "--d-axis", "--q", "--dimension", "--target", "--samples-file",
+        "interp": {"--n-axis", "--p-axis", "--d-axis", "--q", "--target", "--samples-file",
                    "--methods", "--weight-kind", "--noise-sigma", "--eval-points", "--seed"},
         "concentration": {"--ambient", "-D", "--samples", "-n", "--truncation", "-p", "--r", "--q",
                           "--t-multipliers"} | _MC_FLAGS,
     }
     SPECS = TestSpecs.CASES + [
-        McRiskSpec(D=32, n=4, r_values=(0.5, 1.5), q_values=(0.0, 2.0), p_values=(2, 8), p_rule="paper", trials=3,
+        McRiskSpec(D=32, n=4, r_values=(0.5, 1.5), q_values=(0.0, 2.0), p_values=(2, 8), trials=3,
                    seed=2**70, confidence=0.9, coefficient_model="real-gaussian", out="a.json", format="json",
                    threads=2),
         HeatmapSpec(D=16, n=4, r_values=(1.0,), q_rule="fixed", q_fixed=0.25, p_values=(4,)),
         BoundCheckSpec(n_values=(4, 8), r_values=(0.6,), l_values=(2, 3), tau_multipliers=(5,), format="json"),
-        InterpSpec(n_axis=4, p_axis=9, D_axis=30, q=1.5, dimension=2, samples_file="s.csv",
+        InterpSpec(n_axis=4, p_axis=9, D_axis=30, q=1.5, samples_file="s.csv",
                    methods=("least-squares", "weighted-min-norm"), weight_kind="separable", noise_sigma=0.1,
                    eval_points=7, seed=3, out="stem", threads=2),
         ConcentrationSpec(D=64, n=8, p=16, r=1.0, q=0.75, t_multipliers=(0.0, 3.5), coefficient_model="real-gaussian"),
@@ -191,8 +193,6 @@ class TestGeneratedParser:
         "command, config, field, choices",
         [
             ("risk-curve", {"D": 16, "n": 4, "r_values": [1.0], "format": "bogus"}, "format", "'csv', 'json'"),
-            # rejected even where p_values makes the rule unused
-            ("heatmap", {"D": 16, "n": 4, "r_values": [1.0], "p_values": [4], "p_rule": "bogus"}, "p_rule", "'paper'"),
             ("heatmap", {"D": 16, "n": 4, "r_values": [1.0], "q_rule": "bogus"}, "q_rule", "'match-r', 'fixed'"),
             ("interp", {"n_axis": 15, "p_axis": 30, "D_axis": 100, "q": 1.0, "target": "cubic1d",
                         "weight_kind": "bogus"}, "weight_kind", "'separable', 'euclidean'"),
@@ -200,7 +200,7 @@ class TestGeneratedParser:
                         "methods": ["plain-min-norm", "bogus"]}, "methods",
              "'least-squares', 'plain-min-norm', 'weighted-min-norm'"),
         ],
-        ids=["format", "p_rule", "q_rule", "weight_kind", "methods"],
+        ids=["format", "q_rule", "weight_kind", "methods"],
     )
     def test_bad_choice_in_a_config_file(self, tmp_path, capsys, command, config, field, choices):
         # coefficient_model: TestConfigFile.test_bad_coefficient_model_lists_the_choices
@@ -527,7 +527,7 @@ class TestInterp:
         samples = tmp_path / "samples.csv"
         samples.write_text("\n".join(lines) + "\n", encoding="utf-8")
         out = tmp_path / "fromfile"
-        code = main(["interp", "--samples-file", str(samples), "--dimension", "1",
+        code = main(["interp", "--samples-file", str(samples),
                      "--n-axis", "8", "--p-axis", "16", "--d-axis", "16", "--q", "1.0",
                      "--eval-points", "32", "--methods", "weighted-min-norm",
                      "--out", str(out)])
@@ -536,6 +536,72 @@ class TestInterp:
         assert metrics["samples"] == [float(v) for v in y]
         header, _ = read_csv(tmp_path / "fromfile.weighted-min-norm.csv")
         assert header == ["x0", "f_hat"]
+
+    def test_2d_samples_file_fixes_the_dimension(self, tmp_path):
+        # the header x0,x1,y makes a 2-D problem: the same fit as the named target on those samples
+        problem = interpolation.InterpolationProblem(dimension=2, n_axis=8, p_axis=17, D_axis=40, q=2.0,
+                                                     target="cos2d")
+        points = interpolation.training_grid(problem).reshape(-1, 2)
+        clean, _ = interpolation.training_samples(problem)
+        lines = ["x0,x1,y"] + [f"{x!r},{y!r},{v!r}" for (x, y), v in zip(points.tolist(), clean.ravel().tolist())]
+        samples = tmp_path / "samples.csv"
+        samples.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        sizes = ["--n-axis", "8", "--p-axis", "17", "--d-axis", "40", "--q", "2", "--eval-points", "9",
+                 "--methods", "weighted-min-norm"]
+        assert main(["interp", "--samples-file", str(samples), *sizes, "--out", str(tmp_path / "file")]) == 0
+        assert main(["interp", "--target", "cos2d", *sizes, "--out", str(tmp_path / "named")]) == 0
+        header, rows = read_csv(tmp_path / "file.weighted-min-norm.csv")
+        named_header, named_rows = read_csv(tmp_path / "named.weighted-min-norm.csv")
+        assert header == ["x0", "x1", "f_hat"] and named_header == ["x0", "x1", "f_true", "f_hat"]
+        assert column(header, rows, "f_hat", str) == column(named_header, named_rows, "f_hat", str)
+        metrics = json.loads((tmp_path / "file.metrics.json").read_text())
+        assert metrics["problem"]["dimension"] == 2 and metrics["samples"] == clean.ravel().tolist()
+
+    @pytest.mark.parametrize("header", ["y", "x1,y"])
+    def test_samples_file_header_names_its_axes(self, tmp_path, capsys, header):
+        samples = tmp_path / "samples.csv"
+        samples.write_text(f"{header}\n0.0,1.0\n0.5,2.0\n", encoding="utf-8")
+        code = main(["interp", "--samples-file", str(samples), "--n-axis", "2", "--p-axis", "2", "--d-axis", "4",
+                     "--q", "1", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: samples file header {header.split(',')} != expected ['x0', 'y'] (x0,...,x{{d-1}},y in d dims)\n")
+        assert list(tmp_path.iterdir()) == [samples]
+
+    def test_dimension_is_not_a_flag(self, tmp_path, capsys):
+        # a named target fixes the dimension; a flag that could contradict it is refused
+        with pytest.raises(SystemExit) as exc:
+            main(["interp", "--target", "cubic1d", "--dimension", "2", "--n-axis", "15", "--p-axis", "15",
+                  "--d-axis", "15", "--q", "1", "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --dimension 2" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--p-axis", "60", "--d-axis", "100", "--eval-points", "5", "--noise-sigma", "1e200"],
+            ["--p-axis", "60", "--d-axis", "100", "--eval-points", "5", "--noise-sigma", "1e154"],
+            ["--p-axis", "1000", "--d-axis", "1000", "--eval-points", "1000", "--seed", "0",
+             "--methods", "weighted-min-norm", "--noise-sigma", "6e152"],
+        ],
+        ids=["1e200", "1e154", "6e152"],
+    )
+    def test_large_noise_metrics_are_finite_strict_json(self, tmp_path, argv):
+        # every metric fits in a double; only the squares of the norms and the RMSE overflow
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["interp", "--target", "cubic1d", "--n-axis", "15", "--q", "2", *argv,
+                         "--out", str(tmp_path / "noisy")])
+        assert code == 0
+        per = json.loads((tmp_path / "noisy.metrics.json").read_text(), parse_constant=reject)["per_method"]
+        for metrics in per.values():
+            for name in ("plain_norm", "rmse", "sample_residual"):
+                assert isinstance(metrics[name], float) and math.isfinite(metrics[name]), name
+            assert metrics["rmse"] > 1e140
 
     def test_2d_grid_columns(self, tmp_path):
         out = tmp_path / "two"
@@ -557,7 +623,7 @@ class TestInterp:
         assert not list(tmp_path.iterdir())  # checked before any method is fitted
 
     def test_missing_samples_file_is_a_configuration_error(self, tmp_path, capsys):
-        code = main(["interp", "--samples-file", str(tmp_path / "nope.csv"), "--dimension", "1",
+        code = main(["interp", "--samples-file", str(tmp_path / "nope.csv"),
                      "--n-axis", "15", "--p-axis", "15", "--d-axis", "20", "--q", "1",
                      "--out", str(tmp_path / "x")])
         assert code == 2
@@ -575,8 +641,8 @@ class TestInterp:
     def test_malformed_samples_file_is_a_configuration_error(self, tmp_path, capsys, body, message):
         samples = tmp_path / "samples.csv"
         samples.write_text("x0,y\n" + body, encoding="utf-8")
-        code = main(["interp", "--samples-file", str(samples), "--dimension", "1", "--n-axis", "2",
-                     "--p-axis", "2", "--d-axis", "4", "--q", "1", "--out", str(tmp_path / "x")])
+        code = main(["interp", "--samples-file", str(samples), "--n-axis", "2", "--p-axis", "2",
+                     "--d-axis", "4", "--q", "1", "--out", str(tmp_path / "x")])
         assert code == 2
         assert message in capsys.readouterr().err
 
@@ -688,21 +754,30 @@ class TestInterp:
     def test_non_finite_samples_are_a_configuration_error(self, tmp_path, capsys, cell):
         samples = tmp_path / "samples.csv"
         samples.write_text(f"x0,y\n0.0,1.0\n0.5,{cell}\n", encoding="utf-8")
-        code = main(["interp", "--samples-file", str(samples), "--dimension", "1", "--n-axis", "2",
-                     "--p-axis", "2", "--d-axis", "4", "--q", "1", "--out", str(tmp_path / "x")])
+        code = main(["interp", "--samples-file", str(samples), "--n-axis", "2", "--p-axis", "2",
+                     "--d-axis", "4", "--q", "1", "--out", str(tmp_path / "x")])
         assert code == 2
         assert "non-finite value" in capsys.readouterr().err
 
     def test_samples_off_the_training_grid_are_a_configuration_error(self, tmp_path, capsys):
         samples = tmp_path / "samples.csv"
         samples.write_text("x0,y\n0.0,1.0\n0.25,2.0\n", encoding="utf-8")
-        code = main(["interp", "--samples-file", str(samples), "--dimension", "1", "--n-axis", "2",
-                     "--p-axis", "2", "--d-axis", "4", "--q", "1", "--out", str(tmp_path / "x")])
+        code = main(["interp", "--samples-file", str(samples), "--n-axis", "2", "--p-axis", "2",
+                     "--d-axis", "4", "--q", "1", "--out", str(tmp_path / "x")])
         assert code == 2
         assert "do not match the equispaced training grid" in capsys.readouterr().err
 
 
 class TestOracleImport:
+    def test_oracles_import_from_their_module(self):
+        import fourier_minnorm.oracles as oracles
+        import fourier_minnorm.risktheory as risktheory
+
+        with pytest.raises(ImportError):
+            exec("from fourier_minnorm import risk_trace_over", {})
+        assert not hasattr(fourier_minnorm, "__getattr__")
+        assert risktheory.risk_trace_over is oracles.risk_trace_over
+
     def test_no_command_loads_the_dense_oracles(self, tmp_path):
         # every command at a small size, the interp routes at p <= n, p > n in 1-D and 2-D among them
         interp = ["interp", "--q", "2", "--eval-points", "33"]
@@ -755,6 +830,37 @@ class TestConfigFile:
         config.write_text(json.dumps({"D": 16, "n": 4, "r_values": [1.0], "zzz": 1}))
         code = main(["risk-curve", "--config", str(config), "--out", str(tmp_path / "x.csv")])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "command, config, field",
+        [
+            ("risk-curve", {"D": 16, "n": 4, "r_values": [1.0], "p_rule": "paper"}, "p_rule"),
+            ("mc-risk", {"D": 16, "n": 4, "r_values": [1.0], "trials": 2, "p_rule": "paper"}, "p_rule"),
+            ("heatmap", {"D": 16, "n": 4, "r_values": [1.0], "p_rule": "paper"}, "p_rule"),
+            ("interp", {"n_axis": 15, "p_axis": 15, "D_axis": 15, "q": 1.0, "target": "cubic1d", "dimension": 1},
+             "dimension"),
+            ("concentration", {"D": 64, "n": 8, "p": 16, "r": 1.0, "q": 1.0, "trials": 2, "confidence": 0.8},
+             "confidence"),
+        ],
+    )
+    def test_removed_fields_are_unknown_keys(self, tmp_path, capsys, command, config, field):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(config))
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"error: unknown config field(s) for {command}: {field}\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_mc_risk_confidence_sets_the_intervals(self, tmp_path):
+        argv = ["mc-risk", "-D", "64", "-n", "8", "--r-values", "1.0", "--p-values", "4,16", "--trials", "40"]
+        tables = {}
+        for confidence in ("0.5", "0.9"):
+            out = tmp_path / f"mc{confidence}.csv"
+            assert main([*argv, "--confidence", confidence, "--out", str(out)]) == 0
+            tables[confidence] = read_csv(out)
+        (header, narrow), (_, wide) = tables["0.5"], tables["0.9"]
+        assert column(header, narrow, "risk_mc_mean") == column(header, wide, "risk_mc_mean")
+        for bound, wider in (("ci_low", float.__lt__), ("ci_high", float.__gt__)):
+            assert all(map(wider, column(header, wide, bound), column(header, narrow, bound))), bound
 
     def test_missing_config_file(self, tmp_path):
         code = main(["risk-curve", "--config", str(tmp_path / "nope.json")])
@@ -980,15 +1086,14 @@ _FLAGS = {
                "--weight-kind": st.sampled_from(["euclidean", "separable"]), "--seed": _SIZE},
     "concentration": {"-D": _SIZE, "-n": _ints(1, 16), "-p": _SIZE, "--r": st.sampled_from(["1.0", "2.5"]),
                       "--q": st.sampled_from(["0.6", "1.0"]), "--t-multipliers": _list(_FLOAT),
-                      "--trials": _ints(1, 16), "--confidence": st.sampled_from(["0.5", "0.8"]), "--seed": _SIZE},
+                      "--trials": _ints(1, 16), "--seed": _SIZE},
 }
-_FLAGS["mc-risk"] = {**_FLAGS["risk-curve"], "--trials": _ints(1, 4), "--seed": _SIZE}
+_FLAGS["mc-risk"] = {**_FLAGS["risk-curve"], "--trials": _ints(1, 4), "--seed": _SIZE,
+                     "--confidence": st.sampled_from(["0.5", "0.8"])}
 # flags that are mostly left out
 _RARE = {command: {"--threads": _ints(1, 2), "--format": st.sampled_from(["csv", "json"]),
                    "--config": st.just("missing.json")} for command in _FLAGS}
-for command in ("risk-curve", "mc-risk", "heatmap"):
-    _RARE[command]["--p-rule"] = st.just("paper")
-_RARE["interp"].update({"--dimension": _ints(1, 2), "--samples-file": st.just("missing.csv")})
+_RARE["interp"]["--samples-file"] = st.just("missing.csv")
 
 
 @st.composite
@@ -1022,8 +1127,8 @@ _CONFIG_TYPES = {
 }
 _CONFIG_FIELDS = {
     "D": st.integers(1, 64), "D_axis": st.integers(1, 64), "threads": st.integers(1, 2),
-    "dimension": st.integers(1, 2), "seed": st.integers(0, 2**70), "confidence": st.sampled_from([0.5, 0.8]),
-    "p_rule": st.just("paper"), "q_rule": st.sampled_from(["match-r", "fixed"]),
+    "seed": st.integers(0, 2**70), "confidence": st.sampled_from([0.5, 0.8]),
+    "q_rule": st.sampled_from(["match-r", "fixed"]),
     "format": st.sampled_from(["csv", "json"]), "target": st.sampled_from(["stage1d", "cubic1d", "cos2d"]),
     "samples_file": st.just("missing.csv"),
     "coefficient_model": st.sampled_from(["complex-gaussian", "real-gaussian"]),
@@ -1090,7 +1195,7 @@ def samples_file_argvs(draw):
         lines = draw(st.permutations(lines))
     text = draw(st.text(max_size=40)) if edit == "text" else "\n".join(lines)
     D_axis = draw(st.integers(1, 16))
-    argv = ["interp", "--dimension", str(dimension), "--n-axis", str(n_axis), "--p-axis", draw(_ints(1, D_axis + 1)),
+    argv = ["interp", "--n-axis", str(n_axis), "--p-axis", draw(_ints(1, D_axis + 1)),
             "--d-axis", str(D_axis), "--q", draw(_FLOAT), "--eval-points", draw(_ints(1, 8))]
     if draw(st.booleans()):
         argv += ["--methods", draw(_FLAGS["interp"]["--methods"])]

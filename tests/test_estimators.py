@@ -10,12 +10,10 @@ from fourier_minnorm import (
     RegimeError,
     build_spectrum,
     classify_grid,
-    fourier_matrix,
     least_squares,
-    minnorm_kkt_check,
-    solve_weighted_minnorm,
     weighted_minnorm,
 )
+from fourier_minnorm.oracles import fourier_matrix, minnorm_kkt_check, solve_weighted_minnorm
 from fourier_minnorm.estimators import _minnorm_fit, _minnorm_kernel
 
 
@@ -228,7 +226,7 @@ class TestKktCheck:
         theta[:8] += 0.1 * nullspace_perturbation(g, rng)
         from fourier_minnorm.estimators import EstimatorResult
 
-        perturbed = EstimatorResult(theta_hat=theta, q_used=q, residual=fit.residual)
+        perturbed = EstimatorResult(theta_hat=theta, residual=fit.residual)
         assert minnorm_kkt_check(perturbed, g, s, q) > 1e-4
 
     def test_rejects_under_regime(self):

@@ -19,11 +19,10 @@ from fourier_minnorm import (
     least_squares,
     risk_over_closed,
     risk_under_closed,
-    sample_theta,
     theory_risk,
-    trial_generator,
     weighted_minnorm,
 )
+from fourier_minnorm.oracles import sample_theta, trial_generator
 from fourier_minnorm import montecarlo
 from fourier_minnorm.montecarlo import _block_sampler, _draw_width, _theta_scale, _trial_keys
 

@@ -15,12 +15,11 @@ from fourier_minnorm import (
     classify_grid,
     lowest_risks,
     risk_over_closed,
-    risk_trace_over,
-    risk_trace_under,
     risk_under_closed,
     theory_risk,
     theory_risks,
 )
+from fourier_minnorm.oracles import risk_trace_over, risk_trace_under
 from fourier_minnorm.model import COMPENSATED_SUM_MIN_D
 from fourier_minnorm.risktheory import _finalize_risk
 

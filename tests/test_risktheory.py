@@ -18,12 +18,11 @@ from fourier_minnorm import (
     concentration_bound,
     lowest_risks,
     risk_over_closed,
-    risk_trace_over,
-    risk_trace_under,
     risk_under_closed,
     theory_risk,
     theory_risks,
 )
+from fourier_minnorm.oracles import risk_trace_over, risk_trace_under
 from fourier_minnorm.risktheory import _finalize_risk, _finalize_risks
 
 Q_GRID = [0.0, 0.5, 1.0, 2.0]

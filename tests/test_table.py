@@ -375,7 +375,7 @@ COMMANDS = {
                   "--q", "1", "--eval-points", "7", "--methods", "weighted-min-norm,plain-min-norm"],
     "interp-2d": ["interp", "--target", "cos2d", "--n-axis", "4", "--p-axis", "5", "--d-axis", "20",
                   "--q", "2", "--eval-points", "5"],
-    "interp-samples": ["interp", "--dimension", "1", "--n-axis", "8", "--p-axis", "16", "--d-axis", "16",
+    "interp-samples": ["interp", "--n-axis", "8", "--p-axis", "16", "--d-axis", "16",
                        "--q", "1", "--eval-points", "6"],
 }
 
