@@ -57,6 +57,7 @@ from .risktheory import (
     lowest_risks,
     risk_over_closed,
     risk_under_closed,
+    sweep_risks,
     theory_risk,
     theory_risks,
 )
@@ -102,6 +103,7 @@ __all__ = [
     "lowest_risks",
     "risk_over_closed",
     "risk_under_closed",
+    "sweep_risks",
     "symmetric_frequencies",
     "theory_risk",
     "theory_risks",

@@ -79,7 +79,7 @@ from .interpolation import (
 )
 from .model import build_spectrum, check_truncations, classify_grid, regime_tags
 from .montecarlo import CoefficientModel, McConfig, concentration_check, empirical_risks
-from .risktheory import asymptotic_bound, concentration_bound, risk_over_closed, theory_risks
+from .risktheory import asymptotic_bound, concentration_bound, sweep_risks
 
 # ---------------------------------------------------------------------------
 # Column tables
@@ -571,7 +571,8 @@ def _sweep(spec, q_values: Sequence[float] | None) -> tuple[list, np.ndarray, di
         Column([r for r, _ in groups], repeat=len(p)),
         Column([q for _, q in groups], repeat=len(p)),
     ]
-    return groups, p, spectra, columns, np.concatenate([theory_risks(spectra[r], spec.n, q, p) for r, q in groups])
+    risks = sweep_risks([spectra[r] for r, _ in groups], spec.n, [q for _, q in groups], p)
+    return groups, p, spectra, columns, risks.ravel()
 
 
 def _write_one(spec, header: Sequence[str], columns: Sequence[Column]) -> list[Path]:
@@ -624,7 +625,7 @@ def run_bound_check(spec: BoundCheckSpec) -> list[Path]:
         for l in sorted(set(spec.l_values))
         for m in sorted(set(spec.tau_multipliers))
     ]
-    rows = []
+    configs = []
     warnings = []
     spectra = {}
     for r, n, l, m in params:
@@ -640,10 +641,19 @@ def run_bound_check(spec: BoundCheckSpec) -> list[Path]:
         if (D, r) not in spectra:
             _check_element_counts({"D = tau x n": [tau, n]})
             spectra[D, r] = build_spectrum(D, r)
-        spectrum = spectra[D, r]
-        grid = classify_grid(D, n, p)
-        risk = risk_over_closed(spectrum, grid, q=r).risk
-        report = asymptotic_bound(spectrum, grid)
+        configs.append((D, n, p, r))
+    # one stacked sweep per (D, n): each valid r (it has a config on every grid) a group with q = r, each p a point
+    points: dict[tuple[int, int], dict[int, None]] = {}
+    for D, n, p, _ in configs:
+        points.setdefault((D, n), {})[p] = None
+    r_rows, risks = sorted({r for *_, r in configs}), {}
+    for (D, n), p_points in points.items():
+        values = sweep_risks([spectra[D, r] for r in r_rows], n, r_rows, list(p_points))
+        risks.update(((D, n, p, r), v) for r, row in zip(r_rows, values) for p, v in zip(p_points, row))
+    rows = []
+    for D, n, p, r in configs:
+        risk = float(risks[D, n, p, r])
+        report = asymptotic_bound(spectra[D, r], classify_grid(D, n, p))
         slack = report.bound - risk
         rows.append(["config", D, n, p, r, r, risk, report.bound, slack, slack >= 0.0])
     if rows:
@@ -689,6 +699,8 @@ def _load_samples_file(path: str, n_axis: int) -> np.ndarray:
     expected = [f"x{i}" for i in range(dimension)] + ["y"]
     if header != expected:
         raise ConfigurationError(f"samples file header {header} != expected {expected} (x0,...,x{{d-1}},y in d dims)")
+    if dimension > 32:  # np.meshgrid builds the grid from its d axes, and numpy broadcasts at most 32 arrays
+        raise ConfigurationError(f"samples file has {dimension} axes, more than the 32 a grid can have")
     try:
         values = np.array([[float(cell) for cell in line.split(",")] for line in lines[1:]])
     except ValueError as exc:
@@ -716,9 +728,9 @@ def run_interp(spec: InterpSpec) -> list[Path]:
         samples = _load_samples_file(spec.samples_file, spec.n_axis)
         dimension = samples.shape[1] - 1
         target = samples[:, -1].reshape((spec.n_axis,) * dimension)
-    # d factors per grid; from d = 64 on any size >= 2 is past the limit already
+    # d factors per grid (d <= 32)
     sizes = {"n_axis": spec.n_axis, "p_axis": spec.p_axis, "eval_points": spec.eval_points}
-    _check_element_counts({f"{name}^d": [size] * min(dimension, 64) for name, size in sizes.items()})
+    _check_element_counts({f"{name}^d": [size] * dimension for name, size in sizes.items()})
     problem = InterpolationProblem(
         dimension=dimension,
         n_axis=spec.n_axis,

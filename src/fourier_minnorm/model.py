@@ -52,7 +52,7 @@ class Spectrum:
         stop = self.D if stop is None else stop
         if not 0 <= start <= stop <= self.D:
             raise ConfigurationError(f"index window [{start}, {stop}) outside [0, {self.D})")
-        return math.fsum(self.t_pow(u)[start:stop])
+        return math.fsum(memoryview(self.t_pow(u)[start:stop]))
 
 
 def check_finite_nonnegative(value: float, name: str) -> None:
@@ -74,8 +74,8 @@ def build_spectrum(D: int, r: float) -> Spectrum:
         raise ConfigurationError(f"feature count D must be >= 1, got {D}")
     check_finite_nonnegative(r, "decay exponent r")
     t = 1.0 / np.arange(1, D + 1, dtype=float)
-    # Direct summation, smallest terms first; fsum compensates exactly.
-    c_r = 1.0 / math.fsum((t ** (2.0 * r))[::-1])
+    # fsum is exactly rounded, so the order of the terms cannot matter; a memoryview hands it floats, not numpy scalars.
+    c_r = 1.0 / math.fsum(memoryview(t ** (2.0 * r)))
     t.setflags(write=False)
     return Spectrum(D=D, decay_r=float(r), t=t, c_r=c_r)
 

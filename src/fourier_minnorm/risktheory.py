@@ -20,16 +20,21 @@ fitted classes,
 
     risk = c_r * (sum_{j >= p} t_j^(2r) + sum_{m < p} C(m, 2r) at p = n).
 
-``theory_risks`` evaluates a whole p sweep in one pass.  Every p <= n reads
-one entry of the tail and cumulative alias sums; every p > n, on any D, reads
-prefix and suffix sums over blocks of n features (``_over_points``).
-Class m is scaled by its leader t_m as in ``circulant.class_weights``, i.e.
-summed with weights (t_k / t_m)^(2q); every ratio above is unchanged, and
-A(m, 2q) >= 1 keeps t^(4q) from underflowing to 0/0 at large q.  At D >=
-COMPENSATED_SUM_MIN_D the running sums carry Kahan compensation from block to
-block.  The single-point functions ``risk_over_closed``,
-``risk_under_closed`` and ``theory_risk`` accept any grid and read the same
-sums, so they agree bit for bit with ``theory_risks``.
+``sweep_risks`` evaluates whole p sweeps of G groups (spectrum, q) sharing
+one D in one pass: the groups are stacked as rows, t^(2r) of shape (G, D),
+c_r of shape (G,) and one scalar q per row, at most max(1, STACKED_FEATURES
+// D) groups to a pass.  Every p <= n reads one entry of the tail and
+cumulative alias sums; every p > n, on any D, reads prefix and suffix sums
+over blocks of n features (``_over_points``).  Class m is scaled by its
+leader t_m as in ``circulant.class_weights``, i.e. summed with weights
+(t_k / t_m)^(2q); every ratio above is unchanged, and A(m, 2q) >= 1 keeps
+t^(4q) from underflowing to 0/0 at large q.  At D >= COMPENSATED_SUM_MIN_D
+the running sums carry Kahan compensation from block to block.  Each row is
+raised to its own scalar exponents and summed over its own contiguous
+entries, so a group's risks do not depend on the stack it rides in:
+``theory_risks``, ``theory_risk``, ``risk_over_closed``,
+``risk_under_closed`` and ``lowest_risks`` are one-row calls of the same
+pass (any grid) and agree bit for bit with ``sweep_risks``.
 """
 
 from __future__ import annotations
@@ -56,6 +61,10 @@ from .model import (
     check_truncations,
     folded_sums,
 )
+
+# Features per stacked pass: max(1, STACKED_FEATURES // D) groups, so no pass
+# outgrows the D = 65536 curve's, and from D = 65536 on each group runs alone.
+STACKED_FEATURES = 1 << 16
 
 # Risks are expectations of squared norms; tiny negatives are rounding noise
 # and reported as 0, anything worse indicates a bug.
@@ -101,7 +110,7 @@ def _finalize_risks(values) -> tuple[np.ndarray, np.ndarray]:
     values = np.asarray(values, dtype=float)
     bad = ~(values >= -NEGATIVE_RISK_TOLERANCE) | (values == math.inf)
     if bad.any():
-        value = float(values[np.argmax(bad)])
+        value = float(values.flat[np.argmax(bad)])
         if not math.isfinite(value):
             raise NumericalInconsistencyError(f"risk evaluated to {value}, which is not a finite number")
         raise NumericalInconsistencyError(f"risk evaluated to {value}, below -{NEGATIVE_RISK_TOLERANCE}")
@@ -123,83 +132,90 @@ def _check_q(q: float) -> None:
     check_finite_nonnegative(q, "weighting exponent q")
 
 
-def _over_points(spectrum: Spectrum, n: int, q: float, p_values: np.ndarray) -> tuple[np.ndarray, ...]:
-    """P_q, Q_q1, Q_q2 and the unfinalised risk at each p in p_values, n <= p <= D, any D.
+def _over_points(spectra: Sequence[Spectrum], n: int, q_values: Sequence[float], p_values) -> tuple[np.ndarray, ...]:
+    """P_q, Q_q1, Q_q2 and the unfinalised risk of group g at p_values[j] (entry [g, j]), n <= p <= D, any D.
 
-    Works in three (blocks + 1, n) slots: in the prefix layout row i + 1
-    holds block i (features i*n + m), in the suffix layout row i does, and
-    the spare row and the padding past D are zero (the weights are padded,
-    never t: 0**0 would add phantom features at q = 0 or r = 0).  Running
-    sums taken in place make row i sum the blocks before i (prefix) or from
-    i onwards (suffix).  At p = l*n + s the member of class m in block l is
+    Group g is (spectra[g], q_values[g]); the spectra share one D.  Works in
+    three (groups, blocks + 1, n) slots: in the prefix layout row i + 1 holds
+    block i (features i*n + m), in the suffix layout row i does, and the
+    spare row and the padding past D are zero (the weights are padded, never
+    t: 0**0 would add phantom features at q = 0 or r = 0).  Running sums
+    taken in place make row i sum the blocks before i (prefix) or from i
+    onwards (suffix).  At p = l*n + s the member of class m in block l is
     fitted iff m < s, so class m reads row l + 1 if m < s and row l
     otherwise; a point with s = 0 reads row l whole.  A(., 2q), A(., 4q) and
     A(., 2q+2r) are summed in one pass; the slots then serve A(., 2r) and
-    C(., 2r) in turn.
+    C(., 2r), whose t^(2r) is copied from A(., 2r)'s before its sums run.
     """
-    D, comp, cr = spectrum.D, spectrum.D >= COMPENSATED_SUM_MIN_D, spectrum.c_r
-    t, two_r, blocks = spectrum.t, 2.0 * spectrum.decay_r, -(-D // n)
+    D, t, groups = spectra[0].D, spectra[0].t, len(spectra)
+    comp, blocks, cr = D >= COMPENSATED_SUM_MIN_D, -(-D // n), np.array([[spectrum.c_r] for spectrum in spectra])
     l, s = np.divmod(np.asarray(p_values), n)
     split, classes = s.nonzero()[0], np.arange(n)
-    slots = np.zeros((3, blocks + 1, n))
+    slots = np.zeros((3, groups, blocks + 1, n))
     a_2q, a_4q, a_2q2r = slots
-    flat = slots.reshape(3, -1)
+    flat = slots.reshape(3, groups, -1)
 
-    def t2r(k: int, first_row: int) -> np.ndarray:
-        """Slot k refilled with t^(2r), block i in row first_row + i."""
+    def t2r(k: int) -> np.ndarray:
+        """Slot k refilled with each group's t^(2r) in the prefix layout."""
         slots[k].fill(0.0)
-        np.power(t, two_r, out=flat[k, first_row * n : first_row * n + D])
+        for g, spectrum in enumerate(spectra):
+            np.power(t, 2.0 * spectrum.decay_r, out=flat[k, g, n : n + D])
         return slots[k]
 
     def reduce(terms: np.ndarray) -> np.ndarray:
-        """cr * sum over classes m of terms[row of m, m], at every point."""
-        out = np.add.reduce(terms, axis=1)[l]  # row l: every class of a point with s = 0
-        step = blocks + 1  # points per chunk: the gathered (points, n) terms stay about D long
+        """cr * sum over classes m of terms[g, row of m, m], for every group g at every point."""
+        out = np.add.reduce(terms, axis=2)[:, l]  # row l: every class of a point with s = 0
+        rows = terms.reshape(groups, -1)
+        step = blocks + 1  # points per chunk: the gathered (groups, points, n) terms stay about groups * D long
         for first in range(0, len(split), step):
             points = split[first : first + step]
             row = l[points, None] + (classes < s[points, None])
-            out[points] = np.add.reduce(terms[row, classes], axis=1)
+            # a take from the flat rows is C-contiguous, so each class sum is pairwise as in one group's pass
+            out[:, points] = np.add.reduce(np.take(rows, row * n + classes, axis=1), axis=2)
         return cr * out
 
-    w = flat[0, n : n + D]
-    w[:] = t
-    a_2q /= t[:n]  # class m scaled by its leading term t_m (row 0 stays 0)
-    np.power(w, 2.0 * q, out=w)
+    ratio = flat[1, 0]  # scratch until A(., 4q) is written
+    ratio[n : n + D] = t
+    a_4q[0] /= t[:n]  # class m scaled by its leading term t_m (row 0 stays 0)
+    for g, q in enumerate(q_values):
+        np.power(ratio[n : n + D], 2.0 * q, out=flat[0, g, n : n + D])
     np.square(a_2q, out=a_4q)
-    np.multiply(t2r(2, 1), a_2q, out=a_2q2r)
-    accumulate_blocks(slots.transpose(1, 0, 2), comp)
-    a_2q2r[1:] /= a_2q[1:]
+    np.multiply(t2r(2), a_2q, out=a_2q2r)
+    accumulate_blocks(slots.transpose(2, 0, 1, 3), comp)  # blocks leading, then (3, groups, n)
+    a_2q2r[:, 1:] /= a_2q[:, 1:]
     P_q = reduce(a_2q2r)
 
     np.square(a_2q, out=a_2q)
     weight = a_4q
-    weight[1:] /= a_2q[1:]  # A(., 4q) / A(., 2q)^2
-    terms = accumulate_blocks(t2r(0, 1), comp)  # A(., 2r)
+    weight[:, 1:] /= a_2q[:, 1:]  # A(., 4q) / A(., 2q)^2
+    terms = t2r(0)
+    flat[2, :, :D], flat[2, :, D:] = flat[0, :, n : n + D], 0.0  # the same powers in the suffix layout
+    accumulate_blocks(terms.swapaxes(0, 1), comp)  # A(., 2r)
     terms *= weight
     Q_q1 = reduce(terms)
-    terms = t2r(2, 0)
-    accumulate_blocks(terms[::-1], comp)  # C(., 2r)
+    terms = slots[2]
+    accumulate_blocks(terms[:, ::-1].swapaxes(0, 1), comp)  # C(., 2r)
     terms *= weight
     Q_q2 = reduce(terms)
     return P_q, Q_q1, Q_q2, 1.0 - 2.0 * P_q + Q_q1 + Q_q2
 
 
-def _under_curve(spectrum: Spectrum, n: int) -> np.ndarray:
-    """Unfinalised least-squares risk at every p in [0, n] (entry p), any D."""
-    comp = spectrum.D >= COMPENSATED_SUM_MIN_D
-    t2r = spectrum.t_pow(2.0 * spectrum.decay_r)
-    alias = folded_sums(t2r[n:], n, comp)  # C(m, 2r) at l = 1
-    head_tail = np.append(np.cumsum(t2r[n - 1 :: -1])[::-1], 0.0)
-    tail = head_tail + np.sum(alias)
-    head_alias = np.append(0.0, np.cumsum(alias))
-    return spectrum.c_r * (tail + head_alias)
+def _under_curve(spectra: Sequence[Spectrum], n: int) -> np.ndarray:
+    """Unfinalised least-squares risk of group g at every p in [0, n] (entry [g, p]), any D."""
+    comp = spectra[0].D >= COMPENSATED_SUM_MIN_D
+    t2r = np.stack([spectrum.t_pow(2.0 * spectrum.decay_r) for spectrum in spectra])
+    alias = folded_sums(t2r[:, n:], n, comp)  # C(m, 2r) at l = 1
+    head_tail = np.pad(np.cumsum(t2r[:, n - 1 :: -1], axis=1)[:, ::-1], ((0, 0), (0, 1)))
+    head_alias = np.pad(np.cumsum(alias, axis=1), ((0, 0), (1, 0)))
+    cr = np.array([[spectrum.c_r] for spectrum in spectra])
+    return cr * (head_tail + np.sum(alias, axis=1, keepdims=True) + head_alias)
 
 
 def risk_over_closed(spectrum: Spectrum, grid: GridConfig, q: float) -> RiskBreakdown:
     """Closed-form risk of the weighted min-norm estimator at any p >= n."""
     _require_over(grid)
     _check_q(q)
-    P_q, Q_q1, Q_q2, raw = (float(v[0]) for v in _over_points(spectrum, grid.n, q, [grid.p]))
+    P_q, Q_q1, Q_q2, raw = (float(v[0, 0]) for v in _over_points([spectrum], grid.n, [q], [grid.p]))
     risk, clamped = _finalize_risk(raw)
     return RiskBreakdown(P_q=P_q, Q_q1=Q_q1, Q_q2=Q_q2, risk=risk, clamped=clamped)
 
@@ -208,8 +224,7 @@ def risk_under_closed(spectrum: Spectrum, grid: GridConfig) -> float:
     """Closed-form least-squares risk for p <= n on any grid."""
     if grid.p > grid.n:
         raise RegimeError(f"underparameterized form needs p <= n, got p={grid.p}, n={grid.n}")
-    risk, _ = _finalize_risk(_under_curve(spectrum, grid.n)[grid.p])
-    return risk
+    return theory_risk(spectrum, grid, 0.0)  # the least-squares curve, whatever q
 
 
 def asymptotic_bound(spectrum: Spectrum, grid: GridConfig) -> BoundReport:
@@ -287,29 +302,39 @@ def lowest_risks(spectrum: Spectrum, n: int, q: float) -> LowestRisks:
     check_truncations(D, n, ())
     _check_q(q)
     under_star = 2.0 * spectrum.c_r * spectrum.tail_sum(2.0 * spectrum.decay_r, start=n)
-    over, _ = _finalize_risks(_over_points(spectrum, n, q, n * np.arange(1, D // n + 1))[3])
+    over, _ = _finalize_risks(_over_points([spectrum], n, [q], n * np.arange(1, D // n + 1))[3][0])
     best = int(np.argmin(over))
     return LowestRisks(under_star=under_star, over_star=float(over[best]), argmin_p_over=(best + 1) * n)
 
 
-def theory_risks(spectrum: Spectrum, n: int, q: float, p_values: Sequence[int]) -> np.ndarray:
-    """Regime-dispatched theoretical risk at every truncation in p_values.
+def sweep_risks(spectra: Sequence[Spectrum], n: int, q_values: Sequence[float], p_values: Sequence[int]) -> np.ndarray:
+    """Theoretical risk of group g, (spectra[g], q_values[g]), at truncation p_values[j]: entry [g, j].
 
-    Every point comes from the residue-class sums (see the module docstring):
-    p <= n from the least-squares curve and every p > n from running block
-    sums read at p = l*n + s.  The cost is O(D), plus O(n) per point with
-    s > 0, however many points are asked for.  For p <= n the value is
-    independent of q.
+    The spectra share one D.  p <= n reads the least-squares curve (any q),
+    every p > n running block sums at p = l*n + s (see the module
+    docstring): O(D) per group, plus O(n) per group and point with s > 0.
     """
-    _check_q(q)
-    p = check_truncations(spectrum.D, n, p_values)
+    spectra, q_values = list(spectra), list(q_values)
+    if not spectra or len(q_values) != len(spectra) or len({s.D for s in spectra}) > 1:
+        raise ConfigurationError(f"need one q per spectrum and one D, got q {q_values}, D {[s.D for s in spectra]}")
+    for q in q_values:
+        _check_q(q)
+    p = check_truncations(spectra[0].D, n, p_values)
     under = p <= n
-    raw = np.empty(len(p))
-    if under.any():
-        raw[under] = _under_curve(spectrum, n)[p[under]]
-    if not under.all():
-        raw[~under] = _over_points(spectrum, n, q, p[~under])[3]
+    raw = np.empty((len(spectra), len(p)))
+    step = max(1, STACKED_FEATURES // spectra[0].D)
+    for first in range(0, len(spectra), step):
+        rows = slice(first, first + step)
+        if under.any():
+            raw[rows, under] = _under_curve(spectra[rows], n)[:, p[under]]
+        if not under.all():
+            raw[rows, ~under] = _over_points(spectra[rows], n, q_values[rows], p[~under])[3]
     return _finalize_risks(raw)[0]
+
+
+def theory_risks(spectrum: Spectrum, n: int, q: float, p_values: Sequence[int]) -> np.ndarray:
+    """Theoretical risk of one spectrum at every truncation in p_values: one row of ``sweep_risks``."""
+    return sweep_risks([spectrum], n, [q], p_values)[0]
 
 
 def theory_risk(spectrum: Spectrum, grid: GridConfig, q: float) -> float:
@@ -318,7 +343,7 @@ def theory_risk(spectrum: Spectrum, grid: GridConfig, q: float) -> float:
 
 
 def __getattr__(name: str):
-    # perfbench/checks.py imports the trace oracles from here; goes once it uses oracles (ROADMAP item 6)
+    # perfbench/checks.py imports the trace oracles from here; goes once it uses oracles (ROADMAP item 7)
     if name in ("risk_trace_over", "risk_trace_under"):
         from . import oracles
         return getattr(oracles, name)

@@ -1270,6 +1270,20 @@ class TestExitCodes:
         assert err.startswith("error: out of memory") and err.count("\n") == 1
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("axes, code", [(32, 0), (33, 2), (70, 2)])
+    def test_samples_file_axes_past_the_grid_limit_are_one_error_line(self, tmp_path, capsys, axes, code):
+        # np.meshgrid broadcasts at most 32 axes; 33 to 64 once ended in its RuntimeError, more in a
+        # reshape's ValueError: a traceback and exit 1 either way, as every size here is 1
+        samples = tmp_path / "samples.csv"
+        header, row = [f"x{i}" for i in range(axes)] + ["y"], ["0.0"] * axes + ["1.0"]
+        samples.write_text(",".join(header) + "\n" + ",".join(row) + "\n", encoding="utf-8")
+        argv = ["interp", "--samples-file", str(samples), "--n-axis", "1", "--p-axis", "1", "--d-axis", "1",
+                "--q", "2", "--eval-points", "1", "--out", str(tmp_path / "x")]
+        assert main(argv) == code
+        if code:
+            assert capsys.readouterr().err == f"error: samples file has {axes} axes, more than the 32 a grid can have\n"
+            assert list(tmp_path.iterdir()) == [samples]
+
     def test_paper_rule_too_large_to_list_fails_at_once(self, tmp_path):
         # D is below the element limit, but the paper rule's 2^55 truncations
         # cannot be listed.  The run gets a 1 GiB address-space limit, so a list

@@ -1,6 +1,7 @@
-"""One-pass risk sweeps: theory_risks against the dense oracles and mpmath."""
+"""One-pass risk sweeps: theory_risks against the dense oracles and mpmath, sweep_risks against one group at a time."""
 
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -16,9 +17,11 @@ from fourier_minnorm import (
     lowest_risks,
     risk_over_closed,
     risk_under_closed,
+    sweep_risks,
     theory_risk,
     theory_risks,
 )
+from fourier_minnorm import risktheory
 from fourier_minnorm.oracles import risk_trace_over, risk_trace_under
 from fourier_minnorm.model import COMPENSATED_SUM_MIN_D
 from fourier_minnorm.risktheory import _finalize_risk
@@ -166,3 +169,81 @@ class TestValidation:
     def test_non_finite_risk_has_its_own_message(self, value):
         with pytest.raises(NumericalInconsistencyError, match="not a finite number"):
             _finalize_risk(value)
+
+
+@st.composite
+def stacked_sweeps(draw):
+    """(D, n, groups (r, q), p values): n dividing D or not, q from 0 to the hundreds, split points included."""
+    D = draw(st.integers(min_value=1, max_value=400))
+    divisors = [d for d in range(1, D + 1) if D % d == 0]
+    n = draw(st.one_of(st.sampled_from(divisors), st.integers(min_value=1, max_value=D)))
+    r = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(min_value=0.0, max_value=3.0))
+    q = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=3.0),
+                  st.floats(min_value=100.0, max_value=600.0))
+    groups = draw(st.lists(st.tuples(r, q), min_size=1, max_size=6))
+    split = [l * n + s for l in range(D // n + 1) for s in (1, n // 2, n - 1) if 1 <= l * n + s <= D]
+    p_values = draw(st.lists(st.one_of(st.integers(min_value=1, max_value=D), st.sampled_from(split or [D])),
+                             min_size=1, max_size=12))
+    return D, n, groups, sorted(set(p_values) | {n, D})
+
+
+def one_at_a_time(spectra, n, q_values, p_values):
+    return np.array([theory_risks(s, n, q, p_values) for s, q in zip(spectra, q_values)])
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+class TestStackedSweep:
+    @given(case=stacked_sweeps(), groups_per_pass=st.sampled_from([None, 1, 2, 4]))
+    @settings(max_examples=150, deadline=None)
+    def test_stack_equals_one_group_at_a_time(self, case, groups_per_pass):
+        D, n, groups, p_values = case
+        spectra, q_values = [build_spectrum(D, r) for r, _ in groups], [q for _, q in groups]
+        features = risktheory.STACKED_FEATURES if groups_per_pass is None else groups_per_pass * D
+        with mock.patch.object(risktheory, "STACKED_FEATURES", features):
+            stacked = sweep_risks(spectra, n, q_values, p_values)
+        assert stacked.shape == (len(groups), len(p_values))
+        np.testing.assert_array_equal(bits(stacked), bits(one_at_a_time(spectra, n, q_values, p_values)))
+
+    @pytest.mark.parametrize("D, n", [(COMPENSATED_SUM_MIN_D, 256), (COMPENSATED_SUM_MIN_D + 4465, 300)])
+    @pytest.mark.parametrize("groups_per_pass", [None, 3])
+    def test_compensated_stack_equals_one_group_at_a_time(self, D, n, groups_per_pass):
+        # by default each group of D >= 2^16 has a pass to itself; 3 to a pass runs the Kahan
+        # loop over blocks of shape (3, groups, n)
+        groups = [(1.0, 1.0), (0.5, 0.0), (1.5, 300.0)]
+        spectra, q_values = [build_spectrum(D, r) for r, _ in groups], [q for _, q in groups]
+        p_values = [1, n - 1, n, n + 1, 3 * n + n // 2, D // 2, D - 1, D]
+        features = risktheory.STACKED_FEATURES if groups_per_pass is None else groups_per_pass * D
+        with mock.patch.object(risktheory, "STACKED_FEATURES", features):
+            stacked = sweep_risks(spectra, n, q_values, p_values)
+        np.testing.assert_array_equal(bits(stacked), bits(one_at_a_time(spectra, n, q_values, p_values)))
+
+    @pytest.mark.parametrize(
+        "D, groups, passes", [(1024, 21, [21]), (8192, 21, [8, 8, 5]), (COMPENSATED_SUM_MIN_D, 2, [1, 1])]
+    )
+    def test_groups_per_pass_keep_the_working_set(self, D, groups, passes):
+        # at most max(1, 2^16 // D) groups share a pass: a 21-r heatmap at D = 1024 takes one
+        spectra = [build_spectrum(D, 0.1 * i) for i in range(groups)]
+        with mock.patch.object(risktheory, "_over_points", wraps=risktheory._over_points) as over:
+            sweep_risks(spectra, 64, [1.0] * groups, [64, 128, D])
+        assert [len(call.args[0]) for call in over.call_args_list] == passes
+
+    @pytest.mark.parametrize(
+        "spectra, q_values",
+        [
+            ([], []),
+            ([build_spectrum(16, 1.0)], [1.0, 2.0]),
+            ([build_spectrum(16, 1.0), build_spectrum(32, 1.0)], [1.0, 1.0]),
+        ],
+        ids=["empty", "q-count", "two-D"],
+    )
+    def test_rejects_a_stack_that_is_not_one_grid(self, spectra, q_values):
+        with pytest.raises(ConfigurationError):
+            sweep_risks(spectra, 4, q_values, [8])
+
+    def test_rejects_a_bad_q_in_any_row(self):
+        s = build_spectrum(16, 1.0)
+        with pytest.raises(ConfigurationError):
+            sweep_risks([s, s], 4, [1.0, math.nan], [8])
