@@ -51,15 +51,10 @@ from .risktheory import (
     BoundReport,
     ConcentrationBound,
     LowestRisks,
-    RiskBreakdown,
     asymptotic_bound,
     concentration_bound,
     lowest_risks,
-    risk_over_closed,
-    risk_under_closed,
     sweep_risks,
-    theory_risk,
-    theory_risks,
 )
 
 __version__ = "0.1.0"
@@ -80,7 +75,6 @@ __all__ = [
     "NumericalInconsistencyError",
     "Regime",
     "RegimeError",
-    "RiskBreakdown",
     "SingularConstantError",
     "Spectrum",
     "StructureError",
@@ -101,11 +95,7 @@ __all__ = [
     "gram_eigenvalues",
     "least_squares",
     "lowest_risks",
-    "risk_over_closed",
-    "risk_under_closed",
     "sweep_risks",
     "symmetric_frequencies",
-    "theory_risk",
-    "theory_risks",
     "weighted_minnorm",
 ]

@@ -102,8 +102,9 @@ class GridConfig:
     """A (D, n, p) triple with its divisibility structure and regime tag.
 
     tau is present iff n divides D, l iff n divides p.  The boundary p = n is
-    tagged OVER_ALIGNED (l = 1); operations that need p <= n validate against
-    n and p directly, so both closed forms stay callable at the boundary.
+    tagged OVER_ALIGNED (l = 1); operations that need p <= n or p >= n (the
+    trace oracles, the estimators) validate against n and p directly, so
+    both regimes' routes stay callable at the boundary.
     """
 
     D: int

@@ -4,7 +4,7 @@ Coefficients are sampled with the modelled covariance c_r diag(t^(2r)),
 observations are full-model (all D features), and each trial records the
 squared recovery error of the regime-appropriate estimator.
 
-``empirical_risks`` is the Monte Carlo twin of ``risktheory.theory_risks``:
+``empirical_risks`` is the Monte Carlo twin of ``risktheory.sweep_risks``:
 it estimates a whole p sweep in one pass.  Trials are taken in blocks of a
 fixed number of coefficients (16 trials at D = 1024).  Each trial's theta is
 drawn once per sweep, the block is folded to its samples y once, and the

@@ -10,8 +10,9 @@ the runtime folds and transforms (the aliasing fact, see ``circulant``):
   of ``axis_feature_matrix``) ``interpolation.fit_interpolant``;
 * ``minnorm_kkt_check``, a dense stationarity certificate: checks that
   ``weighted_minnorm`` is the weighted-norm minimiser;
-* ``risk_trace_over``/``risk_trace_under``, trace forms on any grid: check
-  ``risktheory.risk_over_closed``, ``risk_under_closed`` and ``theory_risks``;
+* ``risk_trace_over``/``risk_trace_under``, trace forms on any grid, the
+  former with its ``P_q``/``Q_q1``/``Q_q2`` breakdown: check
+  ``risktheory.sweep_risks``;
 * ``evaluate_interpolant``, the series at arbitrary points by
   ``axis_feature_matrix``: checks ``interpolation.evaluate_on_grid``;
 * ``trial_generator`` and ``sample_theta``, the reference definition of the
@@ -22,16 +23,43 @@ the runtime folds and transforms (the aliasing fact, see ``circulant``):
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, RegimeError
+from .errors import ConfigurationError, NumericalInconsistencyError, RegimeError
 from .estimators import EstimatorResult
 from .interpolation import UNIT_DOMAIN, symmetric_frequencies
 from .model import GridConfig, Spectrum
 from .montecarlo import CoefficientModel
-from .risktheory import RiskBreakdown, _check_q, _finalize_risk, _require_over
+from .risktheory import _check_q, _require_over
+
+# The trace forms subtract: a tiny negative is rounding noise and reported as
+# 0, anything worse indicates a bug.
+NEGATIVE_RISK_TOLERANCE = 1e-10
+
+
+@dataclass(frozen=True)
+class RiskBreakdown:
+    P_q: float
+    Q_q1: float
+    Q_q2: float
+    risk: float
+    clamped: bool = False
+
+
+def _finalize_risk(value: float) -> tuple[float, bool]:
+    """(risk, clamped): a value in [-NEGATIVE_RISK_TOLERANCE, 0) becomes 0.0 and is flagged.
+
+    A value that is not finite or lies further below zero raises
+    NumericalInconsistencyError.
+    """
+    if not math.isfinite(value):
+        raise NumericalInconsistencyError(f"risk evaluated to {value}, which is not a finite number")
+    if value < -NEGATIVE_RISK_TOLERANCE:
+        raise NumericalInconsistencyError(f"risk evaluated to {value}, below -{NEGATIVE_RISK_TOLERANCE}")
+    return (0.0, True) if value < 0.0 else (value, False)
 
 
 def fourier_matrix(n: int, start: int, stop: int) -> np.ndarray:

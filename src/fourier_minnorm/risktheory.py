@@ -1,40 +1,42 @@
 """Exact risk expressions, asymptotic bounds, and concentration constants.
 
 Risk means E ||theta - theta_hat||^2 over coefficients with E[theta] = 0 and
-E[theta theta^*] = c_r diag(t^(2r)) (unit trace).  Every risk is a closed
-form over residue-class sums (any grid; O(D) for a whole p sweep).
+E[theta theta^*] = c_r diag(t^(2r)) (unit trace).  ``sweep_risks`` is its one
+closed form, valid for every 1 <= p <= D on any grid: O(D) for a whole p
+sweep, every term nonnegative, so tiny risks keep their relative accuracy.
 
 Feature k = m + n*nu lies in residue class m and block nu.  By the aliasing
-fact (see ``circulant``) every risk splits into sums over residue classes.
-Overparameterized closed form at any p >= n, with A(m, u) the sum of t_k^u
-over the members k of class m in [0, p) and C(m, u) the same sum over
-members in [p, D):
+fact (see ``circulant``) the samples fix only each class's sum, every fitted
+member k takes the share w_k / W of it, and the risk splits into independent
+class risks R_m.  Class m has its leader L (its member in block 0) and the
+non-leaders k > L; the weights are scaled by the leader as in
+``circulant.class_weights``, w_k = (t_k / t_m)^(2q), so w_L = 1, and
+v_k = t_k^(2r).  At p = l*n + s the fitted members are those in blocks 0 to
+l - 1, plus block l if m < s.  Over the fitted non-leaders W' sums w,
+A'(4q) sums w^2 and A'(2q+2r) sums w v; V' sums v over all non-leaders and
+W = 1 + W'.  Then
 
-    P_q  = c_r * sum_m A(m, 2q+2r) / A(m, 2q)
-    Q_q1 = c_r * sum_m A(m, 4q) A(m, 2r) / A(m, 2q)^2
-    Q_q2 = c_r * sum_m A(m, 4q) C(m, 2r) / A(m, 2q)^2
-    risk = 1 - 2 P_q + Q_q1 + Q_q2
+    R_m = v_L (W'/W)^2 + V'/W^2 + [V' - 2 A'(2q+2r)/W]
+          + (A'(4q)/W^2) (v_L + V')
 
-Least-squares closed form at p <= n: the tail plus the alias mass of the
-fitted classes,
-
-    risk = c_r * (sum_{j >= p} t_j^(2r) + sum_{m < p} C(m, 2r) at p = n).
+and risk = c_r sum_m R_m; a class with no fitted member has R_m = v_L + V'.
+The bracket is the fitted non-leaders' sum of v_k (1 - 2 w_k/W), each
+factor >= 0 since w_k <= w_L, plus the unfitted non-leaders' v_k: no term
+is negative, so nothing cancels.  For p <= n, W' = 0 and R_m = 2 V' for a
+fitted class: the least-squares risk.  Scaling by the leader keeps W >= 1,
+so t^(4q) cannot underflow to 0/0 at large q.
 
 ``sweep_risks`` evaluates whole p sweeps of G groups (spectrum, q) sharing
-one D in one pass: the groups are stacked as rows, t^(2r) of shape (G, D),
-c_r of shape (G,) and one scalar q per row, at most max(1, STACKED_FEATURES
-// D) groups to a pass.  Every p <= n reads one entry of the tail and
-cumulative alias sums; every p > n, on any D, reads prefix and suffix sums
-over blocks of n features (``_over_points``).  Class m is scaled by its
-leader t_m as in ``circulant.class_weights``, i.e. summed with weights
-(t_k / t_m)^(2q); every ratio above is unchanged, and A(m, 2q) >= 1 keeps
-t^(4q) from underflowing to 0/0 at large q.  At D >= COMPENSATED_SUM_MIN_D
-the running sums carry Kahan compensation from block to block.  Each row is
-raised to its own scalar exponents and summed over its own contiguous
-entries, so a group's risks do not depend on the stack it rides in:
-``theory_risks``, ``theory_risk``, ``risk_over_closed``,
-``risk_under_closed`` and ``lowest_risks`` are one-row calls of the same
-pass (any grid) and agree bit for bit with ``sweep_risks``.
+one D in one pass: the groups are stacked as rows, at most max(1,
+STACKED_FEATURES // D) to a pass.  ``_class_risks`` holds W', A'(4q) and
+A'(2q+2r) in (groups, blocks + 1, n) slots whose row j sums blocks 1 to
+j - 1, so row l + 1 serves class m < s at p = l*n + s and row l the rest;
+R_m is built in place over the rows.  At D >= COMPENSATED_SUM_MIN_D the
+running sums carry Kahan compensation from block to block.  Each row is
+raised to its own scalar exponents and summed over its own entries, and a
+point's sum over the classes depends on that point alone, so a group's risks
+do not depend on the stack or the other points it rides with: a one-row,
+one-point call agrees bit for bit.
 """
 
 from __future__ import annotations
@@ -59,25 +61,13 @@ from .model import (
     accumulate_blocks,
     check_finite_nonnegative,
     check_truncations,
-    folded_sums,
 )
 
 # Features per stacked pass: max(1, STACKED_FEATURES // D) groups, so no pass
 # outgrows the D = 65536 curve's, and from D = 65536 on each group runs alone.
 STACKED_FEATURES = 1 << 16
-
-# Risks are expectations of squared norms; tiny negatives are rounding noise
-# and reported as 0, anything worse indicates a bug.
-NEGATIVE_RISK_TOLERANCE = 1e-10
-
-
-@dataclass(frozen=True)
-class RiskBreakdown:
-    P_q: float
-    Q_q1: float
-    Q_q2: float
-    risk: float
-    clamped: bool = False
+# Entries per chunk of rows when the class risks are formed, so their scratch stays small.
+CHUNK_ELEMENTS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -100,27 +90,18 @@ class LowestRisks(NamedTuple):
     argmin_p_over: int
 
 
-def _finalize_risks(values) -> tuple[np.ndarray, np.ndarray]:
-    """Check and clamp raw risks in one array pass: (risks, clamped mask).
+def _finalize_risks(values: np.ndarray) -> np.ndarray:
+    """``values``, checked in one array pass: every closed-form risk is a sum of nonnegative terms.
 
-    A value in [-NEGATIVE_RISK_TOLERANCE, 0) becomes 0.0 and is flagged; the
-    first value, in order, that is not finite or lies further below zero
-    raises NumericalInconsistencyError.
+    The first value, in order, that is not finite or is negative raises
+    NumericalInconsistencyError.
     """
-    values = np.asarray(values, dtype=float)
-    bad = ~(values >= -NEGATIVE_RISK_TOLERANCE) | (values == math.inf)
+    bad = ~(values >= 0.0) | (values == math.inf)
     if bad.any():
         value = float(values.flat[np.argmax(bad)])
-        if not math.isfinite(value):
-            raise NumericalInconsistencyError(f"risk evaluated to {value}, which is not a finite number")
-        raise NumericalInconsistencyError(f"risk evaluated to {value}, below -{NEGATIVE_RISK_TOLERANCE}")
-    clamped = values < 0.0
-    return np.where(clamped, 0.0, values), clamped
-
-
-def _finalize_risk(value: float) -> tuple[float, bool]:
-    risks, clamped = _finalize_risks([value])
-    return float(risks[0]), bool(clamped[0])
+        reason = "which is not a finite number" if not math.isfinite(value) else "below 0"
+        raise NumericalInconsistencyError(f"risk evaluated to {value}, {reason}")
+    return values
 
 
 def _require_over(grid: GridConfig) -> None:
@@ -132,99 +113,108 @@ def _check_q(q: float) -> None:
     check_finite_nonnegative(q, "weighting exponent q")
 
 
-def _over_points(spectra: Sequence[Spectrum], n: int, q_values: Sequence[float], p_values) -> tuple[np.ndarray, ...]:
-    """P_q, Q_q1, Q_q2 and the unfinalised risk of group g at p_values[j] (entry [g, j]), n <= p <= D, any D.
+def _class_risks(spectra: Sequence[Spectrum], n: int, q_values: Sequence[float], p: np.ndarray) -> np.ndarray:
+    """Unfinalised risk of group g, (spectra[g], q_values[g]), at p[j] (entry [g, j]), 1 <= p <= D, any D.
 
-    Group g is (spectra[g], q_values[g]); the spectra share one D.  Works in
-    three (groups, blocks + 1, n) slots: in the prefix layout row i + 1 holds
-    block i (features i*n + m), in the suffix layout row i does, and the
-    spare row and the padding past D are zero (the weights are padded, never
-    t: 0**0 would add phantom features at q = 0 or r = 0).  Running sums
-    taken in place make row i sum the blocks before i (prefix) or from i
-    onwards (suffix).  At p = l*n + s the member of class m in block l is
-    fitted iff m < s, so class m reads row l + 1 if m < s and row l
-    otherwise; a point with s = 0 reads row l whole.  A(., 2q), A(., 4q) and
-    A(., 2q+2r) are summed in one pass; the slots then serve A(., 2r) and
-    C(., 2r), whose t^(2r) is copied from A(., 2r)'s before its sums run.
+    Works in three (groups, blocks + 1, n) slots of the prefix layout: row
+    i + 1 holds block i (features i*n + m), and the spare row 0, the leaders'
+    row 1 and the padding past D stay zero (t is never padded: 0**0 would add
+    phantom features at q = 0 or r = 0).  Running sums taken in place make
+    row j sum blocks 1 to j - 1: the fitted non-leaders of a class read at
+    row j.  V' is the last row of such sums of v, taken in the A'(4q) slot
+    before w^2 is written.  R_m then replaces A'(2q+2r) row by row, in
+    chunks of rows so that W's scratch stays small, and row 0 holds the
+    unfitted class, v_L + V'.  A point with s = 0 sums row l over the
+    classes; one with s > 0 adds a cumulative sum of row l + 1 over m < s to
+    a reversed one of row l over m >= s.
     """
     D, t, groups = spectra[0].D, spectra[0].t, len(spectra)
-    comp, blocks, cr = D >= COMPENSATED_SUM_MIN_D, -(-D // n), np.array([[spectrum.c_r] for spectrum in spectra])
-    l, s = np.divmod(np.asarray(p_values), n)
-    split, classes = s.nonzero()[0], np.arange(n)
+    comp, blocks = D >= COMPENSATED_SUM_MIN_D, -(-D // n)
     slots = np.zeros((3, groups, blocks + 1, n))
-    a_2q, a_4q, a_2q2r = slots
+    w, w2, wv = slots  # W', A'(4q) and A'(2q+2r) once summed; then R_m in wv
     flat = slots.reshape(3, groups, -1)
-
-    def t2r(k: int) -> np.ndarray:
-        """Slot k refilled with each group's t^(2r) in the prefix layout."""
-        slots[k].fill(0.0)
-        for g, spectrum in enumerate(spectra):
-            np.power(t, 2.0 * spectrum.decay_r, out=flat[k, g, n : n + D])
-        return slots[k]
-
-    def reduce(terms: np.ndarray) -> np.ndarray:
-        """cr * sum over classes m of terms[g, row of m, m], for every group g at every point."""
-        out = np.add.reduce(terms, axis=2)[:, l]  # row l: every class of a point with s = 0
-        rows = terms.reshape(groups, -1)
-        step = blocks + 1  # points per chunk: the gathered (groups, points, n) terms stay about groups * D long
-        for first in range(0, len(split), step):
-            points = split[first : first + step]
-            row = l[points, None] + (classes < s[points, None])
-            # a take from the flat rows is C-contiguous, so each class sum is pairwise as in one group's pass
-            out[:, points] = np.add.reduce(np.take(rows, row * n + classes, axis=1), axis=2)
-        return cr * out
-
-    ratio = flat[1, 0]  # scratch until A(., 4q) is written
+    rest = slice(2 * n, n + D)  # the non-leaders
+    for g, spectrum in enumerate(spectra):
+        np.power(t, 2.0 * spectrum.decay_r, out=flat[2, g, n : n + D])
+    lead = wv[:, 1].copy()  # v_L
+    w2[:, 2:] = wv[:, 2:]
+    others = accumulate_blocks(w2.swapaxes(0, 1), comp)[-1].copy()  # V'
+    total = lead + others
+    ratio = flat[1, 0]  # scratch until A'(4q) is written
     ratio[n : n + D] = t
-    a_4q[0] /= t[:n]  # class m scaled by its leading term t_m (row 0 stays 0)
+    w2[0] /= t[:n]  # class m scaled by its leader t_m
     for g, q in enumerate(q_values):
-        np.power(ratio[n : n + D], 2.0 * q, out=flat[0, g, n : n + D])
-    np.square(a_2q, out=a_4q)
-    np.multiply(t2r(2), a_2q, out=a_2q2r)
+        np.power(ratio[rest], 2.0 * q, out=flat[0, g, rest])
+    np.square(w, out=w2)
+    wv *= w  # the leaders' row 1 becomes 0 with w
     accumulate_blocks(slots.transpose(2, 0, 1, 3), comp)  # blocks leading, then (3, groups, n)
-    a_2q2r[:, 1:] /= a_2q[:, 1:]
-    P_q = reduce(a_2q2r)
 
-    np.square(a_2q, out=a_2q)
-    weight = a_4q
-    weight[:, 1:] /= a_2q[:, 1:]  # A(., 4q) / A(., 2q)^2
-    terms = t2r(0)
-    flat[2, :, :D], flat[2, :, D:] = flat[0, :, n : n + D], 0.0  # the same powers in the suffix layout
-    accumulate_blocks(terms.swapaxes(0, 1), comp)  # A(., 2r)
-    terms *= weight
-    Q_q1 = reduce(terms)
-    terms = slots[2]
-    accumulate_blocks(terms[:, ::-1].swapaxes(0, 1), comp)  # C(., 2r)
-    terms *= weight
-    Q_q2 = reduce(terms)
-    return P_q, Q_q1, Q_q2, 1.0 - 2.0 * P_q + Q_q1 + Q_q2
+    lead, others, total = lead[:, None], others[:, None], total[:, None]
+    step = max(1, CHUNK_ELEMENTS // (groups * n))
+    for first in range(1, blocks + 1, step):
+        rows = slice(first, first + step)
+        fit_w, fit_w2, risk = w[:, rows], w2[:, rows], wv[:, rows]
+        big_w = fit_w + 1.0  # W
+        risk /= big_w
+        risk *= -2.0
+        risk += others  # the bracket, V' - 2 A'(2q+2r)/W
+        fit_w /= big_w
+        np.square(fit_w, out=fit_w)
+        fit_w *= lead
+        risk += fit_w  # v_L (W'/W)^2
+        big_w *= big_w
+        fit_w2 /= big_w
+        fit_w2 *= total
+        risk += fit_w2  # A'(4q)/W^2 (v_L + V')
+        np.divide(others, big_w, out=big_w)
+        risk += big_w  # V'/W^2
+    wv[:, 0] = total[:, 0]
 
-
-def _under_curve(spectra: Sequence[Spectrum], n: int) -> np.ndarray:
-    """Unfinalised least-squares risk of group g at every p in [0, n] (entry [g, p]), any D."""
-    comp = spectra[0].D >= COMPENSATED_SUM_MIN_D
-    t2r = np.stack([spectrum.t_pow(2.0 * spectrum.decay_r) for spectrum in spectra])
-    alias = folded_sums(t2r[:, n:], n, comp)  # C(m, 2r) at l = 1
-    head_tail = np.pad(np.cumsum(t2r[:, n - 1 :: -1], axis=1)[:, ::-1], ((0, 0), (0, 1)))
-    head_alias = np.pad(np.cumsum(alias, axis=1), ((0, 0), (1, 0)))
-    cr = np.array([[spectrum.c_r] for spectrum in spectra])
-    return cr * (head_tail + np.sum(alias, axis=1, keepdims=True) + head_alias)
-
-
-def risk_over_closed(spectrum: Spectrum, grid: GridConfig, q: float) -> RiskBreakdown:
-    """Closed-form risk of the weighted min-norm estimator at any p >= n."""
-    _require_over(grid)
-    _check_q(q)
-    P_q, Q_q1, Q_q2, raw = (float(v[0, 0]) for v in _over_points([spectrum], grid.n, [q], [grid.p]))
-    risk, clamped = _finalize_risk(raw)
-    return RiskBreakdown(P_q=P_q, Q_q1=Q_q1, Q_q2=Q_q2, risk=risk, clamped=clamped)
+    l, s = np.divmod(p, n)
+    out = np.add.reduce(wv, axis=2)[:, l]  # s = 0: row l, every class
+    split = s.nonzero()[0]
+    if split.size:
+        rows, at = np.unique(l[split], return_inverse=True)
+        head = np.cumsum(wv[:, rows + 1], axis=2)  # classes m < s read row l + 1
+        back = np.cumsum(wv[:, rows, ::-1], axis=2)  # and m >= s row l, summed from m = n - 1 down
+        s = s[split]
+        out[:, split] = head[:, at, s - 1] + back[:, at, n - 1 - s]
+    return np.array([[spectrum.c_r] for spectrum in spectra]) * out
 
 
-def risk_under_closed(spectrum: Spectrum, grid: GridConfig) -> float:
-    """Closed-form least-squares risk for p <= n on any grid."""
-    if grid.p > grid.n:
-        raise RegimeError(f"underparameterized form needs p <= n, got p={grid.p}, n={grid.n}")
-    return theory_risk(spectrum, grid, 0.0)  # the least-squares curve, whatever q
+def lowest_risks(spectrum: Spectrum, n: int, q: float) -> LowestRisks:
+    """Lowest under-regime risk and the best aligned overparameterized risk, from one sweep over p = l*n <= D.
+
+    The under-regime optimum is attained at p = n, where each class has
+    exactly its leader fitted, whatever q; the over-regime value is the
+    minimum over every p = l*n <= D, any D.  For q >= r >= 1 the
+    over-regime minimum is strictly smaller.
+    """
+    check_truncations(spectrum.D, n, ())  # n first: the grid steps by it
+    risks = sweep_risks([spectrum], n, [q], np.arange(n, spectrum.D + 1, n))[0]
+    best = int(np.argmin(risks))
+    return LowestRisks(under_star=float(risks[0]), over_star=float(risks[best]), argmin_p_over=(best + 1) * n)
+
+
+def sweep_risks(spectra: Sequence[Spectrum], n: int, q_values: Sequence[float], p_values: Sequence[int]) -> np.ndarray:
+    """Theoretical risk of group g, (spectra[g], q_values[g]), at truncation p_values[j]: entry [g, j].
+
+    The spectra share one D; any 1 <= p <= D on any grid (see the module
+    docstring).  O(D) per group, plus O(n) per group and distinct l among
+    the points p = l*n + s with s > 0.
+    """
+    spectra, q_values = list(spectra), list(q_values)
+    if not spectra or len(q_values) != len(spectra) or len({s.D for s in spectra}) > 1:
+        raise ConfigurationError(f"need one q per spectrum and one D, got q {q_values}, D {[s.D for s in spectra]}")
+    for q in q_values:
+        _check_q(q)
+    p = check_truncations(spectra[0].D, n, p_values)
+    raw = np.empty((len(spectra), len(p)))
+    step = max(1, STACKED_FEATURES // spectra[0].D)
+    for first in range(0, len(spectra), step):
+        rows = slice(first, first + step)
+        raw[rows] = _class_risks(spectra[rows], n, q_values[rows], p)
+    return _finalize_risks(raw)
 
 
 def asymptotic_bound(spectrum: Spectrum, grid: GridConfig) -> BoundReport:
@@ -289,57 +279,6 @@ def concentration_bound(r: float, q: float, t: float) -> ConcentrationBound:
     square = t * t / (T_q * T_q) if T_q * T_q < math.inf else u * u
     tail = 2.0 * math.exp(-min(square, u))
     return ConcentrationBound(T_q=T_q, tail=tail)
-
-
-def lowest_risks(spectrum: Spectrum, n: int, q: float) -> LowestRisks:
-    """Lowest under-regime risk and the best aligned overparameterized risk.
-
-    The under-regime optimum is attained at p = n; the over-regime value
-    is the minimum of the closed form over p = l*n <= D, any D, read from
-    one sweep.  For q >= r >= 1 the over-regime minimum is strictly smaller.
-    """
-    D = spectrum.D
-    check_truncations(D, n, ())
-    _check_q(q)
-    under_star = 2.0 * spectrum.c_r * spectrum.tail_sum(2.0 * spectrum.decay_r, start=n)
-    over, _ = _finalize_risks(_over_points([spectrum], n, [q], n * np.arange(1, D // n + 1))[3][0])
-    best = int(np.argmin(over))
-    return LowestRisks(under_star=under_star, over_star=float(over[best]), argmin_p_over=(best + 1) * n)
-
-
-def sweep_risks(spectra: Sequence[Spectrum], n: int, q_values: Sequence[float], p_values: Sequence[int]) -> np.ndarray:
-    """Theoretical risk of group g, (spectra[g], q_values[g]), at truncation p_values[j]: entry [g, j].
-
-    The spectra share one D.  p <= n reads the least-squares curve (any q),
-    every p > n running block sums at p = l*n + s (see the module
-    docstring): O(D) per group, plus O(n) per group and point with s > 0.
-    """
-    spectra, q_values = list(spectra), list(q_values)
-    if not spectra or len(q_values) != len(spectra) or len({s.D for s in spectra}) > 1:
-        raise ConfigurationError(f"need one q per spectrum and one D, got q {q_values}, D {[s.D for s in spectra]}")
-    for q in q_values:
-        _check_q(q)
-    p = check_truncations(spectra[0].D, n, p_values)
-    under = p <= n
-    raw = np.empty((len(spectra), len(p)))
-    step = max(1, STACKED_FEATURES // spectra[0].D)
-    for first in range(0, len(spectra), step):
-        rows = slice(first, first + step)
-        if under.any():
-            raw[rows, under] = _under_curve(spectra[rows], n)[:, p[under]]
-        if not under.all():
-            raw[rows, ~under] = _over_points(spectra[rows], n, q_values[rows], p[~under])[3]
-    return _finalize_risks(raw)[0]
-
-
-def theory_risks(spectrum: Spectrum, n: int, q: float, p_values: Sequence[int]) -> np.ndarray:
-    """Theoretical risk of one spectrum at every truncation in p_values: one row of ``sweep_risks``."""
-    return sweep_risks([spectrum], n, [q], p_values)[0]
-
-
-def theory_risk(spectrum: Spectrum, grid: GridConfig, q: float) -> float:
-    """Theoretical risk for one configuration: one point of ``theory_risks``."""
-    return float(theory_risks(spectrum, grid.n, q, [grid.p])[0])
 
 
 def __getattr__(name: str):

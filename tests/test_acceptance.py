@@ -22,9 +22,8 @@ from fourier_minnorm import (
     cr_bounds,
     empirical_risk,
     fit_interpolant,
-    risk_over_closed,
-    risk_under_closed,
-    theory_risk,
+    lowest_risks,
+    sweep_risks,
     weighted_minnorm,
 )
 from fourier_minnorm.oracles import fourier_matrix, risk_trace_over, risk_trace_under, solve_weighted_minnorm
@@ -37,6 +36,11 @@ L_GRID = (1, 2, 4)
 R_GRID = (0.0, 0.3, 0.5, 1.0, 1.5, 2.0)
 Q_GRID = (0.0, 0.5, 1.0, 2.0)
 MC_SEED = 2025
+
+
+def closed(spectrum, grid, q: float) -> float:
+    """The closed-form risk at one grid: a one-row, one-point sweep_risks call."""
+    return float(sweep_risks([spectrum], grid.n, [q], [grid.p])[0, 0])
 
 
 def _report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -61,7 +65,7 @@ def test_criterion_1_closed_vs_trace_oracles():
         for r in R_GRID:
             s = build_spectrum(D, r)
             for q in Q_GRID:
-                diff = abs(risk_over_closed(s, grid, q).risk - risk_trace_over(s, grid, q).risk)
+                diff = abs(closed(s, grid, q) - risk_trace_over(s, grid, q).risk)
                 worst_over = max(worst_over, diff)
     worst_under = 0.0
     for D in D_GRID:
@@ -71,7 +75,7 @@ def test_criterion_1_closed_vs_trace_oracles():
                 grid = classify_grid(D, n, p)
                 for r in R_GRID:
                     s = build_spectrum(D, r)
-                    diff = abs(risk_under_closed(s, grid) - risk_trace_under(s, grid))
+                    diff = abs(closed(s, grid, 0.0) - risk_trace_under(s, grid))
                     worst_under = max(worst_under, diff)
     elapsed = time.perf_counter() - start
     ok = worst_over <= 1e-9 and worst_under <= 1e-9 and elapsed < 30.0
@@ -92,12 +96,12 @@ def test_criterion_2_special_cases():
         for tau in TAU_GRID:
             n = D // tau
             s = build_spectrum(D, 1.0)
-            worst_full = max(worst_full, abs(risk_over_closed(s, classify_grid(D, n, D), 0.0).risk - (1 - n / D)))
+            worst_full = max(worst_full, abs(closed(s, classify_grid(D, n, D), 0.0) - (1 - n / D)))
         square = classify_grid(D, D, D)
         for r in R_GRID:
             s = build_spectrum(D, r)
             for q in Q_GRID:
-                worst_square = max(worst_square, abs(risk_over_closed(s, square, q).risk))
+                worst_square = max(worst_square, abs(closed(s, square, q)))
     ok = worst_full <= 1e-14 and worst_square <= 1e-12
     _report(
         "criterion 2 paper special cases",
@@ -116,14 +120,14 @@ def test_criterion_3_boundary_and_proof_identities():
             grid = classify_grid(D, n, n)
             for r in R_GRID:
                 s = build_spectrum(D, r)
-                under = risk_under_closed(s, grid)
+                under = risk_trace_under(s, grid)
                 for q in Q_GRID:
-                    worst_boundary = max(worst_boundary, abs(under - risk_over_closed(s, grid, q).risk))
+                    worst_boundary = max(worst_boundary, abs(under - closed(s, grid, q)))
     worst_identity = 0.0
     for D, n, p in over_grids():
         grid = classify_grid(D, n, p)
         for r in R_GRID:
-            b = risk_over_closed(build_spectrum(D, r), grid, r)
+            b = risk_trace_over(build_spectrum(D, r), grid, r)  # the P_q / Q_q breakdown lives in the oracle
             worst_identity = max(worst_identity, abs(b.Q_q1 - b.P_q))
     ok = worst_boundary <= 1e-12 and worst_identity <= 1e-10
     _report(
@@ -146,7 +150,7 @@ def test_criterion_4_rate_bound_dominates():
                     D, p = tau * n, l * n
                     s = build_spectrum(D, r)
                     grid = classify_grid(D, n, p)
-                    slack = asymptotic_bound(s, grid).bound - risk_over_closed(s, grid, r).risk
+                    slack = asymptotic_bound(s, grid).bound - closed(s, grid, r)
                     min_slack = min(min_slack, slack)
                     count += 1
     elapsed = time.perf_counter() - start
@@ -180,14 +184,14 @@ def test_criterion_6_lowest_risks():
     for r in (1.0, 1.5, 2.0):
         s = build_spectrum(64, r)
         for n in (4, 8):
-            under_curve = [risk_under_closed(s, classify_grid(64, n, p)) for p in range(1, n + 1)]
+            under_curve = sweep_risks([s], n, [0.0], range(1, n + 1))[0]
             monotone = all(b <= a + 1e-15 for a, b in zip(under_curve, under_curve[1:]))
-            under_star = 2 * s.c_r * s.tail_sum(2 * r, start=n)
-            over_min = min(
-                risk_over_closed(s, classify_grid(64, n, l * n), r).risk for l in range(2, 64 // n + 1)
-            )
+            under_star = 2 * s.c_r * s.tail_sum(2 * r, start=n)  # the least-squares risk at p = n
+            over_min = min(sweep_risks([s], n, [r], [l * n for l in range(2, 64 // n + 1)])[0])
             margin = under_star - over_min
-            if not (monotone and margin > 1e-12):
+            lowest = lowest_risks(s, n, r)
+            scanned = abs(lowest.under_star - under_star) <= 1e-15 and lowest.over_star == over_min
+            if not (monotone and margin > 1e-12 and scanned):
                 ok = False
             details.append(f"r={r},n={n}: margin {margin:.2e}")
     _report("criterion 6 lowest risks", ok, "; ".join(details))
@@ -202,7 +206,7 @@ def test_criterion_7_monte_carlo_agreement():
         for p in (4, 8, 16, 32, 64, 128, 256):
             grid = classify_grid(256, 16, p)
             est = empirical_risk(s, grid, r, McConfig(trials=500, seed=MC_SEED))
-            theory = theory_risk(s, grid, r)
+            theory = closed(s, grid, r)
             worst = max(worst, abs(est.mean - theory) / theory)
     elapsed = time.perf_counter() - start
     ok = worst <= 0.05 and elapsed < 120.0

@@ -239,7 +239,7 @@ class TestRiskCurve:
         assert risk == pytest.approx(1 - 8 / 64, abs=1e-14)
 
     def test_serialized_floats_roundtrip_exactly(self, tmp_path):
-        from fourier_minnorm import build_spectrum, classify_grid, theory_risk
+        from fourier_minnorm import build_spectrum, sweep_risks
 
         out = tmp_path / "curve.csv"
         main(["risk-curve", "-D", "48", "-n", "6", "--r-values", "0.7",
@@ -248,7 +248,7 @@ class TestRiskCurve:
         s = build_spectrum(48, 0.7)
         for row in rows:
             p = int(row[header.index("p")])
-            expected = theory_risk(s, classify_grid(48, 6, p), 1.3)
+            expected = sweep_risks([s], 6, [1.3], [p])[0, 0]
             assert float(row[header.index("risk_theory")]) == expected
 
     def test_double_descent_peak(self, tmp_path):
@@ -331,6 +331,19 @@ class TestMcRisk:
         hits = sum(1 for t, a, b in zip(theory, lo, hi) if a <= t <= b)
         assert hits >= 0.9 * len(rows)
 
+    def test_tiny_theory_risks_sit_inside_their_sample_range(self, tmp_path):
+        # r = q = 5: every row's risk is about 1.15e-17, far below what a form subtracting from 1 resolves
+        out = tmp_path / "mc.csv"
+        code = main(["mc-risk", "-D", "1024", "-n", "64", "--r-values", "5", "--q-values", "5",
+                     "--p-values", "64,128,512,1024", "--trials", "400", "--out", str(out)])
+        assert code == 0
+        header, rows = read_csv(out)
+        theory = column(header, rows, "risk_theory")
+        lo = column(header, rows, "ci_low")
+        hi = column(header, rows, "ci_high")
+        assert len(rows) == 4
+        assert all(a <= t <= b for t, a, b in zip(theory, lo, hi)), list(zip(theory, lo, hi))
+
 
 class TestHeatmap:
     def test_plain_sheet_jump_at_transition(self, tmp_path):
@@ -364,6 +377,16 @@ class TestHeatmap:
               "--p-values", "4,8", "--out", str(out)])
         header, rows = read_csv(out)
         for risk, log_risk in zip(column(header, rows, "risk"), column(header, rows, "log10_risk")):
+            assert log_risk == pytest.approx(math.log10(risk), rel=1e-12)
+
+    def test_tiny_risks_keep_their_log(self, tmp_path):
+        # r = 5: risks of about 1e-17 stay positive, so every row keeps its log10 cell
+        out = tmp_path / "heat.csv"
+        assert main(["heatmap", "-D", "1024", "-n", "64", "--r-values", "3,5", "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        risks = column(header, rows, "risk")
+        assert all(risk > 0 for risk in risks)
+        for risk, log_risk in zip(risks, column(header, rows, "log10_risk")):
             assert log_risk == pytest.approx(math.log10(risk), rel=1e-12)
 
 

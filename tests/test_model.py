@@ -15,7 +15,7 @@ from fourier_minnorm import (
     classify_grid,
     cr_bounds,
     empirical_risks,
-    theory_risks,
+    sweep_risks,
 )
 from fourier_minnorm.model import accumulate_blocks, check_truncations, folded_sums, regime_tags
 
@@ -258,7 +258,7 @@ class TestCheckTruncations:
         spectrum, mc = build_spectrum(64, 1.0), McConfig(trials=2, seed=0)
         message = f"^truncation p must be an integer, got {p!r}$"
         with pytest.raises(ConfigurationError, match=message):
-            theory_risks(spectrum, 8, 1.0, [4, p])
+            sweep_risks([spectrum], 8, [1.0], [4, p])
         with pytest.raises(ConfigurationError, match=message):
             empirical_risks(spectrum, 8, 1.0, [4, p], mc)
         with pytest.raises(ConfigurationError, match=message):

@@ -17,9 +17,7 @@ from fourier_minnorm import (
     empirical_risks,
     equispaced_predict,
     least_squares,
-    risk_over_closed,
-    risk_under_closed,
-    theory_risk,
+    sweep_risks,
     weighted_minnorm,
 )
 from fourier_minnorm.oracles import sample_theta, trial_generator
@@ -115,14 +113,14 @@ class TestEmpiricalRisk:
         spectrum = build_spectrum(64, 0.5)
         grid = classify_grid(64, 8, 16)
         est = empirical_risk(spectrum, grid, 0.5, McConfig(trials=500, seed=17))
-        theory = risk_over_closed(spectrum, grid, 0.5).risk
+        theory = sweep_risks([spectrum], grid.n, [0.5], [grid.p])[0, 0]
         assert est.mean == pytest.approx(theory, rel=0.05)
 
     def test_under_matches_theory(self):
         spectrum = build_spectrum(64, 1.0)
         grid = classify_grid(64, 8, 4)
         est = empirical_risk(spectrum, grid, 1.0, McConfig(trials=500, seed=17))
-        assert est.mean == pytest.approx(risk_under_closed(spectrum, grid), rel=0.05)
+        assert est.mean == pytest.approx(sweep_risks([spectrum], grid.n, [0.0], [grid.p])[0, 0], rel=0.05)
 
     def test_under_fits_ignore_q_sample_by_sample(self):
         spectrum = build_spectrum(32, 1.0)
@@ -330,7 +328,7 @@ class TestEmpiricalRisks:
         grid = classify_grid(1024, 16, 512)
         est = empirical_risk(spectrum, grid, 100.0, McConfig(trials=500, seed=0))
         assert np.all(np.isfinite(est.samples))
-        assert est.mean == pytest.approx(theory_risk(spectrum, grid, 100.0), rel=0.05)
+        assert est.mean == pytest.approx(sweep_risks([spectrum], grid.n, [100.0], [grid.p])[0, 0], rel=0.05)
 
     def test_large_q_on_misaligned_grid_matches_theory(self):
         # n = 60 divides neither D = 1000 nor p = 250: the circulant solve
@@ -339,7 +337,7 @@ class TestEmpiricalRisks:
         grid = classify_grid(1000, 60, 250)
         est = empirical_risk(spectrum, grid, 100.0, McConfig(trials=500, seed=0))
         assert np.all(np.isfinite(est.samples))
-        assert est.mean == pytest.approx(theory_risk(spectrum, grid, 100.0), rel=0.05)
+        assert est.mean == pytest.approx(sweep_risks([spectrum], grid.n, [100.0], [grid.p])[0, 0], rel=0.05)
 
     @pytest.mark.parametrize("q", [-1.0, float("nan"), float("inf")])
     def test_rejects_bad_q(self, q):

@@ -1,4 +1,4 @@
-"""One-pass risk sweeps: theory_risks against the dense oracles and mpmath, sweep_risks against one group at a time."""
+"""One-pass risk sweeps: sweep_risks against the dense oracles and mpmath, and stacked against one group at a time."""
 
 import math
 from unittest import mock
@@ -15,16 +15,22 @@ from fourier_minnorm import (
     build_spectrum,
     classify_grid,
     lowest_risks,
-    risk_over_closed,
-    risk_under_closed,
     sweep_risks,
-    theory_risk,
-    theory_risks,
 )
 from fourier_minnorm import risktheory
-from fourier_minnorm.oracles import risk_trace_over, risk_trace_under
+from fourier_minnorm.oracles import _finalize_risk, risk_trace_over, risk_trace_under
 from fourier_minnorm.model import COMPENSATED_SUM_MIN_D
-from fourier_minnorm.risktheory import _finalize_risk
+from fourier_minnorm.risktheory import _class_risks, _finalize_risks
+
+
+def one_row(spectrum, n, q, p_values):
+    """One spectrum's sweep: one row of sweep_risks."""
+    return sweep_risks([spectrum], n, [q], p_values)[0]
+
+
+def one_point(spectrum, n, q, p):
+    """One point: a one-row, one-point sweep_risks call."""
+    return float(sweep_risks([spectrum], n, [q], [p])[0, 0])
 
 
 def paper_grid(D, n):
@@ -45,6 +51,7 @@ def mp_risks(D, n, r, q, p_values, dps=40):
         r2, q2 = mpmath.mpf(2 * r), mpmath.mpf(2 * q)
         t = [mpmath.mpf(1) / (k + 1) for k in range(D)]
         t2r = [x**r2 for x in t]
+        t2q = [x**q2 for x in t]
         c_r = 1 / mpmath.fsum(t2r)
         for p in p_values:
             if p <= n:
@@ -53,7 +60,7 @@ def mp_risks(D, n, r, q, p_values, dps=40):
                 continue
             P = Q1 = Q2 = mpmath.mpf(0)
             for m in range(n):
-                w = [x**q2 for x in t[m:p:n]]
+                w = t2q[m:p:n]
                 a_2q = mpmath.fsum(w)
                 a_4q = mpmath.fsum(x**2 for x in w)
                 P += mpmath.fsum(x * y for x, y in zip(w, t2r[m:p:n])) / a_2q
@@ -76,15 +83,15 @@ class TestAgainstOracles:
         D = tau * n
         s = build_spectrum(D, r)
         p_values = paper_grid(D, n)
-        swept = theory_risks(s, n, q, p_values)
+        swept = one_row(s, n, q, p_values)
         expected = [oracle(s, n, p, q) for p in p_values]
         assert np.max(np.abs(swept - expected)) <= 1e-9
 
     def test_misaligned_points_match_the_trace_forms(self):
         s = build_spectrum(24, 0.8)
         # n | D but p = 6 is no multiple of n; n = 5 does not divide D at all
-        assert theory_risks(s, 4, 1.0, [6])[0] == pytest.approx(oracle(s, 4, 6, 1.0), abs=1e-12)
-        swept = theory_risks(s, 5, 1.0, [3, 5, 10, 24])
+        assert one_row(s, 4, 1.0, [6])[0] == pytest.approx(oracle(s, 4, 6, 1.0), abs=1e-12)
+        swept = one_row(s, 5, 1.0, [3, 5, 10, 24])
         assert np.max(np.abs(swept - [oracle(s, 5, p, 1.0) for p in (3, 5, 10, 24)])) <= 1e-12
 
     @given(
@@ -100,7 +107,7 @@ class TestAgainstOracles:
         extra = data.draw(st.lists(st.integers(min_value=1, max_value=D), max_size=6))
         p_values = [n, D, *extra]
         s = build_spectrum(D, r)
-        swept = theory_risks(s, n, q, p_values)
+        swept = one_row(s, n, q, p_values)
         expected = [oracle(s, n, p, q) for p in p_values]
         assert np.max(np.abs(swept - expected)) <= 1e-12
 
@@ -110,18 +117,13 @@ class TestSweepIsTheSinglePointValue:
     def test_bit_identical(self, D, n, r, q):
         s = build_spectrum(D, r)
         p_values = paper_grid(D, n)
-        swept = theory_risks(s, n, q, p_values)
+        swept = one_row(s, n, q, p_values)
         for p, value in zip(p_values, swept):
-            grid = classify_grid(D, n, p)
-            assert value == theory_risk(s, grid, q)
-            if p <= n:
-                assert value == risk_under_closed(s, grid)
-            else:
-                assert value == risk_over_closed(s, grid, q).risk
+            assert value == one_point(s, n, q, p)
 
     def test_lowest_risks_is_the_sweep_minimum(self):
         s = build_spectrum(256, 1.0)
-        over = [risk_over_closed(s, classify_grid(256, 16, l * 16), 1.0).risk for l in range(1, 17)]
+        over = [one_point(s, 16, 1.0, l * 16) for l in range(1, 17)]
         result = lowest_risks(s, 16, 1.0)
         assert result.over_star == min(over)
         assert result.argmin_p_over == 16 * (1 + over.index(min(over)))
@@ -131,29 +133,56 @@ class TestAccuracyEdges:
     def test_compensated_sweep_matches_mpmath(self):
         D, n, r, q = COMPENSATED_SUM_MIN_D, 256, 1.0, 1.0
         p_values = [100, 256, 512, 8192, D]
-        swept = theory_risks(build_spectrum(D, r), n, q, p_values)
+        swept = one_row(build_spectrum(D, r), n, q, p_values)
         assert np.max(np.abs(swept - mp_risks(D, n, r, q, p_values))) <= 1e-12
 
     def test_compensated_misaligned_sweep_matches_mpmath(self):
         # n = 250 divides neither D = 2^16 nor any p > n below
         D, n, r, q = COMPENSATED_SUM_MIN_D, 250, 1.0, 1.0
         p_values = [100, 250, 1001, 12345, D]
-        swept = theory_risks(build_spectrum(D, r), n, q, p_values)
+        swept = one_row(build_spectrum(D, r), n, q, p_values)
         assert np.max(np.abs(swept - mp_risks(D, n, r, q, p_values))) <= 1e-12
 
     @pytest.mark.parametrize("q", [80.0, 200.0, 400.0])
     def test_large_q_is_finite_and_matches_mpmath(self, q):
         s = build_spectrum(1024, 1.0)
-        value = theory_risks(s, 16, q, [512])[0]
+        value = one_row(s, 16, q, [512])[0]
         assert math.isfinite(value)
         assert abs(value - mp_risks(1024, 16, 1.0, q, [512])[0]) <= 1e-12
-        assert risk_over_closed(s, classify_grid(1024, 16, 512), q).risk == value
+        assert one_point(s, 16, q, 512) == value
 
     def test_large_q_on_misaligned_grid_matches_mpmath(self):
         # n = 60 divides neither D = 1000 nor p = 250
-        value = theory_risks(build_spectrum(1000, 1.0), 60, 100.0, [250])[0]
+        value = one_row(build_spectrum(1000, 1.0), 60, 100.0, [250])[0]
         assert math.isfinite(value)
         assert abs(value - mp_risks(1000, 60, 1.0, 100.0, [250])[0]) <= 1e-12
+
+
+class TestRelativeAccuracy:
+    """Tiny risks to relative accuracy: the class risks are sums of nonnegative terms, nothing cancels."""
+
+    @pytest.mark.parametrize("D, n", [(256, 16), (250, 12)])
+    @pytest.mark.parametrize("r, q", [(1.0, 1.0), (3.0, 3.0), (5.0, 5.0), (8.0, 8.0), (2.0, 0.0), (0.5, 4.0)])
+    def test_every_third_p_matches_mpmath_relatively(self, D, n, r, q):
+        # at r = q = 8 the risks fall to about 1e-20, far below what a form subtracting from 1 resolves
+        p_values = list(range(1, D + 1, 3))
+        swept = one_row(build_spectrum(D, r), n, q, p_values)
+        exact = np.array(mp_risks(D, n, r, q, p_values, dps=80))
+        assert np.max(np.abs(swept - exact) / exact) <= 1e-14
+
+    @given(
+        D=st.integers(min_value=1, max_value=300),
+        data=st.data(),
+        r=st.floats(min_value=0.0, max_value=50.0),
+        q=st.floats(min_value=0.0, max_value=50.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_every_raw_risk_is_finite_and_nonnegative(self, D, data, r, q):
+        # so the runtime has nothing to clamp: any negative or non-finite value raises
+        divisors = [d for d in range(1, D + 1) if D % d == 0]
+        n = data.draw(st.one_of(st.sampled_from(divisors), st.integers(min_value=1, max_value=D)))
+        raw = _class_risks([build_spectrum(D, r)], n, [q], np.arange(1, D + 1))
+        assert np.all(np.isfinite(raw)) and np.all(raw >= 0.0)
 
 
 class TestValidation:
@@ -161,12 +190,12 @@ class TestValidation:
     def test_rejects_bad_weighting_exponent(self, q):
         s = build_spectrum(16, 1.0)
         with pytest.raises(ConfigurationError):
-            theory_risks(s, 4, q, [8])
-        with pytest.raises(ConfigurationError):
-            risk_over_closed(s, classify_grid(16, 4, 8), q)
+            one_row(s, 4, q, [8])
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_risk_has_its_own_message(self, value):
+        with pytest.raises(NumericalInconsistencyError, match="not a finite number"):
+            _finalize_risks(np.array([0.5, value]))
         with pytest.raises(NumericalInconsistencyError, match="not a finite number"):
             _finalize_risk(value)
 
@@ -188,7 +217,7 @@ def stacked_sweeps(draw):
 
 
 def one_at_a_time(spectra, n, q_values, p_values):
-    return np.array([theory_risks(s, n, q, p_values) for s, q in zip(spectra, q_values)])
+    return np.array([one_row(s, n, q, p_values) for s, q in zip(spectra, q_values)])
 
 
 def bits(values):
@@ -226,9 +255,9 @@ class TestStackedSweep:
     def test_groups_per_pass_keep_the_working_set(self, D, groups, passes):
         # at most max(1, 2^16 // D) groups share a pass: a 21-r heatmap at D = 1024 takes one
         spectra = [build_spectrum(D, 0.1 * i) for i in range(groups)]
-        with mock.patch.object(risktheory, "_over_points", wraps=risktheory._over_points) as over:
+        with mock.patch.object(risktheory, "_class_risks", wraps=risktheory._class_risks) as passes_made:
             sweep_risks(spectra, 64, [1.0] * groups, [64, 128, D])
-        assert [len(call.args[0]) for call in over.call_args_list] == passes
+        assert [len(call.args[0]) for call in passes_made.call_args_list] == passes
 
     @pytest.mark.parametrize(
         "spectra, q_values",

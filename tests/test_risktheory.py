@@ -17,16 +17,18 @@ from fourier_minnorm import (
     classify_grid,
     concentration_bound,
     lowest_risks,
-    risk_over_closed,
-    risk_under_closed,
-    theory_risk,
-    theory_risks,
+    sweep_risks,
 )
-from fourier_minnorm.oracles import risk_trace_over, risk_trace_under
-from fourier_minnorm.risktheory import _finalize_risk, _finalize_risks
+from fourier_minnorm.oracles import _finalize_risk, risk_trace_over, risk_trace_under
+from fourier_minnorm.risktheory import _finalize_risks
 
 Q_GRID = [0.0, 0.5, 1.0, 2.0]
 R_GRID = [0.0, 0.3, 0.5, 1.0, 1.5]
+
+
+def closed(spectrum, grid, q):
+    """The closed-form risk at one grid: a one-row, one-point sweep_risks call."""
+    return float(sweep_risks([spectrum], grid.n, [q], [grid.p])[0, 0])
 
 
 def plain_risk(spectrum, grid):
@@ -65,19 +67,9 @@ class TestOverClosedVsTrace:
             for r in R_GRID:
                 s = build_spectrum(D, r)
                 for q in Q_GRID:
-                    closed = risk_over_closed(s, grid, q)
                     trace = risk_trace_over(s, grid, q)
-                    worst = max(worst, abs(closed.risk - trace.risk))
+                    worst = max(worst, abs(closed(s, grid, q) - trace.risk))
         assert worst <= 1e-9
-
-    def test_breakdown_terms_agree(self):
-        s = build_spectrum(16, 1.0)
-        grid = classify_grid(16, 4, 8)
-        closed = risk_over_closed(s, grid, 0.5)
-        trace = risk_trace_over(s, grid, 0.5)
-        assert closed.P_q == pytest.approx(trace.P_q, abs=1e-10)
-        assert closed.Q_q1 == pytest.approx(trace.Q_q1, abs=1e-10)
-        assert closed.Q_q2 == pytest.approx(trace.Q_q2, abs=1e-10)
 
     def test_trace_handles_general_grid(self):
         s = build_spectrum(6, 1.0)
@@ -90,21 +82,16 @@ class TestOverClosedVsTrace:
         D, n, r, q = grid
         p = data.draw(st.integers(min_value=n, max_value=D))
         s = build_spectrum(D, r)
-        closed = risk_over_closed(s, classify_grid(D, n, p), q)
-        trace = risk_trace_over(s, classify_grid(D, n, p), q)
-        for term in ("P_q", "Q_q1", "Q_q2"):
-            assert abs(getattr(closed, term) - getattr(trace, term)) <= 1e-10
-        if p > n:  # p = n is the least-squares curve's point in theory_risks
-            assert closed.risk == theory_risks(s, n, q, [p])[0]
+        grid = classify_grid(D, n, p)
+        assert abs(closed(s, grid, q) - risk_trace_over(s, grid, q).risk) <= 1e-10
 
     def test_single_sample_grids(self):
         # n = 1 (tau = D): every p is aligned
         s = build_spectrum(8, 1.0)
         for p in (1, 3, 8):
             grid = classify_grid(8, 1, p)
-            closed = risk_over_closed(s, grid, 1.0).risk
             trace = risk_trace_over(s, grid, 1.0).risk
-            assert closed == pytest.approx(trace, abs=1e-12)
+            assert closed(s, grid, 1.0) == pytest.approx(trace, abs=1e-12)
 
     @given(
         n=st.integers(min_value=1, max_value=8),
@@ -119,9 +106,8 @@ class TestOverClosedVsTrace:
         D, p = tau * n, l * n
         s = build_spectrum(D, r)
         grid = classify_grid(D, n, p)
-        closed = risk_over_closed(s, grid, q).risk
         trace = risk_trace_over(s, grid, q).risk
-        assert abs(closed - trace) <= 1e-9
+        assert abs(closed(s, grid, q) - trace) <= 1e-9
 
 
 class TestSpecialCases:
@@ -129,13 +115,13 @@ class TestSpecialCases:
         for D, n in [(8, 2), (16, 4), (64, 8)]:
             s = build_spectrum(D, 1.0)
             grid = classify_grid(D, n, D)
-            assert abs(risk_over_closed(s, grid, 0.0).risk - (1 - n / D)) <= 1e-14
+            assert abs(closed(s, grid, 0.0) - (1 - n / D)) <= 1e-14
 
     def test_square_full_model_zero_risk(self):
         for q in Q_GRID:
             s = build_spectrum(16, 1.0)
             grid = classify_grid(16, 16, 16)
-            assert abs(risk_over_closed(s, grid, q).risk) <= 1e-12
+            assert abs(closed(s, grid, q)) <= 1e-12
 
     def test_plain_equals_closed_at_q0(self):
         # n = 3 and n = 5 divide p but not D = 16 or D = 32
@@ -144,7 +130,7 @@ class TestSpecialCases:
             for r in R_GRID:
                 s = build_spectrum(D, r)
                 grid = classify_grid(D, n, p)
-                assert abs(plain_risk(s, grid) - risk_over_closed(s, grid, 0.0).risk) <= 1e-12
+                assert abs(plain_risk(s, grid) - closed(s, grid, 0.0)) <= 1e-12
 
     def test_p_equals_n_closed_form_value(self):
         # algebraic simplification: risk at l = 1 is twice the covariance tail
@@ -152,7 +138,7 @@ class TestSpecialCases:
         grid = classify_grid(8, 2, 2)
         expected = 2 * s.c_r * s.tail_sum(2.0, start=2)
         for q in Q_GRID:
-            assert risk_over_closed(s, grid, q).risk == pytest.approx(expected, abs=1e-12)
+            assert closed(s, grid, q) == pytest.approx(expected, abs=1e-12)
 
 
 class TestUnder:
@@ -165,7 +151,7 @@ class TestUnder:
                     grid = classify_grid(D, n, p)
                     for r in R_GRID:
                         s = build_spectrum(D, r)
-                        worst = max(worst, abs(risk_under_closed(s, grid) - risk_trace_under(s, grid)))
+                        worst = max(worst, abs(closed(s, grid, 0.0) - risk_trace_under(s, grid)))
         assert worst <= 1e-9
 
     def test_flat_spectrum_formula(self):
@@ -173,16 +159,16 @@ class TestUnder:
         for D, n, p in [(8, 4, 2), (16, 4, 3), (64, 8, 8)]:
             s = build_spectrum(D, 0.0)
             grid = classify_grid(D, n, p)
-            assert risk_under_closed(s, grid) == pytest.approx(1 + p * (1 / n - 2 / D), abs=1e-13)
+            assert closed(s, grid, 0.0) == pytest.approx(1 + p * (1 / n - 2 / D), abs=1e-13)
 
     def test_boundary_matches_over(self):
         for D, n in [(8, 2), (16, 4), (32, 8)]:
             for r in R_GRID:
                 s = build_spectrum(D, r)
                 grid = classify_grid(D, n, n)
-                under = risk_under_closed(s, grid)
+                under = risk_trace_under(s, grid)
                 for q in Q_GRID:
-                    assert abs(under - risk_over_closed(s, grid, q).risk) <= 1e-12
+                    assert abs(under - closed(s, grid, q)) <= 1e-12
 
     def test_trace_handles_unaligned_d(self):
         s = build_spectrum(7, 1.0)
@@ -191,19 +177,19 @@ class TestUnder:
     @given(grid=any_grids(), data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_closed_matches_trace_on_any_grid(self, grid, data):
-        D, n, r, _ = grid
+        D, n, r, q = grid
         p = data.draw(st.integers(min_value=1, max_value=n))
         s = build_spectrum(D, r)
         g = classify_grid(D, n, p)
-        assert abs(risk_under_closed(s, g) - risk_trace_under(s, g)) <= 1e-12
-        assert risk_under_closed(s, g) == theory_risks(s, n, 1.0, [p])[0]
+        assert abs(closed(s, g, 0.0) - risk_trace_under(s, g)) <= 1e-12
+        assert closed(s, g, 0.0) == closed(s, g, q)  # the least-squares fit, whatever q
 
     def test_wrong_regime(self):
         s = build_spectrum(8, 1.0)
         with pytest.raises(RegimeError):
-            risk_under_closed(s, classify_grid(8, 2, 4))
-        with pytest.raises(RegimeError):
             risk_trace_under(s, classify_grid(8, 2, 4))
+        with pytest.raises(RegimeError):
+            risk_trace_over(s, classify_grid(8, 4, 2), 1.0)
 
     def test_empty_complement_zero(self):
         s = build_spectrum(8, 1.0)
@@ -215,7 +201,7 @@ class TestProofIdentity:
         for D, n, p in aligned_grids():
             for r in (0.3, 0.5, 1.0, 1.5):
                 s = build_spectrum(D, r)
-                b = risk_over_closed(s, classify_grid(D, n, p), r)
+                b = risk_trace_over(s, classify_grid(D, n, p), r)
                 assert abs(b.Q_q1 - b.P_q) <= 1e-10
 
 
@@ -233,7 +219,7 @@ class TestAsymptoticBound:
                         D = tau * n
                         s = build_spectrum(D, r)
                         grid = classify_grid(D, n, l * n)
-                        risk = risk_over_closed(s, grid, r).risk
+                        risk = closed(s, grid, r)
                         assert asymptotic_bound(s, grid).bound >= risk
 
     def test_large_d_envelope(self):
@@ -322,13 +308,13 @@ class TestLowestRisks:
     def test_under_monotone_for_smooth(self):
         for r in (1.0, 1.5):
             s = build_spectrum(64, r)
-            values = [risk_under_closed(s, classify_grid(64, 8, p)) for p in range(1, 9)]
+            values = sweep_risks([s], 8, [0.0], range(1, 9))[0]
             assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
 
     def test_scan_includes_full_truncation(self):
         s = build_spectrum(32, 1.0)
         result = lowest_risks(s, 4, 1.0)
-        candidates = [risk_over_closed(s, classify_grid(32, 4, l * 4), 1.0).risk for l in range(1, 9)]
+        candidates = sweep_risks([s], 4, [1.0], [l * 4 for l in range(1, 9)])[0]
         assert result.over_star == pytest.approx(min(candidates), rel=0)
 
     @given(grid=any_grids(max_D=64))
@@ -337,9 +323,9 @@ class TestLowestRisks:
         D, n, r, q = grid
         s = build_spectrum(D, r)
         p_values = [l * n for l in range(1, D // n + 1)]
-        # theory_risks reads p = n from the least-squares curve; the scan reads the over form
-        over = [risk_over_closed(s, classify_grid(D, n, n), q).risk, *theory_risks(s, n, q, p_values[1:])]
+        over = [closed(s, classify_grid(D, n, p), q) for p in p_values]
         result = lowest_risks(s, n, q)
+        assert result.under_star == over[0]
         assert result.over_star == np.min(over)
         assert result.argmin_p_over == p_values[int(np.argmin(over))]
 
@@ -360,23 +346,23 @@ class TestFinalizeRisk:
     def test_large_negative_raises(self):
         with pytest.raises(NumericalInconsistencyError):
             _finalize_risk(-1e-6)
+        with pytest.raises(NumericalInconsistencyError):  # the closed form has no rounding to forgive
+            _finalize_risks(np.array([0.25, -5e-11]))
 
     def test_array_pass_matches_the_per_value_rule(self):
-        def reference(value):  # the per-value rule the array pass replaces
-            return (value, False) if value >= 0.0 else (0.0, True)
-
-        values = [0.25, -0.0, 0.0, -5e-11, 1e300, -1e-10, 3.5e-17, 5e-324]
-        risks, clamped = _finalize_risks(values)
-        expected = [reference(value) for value in values]
+        # on what the closed form can produce, the array pass is the oracles' rule, and clamps nothing
+        values = np.array([0.25, -0.0, 0.0, 1e300, 3.5e-17, 5e-324])
+        risks = _finalize_risks(values)
+        expected = [_finalize_risk(value) for value in values.tolist()]
         assert [(math.copysign(1.0, r), r) for r in risks.tolist()] == [
             (math.copysign(1.0, r), r) for r, _ in expected
         ]
-        assert clamped.tolist() == [c for _, c in expected]
+        assert not any(clamped for _, clamped in expected)
 
     @pytest.mark.parametrize(
         "values, message",
         [
-            ([0.5, -1e-6, math.nan], "risk evaluated to -1e-06, below -1e-10"),
+            ([0.5, -1e-6, math.nan], "risk evaluated to -1e-06, below 0"),
             ([0.5, math.nan, -1e-6], "risk evaluated to nan, which is not a finite number"),
             ([math.inf, 0.5], "risk evaluated to inf, which is not a finite number"),
             ([0.1, -math.inf], "risk evaluated to -inf, which is not a finite number"),
@@ -384,21 +370,22 @@ class TestFinalizeRisk:
     )
     def test_array_pass_reports_the_first_bad_value(self, values, message):
         with pytest.raises(NumericalInconsistencyError) as array_error:
-            _finalize_risks(values)
+            _finalize_risks(np.array(values))
         assert str(array_error.value) == message
 
 
 class TestTheoryRisk:
     def test_regime_dispatch(self):
         s = build_spectrum(16, 1.0)
+        # one pass for every regime: each point as the matching oracle gives it
         under = classify_grid(16, 8, 4)
-        assert theory_risk(s, under, 1.0) == risk_under_closed(s, under)
+        assert closed(s, under, 1.0) == pytest.approx(risk_trace_under(s, under), abs=1e-12)
         over = classify_grid(16, 4, 8)
-        assert theory_risk(s, over, 1.0) == risk_over_closed(s, over, 1.0).risk
+        assert closed(s, over, 1.0) == pytest.approx(risk_trace_over(s, over, 1.0).risk, abs=1e-12)
         general = classify_grid(16, 3, 5)
-        assert theory_risk(s, general, 1.0) == pytest.approx(risk_trace_over(s, general, 1.0).risk, abs=1e-12)
+        assert closed(s, general, 1.0) == pytest.approx(risk_trace_over(s, general, 1.0).risk, abs=1e-12)
 
     def test_under_value_independent_of_q(self):
         s = build_spectrum(16, 1.0)
         grid = classify_grid(16, 8, 4)
-        assert theory_risk(s, grid, 0.0) == theory_risk(s, grid, 2.0)
+        assert closed(s, grid, 0.0) == closed(s, grid, 2.0)
