@@ -144,10 +144,13 @@ def _items(cells: np.ndarray) -> np.ndarray:
     return cells.view(f"V{cells.shape[1]}")[:, 0]
 
 
-def _float_values(values) -> tuple[np.ndarray, np.ndarray | None] | None:
-    """A float column's values as float64 and the mask of its None cells; None if it holds anything else."""
+def _float_values(values, empty: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None] | None:
+    """A float column's values as float64 and the mask of its None cells; None if it holds anything else.
+
+    A float array's None cells are its ``empty`` mask.
+    """
     if isinstance(values, np.ndarray):
-        return values, None
+        return values, empty
     kinds = set(map(type, values))
     if not all(issubclass(kind, (float, np.floating, type(None))) for kind in kinds):
         return None
@@ -179,15 +182,19 @@ class Column:
     repeated (outer axis) or tiled (inner axis): ``repeat`` and ``tile``
     build the index once.  A per-row column is a plain array with no index;
     ``distinct`` gives a per-row float column as its distinct bit patterns
-    (``-0.0`` apart from ``0.0``) plus an index.  The CSV writer reads a
-    column in chunks of byte rows, one slot wide less the separator's byte
-    (``chunk``): a per-row float column formats each chunk and keeps
+    (``-0.0`` apart from ``0.0``) plus an index.  A float array's ``empty``
+    mask marks the values that are None.  The CSV writer reads a column in
+    chunks of byte rows, one slot wide less the separator's byte (``chunk``):
+    a per-row float column formats each chunk (or takes the chunk's cells,
+    formatted with the table's other per-row float columns) and keeps
     nothing; any other column formats its values once, on first use, and
     keeps them, so a column shared by several tables is formatted once.
     Cells hold no NUL: the writer deletes every one.
     """
 
-    def __init__(self, values, repeat: int = 1, tile: int = 1, index: np.ndarray | None = None):
+    def __init__(
+        self, values, repeat: int = 1, tile: int = 1, index: np.ndarray | None = None, empty: np.ndarray | None = None
+    ):
         if isinstance(values, np.ndarray) and values.dtype.kind == "f":
             self.values = values.astype(np.float64, copy=False)
         else:
@@ -195,6 +202,7 @@ class Column:
         if index is None and (repeat, tile) != (1, 1):
             index = np.arange(len(self.values) * repeat * tile) // repeat % len(self.values)
         self.index = index
+        self.empty = empty
         self._floats: tuple[np.ndarray, np.ndarray | None] | None = None  # per-row floats: values and None mask
         self._cells: np.ndarray | None = None  # any other column: each value's byte row, kept
         self._width: int | None = None
@@ -211,7 +219,7 @@ class Column:
     def width(self) -> int:
         """The bytes before the separator in this column's CSV slot; formats a column that keeps its cells."""
         if self._width is None:
-            floats = _float_values(self.values)
+            floats = _float_values(self.values, self.empty)
             if floats is not None and self.index is None:  # per-row floats: each chunk formatted as it is written
                 self._floats = floats
                 self._width = _cell_bytes(_widest_float(floats[0]))
@@ -226,18 +234,27 @@ class Column:
                 self._width = self._cells.shape[1]
         return self._width
 
-    def chunk(self, start: int, stop: int) -> np.ndarray:
-        """Byte rows of cells ``start`` to ``stop - 1``, ``width()`` bytes each."""
+    def chunk(self, start: int, stop: int, cells: np.ndarray | None = None) -> np.ndarray:
+        """Byte rows of cells ``start`` to ``stop - 1``, ``width()`` bytes each.
+
+        A per-row float column takes ``cells``, the formatter's rows of its
+        values ``start`` to ``stop - 1``, when given.
+        """
         width = self.width()
         if self._floats is not None:
             values, empty = self._floats
-            return _fit(_masked_float_cells(values[start:stop], None if empty is None else empty[start:stop]), width)
+            cells = _float_cells(values[start:stop]) if cells is None else cells
+            if empty is not None:
+                cells[empty[start:stop]] = 0
+            return _fit(cells, width)
         if self.index is None:
             return self._cells[start:stop]
         return np.take(self._cells, self.index[start:stop], axis=0)
 
     def json_values(self) -> list:
         values = self.values.tolist() if isinstance(self.values, np.ndarray) else [_json_value(v) for v in self.values]
+        if self.empty is not None:
+            values = [None if empty else v for v, empty in zip(values, self.empty.tolist())]
         return values if self.index is None else [values[i] for i in self.index.tolist()]
 
 
@@ -295,10 +312,18 @@ def _csv_chunks(header: Sequence[str], table: Table) -> Iterator[bytes]:
     rows[:, separators] = ord(",")
     rows[:, -1] = ord("\n")
     slots = [_items(rows[:, end - width : end]) for end, width in zip(separators, widths)]  # each less its separator
+    floats = [column for column in table.columns if column._floats is not None]  # per-row float columns
     for start in range(0, len(table), CSV_CHUNK_ROWS):
         stop = min(start + CSV_CHUNK_ROWS, len(table))
+        # each formatter call has a fixed cost, but past about CSV_CHUNK_ROWS values its cost per value rises:
+        # a chunk's per-row float columns share calls of at most that many values
+        batch, cells = max(1, CSV_CHUNK_ROWS // (stop - start)), {}
+        for first in range(0, len(floats) if batch > 1 else 0, batch):
+            group = floats[first : first + batch]
+            joint = _float_cells(np.concatenate([column._floats[0][start:stop] for column in group]))
+            cells.update(zip(map(id, group), np.split(joint, len(group))))
         for column, slot in zip(table.columns, slots):
-            slot[: stop - start] = _items(column.chunk(start, stop))
+            slot[: stop - start] = _items(column.chunk(start, stop, cells.get(id(column))))
         yield rows[: stop - start].tobytes().translate(None, b"\0")
 
 
@@ -613,7 +638,10 @@ def run_mc_risk(spec: McRiskSpec) -> list[Path]:
 
 def run_heatmap(spec: HeatmapSpec) -> list[Path]:
     *_, columns, risks = _sweep(spec, None if spec.q_rule == "match-r" else [spec.q_fixed])
-    columns += [Column(risks), Column([math.log10(risk) if risk > 0 else None for risk in risks])]
+    positive = risks > 0  # no log10 for a zero risk: an empty cell
+    log10_risks = np.zeros(len(risks))
+    log10_risks[positive] = list(map(math.log10, risks[positive].tolist()))  # math.log10: np.log10 rounds differently
+    columns += [Column(risks), Column(log10_risks, empty=~positive)]
     return _write_one(spec, ["D", "n", "p", "r", "q", "risk", "log10_risk"], columns)
 
 
@@ -642,14 +670,16 @@ def run_bound_check(spec: BoundCheckSpec) -> list[Path]:
             _check_element_counts({"D = tau x n": [tau, n]})
             spectra[D, r] = build_spectrum(D, r)
         configs.append((D, n, p, r))
-    # one stacked sweep per (D, n): each valid r (it has a config on every grid) a group with q = r, each p a point
-    points: dict[tuple[int, int], dict[int, None]] = {}
+    # one stacked sweep per n: each (D, valid r) a group with q = r, each p a point; the D = tau*n share prefix sums
+    grids: dict[int, tuple[dict[int, None], dict[int, None]]] = {}
     for D, n, p, _ in configs:
-        points.setdefault((D, n), {})[p] = None
+        D_values, p_points = grids.setdefault(n, ({}, {}))
+        D_values[D] = p_points[p] = None
     r_rows, risks = sorted({r for *_, r in configs}), {}
-    for (D, n), p_points in points.items():
-        values = sweep_risks([spectra[D, r] for r in r_rows], n, r_rows, list(p_points))
-        risks.update(((D, n, p, r), v) for r, row in zip(r_rows, values) for p, v in zip(p_points, row))
+    for n, (D_values, p_points) in grids.items():
+        groups = [(D, r) for D in D_values for r in r_rows]  # each valid r has a config on every grid
+        values = sweep_risks([spectra[group] for group in groups], n, [r for _, r in groups], list(p_points))
+        risks.update(((D, n, p, r), v) for (D, r), row in zip(groups, values) for p, v in zip(p_points, row))
     rows = []
     for D, n, p, r in configs:
         risk = float(risks[D, n, p, r])

@@ -198,12 +198,19 @@ def accumulate_blocks(blocks: np.ndarray, compensated: bool = False) -> np.ndarr
     """Running sums over the leading axis, in place; returns ``blocks``.
 
     Row l becomes the sum of rows 0..l.  Rows are added in order, so a
-    reversed view yields suffix sums.  With ``compensated`` the running sum
-    carries a Kahan correction from block to block, so every row is as
-    accurate as a compensated sum of its own.
+    reversed view yields suffix sums.  Wide rows (1024 values or more, in
+    runs of 64 or more along the last axis) are added one row at a time,
+    each one vectorised add; narrower ones by ``cumsum``, whose loop runs
+    down each column.  Both add the same terms in the same order.  With
+    ``compensated`` the running sum carries a Kahan correction from block to
+    block, so every row is as accurate as a compensated sum of its own.
     """
     if not compensated:
-        return blocks.cumsum(axis=0, out=blocks)
+        if blocks.shape[-1] < 64 or math.prod(blocks.shape[1:]) < 1024:
+            return blocks.cumsum(axis=0, out=blocks)
+        for i in range(1, len(blocks)):
+            np.add(blocks[i - 1], blocks[i], out=blocks[i])
+        return blocks
     carry = np.zeros(blocks.shape[1:], dtype=blocks.dtype)
     for i in range(1, len(blocks)):
         y = blocks[i] - carry

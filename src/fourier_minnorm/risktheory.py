@@ -26,17 +26,22 @@ is negative, so nothing cancels.  For p <= n, W' = 0 and R_m = 2 V' for a
 fitted class: the least-squares risk.  Scaling by the leader keeps W >= 1,
 so t^(4q) cannot underflow to 0/0 at large q.
 
-``sweep_risks`` evaluates whole p sweeps of G groups (spectrum, q) sharing
-one D in one pass: the groups are stacked as rows, at most max(1,
-STACKED_FEATURES // D) to a pass.  ``_class_risks`` holds W', A'(4q) and
-A'(2q+2r) in (groups, blocks + 1, n) slots whose row j sums blocks 1 to
-j - 1, so row l + 1 serves class m < s at p = l*n + s and row l the rest;
-R_m is built in place over the rows.  At D >= COMPENSATED_SUM_MIN_D the
-running sums carry Kahan compensation from block to block.  Each row is
-raised to its own scalar exponents and summed over its own entries, and a
-point's sum over the classes depends on that point alone, so a group's risks
-do not depend on the stack or the other points it rides with: a one-row,
-one-point call agrees bit for bit.
+``sweep_risks`` evaluates whole p sweeps of G groups (spectrum, q), of any
+D, in one pass.  The weights t_j do not depend on D, so every D is a prefix
+of the largest: W', A'(4q) and A'(2q+2r) at a point are the same for every
+D >= p, and only V' and c_r change with D.  So the groups of one (r, q)
+share one prefix row at their largest D, and a pass stacks at most max(1,
+STACKED_FEATURES // D) such rows.  An entry whose p exceeds its group's D
+is NaN; a p above every D is a ConfigurationError.  ``_class_risks`` holds
+W', A'(4q) and A'(2q+2r) in (rows, top + 1, n) slots, up to the last row
+top that a point reads, whose row j sums blocks 1 to j - 1: row l + 1
+serves class m < s at p = l*n + s and row l the rest.  Only V' runs over
+every block.  At D >= COMPENSATED_SUM_MIN_D the running sums carry Kahan
+compensation from block to block, and each such D has passes of its own.
+Each row is raised to its own scalar exponents and summed over its own
+entries, and a point's sum over the classes depends on that point alone, so
+a group's risks do not depend on the stack, the other D or the other
+points: a one-row, one-point call agrees bit for bit.
 """
 
 from __future__ import annotations
@@ -63,8 +68,8 @@ from .model import (
     check_truncations,
 )
 
-# Features per stacked pass: max(1, STACKED_FEATURES // D) groups, so no pass
-# outgrows the D = 65536 curve's, and from D = 65536 on each group runs alone.
+# Features per stacked pass: max(1, STACKED_FEATURES // D) (r, q) rows at its largest D, so no
+# pass outgrows the D = 65536 curve's, and from D = 65536 on each (r, q) runs alone.
 STACKED_FEATURES = 1 << 16
 # Entries per chunk of rows when the class risks are formed, so their scratch stays small.
 CHUNK_ELEMENTS = 1 << 13
@@ -90,17 +95,20 @@ class LowestRisks(NamedTuple):
     argmin_p_over: int
 
 
-def _finalize_risks(values: np.ndarray) -> np.ndarray:
+def _finalize_risks(values: np.ndarray, beyond: np.ndarray | bool = False) -> np.ndarray:
     """``values``, checked in one array pass: every closed-form risk is a sum of nonnegative terms.
 
-    The first value, in order, that is not finite or is negative raises
-    NumericalInconsistencyError.
+    Entries flagged in ``beyond`` (p above the group's D) become NaN
+    unchecked.  The first other value, in order, that is not finite or is
+    negative raises NumericalInconsistencyError.
     """
-    bad = ~(values >= 0.0) | (values == math.inf)
+    bad = ~(((values >= 0.0) & (values < math.inf)) | beyond)
     if bad.any():
         value = float(values.flat[np.argmax(bad)])
         reason = "which is not a finite number" if not math.isfinite(value) else "below 0"
         raise NumericalInconsistencyError(f"risk evaluated to {value}, {reason}")
+    if np.any(beyond):
+        values[beyond] = math.nan
     return values
 
 
@@ -114,48 +122,68 @@ def _check_q(q: float) -> None:
 
 
 def _class_risks(spectra: Sequence[Spectrum], n: int, q_values: Sequence[float], p: np.ndarray) -> np.ndarray:
-    """Unfinalised risk of group g, (spectra[g], q_values[g]), at p[j] (entry [g, j]), 1 <= p <= D, any D.
+    """Unfinalised risk of group g, (spectra[g], q_values[g]), at p[j] (entry [g, j]); meaningless where p > its D.
 
-    Works in three (groups, blocks + 1, n) slots of the prefix layout: row
-    i + 1 holds block i (features i*n + m), and the spare row 0, the leaders'
-    row 1 and the padding past D stay zero (t is never padded: 0**0 would add
-    phantom features at q = 0 or r = 0).  Running sums taken in place make
-    row j sum blocks 1 to j - 1: the fitted non-leaders of a class read at
-    row j.  V' is the last row of such sums of v, taken in the A'(4q) slot
-    before w^2 is written.  R_m then replaces A'(2q+2r) row by row, in
-    chunks of rows so that W's scratch stays small, and row 0 holds the
-    unfitted class, v_L + V'.  A point with s = 0 sums row l over the
-    classes; one with s > 0 adds a cumulative sum of row l + 1 over m < s to
-    a reversed one of row l over m >= s.
+    The spectra are all below COMPENSATED_SUM_MIN_D or share one D; the
+    groups of one (r, q) read one prefix row.  Works in three (rows,
+    top + 1, n) slots of the prefix layout, up to the last row a point
+    reads: row i + 1 holds block i (features i*n + m), and the spare row 0,
+    the leaders' row 1 and the padding past D stay zero (t is never padded:
+    0**0 would add phantom features at q = 0 or r = 0).  Running sums taken
+    in place make row j sum blocks 1 to j - 1: the fitted non-leaders of a
+    class read at row j.  V' is such a sum of v over every block (in the
+    A'(4q) slot, before w^2 is written, when the points read every row),
+    read at the group's own D: row D // n for the classes m >= D mod n, the
+    next row for the rest.  R_m then replaces A'(2q+2r) row by row (in a
+    copy for groups that share a row), in chunks of rows so that W's scratch
+    stays small, and row 0 holds the unfitted class, v_L + V'.  A point with
+    s = 0 sums row l over the classes; one with s > 0 adds a cumulative sum
+    of row l + 1 over m < s to a reversed one of row l over m >= s.
     """
-    D, t, groups = spectra[0].D, spectra[0].t, len(spectra)
-    comp, blocks = D >= COMPENSATED_SUM_MIN_D, -(-D // n)
-    slots = np.zeros((3, groups, blocks + 1, n))
+    D = np.array([spectrum.D for spectrum in spectra])
+    t, groups = spectra[int(D.argmax())].t, len(spectra)  # every D's t is a prefix of the longest
+    comp, blocks = t.size >= COMPENSATED_SUM_MIN_D, -(-t.size // n)
+    prefixes: dict[tuple[float, float], int] = {}
+    owner = np.array([prefixes.setdefault((s.decay_r, q), len(prefixes)) for s, q in zip(spectra, q_values)])
+    reach = np.zeros(len(prefixes), dtype=int)  # each prefix row's largest D
+    for h, size in zip(owner.tolist(), D.tolist()):
+        reach[h] = max(reach[h], size)
+    l, s = np.divmod(np.minimum(p, t.size), n)
+    top = int((l + (s > 0)).max(initial=1))  # the last row a point reads
+    end = np.minimum(n + reach, (top + 1) * n)  # the fitted features' end in each prefix row
+    slots = np.zeros((3, len(prefixes), top + 1, n))
     w, w2, wv = slots  # W', A'(4q) and A'(2q+2r) once summed; then R_m in wv
-    flat = slots.reshape(3, groups, -1)
-    rest = slice(2 * n, n + D)  # the non-leaders
-    for g, spectrum in enumerate(spectra):
-        np.power(t, 2.0 * spectrum.decay_r, out=flat[2, g, n : n + D])
+    flat = slots.reshape(3, len(prefixes), -1)
+    v = w2 if top == blocks else np.zeros((len(prefixes), blocks + 1, n))  # every block of v, for V'
+    flat_v = v.reshape(len(prefixes), -1)
+    for (r, _), h in prefixes.items():
+        np.power(t[: reach[h]], 2.0 * r, out=flat_v[h, n : n + reach[h]])
+    wv[:] = v[:, : top + 1]
     lead = wv[:, 1].copy()  # v_L
-    w2[:, 2:] = wv[:, 2:]
-    others = accumulate_blocks(w2.swapaxes(0, 1), comp)[-1].copy()  # V'
-    total = lead + others
+    v[:, 1] = 0.0
+    sums = accumulate_blocks(v.swapaxes(0, 1), comp)
+    m = np.arange(n)
+    others = np.where((m < D[:, None] % n) | comp, sums[-(-D // n), owner], sums[D // n, owner])  # V'; comp: one D
     ratio = flat[1, 0]  # scratch until A'(4q) is written
-    ratio[n : n + D] = t
+    ratio[n : end.max()] = t[: end.max() - n]
     w2[0] /= t[:n]  # class m scaled by its leader t_m
-    for g, q in enumerate(q_values):
-        np.power(ratio[rest], 2.0 * q, out=flat[0, g, rest])
+    for (_, q), h in prefixes.items():
+        np.power(ratio[2 * n : end[h]], 2.0 * q, out=flat[0, h, 2 * n : end[h]])
     np.square(w, out=w2)
     wv *= w  # the leaders' row 1 becomes 0 with w
-    accumulate_blocks(slots.transpose(2, 0, 1, 3), comp)  # blocks leading, then (3, groups, n)
+    accumulate_blocks(slots.transpose(2, 0, 1, 3), comp)  # blocks leading, then (3, rows, n)
 
+    shared = len(prefixes) < groups
+    pick, risks = (owner, np.empty((groups, top + 1, n))) if shared else (slice(None), wv)
+    lead = lead[owner]
+    total = lead + others
     lead, others, total = lead[:, None], others[:, None], total[:, None]
     step = max(1, CHUNK_ELEMENTS // (groups * n))
-    for first in range(1, blocks + 1, step):
+    for first in range(1, top + 1, step):
         rows = slice(first, first + step)
-        fit_w, fit_w2, risk = w[:, rows], w2[:, rows], wv[:, rows]
+        fit_w, fit_w2, risk = w[pick, rows], w2[pick, rows], risks[:, rows]
         big_w = fit_w + 1.0  # W
-        risk /= big_w
+        np.divide(wv[pick, rows], big_w, out=risk)
         risk *= -2.0
         risk += others  # the bracket, V' - 2 A'(2q+2r)/W
         fit_w /= big_w
@@ -168,15 +196,14 @@ def _class_risks(spectra: Sequence[Spectrum], n: int, q_values: Sequence[float],
         risk += fit_w2  # A'(4q)/W^2 (v_L + V')
         np.divide(others, big_w, out=big_w)
         risk += big_w  # V'/W^2
-    wv[:, 0] = total[:, 0]
+    risks[:, 0] = total[:, 0]
 
-    l, s = np.divmod(p, n)
-    out = np.add.reduce(wv, axis=2)[:, l]  # s = 0: row l, every class
+    out = np.add.reduce(risks, axis=2)[:, l]  # s = 0: row l, every class
     split = s.nonzero()[0]
     if split.size:
         rows, at = np.unique(l[split], return_inverse=True)
-        head = np.cumsum(wv[:, rows + 1], axis=2)  # classes m < s read row l + 1
-        back = np.cumsum(wv[:, rows, ::-1], axis=2)  # and m >= s row l, summed from m = n - 1 down
+        head = np.cumsum(risks[:, rows + 1], axis=2)  # classes m < s read row l + 1
+        back = np.cumsum(risks[:, rows, ::-1], axis=2)  # and m >= s row l, summed from m = n - 1 down
         s = s[split]
         out[:, split] = head[:, at, s - 1] + back[:, at, n - 1 - s]
     return np.array([[spectrum.c_r] for spectrum in spectra]) * out
@@ -199,22 +226,33 @@ def lowest_risks(spectrum: Spectrum, n: int, q: float) -> LowestRisks:
 def sweep_risks(spectra: Sequence[Spectrum], n: int, q_values: Sequence[float], p_values: Sequence[int]) -> np.ndarray:
     """Theoretical risk of group g, (spectra[g], q_values[g]), at truncation p_values[j]: entry [g, j].
 
-    The spectra share one D; any 1 <= p <= D on any grid (see the module
-    docstring).  O(D) per group, plus O(n) per group and distinct l among
-    the points p = l*n + s with s > 0.
+    Any 1 <= p <= D on any grid, and the spectra may differ in D, each with
+    n <= D (see the module docstring): an entry whose p exceeds its group's
+    D is NaN, and a p above every D is a ConfigurationError.  O(D) per
+    (r, q), plus O(n) per group and distinct l among the points p = l*n + s
+    with s > 0.
     """
     spectra, q_values = list(spectra), list(q_values)
-    if not spectra or len(q_values) != len(spectra) or len({s.D for s in spectra}) > 1:
-        raise ConfigurationError(f"need one q per spectrum and one D, got q {q_values}, D {[s.D for s in spectra]}")
+    if not spectra or len(q_values) != len(spectra):
+        raise ConfigurationError(f"need one q per spectrum, got q {q_values} for {len(spectra)} spectra")
     for q in q_values:
         _check_q(q)
-    p = check_truncations(spectra[0].D, n, p_values)
+    D = np.array([spectrum.D for spectrum in spectra])
+    check_truncations(int(D.min()), n, ())  # n <= every D
+    p = check_truncations(int(D.max()), n, p_values)
+    # a pass takes every D below COMPENSATED_SUM_MIN_D, or one D from it on, and its (r, q) prefix rows by order
+    passes: dict[int, dict[tuple[float, float], list[int]]] = {}
+    for g, (spectrum, q) in enumerate(zip(spectra, q_values)):
+        key = spectrum.D if spectrum.D >= COMPENSATED_SUM_MIN_D else 0
+        passes.setdefault(key, {}).setdefault((spectrum.decay_r, q), []).append(g)
     raw = np.empty((len(spectra), len(p)))
-    step = max(1, STACKED_FEATURES // spectra[0].D)
-    for first in range(0, len(spectra), step):
-        rows = slice(first, first + step)
-        raw[rows] = _class_risks(spectra[rows], n, q_values[rows], p)
-    return _finalize_risks(raw)
+    for prefixes in passes.values():
+        prefixes = list(prefixes.values())
+        step = max(1, STACKED_FEATURES // max(D[g] for rows in prefixes for g in rows))
+        for first in range(0, len(prefixes), step):
+            rows = [g for group in prefixes[first : first + step] for g in group]
+            raw[rows] = _class_risks([spectra[g] for g in rows], n, [q_values[g] for g in rows], p)
+    return _finalize_risks(raw, p > D[:, None])
 
 
 def asymptotic_bound(spectrum: Spectrum, grid: GridConfig) -> BoundReport:

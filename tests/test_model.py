@@ -341,6 +341,23 @@ class TestAccumulateBlocks:
         for l in range(5):
             np.testing.assert_allclose(work[l], blocks[l:].sum(axis=0), rtol=1e-13, atol=1e-14)
 
+    @given(
+        shape=st.sampled_from([(9, 3, 21, 128), (17, 3, 12, 64), (9, 21, 128), (3, 16, 64), (65, 4, 16), (9, 3, 4, 8)]),
+        seed=st.integers(0, 2**32 - 1),
+        reverse=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_row_adds_and_cumsum_give_the_same_bits(self, shape, seed, reverse):
+        # rows of 1024 values or more in runs of 64 or more are added row by row, narrower ones by cumsum;
+        # the slots of the risk pass are strided views with the blocks leading, as some of these are
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 30, shape)
+        blocks = np.moveaxis(values.copy(), -2, 0) if len(shape) == 4 else values.copy()
+        blocks = blocks[::-1] if reverse else blocks
+        expected = np.cumsum(blocks, axis=0)
+        assert accumulate_blocks(blocks) is blocks
+        np.testing.assert_array_equal(blocks.view(np.int64), expected.view(np.int64))
+
     def test_compensated_rows_are_nearly_exactly_rounded(self):
         values = 1.0 / np.arange(1, (1 << 14) + 1, dtype=float)
         out = accumulate_blocks(values.reshape(-1, 4).copy(), compensated=True)

@@ -216,6 +216,33 @@ def stacked_sweeps(draw):
     return D, n, groups, sorted(set(p_values) | {n, D})
 
 
+@st.composite
+def mixed_D_sweeps(draw):
+    """(n, groups (D, r, q), p values): every (r, q) at several D, n dividing D or not, q = 0 and r = 0, split points."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    D_values = draw(st.lists(st.one_of(st.integers(min_value=1, max_value=12).map(lambda k: k * n),
+                                       st.integers(min_value=n, max_value=12 * n)), min_size=1, max_size=4, unique=True))
+    r = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(min_value=0.0, max_value=3.0))
+    q = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=3.0),
+                  st.floats(min_value=100.0, max_value=600.0))
+    pairs = draw(st.lists(st.tuples(r, q), min_size=1, max_size=3))
+    groups = draw(st.permutations([(D, r, q) for D in D_values for r, q in pairs]))
+    top = max(D_values)
+    split = [l * n + s for l in range(top // n + 1) for s in (1, n // 2, n - 1) if 1 <= l * n + s <= top]
+    p_values = draw(st.lists(st.one_of(st.integers(min_value=1, max_value=top), st.sampled_from(split or [top]),
+                                       st.sampled_from(D_values)), min_size=1, max_size=12))
+    return n, groups, sorted(set(p_values))
+
+
+def one_D_at_a_time(spectra, n, q_values, p_values):
+    """Each group alone over the points within its D; NaN past it."""
+    out = np.full((len(spectra), len(p_values)), math.nan)
+    for row, spectrum, q in zip(out, spectra, q_values):
+        inside = [j for j, p in enumerate(p_values) if p <= spectrum.D]
+        row[inside] = one_row(spectrum, n, q, [p_values[j] for j in inside])
+    return out
+
+
 def one_at_a_time(spectra, n, q_values, p_values):
     return np.array([one_row(s, n, q, p_values) for s, q in zip(spectra, q_values)])
 
@@ -264,13 +291,56 @@ class TestStackedSweep:
         [
             ([], []),
             ([build_spectrum(16, 1.0)], [1.0, 2.0]),
-            ([build_spectrum(16, 1.0), build_spectrum(32, 1.0)], [1.0, 1.0]),
         ],
-        ids=["empty", "q-count", "two-D"],
+        ids=["empty", "q-count"],
     )
     def test_rejects_a_stack_that_is_not_one_grid(self, spectra, q_values):
         with pytest.raises(ConfigurationError):
             sweep_risks(spectra, 4, q_values, [8])
+
+    def test_a_p_above_its_group_D_is_nan(self):
+        # D = 16 and 32 share n = 4: p = 24 lies past the first D only, p = 33 past both, n = 20 past the first
+        small, large = build_spectrum(16, 1.0), build_spectrum(32, 1.0)
+        risks = sweep_risks([small, large], 4, [1.0, 1.0], [8, 24])
+        assert bits(risks[0, 0]) == bits(one_point(small, 4, 1.0, 8))
+        assert math.isnan(risks[0, 1])
+        np.testing.assert_array_equal(bits(risks[1]), bits(one_row(large, 4, 1.0, [8, 24])))
+        with pytest.raises(ConfigurationError, match="p=33 outside"):
+            sweep_risks([small, large], 4, [1.0, 1.0], [8, 33])
+        with pytest.raises(ConfigurationError, match="n=20 outside"):
+            sweep_risks([small, large], 20, [1.0, 1.0], [20])
+        # such entries are skipped by the nonnegativity check, and only they
+        finalized = _finalize_risks(np.array([[0.5, -1.0]]), np.array([[False, True]]))
+        np.testing.assert_array_equal(finalized, [[0.5, math.nan]])
+        with pytest.raises(NumericalInconsistencyError):
+            _finalize_risks(np.array([[math.nan, 0.5]]), np.array([[False, True]]))
+
+    @given(case=mixed_D_sweeps(), groups_per_pass=st.sampled_from([None, 1, 2]))
+    @settings(max_examples=150, deadline=None)
+    def test_mixed_D_stack_equals_one_group_at_a_time(self, case, groups_per_pass):
+        n, groups, p_values = case
+        spectra, q_values = [build_spectrum(D, r) for D, r, _ in groups], [q for *_, q in groups]
+        features = risktheory.STACKED_FEATURES if groups_per_pass is None else groups_per_pass * max(
+            D for D, *_ in groups)
+        with mock.patch.object(risktheory, "STACKED_FEATURES", features):
+            stacked = sweep_risks(spectra, n, q_values, p_values)
+        np.testing.assert_array_equal(bits(stacked), bits(one_D_at_a_time(spectra, n, q_values, p_values)))
+
+    def test_compensated_D_take_passes_of_their_own(self):
+        # every (r, q) at D = 1024 shares one pass; each D >= 2^16 takes its own, one (r, q) to a pass
+        n, D_values = 256, [1024, COMPENSATED_SUM_MIN_D, COMPENSATED_SUM_MIN_D + 4465]
+        groups = [(D, r, q) for D in D_values for r, q in [(1.0, 1.0), (0.5, 0.0)]]
+        spectra, q_values = [build_spectrum(D, r) for D, r, _ in groups], [q for *_, q in groups]
+        p_values = [1, n - 1, n, n + 1, 3 * n + n // 2, 1024, 1025, COMPENSATED_SUM_MIN_D, D_values[-1]]
+        with mock.patch.object(risktheory, "_class_risks", wraps=risktheory._class_risks) as passes_made:
+            stacked = sweep_risks(spectra, n, q_values, p_values)
+        assert [sorted({s.D for s in call.args[0]}) for call in passes_made.call_args_list] == [
+            [1024], [D_values[1]], [D_values[1]], [D_values[2]], [D_values[2]]
+        ]
+        np.testing.assert_array_equal(bits(stacked), bits(one_D_at_a_time(spectra, n, q_values, p_values)))
+
+    def test_no_points_give_an_empty_row_per_group(self):
+        assert sweep_risks([build_spectrum(16, 1.0), build_spectrum(32, 2.0)], 4, [1.0, 0.0], []).shape == (2, 0)
 
     def test_rejects_a_bad_q_in_any_row(self):
         s = build_spectrum(16, 1.0)

@@ -66,6 +66,8 @@ def table_rows(table: Table) -> list[list]:
     columns = []
     for column in table.columns:
         values = column.values.tolist() if isinstance(column.values, np.ndarray) else list(column.values)
+        if column.empty is not None:  # a float array's None cells
+            values = [None if empty else v for v, empty in zip(values, column.empty.tolist())]
         columns.append(values if column.index is None else [values[i] for i in column.index.tolist()])
     return [list(row) for row in zip(*columns)]
 
@@ -224,6 +226,24 @@ class TestWriterEquivalence:
             write_table(tmp_path / name, "csv", ["v"], Table([column]))
         assert formatter_calls == [4, 4, 2] * 2  # every chunk formatted again for the second file
         assert not [v for v in vars(column).values() if isinstance(v, np.ndarray) and v.ndim == 2]  # no byte rows
+
+    @pytest.mark.parametrize("chunk_rows, calls", [(None, [30]), (8, [8, 8, 8, 6]), (3, [3] * 9 + [3])])
+    def test_per_row_float_columns_share_formatter_calls(self, tmp_path, monkeypatch, formatter_calls, chunk_rows,
+                                                         calls):
+        # a chunk's per-row float columns share calls of at most CSV_CHUNK_ROWS values
+        if chunk_rows is not None:
+            monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk_rows)
+        values = np.arange(10.0) / 3 - 1
+        listed = [None if i % 4 == 0 else -v for i, v in enumerate(values.tolist())]
+        empty = np.arange(10) % 3 == 0
+        columns = [Column(values), Column(range(10)), Column(listed), Column(values * 7, empty=empty)]
+        header = ["a", "b", "c", "d"]
+        rows = [[a, b, c, None if e else d] for a, b, c, d, e in zip(values, range(10), listed, values * 7, empty)]
+        write_table(tmp_path / "t.csv", "csv", header, Table(columns))
+        assert formatter_calls == calls
+        assert (tmp_path / "t.csv").read_bytes() == reference_csv(header, rows)
+        write_table(tmp_path / "t.json", "json", header, Table(columns))
+        assert (tmp_path / "t.json").read_bytes() == reference_json(header, rows)
 
     @pytest.mark.parametrize(
         "values, cells",
