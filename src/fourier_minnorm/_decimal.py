@@ -20,10 +20,15 @@ exponent bytes.  A mask indexed by the text's length cuts the trailing
 zeros, and the point too when no digit follows it.  Every other value (0,
 -0, nan, inf, subnormals, far exponents, and the double nearest a power of
 ten below 1 where it lies under that power) is formatted by ``%`` one at a
-time.  The arithmetic keeps to int64 and to few distinct numpy kernels:
-each kernel a process first runs adds its code pages to the resident set.
-The CSV writer in ``cli`` imports this module on its first float column, so
-the CLI's start-up never compiles it.
+time, and so is every value of an array shorter than ``_VECTOR_MIN``: the
+vectorised path costs a fixed 60-80 us a call in numpy dispatch, more than
+``%`` takes for that many values.  The arithmetic keeps to int64 and to few
+distinct numpy kernels: each kernel a process first runs adds its code
+pages to the resident set.  To keep the dispatch short, the path looks up
+the four digit quads of every value in one ``take``, gathers only when a
+value lies outside its range, and takes its int64 constants as 0-d arrays
+(``_I64``).  The CSV writer in ``cli`` imports this module on its first
+float column, so the CLI's start-up never compiles it.
 """
 
 from __future__ import annotations
@@ -88,6 +93,25 @@ def _quad_table() -> np.ndarray:
 
 
 _QUAD_TEXT = _quad_table()
+_QUAD_FIRST = np.array([[0], [4], [8], [12]])  # digits before each quad
+
+
+class _Int64Constants(dict):
+    """Read-only 0-d int64 arrays by value, each made on its first use.
+
+    numpy pairs an int64 array with one of these as it is; a Python int it
+    converts again on every operation (NEP 50), about 0.3 us each time.
+    """
+
+    def __missing__(self, value: int) -> np.ndarray:
+        self[value] = constant = np.array(value, dtype=np.int64)
+        constant.flags.writeable = False
+        return constant
+
+
+_I64 = _Int64Constants()
+# Below this many values, Python's % formats an array faster than the vectorised path (BENCH_25.json)
+_VECTOR_MIN = 144
 
 
 def _scaled(m: np.ndarray, e: np.ndarray, E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -97,89 +121,96 @@ def _scaled(m: np.ndarray, e: np.ndarray, E: np.ndarray) -> tuple[np.ndarray, np
     E - 16 - e, which lies in [-4, 62] over the formatter's range.
     Every intermediate fits an int64.
     """
-    low31 = (1 << 31) - 1
-    p = _POW5[16 - E]
-    m0, m1, p0, p1 = m & low31, m >> 31, p & low31, p >> 31
+    low31, k31, k62 = _I64[(1 << 31) - 1], _I64[31], _I64[62]
+    p = _POW5.take(_I64[16] - E)
+    m0, m1, p0, p1 = m & low31, m >> k31, p & low31, p >> k31
     mid = m0 * p1 + m1 * p0
-    lo = ((mid & low31) << 31) + m0 * p0
-    hi = m1 * p1 + (mid >> 31) + (lo >> 62)
-    lo &= (1 << 62) - 1
-    shift = E - 16 - e
-    right = np.minimum(np.maximum(shift, 0), 62)
-    N = ((hi << (62 - right)) | (lo >> right)) << np.maximum(-shift, 0)
-    mask = _MASKS[right]
-    half = mask - (mask >> 1)
+    lo = ((mid & low31) << k31) + m0 * p0
+    hi = m1 * p1 + (mid >> k31) + (lo >> k62)
+    lo &= _I64[(1 << 62) - 1]
+    shift = E - _I64[16] - e
+    right = np.minimum(np.maximum(shift, _I64[0]), k62)
+    N = ((hi << (k62 - right)) | (lo >> right)) << np.maximum(-shift, _I64[0])
+    mask = _MASKS.take(right)
+    half = mask - (mask >> _I64[1])
     lo &= mask
-    return N, (lo > half) | ((lo == half) & (half > 0) & (N & 1 == 1))
+    return N, (lo > half) | ((lo == half) & (half > _I64[0]) & (N & _I64[1] == _I64[1]))
 
 
-def _digit_words(N: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The 17 digits of each 10**16 <= N < 10**17 as three words, digit i in byte 1 + i, and its last nonzero digit.
+def _digit_words(N: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 17 digits of each 10**16 <= N < 10**17 as three rows of words, and the index of its last nonzero digit.
 
-    Overwrites N.
+    Digit i sits in byte 1 + i of a cell.  Overwrites N.
     """
-    lead = N // 10**16
-    N -= lead * 10**16
-    hi = N // 10**8
-    N -= hi * 10**8
-    quads = []
-    for half in (hi, N):
-        quad = half // 10**4
-        half -= quad * 10**4
-        quads += [np.take(_QUAD_TEXT, quad), np.take(_QUAD_TEXT, half)]
-    last = np.zeros_like(lead)
-    for quad, first in zip(quads, (1, 5, 9, 13)):
-        np.maximum(last, (quad >> 32) + (first - 1), out=last)
-    y = (quads[0] & 0xFFFFFFFF) | (quads[1] << 32)  # digits 1-8
-    z = (quads[2] & 0xFFFFFFFF) | (quads[3] << 32)  # digits 9-16
-    return ((lead + ord("0")) << 8) | (y << 16), (y >> 48) | (z << 16), z >> 48, last
+    lead = N // _I64[10**16]
+    N -= lead * _I64[10**16]
+    quads = np.empty((2, 2, len(N)), dtype=np.int64)  # digits 1-4, 5-8, 9-12 and 13-16 as numbers
+    np.floor_divide(N, _I64[10**8], out=quads[0, 1])
+    np.subtract(N, quads[0, 1] * _I64[10**8], out=quads[1, 1])
+    np.floor_divide(quads[:, 1], _I64[10**4], out=quads[:, 0])
+    quads[:, 1] -= quads[:, 0] * _I64[10**4]
+    text = _QUAD_TEXT.take(quads)  # one lookup for the four
+    last = ((text >> _I64[32]).reshape(4, -1) + _QUAD_FIRST).max(axis=0)
+    yz = (text[:, 0] & _I64[0xFFFFFFFF]) | (text[:, 1] << _I64[32])  # digits 1-8, then 9-16
+    words = np.empty((3, len(N)), dtype=np.int64)
+    np.bitwise_or((lead + _I64[ord("0")]) << _I64[8], yz[0] << _I64[16], out=words[0])
+    np.bitwise_or(yz[0] >> _I64[48], yz[1] << _I64[16], out=words[1])
+    np.right_shift(yz[1], _I64[48], out=words[2])
+    return words, last
+
+
+def _percent_cells(values: np.ndarray) -> np.ndarray:
+    """``%.17g`` of each float through Python's ``%``, one at a time, as rows of ``CELL_WIDTH`` bytes."""
+    text = np.array([b"%.17g" % v for v in values.tolist()], dtype=f"S{CELL_WIDTH}")
+    return text.view(np.uint8).reshape(len(values), CELL_WIDTH)
 
 
 def float_cells(values: np.ndarray) -> np.ndarray:
     """``"%.17g" % v`` of each float, as a ``(len(values), CELL_WIDTH)`` uint8 matrix."""
     x = np.asarray(values, dtype=np.float64)
+    if len(x) < _VECTOR_MIN:
+        return _percent_cells(x)
     bits = x.view(np.int64)
-    biased = (bits >> 52) & 0x7FF
-    fast = (biased >= 1023 - 37) & (biased <= 1023 + 56)  # 2**-37 <= |v| < 2**57, a decade either side
-    sel = np.flatnonzero(fast)
-    b, biased = bits[sel], biased[sel] - 1023
-    m = (b & ((1 << 52) - 1)) | (1 << 52)
-    E = (biased * 78913) >> 18  # floor(log10(2**biased)); |v| may reach the next power of ten
-    E = np.minimum(np.maximum(E + (np.abs(x[sel]) >= _POW10[E + 13]), -11), 16)
-    N, up = _scaled(m, biased - 52, E)
+    biased = (bits >> _I64[52]) & _I64[0x7FF]
+    fast = (biased >= _I64[1023 - 37]) & (biased <= _I64[1023 + 56])  # 2**-37 <= |v| < 2**57, a decade either side
+    b, magnitude = bits, x
+    if not fast.all():
+        b, biased, magnitude = bits[fast], biased[fast], x[fast]
+    biased -= _I64[1023]
+    m = (b & _I64[(1 << 52) - 1]) | _I64[1 << 52]
+    E = (biased * _I64[78913]) >> _I64[18]  # floor(log10(2**biased)); |v| may reach the next power of ten
+    E = np.minimum(np.maximum(E + (np.abs(magnitude) >= _POW10.take(E + _I64[13])), _I64[-11]), _I64[16])
+    N, up = _scaled(m, biased - _I64[52], E)
     # 17 digits, or E was clipped, or |v| lies between 10**j and the double nearest it (j < 0)
-    exact = (N >= 10**16) & (N < 10**17)
+    exact = (N >= _I64[10**16]) & (N < _I64[10**17])
     if not exact.all():
-        fast[sel[~exact]] = False
-        sel, b, N, up, E = sel[exact], b[exact], N[exact], up[exact], E[exact]
+        fast[fast] = exact
+        b, N, up, E = b[exact], N[exact], up[exact], E[exact]
     N += up
-    carry = N == 10**17
-    N[carry] = 10**16
+    carry = N == _I64[10**17]
+    N[carry] = _I64[10**16]
     E += carry
-    E += 11
-    low0, low1, low2, fill0, fill1, fill2, exponent, last, split, gap = np.take(_LAYOUT, E, axis=1)
-    w0, w1, w2, last_digit = _digit_words(N)
+    E += _I64[11]
+    layout = _LAYOUT.take(E, axis=1)
+    low, fill, exponent, last, split, gap = layout[:3], layout[3:6], layout[6], layout[7], layout[8], layout[9]
+    w, last_digit = _digit_words(N)
     np.maximum(last, last_digit, out=last)  # the last digit kept: the last nonzero or integer one
-    length = 2 + last + (last >= split) * gap  # of the text before the exponent
-    low0 &= w0  # the digits before the split stay
-    low1 &= w1
-    low2 &= w2
-    w0 ^= low0  # the rest move right by the gap, across word boundaries
-    w1 ^= low1
-    w2 ^= low2
-    gap <<= 3
-    back = 64 - gap
-    mask0, mask1, mask2 = np.take(_LENGTH_MASKS, length, axis=1)
-    words = np.empty((len(sel), CELL_WIDTH // 8), dtype="<i8")
-    np.bitwise_and(low0 | (w0 << gap) | fill0 | ((b >> 63) & ord("-")), mask0, out=words[:, 0])  # and the sign
-    np.bitwise_and(low1 | (w1 << gap) | (w0 >> back) | fill1, mask1, out=words[:, 1])
-    np.bitwise_or((low2 | (w2 << gap) | (w1 >> back) | fill2) & mask2, exponent, out=words[:, 2])
+    length = _I64[2] + last + (last >= split) * gap  # of the text before the exponent
+    low &= w  # the digits before the split stay
+    w ^= low  # the rest move right by the gap, across word boundaries
+    gap <<= _I64[3]
+    back = _I64[64] - gap
+    mask = _LENGTH_MASKS.take(length, axis=1)
+    words = np.empty((len(N), CELL_WIDTH // 8), dtype="<i8")
+    sign = (b >> _I64[63]) & _I64[ord("-")]
+    np.bitwise_and(low[0] | (w[0] << gap) | fill[0] | sign, mask[0], out=words[:, 0])
+    np.bitwise_and(low[1] | (w[1] << gap) | (w[0] >> back) | fill[1], mask[1], out=words[:, 1])
+    np.bitwise_or((low[2] | (w[2] << gap) | (w[1] >> back) | fill[2]) & mask[2], exponent, out=words[:, 2])
     cells = words.view(np.uint8)
-    if len(sel) == len(x):
+    if len(cells) == len(x):
         return cells
-    cells, fast_cells = np.zeros((len(x), CELL_WIDTH), dtype=np.uint8), cells
-    cells[sel] = fast_cells
-    slow = np.flatnonzero(~fast)
-    text = np.array(["%.17g" % v for v in x[slow].tolist()], dtype=f"S{CELL_WIDTH}")
-    cells[slow] = text.view(np.uint8).reshape(len(slow), CELL_WIDTH)
+    cells, fast_cells = np.empty((len(x), CELL_WIDTH), dtype=np.uint8), cells
+    cells[fast] = fast_cells
+    slow = ~fast
+    cells[slow] = _percent_cells(x[slow])
     return cells

@@ -25,9 +25,11 @@ Output contracts:
   column's separator, with the NULs deleted from each chunk; per-row
   floats are formatted chunk by chunk and never kept, and every other
   column is formatted once and kept, so a column shared by several files
-  (interp's x_i and f_true) is formatted once; the cell rules below and
-  the bytes written are the same either way, and a failure part way
-  through removes the file;
+  (interp's x_i and f_true) is formatted once; float columns share
+  formatter calls (each chunk's per-row ones, joined in the first chunk by
+  the kept ones), and an array too short to repay numpy's dispatch goes
+  through ``%``; the cell rules below and the bytes written are the same
+  either way, and a failure part way through removes the file;
 * CSV: UTF-8, comma-separated, one header row, LF line endings; cells
   follow ``render_cell``: floats with 17 significant digits (round-trip
   exact for doubles, so ``-0``, ``nan``, ``inf`` and ``-inf`` appear as
@@ -99,6 +101,14 @@ def render_cell(value) -> str:
     return str(value)
 
 
+def _rendered(values: list) -> list[str]:
+    """``render_cell`` of each value; a list of only ints, or only strings, skips the type tests per value."""
+    kinds = set(map(type, values))
+    if kinds == {int}:  # type(), unlike isinstance, tells bools apart
+        return list(map(str, values))
+    return values if kinds == {str} else list(map(render_cell, values))
+
+
 def _float_cells(values: np.ndarray) -> np.ndarray:
     """``"%.17g" % v`` of each float, as rows of a NUL-padded byte matrix."""
     from . import _decimal  # compiled on first use, not when the CLI starts
@@ -159,14 +169,6 @@ def _float_values(values, empty: np.ndarray | None) -> tuple[np.ndarray, np.ndar
     return np.array([0.0 if v is None else v for v in values]), np.array([v is None for v in values])
 
 
-def _masked_float_cells(values: np.ndarray, empty: np.ndarray | None) -> np.ndarray:
-    """``_float_cells`` of the values, with the rows of None cells (``empty``) all NUL."""
-    cells = _float_cells(values)
-    if empty is not None:
-        cells[empty] = 0
-    return cells
-
-
 def _json_value(value):
     if isinstance(value, (np.integer,)):
         return int(value)
@@ -185,10 +187,11 @@ class Column:
     (``-0.0`` apart from ``0.0``) plus an index.  A float array's ``empty``
     mask marks the values that are None.  The CSV writer reads a column in
     chunks of byte rows, one slot wide less the separator's byte (``chunk``):
-    a per-row float column formats each chunk (or takes the chunk's cells,
-    formatted with the table's other per-row float columns) and keeps
-    nothing; any other column formats its values once, on first use, and
-    keeps them, so a column shared by several tables is formatted once.
+    a per-row float column takes each chunk's cells, formatted with the
+    chunk's other per-row float columns, and keeps nothing; any other column
+    formats its values once, on first use (a float column in the first
+    chunk's formatter calls), and keeps them, so a column shared by several
+    tables is formatted once.
     Cells hold no NUL: the writer deletes every one.
     """
 
@@ -203,8 +206,8 @@ class Column:
             index = np.arange(len(self.values) * repeat * tile) // repeat % len(self.values)
         self.index = index
         self.empty = empty
-        self._floats: tuple[np.ndarray, np.ndarray | None] | None = None  # per-row floats: values and None mask
-        self._cells: np.ndarray | None = None  # any other column: each value's byte row, kept
+        self._floats: tuple | None = None  # a float column's values and None mask; () for any other column
+        self._cells: np.ndarray | None = None  # any column but per-row floats: each value's byte row, kept
         self._width: int | None = None
 
     @classmethod
@@ -216,18 +219,30 @@ class Column:
     def __len__(self) -> int:
         return len(self.values) if self.index is None else len(self.index)
 
-    def width(self) -> int:
-        """The bytes before the separator in this column's CSV slot; formats a column that keeps its cells."""
+    def _float_data(self) -> tuple[np.ndarray, np.ndarray | None] | None:
+        """The values as float64 and the mask of their None cells, worked out once; None unless all are floats."""
+        if self._floats is None:
+            self._floats = _float_values(self.values, self.empty) or ()
+        return self._floats or None
+
+    def width(self, cells: np.ndarray | None = None) -> int:
+        """The bytes before the separator in this column's CSV slot; formats a column that keeps its cells.
+
+        A float column that keeps its cells takes ``cells``, the formatter's
+        rows of its values, when given.
+        """
         if self._width is None:
-            floats = _float_values(self.values, self.empty)
+            floats = self._float_data()
             if floats is not None and self.index is None:  # per-row floats: each chunk formatted as it is written
-                self._floats = floats
                 self._width = _cell_bytes(_widest_float(floats[0]))
             else:
                 if floats is None:
-                    cells = _text_cells(list(map(render_cell, self.values)))
+                    cells = _text_cells(_rendered(self.values))
                 else:
-                    cells = _masked_float_cells(*floats)
+                    values, empty = floats
+                    cells = _float_cells(values) if cells is None else cells
+                    if empty is not None:
+                        cells[empty] = 0
                 used = np.flatnonzero(cells.any(axis=0))
                 # contiguous, not a view of wider rows: a chunk's gather then reads about twice as fast
                 self._cells = np.ascontiguousarray(_fit(cells, _cell_bytes(used[-1] + 1 if used.size else 0)))
@@ -238,18 +253,17 @@ class Column:
         """Byte rows of cells ``start`` to ``stop - 1``, ``width()`` bytes each.
 
         A per-row float column takes ``cells``, the formatter's rows of its
-        values ``start`` to ``stop - 1``, when given.
+        values ``start`` to ``stop - 1``.
         """
         width = self.width()
-        if self._floats is not None:
-            values, empty = self._floats
-            cells = _float_cells(values[start:stop]) if cells is None else cells
+        if self._cells is None:
+            empty = self._floats[1]
             if empty is not None:
                 cells[empty[start:stop]] = 0
             return _fit(cells, width)
         if self.index is None:
             return self._cells[start:stop]
-        return np.take(self._cells, self.index[start:stop], axis=0)
+        return self._cells.take(self.index[start:stop], axis=0)
 
     def json_values(self) -> list:
         values = self.values.tolist() if isinstance(self.values, np.ndarray) else [_json_value(v) for v in self.values]
@@ -275,6 +289,26 @@ class Table:
 # Rows per chunk of a CSV file: each chunk is formatted, joined and written
 # before the next, so a file's text is never held whole.
 CSV_CHUNK_ROWS = 2048
+
+# Values per formatter call.  Each call has a fixed cost, so float columns
+# share calls; larger calls measured no faster, and slower in a process that
+# has not yet freed a large array (BENCH_25.json).
+_FORMAT_CALL_VALUES = 4096
+
+
+def _shared_float_cells(arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """``_float_cells`` of each array; consecutive arrays share a call of at most ``_FORMAT_CALL_VALUES`` values."""
+    groups: list[list[np.ndarray]] = []  # a longer array takes a call of its own
+    for values in arrays:
+        if groups and sum(map(len, groups[-1])) + len(values) <= _FORMAT_CALL_VALUES:
+            groups[-1].append(values)
+        else:
+            groups.append([values])
+    cells = []
+    for group in groups:
+        joint, ends = _float_cells(np.concatenate(group)), np.cumsum([len(values) for values in group]).tolist()
+        cells += [joint[end - len(values) : end] for values, end in zip(group, ends)]
+    return cells
 
 
 def _write_file(path: Path, chunks: Iterable[bytes]) -> None:
@@ -306,22 +340,28 @@ def _csv_chunks(header: Sequence[str], table: Table) -> Iterator[bytes]:
     yield (",".join(header) + "\n").encode("utf-8")
     if not len(table):
         return
+    streamed = [column for column in table.columns if column.index is None and column._float_data() is not None]
+    kept = [column for column in table.columns
+            if column.index is not None and column._width is None and column._float_data() is not None]
+    chunk_rows = min(CSV_CHUNK_ROWS, len(table))
+    # the float columns that keep their cells and have not formatted them yet (constants, axes, distinct
+    # values) share the formatter calls of the first chunk's per-row float columns, after them
+    cells = _shared_float_cells([column._float_data()[0][:chunk_rows] for column in streamed]
+                                + [column._float_data()[0] for column in kept])
+    chunk_cells = cells[: len(streamed)]
+    for column, kept_cells in zip(kept, cells[len(streamed) :]):
+        column.width(kept_cells)
     widths = [column.width() for column in table.columns]  # bytes before each column's separator
     separators = np.cumsum(widths) + np.arange(len(widths))
-    rows = np.zeros((min(CSV_CHUNK_ROWS, len(table)), separators[-1] + 1), dtype=np.uint8)
+    rows = np.zeros((chunk_rows, separators[-1] + 1), dtype=np.uint8)
     rows[:, separators] = ord(",")
     rows[:, -1] = ord("\n")
     slots = [_items(rows[:, end - width : end]) for end, width in zip(separators, widths)]  # each less its separator
-    floats = [column for column in table.columns if column._floats is not None]  # per-row float columns
     for start in range(0, len(table), CSV_CHUNK_ROWS):
         stop = min(start + CSV_CHUNK_ROWS, len(table))
-        # each formatter call has a fixed cost, but past about CSV_CHUNK_ROWS values its cost per value rises:
-        # a chunk's per-row float columns share calls of at most that many values
-        batch, cells = max(1, CSV_CHUNK_ROWS // (stop - start)), {}
-        for first in range(0, len(floats) if batch > 1 else 0, batch):
-            group = floats[first : first + batch]
-            joint = _float_cells(np.concatenate([column._floats[0][start:stop] for column in group]))
-            cells.update(zip(map(id, group), np.split(joint, len(group))))
+        if start:
+            chunk_cells = _shared_float_cells([column._float_data()[0][start:stop] for column in streamed])
+        cells = dict(zip(map(id, streamed), chunk_cells))
         for column, slot in zip(table.columns, slots):
             slot[: stop - start] = _items(column.chunk(start, stop, cells.get(id(column))))
         yield rows[: stop - start].tobytes().translate(None, b"\0")
@@ -877,7 +917,7 @@ _HELP = {
     "t_multipliers": "deviation levels as multiples of T_q",
     "trials": "Monte Carlo trials per configuration",
     "seed": "base RNG seed (interp: observation noise)",
-    "confidence": "confidence level for percentile CIs",
+    "confidence": "central share of the per-trial errors between ci_low and ci_high (a percentile band, not a CI)",
     "coefficient_model": "distribution of the Monte Carlo coefficients",
     "target": "built-in target name (stage1d, cubic1d, cos2d)",
     "samples_file": "CSV of training samples; its header x0,...,x{d-1},y fixes the dimension d",

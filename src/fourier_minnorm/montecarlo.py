@@ -333,9 +333,12 @@ def _squared_errors(spectrum: Spectrum, n: int, q: float, p_sorted: np.ndarray, 
 
 
 def empirical_risk(spectrum: Spectrum, grid: GridConfig, q: float, mc: McConfig) -> McRiskEstimate:
-    """Mean squared recovery error with percentile confidence interval.
+    """Mean squared recovery error, with the central percentile band of the per-trial errors.
 
-    One point of ``empirical_risks``.
+    One point of ``empirical_risks``.  ``ci_low`` and ``ci_high`` are the
+    ``(1 - confidence) / 2`` and ``(1 + confidence) / 2`` percentiles of the
+    per-trial errors: they show the spread of the errors, not a confidence
+    interval for the mean.
     """
     return empirical_risks(spectrum, grid.n, q, [grid.p], mc)[0]
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fourier_minnorm import cli
+from fourier_minnorm import _decimal, cli
 from fourier_minnorm.cli import Column, Table, main, write_table
 from fourier_minnorm.interpolation import builtin_targets, sample_axis
 
@@ -75,6 +75,9 @@ def table_rows(table: Table) -> list[list]:
 def with_kept_cells(table: Table) -> Table:
     """The same rows, every column given a row index, so each is formatted once and its cells kept."""
     return Table([Column(c.values, index=np.arange(len(c)) if c.index is None else c.index) for c in table.columns])
+
+
+CAP = cli._FORMAT_CALL_VALUES  # values per shared formatter call
 
 
 @pytest.fixture
@@ -213,11 +216,15 @@ class TestWriterEquivalence:
         assert (tmp_path / "shared.json").read_bytes() == reference_json(header, rows)
 
     def test_a_shared_column_is_formatted_once(self, tmp_path, formatter_calls):
-        axis = Column(np.linspace(0.0, 1.0, 5), tile=3)
+        axis, constant = Column(np.linspace(0.0, 1.0, 5), tile=3), Column([0.25], repeat=15)
         for name in ("first.csv", "second.csv"):
-            write_table(tmp_path / name, "csv", ["x", "y"], Table([axis, Column(np.arange(15.0) / 7)]))
-        assert formatter_calls == [5, 15, 15]  # the axis once, the per-row column in each file
+            table = Table([axis, Column(np.arange(15.0) / 7), constant])
+            write_table(tmp_path / name, "csv", ["x", "y", "z"], table)
+        # the per-row column in each file; the axis and the constant once, in the first file's call
+        assert formatter_calls == [15 + 5 + 1, 15]
         assert (tmp_path / "first.csv").read_bytes() == (tmp_path / "second.csv").read_bytes()
+        rows = [[x, y, 0.25] for x, y in zip(expand(np.linspace(0.0, 1.0, 5), tile=3), np.arange(15.0) / 7)]
+        assert (tmp_path / "first.csv").read_bytes() == reference_csv(["x", "y", "z"], rows)
 
     def test_per_row_floats_keep_no_cells(self, tmp_path, monkeypatch, formatter_calls):
         monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 4)
@@ -227,12 +234,9 @@ class TestWriterEquivalence:
         assert formatter_calls == [4, 4, 2] * 2  # every chunk formatted again for the second file
         assert not [v for v in vars(column).values() if isinstance(v, np.ndarray) and v.ndim == 2]  # no byte rows
 
-    @pytest.mark.parametrize("chunk_rows, calls", [(None, [30]), (8, [8, 8, 8, 6]), (3, [3] * 9 + [3])])
-    def test_per_row_float_columns_share_formatter_calls(self, tmp_path, monkeypatch, formatter_calls, chunk_rows,
-                                                         calls):
-        # a chunk's per-row float columns share calls of at most CSV_CHUNK_ROWS values
-        if chunk_rows is not None:
-            monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk_rows)
+    @staticmethod
+    def _write_per_row_float_columns(tmp_path) -> None:
+        """Three per-row float columns (an array, a list with None, an array with None cells) and an int column."""
         values = np.arange(10.0) / 3 - 1
         listed = [None if i % 4 == 0 else -v for i, v in enumerate(values.tolist())]
         empty = np.arange(10) % 3 == 0
@@ -240,10 +244,65 @@ class TestWriterEquivalence:
         header = ["a", "b", "c", "d"]
         rows = [[a, b, c, None if e else d] for a, b, c, d, e in zip(values, range(10), listed, values * 7, empty)]
         write_table(tmp_path / "t.csv", "csv", header, Table(columns))
-        assert formatter_calls == calls
         assert (tmp_path / "t.csv").read_bytes() == reference_csv(header, rows)
         write_table(tmp_path / "t.json", "json", header, Table(columns))
         assert (tmp_path / "t.json").read_bytes() == reference_json(header, rows)
+
+    @pytest.mark.parametrize("chunk_rows, calls", [(None, [30]), (8, [24, 6]), (3, [9, 9, 9, 3])])
+    def test_per_row_float_columns_share_formatter_calls(self, tmp_path, monkeypatch, formatter_calls, chunk_rows,
+                                                         calls):
+        # a chunk's per-row float columns share one call when they fit in cli._FORMAT_CALL_VALUES values
+        if chunk_rows is not None:
+            monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk_rows)
+        self._write_per_row_float_columns(tmp_path)
+        assert formatter_calls == calls
+
+    @pytest.mark.parametrize(
+        "chunk_rows, cap, calls",
+        [
+            (8, 16, [16, 8, 6]),  # two columns of 8 rows fill a call of 16 values
+            (3, 8, [6, 3] * 3 + [3]),
+            (3, 3, [3] * 9 + [3]),  # one call per column, until the last chunk's three values fit in one
+        ],
+    )
+    def test_per_row_float_columns_split_at_the_cap(self, tmp_path, monkeypatch, formatter_calls, chunk_rows, cap,
+                                                    calls):
+        # consecutive columns share a call up to the cap, in column order
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(cli, "_FORMAT_CALL_VALUES", cap)
+        self._write_per_row_float_columns(tmp_path)
+        assert formatter_calls == calls
+
+    @pytest.mark.parametrize(
+        "sizes, calls",
+        [
+            ([CAP - 1, 1], [CAP]),
+            ([CAP, 1], [CAP, 1]),
+            ([1, CAP], [1, CAP]),
+            ([CAP + 1], [CAP + 1]),  # an array is never split
+            ([1, 2, CAP - 3, 5], [CAP, 5]),
+        ],
+    )
+    def test_shared_calls_split_at_the_cap(self, formatter_calls, sizes, calls):
+        rng = np.random.default_rng(sum(sizes))
+        arrays = [10.0 ** rng.uniform(-13, 18, size) * rng.choice([-1.0, 1.0], size) for size in sizes]
+        cells = cli._shared_float_cells(arrays)
+        assert formatter_calls == calls
+        assert [formatted_rows(rows) for rows in cells] == [percent_17g(values) for values in arrays]
+
+    @pytest.mark.parametrize(
+        "n, calls, vectorised",
+        [
+            (16, [2 * 1659 + 2 * 21], [True]),  # 1,659 rows: risk, log10_risk, r and q (21 values each) in one call
+            (128, [2 * 2048, 2 * 21, 2 * 787], [True, False, True]),  # r and q do not fit the first chunk's call
+        ],
+    )
+    def test_a_heatmap_makes_one_vectorised_call_per_chunk(self, tmp_path, formatter_calls, n, calls, vectorised):
+        r_values = ",".join(f"{0.1 * i:.1f}" for i in range(21))
+        argv = ["heatmap", "-D", "1024", "-n", str(n), "--r-values", r_values, "--out", str(tmp_path / "hm.csv")]
+        assert main(argv) == 0
+        assert formatter_calls == calls
+        assert [size >= _decimal._VECTOR_MIN for size in calls] == vectorised  # below it, the % route
 
     @pytest.mark.parametrize(
         "values, cells",
@@ -268,10 +327,14 @@ class TestWriterEquivalence:
             Table([Column([1.0, 2.0]), Column([3], repeat=3)])
 
 
-def formatted(values) -> list[str]:
-    """The formatter's cells as text: each byte row with its NUL padding deleted."""
-    rows = cli._float_cells(np.asarray(values, dtype=np.float64))
+def formatted_rows(rows: np.ndarray) -> list[str]:
+    """Formatter rows as text: each byte row with its NUL padding deleted."""
     return [row.tobytes().translate(None, b"\0").decode() for row in rows]
+
+
+def formatted(values) -> list[str]:
+    """The formatter's cells as text."""
+    return formatted_rows(cli._float_cells(np.asarray(values, dtype=np.float64)))
 
 
 def percent_17g(values) -> list[str]:
@@ -281,12 +344,35 @@ def percent_17g(values) -> list[str]:
 POWERS = 10.0 ** np.arange(-330, 309)  # 0 below the subnormals, exact decades up to 1e22, then the nearest doubles
 
 
+# Array sizes at the formatter's routes: below _VECTOR_MIN values Python's % formats the array,
+# and the writer shares calls of up to _FORMAT_CALL_VALUES values
+ROUTE_SIZES = [1, _decimal._VECTOR_MIN - 1, _decimal._VECTOR_MIN, CAP - 1, CAP, CAP + 1]
+
+
 class TestFloatCells:
     @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
     @settings(max_examples=300, deadline=None)
     def test_any_bit_pattern(self, words):
         # NaN payloads of either sign, subnormals, +-0, +-inf and every finite double
         values = np.array(words, dtype=np.uint64).view(np.float64)
+        assert formatted(values) == percent_17g(values)
+
+    @pytest.mark.parametrize("size", ROUTE_SIZES)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+    @settings(max_examples=60, deadline=None)
+    def test_any_bit_pattern_at_the_route_sizes(self, size, words):
+        # the drawn values tiled to the size: whole arrays through %, then through the vectorised path
+        values = np.resize(np.array(words, dtype=np.uint64).view(np.float64), size)
+        assert formatted(values) == percent_17g(values)
+
+    @pytest.mark.parametrize("size", ROUTE_SIZES)
+    def test_fast_and_percent_values_mixed(self, size):
+        # every third value outside the exact range: zeros, non-finite, subnormal, huge and tiny
+        rng = np.random.default_rng(size)
+        values = 10.0 ** rng.uniform(-11, 17, size) * rng.choice([-1.0, 1.0], size)
+        others = np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308,
+                           1.7976931348623157e308, 1e-300, -1e200, 1e-12, 1e17])
+        values[::3] = np.resize(others, len(values[::3]))
         assert formatted(values) == percent_17g(values)
 
     @pytest.mark.parametrize("side", [-np.inf, None, np.inf], ids=["below", "at", "above"])
@@ -436,18 +522,20 @@ class TestCommandsMatchTheRowReference:
         first, second = tables
         assert [id(c) for c in first.columns[:3]] == [id(c) for c in second.columns[:3]]
         assert first.columns[3] is not second.columns[3]
-        # the first method's file formats x0, x1, f_true's distinct values and f_hat; the second only its f_hat
-        assert calls == [[5, 5, len(first.columns[2].values), 25], [25]]
+        # the first method's file formats f_hat, x0, x1 and f_true's distinct values in one call;
+        # the second only its f_hat
+        assert calls == [[25 + 5 + 5 + len(first.columns[2].values)], [25]]
 
     def test_a_failure_mid_stream_leaves_no_file(self, tmp_path, monkeypatch, capsys):
         # 2-D, 101 x 101 evaluation points: 10,201 rows, 5 chunks per method file
         argv = ["interp", "--target", "cos2d", "--n-axis", "8", "--p-axis", "17", "--d-axis", "40", "--q", "2",
                 "--eval-points", "101", "--out", str(tmp_path / "out")]
-        first_file, open_at_chunk = tmp_path / "out.weighted-min-norm.csv", []
+        first_file, calls, open_at_chunk = tmp_path / "out.weighted-min-norm.csv", [], []
         float_cells = cli._float_cells
 
         def failing_float_cells(values):
-            if len(values) == cli.CSV_CHUNK_ROWS:  # an f_hat chunk: the shared columns have other sizes
+            calls.append(len(values))
+            if len(calls) > 1:  # an f_hat chunk after the first, which shares its call with x0, x1 and f_true
                 open_at_chunk.append(first_file.exists())
                 if len(open_at_chunk) == 2:
                     raise MemoryError
@@ -458,6 +546,7 @@ class TestCommandsMatchTheRowReference:
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory") and err.count("\n") == 1
         assert open_at_chunk == [True, True]  # the file was already open when the second chunk failed
+        assert calls[0] > cli.CSV_CHUNK_ROWS and calls[1:] == [cli.CSV_CHUNK_ROWS] * 2
         assert not list(tmp_path.glob("out.*.csv"))
 
     def test_interp_coordinates_follow_the_row_major_grid(self, tmp_path):
