@@ -101,14 +101,6 @@ def render_cell(value) -> str:
     return str(value)
 
 
-def _rendered(values: list) -> list[str]:
-    """``render_cell`` of each value; a list of only ints, or only strings, skips the type tests per value."""
-    kinds = set(map(type, values))
-    if kinds == {int}:  # type(), unlike isinstance, tells bools apart
-        return list(map(str, values))
-    return values if kinds == {str} else list(map(render_cell, values))
-
-
 def _float_cells(values: np.ndarray) -> np.ndarray:
     """``"%.17g" % v`` of each float, as rows of a NUL-padded byte matrix."""
     from . import _decimal  # compiled on first use, not when the CLI starts
@@ -225,6 +217,19 @@ class Column:
             self._floats = _float_values(self.values, self.empty) or ()
         return self._floats or None
 
+    def float_values(self) -> np.ndarray | None:
+        """The values as float64 (a None cell reads 0.0); None unless every value is a float or None."""
+        floats = self._float_data()
+        return None if floats is None else floats[0]
+
+    def streams_floats(self) -> bool:
+        """Whether this is a per-row float column: the writer formats it chunk by chunk, and it keeps no cells."""
+        return self.index is None and self._float_data() is not None
+
+    def unformatted_floats(self) -> np.ndarray | None:
+        """The values of a float column that keeps its cells and has not formatted them yet; None for any other."""
+        return None if self._width is not None or self.streams_floats() else self.float_values()
+
     def width(self, cells: np.ndarray | None = None) -> int:
         """The bytes before the separator in this column's CSV slot; formats a column that keeps its cells.
 
@@ -233,11 +238,11 @@ class Column:
         """
         if self._width is None:
             floats = self._float_data()
-            if floats is not None and self.index is None:  # per-row floats: each chunk formatted as it is written
+            if self.streams_floats():
                 self._width = _cell_bytes(_widest_float(floats[0]))
             else:
                 if floats is None:
-                    cells = _text_cells(_rendered(self.values))
+                    cells = _text_cells(list(map(render_cell, self.values)))
                 else:
                     values, empty = floats
                     cells = _float_cells(values) if cells is None else cells
@@ -252,11 +257,13 @@ class Column:
     def chunk(self, start: int, stop: int, cells: np.ndarray | None = None) -> np.ndarray:
         """Byte rows of cells ``start`` to ``stop - 1``, ``width()`` bytes each.
 
-        A per-row float column takes ``cells``, the formatter's rows of its
-        values ``start`` to ``stop - 1``.
+        A per-row float column formats nothing itself: the writer must pass
+        ``cells``, the formatter's rows of its values ``start`` to ``stop - 1``.
         """
         width = self.width()
         if self._cells is None:
+            if cells is None:
+                raise ValueError("a per-row float column's chunk needs its formatted cells")
             empty = self._floats[1]
             if empty is not None:
                 cells[empty[start:stop]] = 0
@@ -340,16 +347,15 @@ def _csv_chunks(header: Sequence[str], table: Table) -> Iterator[bytes]:
     yield (",".join(header) + "\n").encode("utf-8")
     if not len(table):
         return
-    streamed = [column for column in table.columns if column.index is None and column._float_data() is not None]
-    kept = [column for column in table.columns
-            if column.index is not None and column._width is None and column._float_data() is not None]
+    streamed = [column for column in table.columns if column.streams_floats()]
+    kept = [(column, values) for column in table.columns if (values := column.unformatted_floats()) is not None]
     chunk_rows = min(CSV_CHUNK_ROWS, len(table))
     # the float columns that keep their cells and have not formatted them yet (constants, axes, distinct
     # values) share the formatter calls of the first chunk's per-row float columns, after them
-    cells = _shared_float_cells([column._float_data()[0][:chunk_rows] for column in streamed]
-                                + [column._float_data()[0] for column in kept])
+    cells = _shared_float_cells([column.float_values()[:chunk_rows] for column in streamed]
+                                + [values for _, values in kept])
     chunk_cells = cells[: len(streamed)]
-    for column, kept_cells in zip(kept, cells[len(streamed) :]):
+    for (column, _), kept_cells in zip(kept, cells[len(streamed) :]):
         column.width(kept_cells)
     widths = [column.width() for column in table.columns]  # bytes before each column's separator
     separators = np.cumsum(widths) + np.arange(len(widths))
@@ -360,7 +366,7 @@ def _csv_chunks(header: Sequence[str], table: Table) -> Iterator[bytes]:
     for start in range(0, len(table), CSV_CHUNK_ROWS):
         stop = min(start + CSV_CHUNK_ROWS, len(table))
         if start:
-            chunk_cells = _shared_float_cells([column._float_data()[0][start:stop] for column in streamed])
+            chunk_cells = _shared_float_cells([column.float_values()[start:stop] for column in streamed])
         cells = dict(zip(map(id, streamed), chunk_cells))
         for column, slot in zip(table.columns, slots):
             slot[: stop - start] = _items(column.chunk(start, stop, cells.get(id(column))))

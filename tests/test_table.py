@@ -234,6 +234,23 @@ class TestWriterEquivalence:
         assert formatter_calls == [4, 4, 2] * 2  # every chunk formatted again for the second file
         assert not [v for v in vars(column).values() if isinstance(v, np.ndarray) and v.ndim == 2]  # no byte rows
 
+    def test_only_per_row_float_columns_stream(self):
+        streamed = [Column(np.arange(3.0)), Column([0.5, None, 1.5])]
+        kept = [Column([0.5], repeat=3), Column(np.arange(3.0), tile=1, index=np.array([2, 1, 0])),
+                Column.distinct(np.array([0.0, -0.0, 0.0]))]
+        text = [Column(range(3)), Column(["a", "b", "c"]), Column([1, 0.5, 2])]
+        assert [column.streams_floats() for column in streamed + kept + text] == [True] * 2 + [False] * 6
+        assert [column.unformatted_floats() is not None for column in streamed + kept + text] == (
+            [False] * 2 + [True] * 3 + [False] * 3
+        )
+        kept[0].width()  # formats and keeps its cells
+        assert kept[0].unformatted_floats() is None
+
+    def test_a_per_row_float_chunk_needs_its_cells(self):
+        column = Column(np.arange(3.0))
+        with pytest.raises(ValueError, match="formatted cells"):
+            column.chunk(0, 3)
+
     @staticmethod
     def _write_per_row_float_columns(tmp_path) -> None:
         """Three per-row float columns (an array, a list with None, an array with None cells) and an int column."""
