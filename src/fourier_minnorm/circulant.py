@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError
-from .model import COMPENSATED_SUM_MIN_D, GridConfig, Spectrum, check_finite_nonnegative, folded_sums
+from .model import COMPENSATED_SUM_MIN_BLOCKS, GridConfig, Spectrum, check_finite_nonnegative, folded_sums
 
 
 def gram_eigenvalues(spectrum: Spectrum, grid: GridConfig, u: float, side: str) -> np.ndarray:
@@ -44,8 +44,8 @@ def gram_eigenvalues(spectrum: Spectrum, grid: GridConfig, u: float, side: str) 
     if side not in ("T", "Tc"):
         raise ConfigurationError(f"side must be 'T' or 'Tc', got {side!r}")
     start, stop = (0, grid.p) if side == "T" else (grid.p, spectrum.D)
-    compensated = spectrum.D >= COMPENSATED_SUM_MIN_D
-    return grid.n * folded_sums(spectrum.t_pow(u)[start:stop], grid.n, compensated, start=start)
+    compensated = -(-spectrum.D // grid.n) >= COMPENSATED_SUM_MIN_BLOCKS
+    return grid.n * folded_sums((spectrum.t ** u)[start:stop], grid.n, compensated, start=start)
 
 
 def class_weights(weights: np.ndarray, n: int, q: float, start: int = 0) -> tuple[np.ndarray, np.ndarray, tuple]:

@@ -17,7 +17,11 @@ Output contracts:
   its values plus a row index: a constant (D, n) is one value repeated, a
   grid axis (p, r, q, regime, x_i) its values repeated or tiled, a per-row
   column (risks, Monte Carlo estimates, f_hat) a plain array with no
-  index, and interp's f_true its distinct values plus an index;
+  index, and interp's f_true its distinct values plus an index; a
+  column's kind (float or not, per-row or indexed) is fixed when it is
+  built, and the CSV writer (``_csv_chunks``) makes every formatting
+  choice: which columns stream, which are formatted and kept, the slot
+  widths and each chunk's cells;
   float cells are formatted in numpy (exact ``%.17g`` digits for
   1e-11 <= |v| < 1e17, Python's ``%`` for every other value), a CSV file
   is written in chunks of rows into one byte matrix per file, a slot of
@@ -146,21 +150,6 @@ def _items(cells: np.ndarray) -> np.ndarray:
     return cells.view(f"V{cells.shape[1]}")[:, 0]
 
 
-def _float_values(values, empty: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None] | None:
-    """A float column's values as float64 and the mask of its None cells; None if it holds anything else.
-
-    A float array's None cells are its ``empty`` mask.
-    """
-    if isinstance(values, np.ndarray):
-        return values, empty
-    kinds = set(map(type, values))
-    if not all(issubclass(kind, (float, np.floating, type(None))) for kind in kinds):
-        return None
-    if type(None) not in kinds:
-        return np.array(values, dtype=np.float64), None
-    return np.array([0.0 if v is None else v for v in values]), np.array([v is None for v in values])
-
-
 def _json_value(value):
     if isinstance(value, (np.integer,)):
         return int(value)
@@ -176,31 +165,36 @@ class Column:
     repeated (outer axis) or tiled (inner axis): ``repeat`` and ``tile``
     build the index once.  A per-row column is a plain array with no index;
     ``distinct`` gives a per-row float column as its distinct bit patterns
-    (``-0.0`` apart from ``0.0``) plus an index.  A float array's ``empty``
-    mask marks the values that are None.  The CSV writer reads a column in
-    chunks of byte rows, one slot wide less the separator's byte (``chunk``):
-    a per-row float column takes each chunk's cells, formatted with the
-    chunk's other per-row float columns, and keeps nothing; any other column
-    formats its values once, on first use (a float column in the first
-    chunk's formatter calls), and keeps them, so a column shared by several
-    tables is formatted once.
-    Cells hold no NUL: the writer deletes every one.
+    (``-0.0`` apart from ``0.0``) plus an index.  A column's kind is fixed
+    when it is built: float values (a float array, or a list of floats and
+    None) become float64 ``values`` (``floats``), a list's None cells the
+    ``empty`` mask (a None cell reads 0.0), and any other values a list.
+    ``streams`` marks a float column with no index: a per-row float column.
+    The CSV writer makes every formatting choice: it formats a per-row float
+    column chunk by chunk and keeps nothing, and formats any other column
+    once, keeping its byte rows in ``cells`` (None until then), so a column
+    shared by several tables is formatted once.
     """
 
     def __init__(
         self, values, repeat: int = 1, tile: int = 1, index: np.ndarray | None = None, empty: np.ndarray | None = None
     ):
         if isinstance(values, np.ndarray) and values.dtype.kind == "f":
-            self.values = values.astype(np.float64, copy=False)
+            values = values.astype(np.float64, copy=False)
         else:
-            self.values = values.tolist() if isinstance(values, np.ndarray) else list(values)
+            values = values.tolist() if isinstance(values, np.ndarray) else list(values)
+            kinds = set(map(type, values))
+            if all(issubclass(kind, (float, np.floating, type(None))) for kind in kinds):
+                if type(None) in kinds:
+                    empty = np.array([v is None for v in values])
+                    values = [0.0 if v is None else v for v in values]
+                values = np.array(values, dtype=np.float64)
         if index is None and (repeat, tile) != (1, 1):
-            index = np.arange(len(self.values) * repeat * tile) // repeat % len(self.values)
-        self.index = index
-        self.empty = empty
-        self._floats: tuple | None = None  # a float column's values and None mask; () for any other column
-        self._cells: np.ndarray | None = None  # any column but per-row floats: each value's byte row, kept
-        self._width: int | None = None
+            index = np.arange(len(values) * repeat * tile) // repeat % len(values)
+        self.values, self.index, self.empty = values, index, empty
+        self.floats = isinstance(values, np.ndarray)
+        self.streams = self.floats and index is None
+        self.cells: np.ndarray | None = None
 
     @classmethod
     def distinct(cls, floats: np.ndarray) -> Column:
@@ -211,69 +205,8 @@ class Column:
     def __len__(self) -> int:
         return len(self.values) if self.index is None else len(self.index)
 
-    def _float_data(self) -> tuple[np.ndarray, np.ndarray | None] | None:
-        """The values as float64 and the mask of their None cells, worked out once; None unless all are floats."""
-        if self._floats is None:
-            self._floats = _float_values(self.values, self.empty) or ()
-        return self._floats or None
-
-    def float_values(self) -> np.ndarray | None:
-        """The values as float64 (a None cell reads 0.0); None unless every value is a float or None."""
-        floats = self._float_data()
-        return None if floats is None else floats[0]
-
-    def streams_floats(self) -> bool:
-        """Whether this is a per-row float column: the writer formats it chunk by chunk, and it keeps no cells."""
-        return self.index is None and self._float_data() is not None
-
-    def unformatted_floats(self) -> np.ndarray | None:
-        """The values of a float column that keeps its cells and has not formatted them yet; None for any other."""
-        return None if self._width is not None or self.streams_floats() else self.float_values()
-
-    def width(self, cells: np.ndarray | None = None) -> int:
-        """The bytes before the separator in this column's CSV slot; formats a column that keeps its cells.
-
-        A float column that keeps its cells takes ``cells``, the formatter's
-        rows of its values, when given.
-        """
-        if self._width is None:
-            floats = self._float_data()
-            if self.streams_floats():
-                self._width = _cell_bytes(_widest_float(floats[0]))
-            else:
-                if floats is None:
-                    cells = _text_cells(list(map(render_cell, self.values)))
-                else:
-                    values, empty = floats
-                    cells = _float_cells(values) if cells is None else cells
-                    if empty is not None:
-                        cells[empty] = 0
-                used = np.flatnonzero(cells.any(axis=0))
-                # contiguous, not a view of wider rows: a chunk's gather then reads about twice as fast
-                self._cells = np.ascontiguousarray(_fit(cells, _cell_bytes(used[-1] + 1 if used.size else 0)))
-                self._width = self._cells.shape[1]
-        return self._width
-
-    def chunk(self, start: int, stop: int, cells: np.ndarray | None = None) -> np.ndarray:
-        """Byte rows of cells ``start`` to ``stop - 1``, ``width()`` bytes each.
-
-        A per-row float column formats nothing itself: the writer must pass
-        ``cells``, the formatter's rows of its values ``start`` to ``stop - 1``.
-        """
-        width = self.width()
-        if self._cells is None:
-            if cells is None:
-                raise ValueError("a per-row float column's chunk needs its formatted cells")
-            empty = self._floats[1]
-            if empty is not None:
-                cells[empty[start:stop]] = 0
-            return _fit(cells, width)
-        if self.index is None:
-            return self._cells[start:stop]
-        return self._cells.take(self.index[start:stop], axis=0)
-
     def json_values(self) -> list:
-        values = self.values.tolist() if isinstance(self.values, np.ndarray) else [_json_value(v) for v in self.values]
+        values = self.values.tolist() if self.floats else [_json_value(v) for v in self.values]
         if self.empty is not None:
             values = [None if empty else v for v, empty in zip(values, self.empty.tolist())]
         return values if self.index is None else [values[i] for i in self.index.tolist()]
@@ -338,26 +271,47 @@ def _write_file(path: Path, chunks: Iterable[bytes]) -> None:
         raise ConfigurationError(f"cannot write output file {str(path)!r}: {exc} (field out)") from None
 
 
+def _kept_cells(column: Column, float_cells: np.ndarray | None) -> np.ndarray:
+    """The byte rows a column keeps: its float cells (None cells blanked) or its rendered text cells.
+
+    Each row is cut to the fewest whole words, less the separator's byte,
+    that hold the widest cell.
+    """
+    if column.floats:
+        cells = float_cells
+        if column.empty is not None:
+            cells[column.empty] = 0
+    else:
+        cells = _text_cells(list(map(render_cell, column.values)))
+    used = np.flatnonzero(cells.any(axis=0))
+    # contiguous, not a view of wider rows: a chunk's gather then reads about twice as fast
+    return np.ascontiguousarray(_fit(cells, _cell_bytes(used[-1] + 1 if used.size else 0)))
+
+
 def _csv_chunks(header: Sequence[str], table: Table) -> Iterator[bytes]:
     """The CSV text in chunks of rows: each one byte matrix of slots, a cell then its separator, NULs deleted.
 
-    The matrix is allocated once, with every separator in place; each chunk
-    overwrites only the cells.
+    Per-row float columns are formatted chunk by chunk and keep nothing.
+    Every other column is formatted on its first write and keeps its byte
+    rows (``_kept_cells``): a float column in the first chunk's formatter
+    calls, after the per-row ones, and text after those calls.  The matrix
+    is allocated once, with every separator in place; each chunk overwrites
+    only the cells.
     """
     yield (",".join(header) + "\n").encode("utf-8")
     if not len(table):
         return
-    streamed = [column for column in table.columns if column.streams_floats()]
-    kept = [(column, values) for column in table.columns if (values := column.unformatted_floats()) is not None]
+    columns = table.columns
+    streamed = [column for column in columns if column.streams]
+    fresh = [column for column in columns if column.cells is None and not column.streams]
     chunk_rows = min(CSV_CHUNK_ROWS, len(table))
-    # the float columns that keep their cells and have not formatted them yet (constants, axes, distinct
-    # values) share the formatter calls of the first chunk's per-row float columns, after them
-    cells = _shared_float_cells([column.float_values()[:chunk_rows] for column in streamed]
-                                + [values for _, values in kept])
-    chunk_cells = cells[: len(streamed)]
-    for (column, _), kept_cells in zip(kept, cells[len(streamed) :]):
-        column.width(kept_cells)
-    widths = [column.width() for column in table.columns]  # bytes before each column's separator
+    cells = _shared_float_cells([column.values[:chunk_rows] for column in streamed]
+                                + [column.values for column in fresh if column.floats])
+    chunk_cells, kept_floats = cells[: len(streamed)], cells[len(streamed) :]
+    for column in fresh:
+        column.cells = _kept_cells(column, kept_floats.pop(0) if column.floats else None)
+    # bytes before each column's separator
+    widths = [_cell_bytes(_widest_float(c.values)) if c.streams else c.cells.shape[1] for c in columns]
     separators = np.cumsum(widths) + np.arange(len(widths))
     rows = np.zeros((chunk_rows, separators[-1] + 1), dtype=np.uint8)
     rows[:, separators] = ord(",")
@@ -366,10 +320,19 @@ def _csv_chunks(header: Sequence[str], table: Table) -> Iterator[bytes]:
     for start in range(0, len(table), CSV_CHUNK_ROWS):
         stop = min(start + CSV_CHUNK_ROWS, len(table))
         if start:
-            chunk_cells = _shared_float_cells([column.float_values()[start:stop] for column in streamed])
-        cells = dict(zip(map(id, streamed), chunk_cells))
-        for column, slot in zip(table.columns, slots):
-            slot[: stop - start] = _items(column.chunk(start, stop, cells.get(id(column))))
+            chunk_cells = _shared_float_cells([column.values[start:stop] for column in streamed])
+        formatted = iter(chunk_cells)
+        for column, slot, width in zip(columns, slots, widths):
+            if column.streams:
+                cells = next(formatted)
+                if column.empty is not None:
+                    cells[column.empty[start:stop]] = 0
+                cells = _fit(cells, width)
+            elif column.index is None:
+                cells = column.cells[start:stop]
+            else:
+                cells = column.cells.take(column.index[start:stop], axis=0)
+            slot[: stop - start] = _items(cells)
         yield rows[: stop - start].tobytes().translate(None, b"\0")
 
 

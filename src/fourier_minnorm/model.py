@@ -23,9 +23,10 @@ import numpy as np
 
 from .errors import ConfigurationError, RegimeError
 
-# Above this ambient dimension the per-residue aliased sums switch to Kahan
-# compensation; below it plain vectorised summation is accurate enough.
-COMPENSATED_SUM_MIN_D = 1 << 16
+# From this many blocks of n features, ceil(D / n), the per-residue aliased
+# sums switch to Kahan compensation: plain summation's rounding grows with the
+# number of blocks a class sums, and below it stays near 1e-15.
+COMPENSATED_SUM_MIN_BLOCKS = 256
 
 
 class Regime(enum.Enum):
@@ -43,16 +44,12 @@ class Spectrum:
     t: np.ndarray = field(repr=False)
     c_r: float
 
-    def t_pow(self, u: float) -> np.ndarray:
-        """Entrywise power t_j^u (returns a fresh writable array)."""
-        return self.t ** u
-
     def tail_sum(self, u: float, start: int = 0, stop: int | None = None) -> float:
         """Exactly rounded sum of t_j^u over j in [start, stop)."""
         stop = self.D if stop is None else stop
         if not 0 <= start <= stop <= self.D:
             raise ConfigurationError(f"index window [{start}, {stop}) outside [0, {self.D})")
-        return math.fsum(memoryview(self.t_pow(u)[start:stop]))
+        return math.fsum(memoryview((self.t ** u)[start:stop]))
 
 
 def check_finite_nonnegative(value: float, name: str) -> None:
@@ -173,8 +170,8 @@ def folded_sums(
     (sums, or maxima of values >= 0).  Other axes are a batch, each row folded
     exactly as on its own.  The fold adds blocks of n from entry 0 in order
     (zero-padded at the end), then rolls by start mod n.  With ``compensated``
-    sums take a Kahan loop instead of the vectorised sum (engaged for very
-    large D); maxima are exact either way.
+    sums take a Kahan loop instead of the vectorised sum (engaged from
+    COMPENSATED_SUM_MIN_BLOCKS blocks on); maxima are exact either way.
     """
     if n < 1:
         raise ConfigurationError(f"fold length must be >= 1, got {n}")

@@ -105,7 +105,7 @@ class TailRow(NamedTuple):
 
 
 def _theta_scale(spectrum: Spectrum) -> np.ndarray:
-    return math.sqrt(spectrum.c_r) * spectrum.t_pow(spectrum.decay_r)
+    return math.sqrt(spectrum.c_r) * spectrum.t ** spectrum.decay_r
 
 
 def _draw_width(model: CoefficientModel, D: int) -> int:

@@ -31,9 +31,9 @@ import numpy as np
 from .errors import ConfigurationError, NumericalInconsistencyError, RegimeError
 from .estimators import EstimatorResult
 from .interpolation import UNIT_DOMAIN, symmetric_frequencies
-from .model import GridConfig, Spectrum
+from .model import GridConfig, Spectrum, check_finite_nonnegative
 from .montecarlo import CoefficientModel
-from .risktheory import _check_q, _require_over
+from .risktheory import _require_over
 
 # The trace forms subtract: a tiny negative is rounding noise and reported as
 # 0, anything worse indicates a bug.
@@ -115,7 +115,7 @@ def risk_trace_over(spectrum: Spectrum, grid: GridConfig, q: float) -> RiskBreak
     factor, keeping the oracle accurate at large weighting exponents.
     """
     _require_over(grid)
-    _check_q(q)
+    check_finite_nonnegative(q, "weighting exponent q")
     n, p, D = grid.n, grid.p, grid.D
     r = spectrum.decay_r
     t = spectrum.t

@@ -36,8 +36,10 @@ is NaN; a p above every D is a ConfigurationError.  ``_class_risks`` holds
 W', A'(4q) and A'(2q+2r) in (rows, top + 1, n) slots, up to the last row
 top that a point reads, whose row j sums blocks 1 to j - 1: row l + 1
 serves class m < s at p = l*n + s and row l the rest.  Only V' runs over
-every block.  At D >= COMPENSATED_SUM_MIN_D the running sums carry Kahan
-compensation from block to block, and each such D has passes of its own.
+every block.  Plain running sums lose accuracy with the number of blocks
+they add, ceil(D/n), not with D: from COMPENSATED_SUM_MIN_BLOCKS (256)
+blocks on they carry Kahan compensation from block to block, and each such
+D has passes of its own.
 Each row is raised to its own scalar exponents and summed over its own
 entries, and a point's sum over the classes depends on that point alone, so
 a group's risks do not depend on the stack, the other D or the other
@@ -60,7 +62,7 @@ from .errors import (
     StructureError,
 )
 from .model import (
-    COMPENSATED_SUM_MIN_D,
+    COMPENSATED_SUM_MIN_BLOCKS,
     GridConfig,
     Spectrum,
     accumulate_blocks,
@@ -117,17 +119,13 @@ def _require_over(grid: GridConfig) -> None:
         raise RegimeError(f"overparameterized form needs p >= n, got p={grid.p}, n={grid.n}")
 
 
-def _check_q(q: float) -> None:
-    check_finite_nonnegative(q, "weighting exponent q")
-
-
 def _class_risks(spectra: Sequence[Spectrum], n: int, q_values: Sequence[float], p: np.ndarray) -> np.ndarray:
     """Unfinalised risk of group g, (spectra[g], q_values[g]), at p[j] (entry [g, j]); meaningless where p > its D.
 
-    The spectra are all below COMPENSATED_SUM_MIN_D or share one D; the
-    groups of one (r, q) read one prefix row.  Works in three (rows,
-    top + 1, n) slots of the prefix layout, up to the last row a point
-    reads: row i + 1 holds block i (features i*n + m), and the spare row 0,
+    The spectra all span fewer than COMPENSATED_SUM_MIN_BLOCKS blocks of n
+    features or share one D; the groups of one (r, q) read one prefix
+    row.  Works in three (rows, top + 1, n) slots of the prefix layout, up
+    to the last row a point reads: row i + 1 holds block i (features i*n + m), and the spare row 0,
     the leaders' row 1 and the padding past D stay zero (t is never padded:
     0**0 would add phantom features at q = 0 or r = 0).  Running sums taken
     in place make row j sum blocks 1 to j - 1: the fitted non-leaders of a
@@ -142,7 +140,8 @@ def _class_risks(spectra: Sequence[Spectrum], n: int, q_values: Sequence[float],
     """
     D = np.array([spectrum.D for spectrum in spectra])
     t, groups = spectra[int(D.argmax())].t, len(spectra)  # every D's t is a prefix of the longest
-    comp, blocks = t.size >= COMPENSATED_SUM_MIN_D, -(-t.size // n)
+    blocks = -(-t.size // n)
+    comp = blocks >= COMPENSATED_SUM_MIN_BLOCKS
     prefixes: dict[tuple[float, float], int] = {}
     owner = np.array([prefixes.setdefault((s.decay_r, q), len(prefixes)) for s, q in zip(spectra, q_values)])
     reach = np.zeros(len(prefixes), dtype=int)  # each prefix row's largest D
@@ -236,14 +235,15 @@ def sweep_risks(spectra: Sequence[Spectrum], n: int, q_values: Sequence[float], 
     if not spectra or len(q_values) != len(spectra):
         raise ConfigurationError(f"need one q per spectrum, got q {q_values} for {len(spectra)} spectra")
     for q in q_values:
-        _check_q(q)
+        check_finite_nonnegative(q, "weighting exponent q")
     D = np.array([spectrum.D for spectrum in spectra])
     check_truncations(int(D.min()), n, ())  # n <= every D
     p = check_truncations(int(D.max()), n, p_values)
-    # a pass takes every D below COMPENSATED_SUM_MIN_D, or one D from it on, and its (r, q) prefix rows by order
+    # a pass takes every D of fewer than COMPENSATED_SUM_MIN_BLOCKS blocks, or one D of more, and its (r, q)
+    # prefix rows by order
     passes: dict[int, dict[tuple[float, float], list[int]]] = {}
     for g, (spectrum, q) in enumerate(zip(spectra, q_values)):
-        key = spectrum.D if spectrum.D >= COMPENSATED_SUM_MIN_D else 0
+        key = spectrum.D if -(-spectrum.D // n) >= COMPENSATED_SUM_MIN_BLOCKS else 0
         passes.setdefault(key, {}).setdefault((spectrum.decay_r, q), []).append(g)
     raw = np.empty((len(spectra), len(p)))
     for prefixes in passes.values():

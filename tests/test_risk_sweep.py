@@ -19,8 +19,11 @@ from fourier_minnorm import (
 )
 from fourier_minnorm import risktheory
 from fourier_minnorm.oracles import _finalize_risk, risk_trace_over, risk_trace_under
-from fourier_minnorm.model import COMPENSATED_SUM_MIN_D
+from fourier_minnorm.model import COMPENSATED_SUM_MIN_BLOCKS
 from fourier_minnorm.risktheory import _class_risks, _finalize_risks
+
+# D = 2^16: n = 256 spans exactly the block count from which running sums are compensated
+COMPENSATED_D = 256 * COMPENSATED_SUM_MIN_BLOCKS
 
 
 def one_row(spectrum, n, q, p_values):
@@ -131,17 +134,25 @@ class TestSweepIsTheSinglePointValue:
 
 class TestAccuracyEdges:
     def test_compensated_sweep_matches_mpmath(self):
-        D, n, r, q = COMPENSATED_SUM_MIN_D, 256, 1.0, 1.0
+        D, n, r, q = COMPENSATED_D, 256, 1.0, 1.0
         p_values = [100, 256, 512, 8192, D]
         swept = one_row(build_spectrum(D, r), n, q, p_values)
         assert np.max(np.abs(swept - mp_risks(D, n, r, q, p_values))) <= 1e-12
 
     def test_compensated_misaligned_sweep_matches_mpmath(self):
         # n = 250 divides neither D = 2^16 nor any p > n below
-        D, n, r, q = COMPENSATED_SUM_MIN_D, 250, 1.0, 1.0
+        D, n, r, q = COMPENSATED_D, 250, 1.0, 1.0
         p_values = [100, 250, 1001, 12345, D]
         swept = one_row(build_spectrum(D, r), n, q, p_values)
         assert np.max(np.abs(swept - mp_risks(D, n, r, q, p_values))) <= 1e-12
+
+    @pytest.mark.parametrize("D, r", [(65535, 1.0), (2048, 3.0)])
+    def test_many_blocks_below_2_16_match_mpmath(self, D, r):
+        # n = 1: D blocks of one feature; plain running sums were off by 1.7e-14 and 1.5e-14, relative
+        p_values = [1, 2, D // 2, D - 1, D]
+        swept = one_row(build_spectrum(D, r), 1, r, p_values)
+        exact = np.array(mp_risks(D, 1, r, r, p_values, dps=50))
+        assert np.max(np.abs(swept - exact) / exact) <= 1e-15
 
     @pytest.mark.parametrize("q", [80.0, 200.0, 400.0])
     def test_large_q_is_finite_and_matches_mpmath(self, q):
@@ -263,11 +274,13 @@ class TestStackedSweep:
         assert stacked.shape == (len(groups), len(p_values))
         np.testing.assert_array_equal(bits(stacked), bits(one_at_a_time(spectra, n, q_values, p_values)))
 
-    @pytest.mark.parametrize("D, n", [(COMPENSATED_SUM_MIN_D, 256), (COMPENSATED_SUM_MIN_D + 4465, 300)])
+    @pytest.mark.parametrize(
+        "D, n", [(COMPENSATED_D, 256), (COMPENSATED_D + 4465, 300), (COMPENSATED_D + 4465, 250)]
+    )
     @pytest.mark.parametrize("groups_per_pass", [None, 3])
     def test_compensated_stack_equals_one_group_at_a_time(self, D, n, groups_per_pass):
-        # by default each group of D >= 2^16 has a pass to itself; 3 to a pass runs the Kahan
-        # loop over blocks of shape (3, groups, n)
+        # by default each group of D >= 2^16 has a pass to itself; 3 to a pass runs the Kahan loop over
+        # blocks of shape (3, groups, n) where D spans 256 blocks or more (not D = 70001, n = 300: 234 blocks)
         groups = [(1.0, 1.0), (0.5, 0.0), (1.5, 300.0)]
         spectra, q_values = [build_spectrum(D, r) for r, _ in groups], [q for _, q in groups]
         p_values = [1, n - 1, n, n + 1, 3 * n + n // 2, D // 2, D - 1, D]
@@ -277,7 +290,7 @@ class TestStackedSweep:
         np.testing.assert_array_equal(bits(stacked), bits(one_at_a_time(spectra, n, q_values, p_values)))
 
     @pytest.mark.parametrize(
-        "D, groups, passes", [(1024, 21, [21]), (8192, 21, [8, 8, 5]), (COMPENSATED_SUM_MIN_D, 2, [1, 1])]
+        "D, groups, passes", [(1024, 21, [21]), (8192, 21, [8, 8, 5]), (COMPENSATED_D, 2, [1, 1])]
     )
     def test_groups_per_pass_keep_the_working_set(self, D, groups, passes):
         # at most max(1, 2^16 // D) groups share a pass: a 21-r heatmap at D = 1024 takes one
@@ -327,11 +340,11 @@ class TestStackedSweep:
         np.testing.assert_array_equal(bits(stacked), bits(one_D_at_a_time(spectra, n, q_values, p_values)))
 
     def test_compensated_D_take_passes_of_their_own(self):
-        # every (r, q) at D = 1024 shares one pass; each D >= 2^16 takes its own, one (r, q) to a pass
-        n, D_values = 256, [1024, COMPENSATED_SUM_MIN_D, COMPENSATED_SUM_MIN_D + 4465]
+        # every (r, q) at D = 1024 shares one pass; each D of 256 blocks or more takes its own, one (r, q) to a pass
+        n, D_values = 256, [1024, COMPENSATED_D, COMPENSATED_D + 4465]
         groups = [(D, r, q) for D in D_values for r, q in [(1.0, 1.0), (0.5, 0.0)]]
         spectra, q_values = [build_spectrum(D, r) for D, r, _ in groups], [q for *_, q in groups]
-        p_values = [1, n - 1, n, n + 1, 3 * n + n // 2, 1024, 1025, COMPENSATED_SUM_MIN_D, D_values[-1]]
+        p_values = [1, n - 1, n, n + 1, 3 * n + n // 2, 1024, 1025, COMPENSATED_D, D_values[-1]]
         with mock.patch.object(risktheory, "_class_risks", wraps=risktheory._class_risks) as passes_made:
             stacked = sweep_risks(spectra, n, q_values, p_values)
         assert [sorted({s.D for s in call.args[0]}) for call in passes_made.call_args_list] == [

@@ -74,7 +74,8 @@ def table_rows(table: Table) -> list[list]:
 
 def with_kept_cells(table: Table) -> Table:
     """The same rows, every column given a row index, so each is formatted once and its cells kept."""
-    return Table([Column(c.values, index=np.arange(len(c)) if c.index is None else c.index) for c in table.columns])
+    return Table([Column(c.values, index=np.arange(len(c)) if c.index is None else c.index, empty=c.empty)
+                  for c in table.columns])
 
 
 CAP = cli._FORMAT_CALL_VALUES  # values per shared formatter call
@@ -234,22 +235,21 @@ class TestWriterEquivalence:
         assert formatter_calls == [4, 4, 2] * 2  # every chunk formatted again for the second file
         assert not [v for v in vars(column).values() if isinstance(v, np.ndarray) and v.ndim == 2]  # no byte rows
 
-    def test_only_per_row_float_columns_stream(self):
+    def test_only_per_row_float_columns_stream(self, tmp_path):
         streamed = [Column(np.arange(3.0)), Column([0.5, None, 1.5])]
         kept = [Column([0.5], repeat=3), Column(np.arange(3.0), tile=1, index=np.array([2, 1, 0])),
                 Column.distinct(np.array([0.0, -0.0, 0.0]))]
         text = [Column(range(3)), Column(["a", "b", "c"]), Column([1, 0.5, 2])]
-        assert [column.streams_floats() for column in streamed + kept + text] == [True] * 2 + [False] * 6
-        assert [column.unformatted_floats() is not None for column in streamed + kept + text] == (
-            [False] * 2 + [True] * 3 + [False] * 3
-        )
-        kept[0].width()  # formats and keeps its cells
-        assert kept[0].unformatted_floats() is None
-
-    def test_a_per_row_float_chunk_needs_its_cells(self):
-        column = Column(np.arange(3.0))
-        with pytest.raises(ValueError, match="formatted cells"):
-            column.chunk(0, 3)
+        columns = streamed + kept + text
+        # set at construction: a list's None cells become the empty mask
+        assert [column.streams for column in columns] == [True] * 2 + [False] * 6
+        assert [column.floats for column in columns] == [True] * 5 + [False] * 3
+        np.testing.assert_array_equal(streamed[1].empty, [False, True, False])
+        header = [f"c{i}" for i in range(len(columns))]
+        write_table(tmp_path / "t.json", "json", header, Table(columns))
+        assert all(column.cells is None for column in columns)  # formatted by a CSV write only
+        write_table(tmp_path / "t.csv", "csv", header, Table(columns))
+        assert [column.cells is not None for column in columns] == [False] * 2 + [True] * 6
 
     @staticmethod
     def _write_per_row_float_columns(tmp_path) -> None:
