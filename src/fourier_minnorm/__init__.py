@@ -16,11 +16,7 @@ from .errors import (
     StructureError,
     UnknownTargetError,
 )
-from .estimators import (
-    EstimatorResult,
-    least_squares,
-    weighted_minnorm,
-)
+from .estimators import EstimatorResult, weighted_minnorm
 from .interpolation import (
     FittedInterpolant,
     InterpolationProblem,
@@ -93,7 +89,6 @@ __all__ = [
     "equispaced_predict",
     "fit_interpolant",
     "gram_eigenvalues",
-    "least_squares",
     "lowest_risks",
     "sweep_risks",
     "symmetric_frequencies",

@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError
-from .model import COMPENSATED_SUM_MIN_BLOCKS, GridConfig, Spectrum, check_finite_nonnegative, folded_sums
+from .model import GridConfig, Spectrum, check_finite_nonnegative, compensated_classes, folded_sums
 
 
 def gram_eigenvalues(spectrum: Spectrum, grid: GridConfig, u: float, side: str) -> np.ndarray:
@@ -44,7 +44,7 @@ def gram_eigenvalues(spectrum: Spectrum, grid: GridConfig, u: float, side: str) 
     if side not in ("T", "Tc"):
         raise ConfigurationError(f"side must be 'T' or 'Tc', got {side!r}")
     start, stop = (0, grid.p) if side == "T" else (grid.p, spectrum.D)
-    compensated = -(-spectrum.D // grid.n) >= COMPENSATED_SUM_MIN_BLOCKS
+    compensated = compensated_classes(spectrum.D, grid.n)
     return grid.n * folded_sums((spectrum.t ** u)[start:stop], grid.n, compensated, start=start)
 
 

@@ -249,8 +249,7 @@ def _class_fit(transform: np.ndarray, weights: np.ndarray, q: float) -> np.ndarr
     """theta_k = s_k * transform[k mod n] / (n^d * Lambda[k mod n]) for transform = fftn(y) and (p,)*d weights."""
     d, n, p = transform.ndim, transform.shape[0], weights.shape[0]
     s, lam, classes = class_weights(np.fft.fftshift(weights), n, q, start=-(p // 2))  # s = 1 at q = 0
-    # Empty classes (p < n) hold Lambda = 0 and are never read; the floor only avoids 0/0.
-    return np.fft.ifftshift(s * (transform / (n**d * np.maximum(lam, 1.0)))[classes])
+    return np.fft.ifftshift(s * (transform[classes] / (n**d * lam[classes])))
 
 
 def _overflow_free(stat: Callable[[np.ndarray], float], values: np.ndarray) -> float:

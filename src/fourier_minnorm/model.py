@@ -29,6 +29,11 @@ from .errors import ConfigurationError, RegimeError
 COMPENSATED_SUM_MIN_BLOCKS = 256
 
 
+def compensated_classes(D: int, n: int) -> bool:
+    """Whether the class sums of D features modulo n take Kahan compensation (see COMPENSATED_SUM_MIN_BLOCKS)."""
+    return -(-D // n) >= COMPENSATED_SUM_MIN_BLOCKS
+
+
 class Regime(enum.Enum):
     UNDER = "under"
     OVER_ALIGNED = "over_aligned"
@@ -43,13 +48,6 @@ class Spectrum:
     decay_r: float
     t: np.ndarray = field(repr=False)
     c_r: float
-
-    def tail_sum(self, u: float, start: int = 0, stop: int | None = None) -> float:
-        """Exactly rounded sum of t_j^u over j in [start, stop)."""
-        stop = self.D if stop is None else stop
-        if not 0 <= start <= stop <= self.D:
-            raise ConfigurationError(f"index window [{start}, {stop}) outside [0, {self.D})")
-        return math.fsum(memoryview((self.t ** u)[start:stop]))
 
 
 def check_finite_nonnegative(value: float, name: str) -> None:
@@ -100,8 +98,8 @@ class GridConfig:
 
     tau is present iff n divides D, l iff n divides p.  The boundary p = n is
     tagged OVER_ALIGNED (l = 1); operations that need p <= n or p >= n (the
-    trace oracles, the estimators) validate against n and p directly, so
-    both regimes' routes stay callable at the boundary.
+    trace oracles) validate against n and p directly, so both regimes'
+    routes stay callable at the boundary.
     """
 
     D: int

@@ -9,9 +9,10 @@ it estimates a whole p sweep in one pass.  Trials are taken in blocks of a
 fixed number of coefficients (16 trials at D = 1024).  Each trial's theta is
 drawn once per sweep, the block is folded to its samples y once, and the
 class sums c = ifft(y) are taken once; c is shared by every p (the aliasing
-fact, see ``circulant``): p <= n fits c[:, :p] (least squares), every p > n
-broadcasts c against the min-norm kernel s_k / Lambda[k mod n] of
-``estimators``, built once per p.  ``empirical_risk`` is the one-point call.
+fact, see ``circulant``): the min-norm fit of ``estimators`` is c[:, :p] at
+p <= n (least squares), and every p > n broadcasts c against its kernel
+s_k / Lambda[k mod n], built once per p.  ``empirical_risk`` is the
+one-point call.
 
 The same fact splits each trial's error sum_k |theta_k - theta_hat_k|^2 into
 a head over the fitted features and |theta_k|^2 summed over fixed blocks of
@@ -38,8 +39,8 @@ arithmetic of ``oracles.sample_theta``.
 Since every sum's order is fixed by (D, n, p), each sample is bit-identical
 across block sizes, worker counts, reruns and the other p of the sweep (a
 point call equals its sweep entry).  Each error sums the same nonnegative
-terms as the loop's theta - least_squares or weighted_minnorm fit, with no
-term passing through more than n + ceil(D/n) additions, so it lies within
+terms as the loop's theta - weighted_minnorm fit, with no term passing
+through more than n + ceil(D/n) additions, so it lies within
 gamma_d = d u / (1 - d u) of their math.fsum, relative, for
 d = n + ceil(D/n) + 2 and u = 2^-53.
 """
@@ -244,8 +245,8 @@ def empirical_risks(
 ) -> list[McRiskEstimate]:
     """Mean squared recovery error at every truncation in p_values.
 
-    p <= n fits least squares (q has no effect there, sample by sample);
-    p > n fits the min-norm estimator with exponent q.  Every trial is drawn
+    Every p fits the min-norm estimator with exponent q: least squares at
+    p <= n, where q has no effect, sample by sample.  Every trial is drawn
     once and shared by all p, and each error is a head over the fitted
     features plus block tails (see the module docstring); the returned
     ``samples`` arrays are read-only.
@@ -320,8 +321,8 @@ def _squared_errors(spectrum: Spectrum, n: int, q: float, p_sorted: np.ndarray, 
             low += S[:, 1:2]
         for col, (p, kernel) in enumerate(zip(p_high, kernels), start=lows):
             # p > n: the fit's error over whole blocks of n, then the tail past them
-            fitted = len(kernel)  # ceil(p / n) blocks
-            fit = _minnorm_fit(c, kernel, p, out=diff[:, :p])
+            fitted = -(-p // n)  # ceil(p / n) blocks
+            fit = _minnorm_fit(c, kernel, out=diff[:, :p])
             np.subtract(theta[:, :p], fit, out=fit)
             _squared_modulus(fit, err[:, :p])
             err[:, p : fitted * n] = power[:, p : fitted * n]

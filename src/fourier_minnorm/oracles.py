@@ -6,8 +6,9 @@ the runtime folds and transforms (the aliasing fact, see ``circulant``):
 * ``fourier_matrix``, F itself: checks ``circulant.equispaced_predict`` and
   ``gram_eigenvalues`` and feeds the oracles below;
 * ``solve_weighted_minnorm``, the SVD pseudoinverse of F_T S^q: checks
-  ``estimators.weighted_minnorm``, ``least_squares`` and (on tensor products
-  of ``axis_feature_matrix``) ``interpolation.fit_interpolant``;
+  ``estimators.weighted_minnorm`` at every p (least squares at p <= n) and,
+  on tensor products of ``axis_feature_matrix``,
+  ``interpolation.fit_interpolant``;
 * ``minnorm_kkt_check``, a dense stationarity certificate: checks that
   ``weighted_minnorm`` is the weighted-norm minimiser;
 * ``risk_trace_over``/``risk_trace_under``, trace forms on any grid, the

@@ -62,12 +62,12 @@ from .errors import (
     StructureError,
 )
 from .model import (
-    COMPENSATED_SUM_MIN_BLOCKS,
     GridConfig,
     Spectrum,
     accumulate_blocks,
     check_finite_nonnegative,
     check_truncations,
+    compensated_classes,
 )
 
 # Features per stacked pass: max(1, STACKED_FEATURES // D) (r, q) rows at its largest D, so no
@@ -141,7 +141,7 @@ def _class_risks(spectra: Sequence[Spectrum], n: int, q_values: Sequence[float],
     D = np.array([spectrum.D for spectrum in spectra])
     t, groups = spectra[int(D.argmax())].t, len(spectra)  # every D's t is a prefix of the longest
     blocks = -(-t.size // n)
-    comp = blocks >= COMPENSATED_SUM_MIN_BLOCKS
+    comp = compensated_classes(t.size, n)
     prefixes: dict[tuple[float, float], int] = {}
     owner = np.array([prefixes.setdefault((s.decay_r, q), len(prefixes)) for s, q in zip(spectra, q_values)])
     reach = np.zeros(len(prefixes), dtype=int)  # each prefix row's largest D
@@ -243,7 +243,7 @@ def sweep_risks(spectra: Sequence[Spectrum], n: int, q_values: Sequence[float], 
     # prefix rows by order
     passes: dict[int, dict[tuple[float, float], list[int]]] = {}
     for g, (spectrum, q) in enumerate(zip(spectra, q_values)):
-        key = spectrum.D if -(-spectrum.D // n) >= COMPENSATED_SUM_MIN_BLOCKS else 0
+        key = spectrum.D if compensated_classes(spectrum.D, n) else 0
         passes.setdefault(key, {}).setdefault((spectrum.decay_r, q), []).append(g)
     raw = np.empty((len(spectra), len(p)))
     for prefixes in passes.values():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from fourier_minnorm import (
     RegimeError,
     build_spectrum,
     classify_grid,
-    least_squares,
     weighted_minnorm,
 )
 from fourier_minnorm.oracles import fourier_matrix, minnorm_kkt_check, solve_weighted_minnorm
@@ -140,11 +140,6 @@ class TestWeightedMinnorm:
         scaled = weighted_minnorm(alpha * y, s, g, q).theta_hat
         np.testing.assert_allclose(scaled, alpha * base, atol=1e-10)
 
-    def test_wrong_regime_rejected(self):
-        s = build_spectrum(8, 1.0)
-        with pytest.raises(RegimeError):
-            weighted_minnorm(np.zeros(4), s, classify_grid(8, 4, 2), 1.0)
-
     def test_circulant_path_works_on_general_grid(self):
         s = build_spectrum(8, 1.0)
         g = classify_grid(8, 3, 5)
@@ -176,32 +171,34 @@ class TestWeightedMinnorm:
 
 
 class TestLeastSquares:
+    """p <= n: weighted_minnorm is the least-squares fit, whatever q."""
+
     def test_square_interpolates(self):
+        s = build_spectrum(8, 1.0)
         g = classify_grid(8, 4, 4)
         rng = np.random.default_rng(7)
         y = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        fit = least_squares(y, g)
-        assert fit.residual <= 1e-12
+        for q in (0.0, 1.0, 40.0):
+            assert weighted_minnorm(y, s, g, q).residual <= 1e-12
 
     def test_dc_coefficient_of_constant(self):
+        s = build_spectrum(8, 1.0)
         g = classify_grid(8, 4, 1)
-        fit = least_squares(np.full(4, 2.5 + 0j), g)
-        assert fit.theta_hat[0] == pytest.approx(2.5)
-        assert np.all(fit.theta_hat[1:] == 0)
+        for q in (0.0, 1.0, 40.0):
+            fit = weighted_minnorm(np.full(4, 2.5 + 0j), s, g, q)
+            assert fit.theta_hat[0] == pytest.approx(2.5)
+            assert np.all(fit.theta_hat[1:] == 0)
 
     def test_matches_dense_qr(self):
+        s = build_spectrum(8, 1.0)
         g = classify_grid(8, 4, 2)
         rng = np.random.default_rng(8)
         y = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        fit = least_squares(y, g)
         f = fourier_matrix(4, 0, 2)
         qmat, rmat = np.linalg.qr(f)
         oracle = np.linalg.solve(rmat, qmat.conj().T @ y)
-        np.testing.assert_allclose(fit.theta_hat[:2], oracle, atol=1e-10)
-
-    def test_wrong_regime_rejected(self):
-        with pytest.raises(RegimeError):
-            least_squares(np.zeros(2), classify_grid(8, 2, 4))
+        for q in (0.0, 1.0, 40.0):
+            np.testing.assert_allclose(weighted_minnorm(y, s, g, q).theta_hat[:2], oracle, atol=1e-10)
 
 
 class TestKktCheck:
@@ -232,7 +229,7 @@ class TestKktCheck:
     def test_rejects_under_regime(self):
         s = build_spectrum(8, 1.0)
         g = classify_grid(8, 4, 2)
-        fit = least_squares(np.zeros(4, dtype=complex), g)
+        fit = weighted_minnorm(np.zeros(4, dtype=complex), s, g, 0.0)
         with pytest.raises(RegimeError):
             minnorm_kkt_check(fit, g, s, 0.0)
 
@@ -259,9 +256,9 @@ def test_circulant_minnorm_out_buffer_is_bit_identical(n, p):
     kernel = _minnorm_kernel(build_spectrum(64, 1.0).t[:p], n, 1.5)
     buffer = np.full((4, 64), np.nan, dtype=complex)
     out = buffer[:3, :p]
-    got = _minnorm_fit(c, kernel, p, out=out)
+    got = _minnorm_fit(c, kernel, out=out)
     assert got is out
-    assert np.array_equal(out, _minnorm_fit(c, kernel, p))
+    assert np.array_equal(out, _minnorm_fit(c, kernel))
     assert np.isnan(buffer[:3, p:]).all() and np.isnan(buffer[3]).all()
 
 
@@ -275,7 +272,7 @@ def test_large_q_fit_is_least_squares_bit_for_bit(D, data, seed):
     # Every non-leader weight (t_k / t_{k mod n})^(2q) is at most 2^(-2q)
     # (k >= k mod n + n gives a ratio <= 1/2), so at q = 40 each class sum
     # Lambda rounds to 1 and the fit's first n coefficients are c = ifft(y)
-    # itself: the least-squares fit at p = n, bit for bit.
+    # itself: the fit at p = n, least squares, bit for bit.
     n = data.draw(st.integers(min_value=1, max_value=D - 1))
     p = data.draw(st.integers(min_value=n + 1, max_value=D))
     q = 40.0
@@ -285,5 +282,38 @@ def test_large_q_fit_is_least_squares_bit_for_bit(D, data, seed):
     rng = np.random.default_rng(seed)
     y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     fit = weighted_minnorm(y, s, classify_grid(D, n, p), q)
-    ls = least_squares(y, classify_grid(D, n, n))
-    assert np.array_equal(fit.theta_hat[:n], ls.theta_hat[:n])
+    square = weighted_minnorm(y, s, classify_grid(D, n, n), q)
+    assert np.array_equal(fit.theta_hat[:n], square.theta_hat[:n])
+
+
+@st.composite
+def any_fits(draw):
+    """(D, n, p) with D <= 64, n dividing D or not, and any 1 <= p <= D."""
+    D = draw(st.integers(min_value=1, max_value=64))
+    divisors = [k for k in range(1, D + 1) if D % k == 0]
+    n = draw(st.one_of(st.sampled_from(divisors), st.integers(min_value=1, max_value=D)))
+    p = draw(st.integers(min_value=1, max_value=D))
+    return classify_grid(D, n, p)
+
+
+@given(grid=any_fits(), q=st.sampled_from([0.0, 0.5, 1.0, 40.0, 1e308]), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_one_fit_for_every_p(grid, q, seed):
+    # The constraints fix only the class sums and the weighted norm adds up
+    # class by class, so scaling each class's weights by its leader t_{k mod n}
+    # keeps the minimiser; it keeps the dense solve well conditioned at any q.
+    D, n, p = grid.D, grid.n, grid.p
+    s = build_spectrum(D, 1.0)
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = weighted_minnorm(y, s, grid, q)
+    scaled = s.t[:p] / s.t[np.arange(p) % n]
+    dense = solve_weighted_minnorm(fourier_matrix(n, 0, p), scaled, q, y)
+    assert np.linalg.norm(fit.theta_hat[:p] - dense) <= 1e-10 * np.linalg.norm(dense)
+    assert np.all(fit.theta_hat[p:] == 0)
+    if p <= n:
+        assert fit.theta_hat[:p].tobytes() == np.fft.ifft(y)[:p].tobytes()
+    else:
+        assert fit.residual <= 1e-10 * np.linalg.norm(y)

@@ -16,7 +16,6 @@ from fourier_minnorm import (
     empirical_risk,
     empirical_risks,
     equispaced_predict,
-    least_squares,
     sweep_risks,
     weighted_minnorm,
 )
@@ -209,7 +208,7 @@ def one_trial_at_a_time(spectrum, n, q, p_values, mc):
         for trial in range(mc.trials):
             theta = sample_theta(spectrum, mc.coefficient_model, trial_generator(mc.seed, trial))
             y = equispaced_predict(theta, n)
-            fit = least_squares(y, grid) if p <= n else weighted_minnorm(y, spectrum, grid, q)
+            fit = weighted_minnorm(y, spectrum, grid, q)
             diff = theta - fit.theta_hat
             samples[trial] = math.fsum(diff.real**2 + diff.imag**2)
         estimates.append(samples)
