@@ -272,17 +272,14 @@ def _write_file(path: Path, chunks: Iterable[bytes]) -> None:
 
 
 def _kept_cells(column: Column, float_cells: np.ndarray | None) -> np.ndarray:
-    """The byte rows a column keeps: its float cells (None cells blanked) or its rendered text cells.
+    """The byte rows a column keeps: its float cells or its rendered text cells, the ``empty`` ones blanked.
 
     Each row is cut to the fewest whole words, less the separator's byte,
     that hold the widest cell.
     """
-    if column.floats:
-        cells = float_cells
-        if column.empty is not None:
-            cells[column.empty] = 0
-    else:
-        cells = _text_cells(list(map(render_cell, column.values)))
+    cells = float_cells if column.floats else _text_cells(list(map(render_cell, column.values)))
+    if column.empty is not None:
+        cells[column.empty] = 0
     used = np.flatnonzero(cells.any(axis=0))
     # contiguous, not a view of wider rows: a chunk's gather then reads about twice as fast
     return np.ascontiguousarray(_fit(cells, _cell_bytes(used[-1] + 1 if used.size else 0)))
@@ -633,7 +630,8 @@ def _mc_config(spec: McRiskSpec | ConcentrationSpec, **options) -> McConfig:
 def run_mc_risk(spec: McRiskSpec) -> list[Path]:
     mc = _mc_config(spec, confidence=spec.confidence)  # first: the trials x D refusal precedes any allocation
     groups, p, spectra, columns, risks = _sweep(spec, spec.q_values)
-    estimates = [est for r, q in groups for est in empirical_risks(spectra[r], spec.n, q, p, mc)]
+    stack = empirical_risks([spectra[r] for r, _ in groups], spec.n, [q for _, q in groups], p, mc)
+    estimates = [est for row in stack for est in row]
     columns += [
         Column(regime_tags(spec.n, p), tile=len(groups)),
         Column(risks),

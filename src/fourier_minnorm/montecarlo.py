@@ -5,14 +5,16 @@ observations are full-model (all D features), and each trial records the
 squared recovery error of the regime-appropriate estimator.
 
 ``empirical_risks`` is the Monte Carlo twin of ``risktheory.sweep_risks``:
-it estimates a whole p sweep in one pass.  Trials are taken in blocks of a
-fixed number of coefficients (16 trials at D = 1024).  Each trial's theta is
-drawn once per sweep, the block is folded to its samples y once, and the
-class sums c = ifft(y) are taken once; c is shared by every p (the aliasing
-fact, see ``circulant``): the min-norm fit of ``estimators`` is c[:, :p] at
-p <= n (least squares), and every p > n broadcasts c against its kernel
-s_k / Lambda[k mod n], built once per p.  ``empirical_risk`` is the
-one-point call.
+it estimates every (spectrum, q) group of one D over a whole p sweep in one
+pass, so an mc-risk command draws its normals once.  Trials are taken in
+blocks of a fixed number of coefficients (16 trials at D = 1024).  Each
+block's normals are drawn once for every group; each distinct spectrum scales
+them to its theta, folds the block to its samples y and takes the class sums
+c = ifft(y) once; c is shared by every p and every q of that spectrum (the
+aliasing fact, see ``circulant``): the min-norm fit of ``estimators`` is
+c[:, :p] at p <= n (least squares, whatever q), and every p > n broadcasts c
+against its kernel s_k / Lambda[k mod n], built once per p and group.
+``empirical_risk`` is the one-point call.
 
 The same fact splits each trial's error sum_k |theta_k - theta_hat_k|^2 into
 a head over the fitted features and |theta_k|^2 summed over fixed blocks of
@@ -23,7 +25,8 @@ one prefix sum H of the fit's squared errors and one reversed prefix sum R of
 P over the first n columns; a p > n sums the fit's squared errors over its
 ceil(p/n) blocks (P past p fills the last one) and adds S_ceil(p/n).  So only
 a min-norm p costs work in proportion to p, and each part is summed in an
-order fixed by (D, n, p) alone.
+order fixed by (D, n, p) alone.  All of this up to the p > n fits depends on
+the spectrum and not on q, so groups that share a spectrum share it.
 
 Reproducibility: trial i draws from a Philox stream keyed by
 (seed, spawn_key=(i,)), and the coefficient vectors are, bit for bit, those
@@ -32,15 +35,18 @@ of the one-trial-at-a-time loop ``oracles.trial_generator`` ->
 is counter-based: a stream is fixed by its 128-bit key alone.
 ``empirical_risks`` therefore derives every trial's key up front in a few
 uint32 array passes that replay SeedSequence's hash (``_trial_keys``), and
-``_block_sampler`` re-keys one generator for each trial, draws the trial's
-normals straight into its row of a block buffer and scales the whole block
-with ``_scale_block``, which gives every row, bit for bit, the plain numpy
-arithmetic of ``oracles.sample_theta``.
-Since every sum's order is fixed by (D, n, p), each sample is bit-identical
-across block sizes, worker counts, reruns and the other p of the sweep (a
-point call equals its sweep entry).  Each error sums the same nonnegative
-terms as the loop's theta - weighted_minnorm fit, with no term passing
-through more than n + ceil(D/n) additions, so it lies within
+``_block_sampler`` re-keys one generator for each trial, through a state of
+Python ints, and draws the trial's normals straight into its row of a block
+buffer.  ``_scale_block`` scales the whole block for each spectrum and gives
+every row, bit for bit, the plain numpy arithmetic of ``oracles.sample_theta``.
+How a trial's normals become its theta depends on D (the complex model
+splits them into real and imaginary parts at D), so the groups of one pass
+share D.  Since every sum's order is fixed by (D, n, p), each sample is
+bit-identical across block sizes, worker counts, reruns, the other p of the
+sweep and the other groups of the pass (a point call equals its entry in any
+stack).  Each error sums the same nonnegative terms as the loop's
+theta - weighted_minnorm fit, with no term passing through more than
+n + ceil(D/n) additions, so it lies within
 gamma_d = d u / (1 - d u) of their math.fsum, relative, for
 d = n + ceil(D/n) + 2 and u = 2^-53.
 """
@@ -122,18 +128,20 @@ def _draw_width(model: CoefficientModel, D: int) -> int:
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-def _scale_block(scale: np.ndarray, model: CoefficientModel, g: np.ndarray, theta: np.ndarray) -> None:
+def _scale_block(
+    scale: np.ndarray, model: CoefficientModel, g: np.ndarray, theta: np.ndarray, out: np.ndarray
+) -> None:
     """Write coefficient vectors into the rows of ``theta`` from standard normals.
 
     Row i of ``g`` holds one vector's draws in stream order: D real parts
     then D imaginary parts (complex model), or D values (real model).  The
     result equals, bit for bit, scale * (re + 1j * im) / sqrt(2) and
-    scale * re.astype(complex).  ``g`` is overwritten.
+    scale * re.astype(complex).  ``out``, scratch of g's shape that may be g
+    itself, may be overwritten; g is left alone unless it is ``out``.
     """
     D = len(scale)
     if model is CoefficientModel.COMPLEX_GAUSSIAN:
-        halves = g.reshape(len(g), 2, D)
-        np.multiply(halves, scale, out=halves)
+        halves = np.multiply(g.reshape(len(g), 2, D), scale, out=out.reshape(len(g), 2, D))
         np.multiply(halves[:, 0], _INV_SQRT2, out=theta.real)
         np.multiply(halves[:, 1], _INV_SQRT2, out=theta.imag)
     else:
@@ -209,26 +217,26 @@ def _trial_keys(seed: int, trials: np.ndarray) -> np.ndarray:
     return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=-1)
 
 
-def _block_sampler(scale: np.ndarray, model: CoefficientModel):
-    """``draw(keys, draws, theta)``: the coefficient vectors of keyed trials, one per row.
+def _block_sampler():
+    """``draw(keys, out)``: the standard normals of keyed trials, one trial per row of ``out``.
 
-    Row i of ``theta`` becomes, bit for bit, oracles.sample_theta(spectrum,
-    model, oracles.trial_generator(seed, trial_i)) for keys =
-    _trial_keys(seed, trials): one generator, re-keyed for each trial
-    (counter 0 and an empty buffer make it that trial's stream), draws
-    straight into row i of ``draws`` ((len(keys), _draw_width) scratch), and
-    ``_scale_block`` scales them all.
+    Row i of ``out`` ((len(keys), _draw_width) scratch) becomes, bit for bit,
+    the normals oracles.sample_theta draws from oracles.trial_generator(seed,
+    trial_i), for keys = _trial_keys(seed, trials): one generator, re-keyed
+    for each trial (counter 0 and an empty buffer make it that trial's
+    stream).  The state holds Python ints, which the generator reads faster
+    than numpy scalars; ``_scale_block`` turns the rows into coefficients.
     """
     bit_generator = np.random.Philox(0)
     rng = np.random.Generator(bit_generator)
-    state = bit_generator.state
+    state = bit_generator.state  # an empty buffer (buffer_pos 4), as after seeding
+    state["state"]["counter"] = state["buffer"] = [0, 0, 0, 0]
 
-    def draw(keys: np.ndarray, draws: np.ndarray, theta: np.ndarray) -> None:
-        for g, key in zip(draws, keys):
+    def draw(keys: np.ndarray, out: np.ndarray) -> None:
+        for row, key in zip(out, keys.tolist()):
             state["state"]["key"] = key
             bit_generator.state = state
-            rng.standard_normal(out=g)
-        _scale_block(scale, model, draws, theta)
+            rng.standard_normal(out=row)
 
     return draw
 
@@ -241,56 +249,78 @@ def _squared_modulus(z: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def empirical_risks(
-    spectrum: Spectrum, n: int, q: float, p_values: Sequence[int], mc: McConfig
-) -> list[McRiskEstimate]:
-    """Mean squared recovery error at every truncation in p_values.
+    spectra: Sequence[Spectrum], n: int, q_values: Sequence[float], p_values: Sequence[int], mc: McConfig
+) -> list[list[McRiskEstimate]]:
+    """Mean squared recovery error of group g, (spectra[g], q_values[g]), at truncation p_values[j]: entry [g][j].
 
     Every p fits the min-norm estimator with exponent q: least squares at
-    p <= n, where q has no effect, sample by sample.  Every trial is drawn
-    once and shared by all p, and each error is a head over the fitted
-    features plus block tails (see the module docstring); the returned
-    ``samples`` arrays are read-only.
+    p <= n, where q has no effect, sample by sample.  One draw pass serves
+    the whole stack: every trial's normals are drawn once for all groups,
+    each spectrum (by identity) scales them once for all its q, and each
+    error is a head over the fitted features plus block tails (see the
+    module docstring).  The spectra must share one D.  Every entry is, bit
+    for bit, what its group gives alone; the returned ``samples`` arrays are
+    read-only.
     """
-    check_finite_nonnegative(q, "weighting exponent q")
+    spectra, q_values = list(spectra), list(q_values)
+    if not spectra or len(q_values) != len(spectra):
+        raise ConfigurationError(f"need one q per spectrum, got q {q_values} for {len(spectra)} spectra")
+    for q in q_values:
+        check_finite_nonnegative(q, "weighting exponent q")
+    D_values = sorted({spectrum.D for spectrum in spectra})
+    if len(D_values) > 1:
+        raise ConfigurationError(f"the spectra of one Monte Carlo pass must share D, got D {D_values}")
     # every distinct p once, ascending: the least-squares p <= n come first
-    p_sorted, where = np.unique(check_truncations(spectrum.D, n, p_values), return_inverse=True)
-    samples = _squared_errors(spectrum, n, q, p_sorted, mc)
+    p_sorted, where = np.unique(check_truncations(D_values[0], n, p_values), return_inverse=True)
+    samples = _squared_errors(spectra, n, q_values, p_sorted, mc)
     if not np.array_equal(where, np.arange(len(where))):
-        samples = samples[where]  # the caller's order, repeats included
+        samples = samples[:, where]  # the caller's order, repeats included
     samples.setflags(write=False)
     alpha = 100.0 * (1.0 - mc.confidence) / 2.0
-    ci_low, ci_high = np.percentile(samples, [alpha, 100.0 - alpha], axis=1)
-    return [
-        McRiskEstimate(mean=float(mean), ci_low=float(low), ci_high=float(high), samples=row)
-        for row, mean, low, high in zip(samples, samples.mean(axis=1), ci_low, ci_high)
-    ]
+    estimates = []
+    for rows in samples:
+        ci_low, ci_high = np.percentile(rows, [alpha, 100.0 - alpha], axis=1)
+        estimates.append([
+            McRiskEstimate(mean=float(mean), ci_low=float(low), ci_high=float(high), samples=row)
+            for row, mean, low, high in zip(rows, rows.mean(axis=1), ci_low, ci_high)
+        ])
+    return estimates
 
 
-def _squared_errors(spectrum: Spectrum, n: int, q: float, p_sorted: np.ndarray, mc: McConfig) -> np.ndarray:
-    """(len(p_sorted), trials) squared recovery errors for ascending, distinct p.
+def _squared_errors(
+    spectra: list[Spectrum], n: int, q_values: list[float], p_sorted: np.ndarray, mc: McConfig
+) -> np.ndarray:
+    """(groups, len(p_sorted), trials) squared recovery errors for ascending, distinct p.
 
     The block buffers die on return, before the statistics copy the samples.
     """
-    D = spectrum.D
+    D = spectra[0].D
     lows = int(np.searchsorted(p_sorted, n, side="right"))
     p_low, p_high = p_sorted[:lows], p_sorted[lows:].tolist()
-    kernels = [_minnorm_kernel(spectrum.t[:p], n, q) for p in p_high]
+    # the groups of each distinct spectrum, which share everything but their p > n fits
+    sharing: dict[int, list[int]] = {}
+    for g, spectrum in enumerate(spectra):
+        sharing.setdefault(id(spectrum), []).append(g)
+    scales = [_theta_scale(spectra[groups[0]]) for groups in sharing.values()]
+    kernels = [[_minnorm_kernel(spectrum.t[:p], n, q) for p in p_high] for spectrum, q in zip(spectra, q_values)]
     keys = _trial_keys(mc.seed, np.arange(mc.trials))
-    draw = _block_sampler(_theta_scale(spectrum), mc.coefficient_model)
+    draw = _block_sampler()
     width = _draw_width(mc.coefficient_model, D)
     blocks = -(-D // n)
     W = blocks * n
     step = max(1, _BLOCK_ELEMENTS // D)
-    samples = np.empty((len(p_sorted), mc.trials))
+    samples = np.empty((len(spectra), len(p_sorted), mc.trials))
     # One set of block arrays serves every block: arrays this large, allocated
     # afresh per block (or per p), can be handed back to the system on each
-    # free and page-faulted in again.  The draws are spent once theta is
-    # scaled, so the two halves of their memory hold |theta_k|^2 (zero-padded
-    # to whole blocks of n) and the squared errors of a fit.
+    # free and page-faulted in again.  Scaled draws are spent once theta is
+    # written, so the two halves of their memory hold |theta_k|^2 (zero-padded
+    # to whole blocks of n) and the squared errors of a fit.  One spectrum
+    # scales its draws in place; more than one keep the normals apart.
     rows = min(step, mc.trials)
     theta_buffer = np.empty((rows, D), dtype=complex)
     diff_buffer = np.empty((rows, D), dtype=complex)
     draw_buffer = np.empty((rows, 2 * W))
+    normal_buffer = draw_buffer if len(scales) == 1 else np.empty((rows, width))
     power_buffer, err_buffer = draw_buffer.reshape(2, rows, W)
     head_buffer, block_buffer = np.empty((rows, n)), np.empty((rows, blocks))
     low_buffer = np.empty((rows, lows))
@@ -301,35 +331,41 @@ def _squared_errors(spectrum: Spectrum, n: int, q: float, p_sorted: np.ndarray, 
         block = slice(first, min(first + step, mc.trials))
         m = block.stop - first
         theta, diff, err, power = theta_buffer[:m], diff_buffer[:m], err_buffer[:m], power_buffer[:m]
-        draw(keys[block], draw_buffer[:m, :width], theta)
-        c = np.fft.ifft(equispaced_predict(theta, n))
-        np.square(theta.real, out=power[:, :D])
-        power[:, :D] += np.square(theta.imag, out=err[:, :D])
-        power[:, D:] = 0.0
-        B = np.add.reduce(power.reshape(m, blocks, n), axis=2, out=block_buffer[:m])
-        S = suffix_buffer[:m]
-        np.cumsum(B[:, ::-1], axis=1, out=S[:, blocks - 1 :: -1])
-        if lows:
-            # p <= n: H[p - 1] + R[p] + S[1], one prefix sum for every p
-            np.subtract(theta[:, :n], c, out=diff[:, :n])
-            H = np.cumsum(_squared_modulus(diff[:, :n], err[:, :n]), axis=1, out=head_buffer[:m])
-            R = tail_buffer[:m]
-            np.cumsum(power[:, n - 1 :: -1], axis=1, out=R[:, n - 1 :: -1])
-            # the indices are in range; mode="raise" would copy through a buffer
-            low = np.take(H, p_low - 1, axis=1, out=samples[:lows, block].T, mode="clip")
-            low += np.take(R, p_low, axis=1, out=low_buffer[:m], mode="clip")
-            low += S[:, 1:2]
-        for col, (p, kernel) in enumerate(zip(p_high, kernels), start=lows):
-            # p > n: the fit's error over whole blocks of n, then the tail past them
-            fitted = -(-p // n)  # ceil(p / n) blocks
-            fit = _minnorm_fit(c, kernel, out=diff[:, :p])
-            np.subtract(theta[:, :p], fit, out=fit)
-            _squared_modulus(fit, err[:, :p])
-            err[:, p : fitted * n] = power[:, p : fitted * n]
-            heads = err[:, : fitted * n].reshape(m, fitted, n)
-            heads = np.add.reduce(heads, axis=2, out=block_buffer[:m, :fitted])
-            out = samples[col, block]
-            np.add(np.add.reduce(heads, axis=1, out=out), S[:, fitted], out=out)
+        normals = normal_buffer[:m, :width]
+        draw(keys[block], normals)
+        for scale, groups in zip(scales, sharing.values()):
+            _scale_block(scale, mc.coefficient_model, normals, theta, out=draw_buffer[:m, :width])
+            c = np.fft.ifft(equispaced_predict(theta, n))
+            np.square(theta.real, out=power[:, :D])
+            power[:, :D] += np.square(theta.imag, out=err[:, :D])
+            power[:, D:] = 0.0
+            B = np.add.reduce(power.reshape(m, blocks, n), axis=2, out=block_buffer[:m])
+            S = suffix_buffer[:m]
+            np.cumsum(B[:, ::-1], axis=1, out=S[:, blocks - 1 :: -1])
+            if lows:
+                # p <= n: H[p - 1] + R[p] + S[1], one prefix sum for every p and every q
+                np.subtract(theta[:, :n], c, out=diff[:, :n])
+                H = np.cumsum(_squared_modulus(diff[:, :n], err[:, :n]), axis=1, out=head_buffer[:m])
+                R = tail_buffer[:m]
+                np.cumsum(power[:, n - 1 :: -1], axis=1, out=R[:, n - 1 :: -1])
+                # the indices are in range; mode="raise" would copy through a buffer
+                low = np.take(H, p_low - 1, axis=1, out=samples[groups[0], :lows, block].T, mode="clip")
+                low += np.take(R, p_low, axis=1, out=low_buffer[:m], mode="clip")
+                low += S[:, 1:2]
+                for g in groups[1:]:
+                    samples[g, :lows, block] = low.T
+            for g in groups:
+                for col, (p, kernel) in enumerate(zip(p_high, kernels[g]), start=lows):
+                    # p > n: the fit's error over whole blocks of n, then the tail past them
+                    fitted = -(-p // n)  # ceil(p / n) blocks
+                    fit = _minnorm_fit(c, kernel, out=diff[:, :p])
+                    np.subtract(theta[:, :p], fit, out=fit)
+                    _squared_modulus(fit, err[:, :p])
+                    err[:, p : fitted * n] = power[:, p : fitted * n]
+                    heads = err[:, : fitted * n].reshape(m, fitted, n)
+                    heads = np.add.reduce(heads, axis=2, out=block_buffer[:m, :fitted])
+                    out = samples[g, col, block]
+                    np.add(np.add.reduce(heads, axis=1, out=out), S[:, fitted], out=out)
     return samples
 
 
@@ -341,7 +377,7 @@ def empirical_risk(spectrum: Spectrum, grid: GridConfig, q: float, mc: McConfig)
     per-trial errors: they show the spread of the errors, not a confidence
     interval for the mean.
     """
-    return empirical_risks(spectrum, grid.n, q, [grid.p], mc)[0]
+    return empirical_risks([spectrum], grid.n, [q], [grid.p], mc)[0][0]
 
 
 def concentration_check(

@@ -18,7 +18,7 @@ the runtime folds and transforms (the aliasing fact, see ``circulant``):
   ``axis_feature_matrix``: checks ``interpolation.evaluate_on_grid``;
 * ``trial_generator`` and ``sample_theta``, the reference definition of the
   Monte Carlo stream: ``montecarlo.empirical_risks`` draws every theta bit
-  for bit as they do (``_trial_keys``, ``_block_sampler``).
+  for bit as they do (``_trial_keys``, ``_block_sampler``, ``_scale_block``).
 """
 
 from __future__ import annotations

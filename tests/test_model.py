@@ -260,7 +260,7 @@ class TestCheckTruncations:
         with pytest.raises(ConfigurationError, match=message):
             sweep_risks([spectrum], 8, [1.0], [4, p])
         with pytest.raises(ConfigurationError, match=message):
-            empirical_risks(spectrum, 8, 1.0, [4, p], mc)
+            empirical_risks([spectrum], 8, [1.0], [4, p], mc)
         with pytest.raises(ConfigurationError, match=message):
             classify_grid(64, 8, p)
 

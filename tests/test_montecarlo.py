@@ -21,7 +21,7 @@ from fourier_minnorm import (
 )
 from fourier_minnorm.oracles import sample_theta, trial_generator
 from fourier_minnorm import montecarlo
-from fourier_minnorm.montecarlo import _block_sampler, _draw_width, _theta_scale, _trial_keys
+from fourier_minnorm.montecarlo import _block_sampler, _draw_width, _scale_block, _theta_scale, _trial_keys
 
 DRAWS = 100_000
 
@@ -271,7 +271,7 @@ class TestEmpiricalRisks:
     @given(sweeps())
     def test_within_fsum_bound_of_one_trial_at_a_time(self, sweep):
         spectrum, n, q, p_values, mc = sweep
-        got = empirical_risks(spectrum, n, q, p_values, mc)
+        got = empirical_risks([spectrum], n, [q], p_values, mc)[0]
         assert len(got) == len(p_values)
         assert_within_fsum_bound(got, one_trial_at_a_time(spectrum, n, q, p_values, mc), spectrum.D, n)
         for est in got:
@@ -286,7 +286,7 @@ class TestEmpiricalRisks:
         for elements in (1, montecarlo._BLOCK_ELEMENTS, 1 << 20):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(montecarlo, "_BLOCK_ELEMENTS", elements)
-                runs.append(empirical_risks(spectrum, n, q, p_values, mc))
+                runs.append(empirical_risks([spectrum], n, [q], p_values, mc)[0])
         for single_rows, default, one_block in zip(*runs):
             assert same_bits(single_rows.samples, default.samples)
             assert same_bits(one_block.samples, default.samples)
@@ -295,7 +295,7 @@ class TestEmpiricalRisks:
     @given(sweeps())
     def test_point_calls_are_sweep_entries(self, sweep):
         spectrum, n, q, p_values, mc = sweep
-        for p, est in zip(p_values, empirical_risks(spectrum, n, q, p_values, mc)):
+        for p, est in zip(p_values, empirical_risks([spectrum], n, [q], p_values, mc)[0]):
             single = empirical_risk(spectrum, classify_grid(spectrum.D, n, p), q, mc)
             assert same_bits(single.samples, est.samples)
             assert (single.mean, single.ci_low, single.ci_high) == (est.mean, est.ci_low, est.ci_high)
@@ -309,13 +309,13 @@ class TestEmpiricalRisks:
     def test_stats_equal_per_row_calls(self, trials, p_values, confidence):
         # one percentile call and one mean over all rows give each row's bits
         mc = McConfig(trials=trials, seed=trials, confidence=confidence)
-        for est in empirical_risks(build_spectrum(8, 1.0), 2, 1.0, p_values, mc):
+        for est in empirical_risks([build_spectrum(8, 1.0)], 2, [1.0], p_values, mc)[0]:
             assert_stats_are_per_row_calls(est, confidence)
 
     def test_point_call_is_one_sweep_entry(self):
         spectrum = build_spectrum(256, 1.0)
         mc = McConfig(trials=40, seed=4)
-        sweep = empirical_risks(spectrum, 16, 1.0, [8, 16, 40, 64], mc)
+        sweep = empirical_risks([spectrum], 16, [1.0], [8, 16, 40, 64], mc)[0]
         for p, est in zip([8, 16, 40, 64], sweep):
             single = empirical_risk(spectrum, classify_grid(256, 16, p), 1.0, mc)
             assert np.array_equal(single.samples, est.samples)
@@ -341,7 +341,70 @@ class TestEmpiricalRisks:
     @pytest.mark.parametrize("q", [-1.0, float("nan"), float("inf")])
     def test_rejects_bad_q(self, q):
         with pytest.raises(ConfigurationError):
-            empirical_risks(build_spectrum(16, 1.0), 4, q, [8], McConfig(trials=2, seed=0))
+            empirical_risks([build_spectrum(16, 1.0)], 4, [q], [8], McConfig(trials=2, seed=0))
+
+
+@st.composite
+def stacks(draw):
+    # (r, q) groups of one D: a grid of r x q with cells left out, so an r
+    # repeats across q and a q across r; one spectrum object per r
+    D = draw(st.integers(1, 96) | st.sampled_from([1000, 1024]))
+    n = draw(st.integers(1, min(D, 24)))
+    p_values = draw(st.lists(st.integers(1, D), min_size=1, max_size=5))
+    p_values += draw(st.sampled_from([[], [n], [1, D]]))  # p <= n and p > n in most draws
+    r_values = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=1, max_size=3, unique=True))
+    q_values = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0, 100.0]), min_size=1, max_size=3, unique=True))
+    cells = [(r, q) for r in r_values for q in q_values]
+    groups = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=len(cells), unique=True))
+    spectra = {r: build_spectrum(D, r) for r in r_values}
+    mc = McConfig(
+        trials=draw(st.integers(1, 19)),
+        seed=draw(st.integers(0, 2**96)),
+        coefficient_model=draw(st.sampled_from(list(CoefficientModel))),
+    )
+    # blocks of 1 to 4 trials (and the default): most trial counts leave a partial last block
+    elements = draw(st.sampled_from([montecarlo._BLOCK_ELEMENTS, D, 2 * D, 3 * D + 1, 4 * D]))
+    return [spectra[r] for r, _ in groups], n, [q for _, q in groups], p_values, mc, elements
+
+
+class TestStackedGroups:
+    @settings(max_examples=60, deadline=None)
+    @given(stacks())
+    def test_each_group_is_its_run_alone(self, stack):
+        spectra, n, q_values, p_values, mc, elements = stack
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(montecarlo, "_BLOCK_ELEMENTS", elements)
+            stacked = empirical_risks(spectra, n, q_values, p_values, mc)
+            alone = [empirical_risks([spectrum], n, [q], p_values, mc)[0] for spectrum, q in zip(spectra, q_values)]
+        assert len(stacked) == len(spectra)
+        for got, want in zip(stacked, alone):
+            assert len(got) == len(want) == len(p_values)
+            for a, b in zip(got, want):
+                assert same_bits(a.samples, b.samples)
+                assert (a.mean, a.ci_low, a.ci_high) == (b.mean, b.ci_low, b.ci_high)
+                assert not a.samples.flags.writeable
+
+    def test_mixed_D_rejected(self):
+        mc = McConfig(trials=2, seed=0)
+        with pytest.raises(ConfigurationError, match="share D"):
+            empirical_risks([build_spectrum(16, 1.0), build_spectrum(32, 1.0)], 4, [1.0, 1.0], [8], mc)
+
+    @pytest.mark.parametrize("groups, q_values", [(1, []), (1, [1.0, 2.0]), (0, [])])
+    def test_one_q_per_spectrum(self, groups, q_values):
+        spectra = [build_spectrum(16, 1.0)] * groups
+        with pytest.raises(ConfigurationError, match="one q per spectrum"):
+            empirical_risks(spectra, 4, q_values, [8], McConfig(trials=2, seed=0))
+
+
+def test_int_state_rekeying_reproduces_trial_generator():
+    # the sampler's state holds Python ints; a key word >= 2^63 must reach the
+    # generator unchanged (151 of the first 200 trials at seed 1 have one)
+    keys = _trial_keys(1, np.arange(200))
+    assert sum(max(key) >= 2**63 for key in keys.tolist()) == 151
+    draws = np.empty((200, 10))
+    _block_sampler()(keys, draws)
+    for trial, row in enumerate(draws):
+        assert same_bits(row, trial_generator(1, trial).standard_normal(10))
 
 
 @settings(max_examples=200, deadline=None)
@@ -370,14 +433,15 @@ def test_block_sampler_is_the_trial_stream(D, r, model, seed, trials):
     # the block draw of empirical_risks: keys in one pass, one re-keyed
     # generator, rows of a strided scratch block, one scaling pass
     spectrum = build_spectrum(D, r)
-    draw = _block_sampler(_theta_scale(spectrum), model)
+    draw = _block_sampler()
     keys = _trial_keys(seed, np.array(trials, dtype=np.uint64))
     width = _draw_width(model, D)
     theta = np.empty((len(trials), D), dtype=complex)
     split = len(trials) // 2  # a second call re-keys the same generator
     for part in (slice(0, split), slice(split, len(trials))):
         draws = np.empty((part.stop - part.start, width + 3))[:, :width]
-        draw(keys[part], draws, theta[part])
+        draw(keys[part], draws)
+        _scale_block(_theta_scale(spectrum), model, draws, theta[part], out=draws)
     for row, trial in zip(theta, trials):
         assert same_bits(row, sample_theta(spectrum, model, trial_generator(seed, trial)))
 
@@ -388,7 +452,7 @@ def test_trial_keys_key_the_trial_streams():
         assert np.array_equal(trial_generator(99, trial).bit_generator.state["state"]["key"], key)
 
 
-# Samples of empirical_risks(build_spectrum(64, 1.0), 8, 1.0, [4, 8, 20],
+# Samples of empirical_risks([build_spectrum(64, 1.0)], 8, [1.0], [4, 8, 20],
 # McConfig(trials=3, seed=2024, coefficient_model=model)), one row per p
 # (least squares, p = n and a misaligned min-norm p), as produced by
 # trial_generator -> sample_theta per trial and the head/block-tail sums of
@@ -412,5 +476,5 @@ GOLDEN_SAMPLES = {
 @pytest.mark.parametrize("model", list(CoefficientModel))
 def test_golden_samples(model):
     mc = McConfig(trials=3, seed=2024, coefficient_model=model)
-    estimates = empirical_risks(build_spectrum(64, 1.0), 8, 1.0, [4, 8, 20], mc)
+    estimates = empirical_risks([build_spectrum(64, 1.0)], 8, [1.0], [4, 8, 20], mc)[0]
     assert [[float(x).hex() for x in est.samples] for est in estimates] == GOLDEN_SAMPLES[model]

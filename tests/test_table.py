@@ -66,7 +66,7 @@ def table_rows(table: Table) -> list[list]:
     columns = []
     for column in table.columns:
         values = column.values.tolist() if isinstance(column.values, np.ndarray) else list(column.values)
-        if column.empty is not None:  # a float array's None cells
+        if column.empty is not None:  # the masked cells: a float list's None cells, or a given mask
             values = [None if empty else v for v, empty in zip(values, column.empty.tolist())]
         columns.append(values if column.index is None else [values[i] for i in column.index.tolist()])
     return [list(row) for row in zip(*columns)]
@@ -334,6 +334,20 @@ class TestWriterEquivalence:
     def test_cell_rules(self, tmp_path, values, cells):
         write_table(tmp_path / "t.csv", "csv", ["v"], Table([Column(values)]))
         assert (tmp_path / "t.csv").read_text() == "\n".join(["v", *cells]) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("tile", [1, 2])
+    @pytest.mark.parametrize(
+        "values, empty",
+        [([1, 2], [True, False]), (["ab", "c"], [False, True]), ([7, "x"], [True, True])],
+    )
+    def test_masked_text_cells_are_empty_in_both_formats(self, tmp_path, fmt, tile, values, empty):
+        # a non-float column with an empty mask: its masked cells are empty in CSV and null in JSON
+        table = Table([Column(values, tile=tile, empty=np.array(empty)), Column([0.5, 1.5], tile=tile)])
+        rows = [[None if hidden else value, x] for _ in range(tile) for value, hidden, x in zip(values, empty, [0.5, 1.5])]
+        write_table(tmp_path / "t", fmt, ["v", "x"], table)
+        expected = (reference_csv if fmt == "csv" else reference_json)(["v", "x"], rows)
+        assert (tmp_path / "t").read_bytes() == expected
 
     def test_bool_array_renders_as_bools(self, tmp_path):
         write_table(tmp_path / "t.csv", "csv", ["v"], Table([Column(np.array([True, False]))]))
