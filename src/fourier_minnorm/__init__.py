@@ -29,7 +29,6 @@ from .interpolation import (
 )
 from .model import (
     GridConfig,
-    Regime,
     Spectrum,
     build_spectrum,
     classify_grid,
@@ -69,7 +68,6 @@ __all__ = [
     "McRiskEstimate",
     "Method",
     "NumericalInconsistencyError",
-    "Regime",
     "RegimeError",
     "SingularConstantError",
     "Spectrum",

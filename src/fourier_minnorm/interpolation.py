@@ -14,10 +14,12 @@ Frequency weighting uses (1 + |k|)^(-1) per axis; in d > 1 either the
 separable product of axis weights or the non-separable Euclidean variant
 (1 + ||k||_2)^(-1).
 
-By the aliasing fact (see ``circulant``), on n equispaced points per axis
-the weighted min-norm fit is theta_k = s_k * fftn(y)[k mod n] / (n^d *
-Lambda[k mod n]) with ``circulant.class_weights``; plain min-norm and least
-squares take s = 1 (for p <= n each class holds at most one frequency).
+Every method fits every p, the minimiser of ||W^(-q) theta|| among the
+least-squares fits; least squares and plain min-norm name its q = 0 case.
+By the aliasing fact (see ``circulant``), on n equispaced points per axis it
+is theta_k = s_k * fftn(y)[k mod n] / (n^d * Lambda[k mod n]) with
+``circulant.class_weights``.  For p <= n each class holds at most one
+frequency, so s = Lambda = 1 and every method gives least squares.
 The series on the m-point grid of the problem's domain is m^d * ifftn of
 the coefficients folded modulo m (``evaluate_on_grid``).
 """
@@ -31,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalInconsistencyError, RegimeError, UnknownTargetError
+from .errors import ConfigurationError, NumericalInconsistencyError, UnknownTargetError
 from .circulant import class_weights
 from .model import _check_integer, check_finite_nonnegative, folded_sums
 
@@ -42,6 +44,8 @@ RESIDUAL_TOLERANCE = 1e-10
 
 
 class Method(enum.Enum):
+    """The exponent of the fit: the problem's q for weighted min-norm, 0 for the other two, which name one fit."""
+
     LEAST_SQUARES = "least-squares"
     PLAIN_MIN_NORM = "plain-min-norm"
     WEIGHTED_MIN_NORM = "weighted-min-norm"
@@ -285,18 +289,14 @@ def _log_weighted_norm(theta: np.ndarray, weights: np.ndarray, q: float) -> floa
 
 
 def fit_interpolant(problem: InterpolationProblem, method: Method) -> FittedInterpolant:
-    """Fit the chosen estimator by fold and FFT; see the module docstring.
+    """Fit the chosen estimator by fold and FFT, at any p_axis; see the module docstring.
 
     Raises ConfigurationError when the samples' transform overflows a
-    double, and NumericalInconsistencyError when a min-norm fit misses its
-    samples by more than RESIDUAL_TOLERANCE * max(1, ||y||).
+    double, and NumericalInconsistencyError when a fit at p_axis >= n_axis,
+    where every class holds a frequency and so every fit interpolates,
+    misses its samples by more than RESIDUAL_TOLERANCE * max(1, ||y||).
     """
     d, n, p = problem.dimension, problem.n_axis, problem.p_axis
-    if method is Method.LEAST_SQUARES and p > n:
-        raise RegimeError(f"least squares needs p_axis <= n_axis, got {p} > {n}")
-    if method is not Method.LEAST_SQUARES and p < n:
-        raise RegimeError(f"min-norm interpolation needs p_axis >= n_axis, got {p} < {n}")
-
     _, observed = training_samples(problem)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused just below
         transform = np.fft.fftn(observed)
@@ -310,7 +310,7 @@ def fit_interpolant(problem: InterpolationProblem, method: Method) -> FittedInte
     theta = _class_fit(transform, weights, q_eff)
 
     residual = _norm(evaluate_on_grid(theta, n) - observed)
-    if method is not Method.LEAST_SQUARES:
+    if p >= n:
         tolerance = RESIDUAL_TOLERANCE * max(1.0, _norm(observed))
         if not residual <= tolerance:
             raise NumericalInconsistencyError(

@@ -14,7 +14,6 @@ be shared freely across threads.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -32,12 +31,6 @@ COMPENSATED_SUM_MIN_BLOCKS = 256
 def compensated_classes(D: int, n: int) -> bool:
     """Whether the class sums of D features modulo n take Kahan compensation (see COMPENSATED_SUM_MIN_BLOCKS)."""
     return -(-D // n) >= COMPENSATED_SUM_MIN_BLOCKS
-
-
-class Regime(enum.Enum):
-    UNDER = "under"
-    OVER_ALIGNED = "over_aligned"
-    OVER_GENERAL = "over_general"
 
 
 @dataclass(frozen=True)
@@ -94,12 +87,12 @@ def cr_bounds(D: int, r: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class GridConfig:
-    """A (D, n, p) triple with its divisibility structure and regime tag.
+    """A (D, n, p) triple with its divisibility structure.
 
-    tau is present iff n divides D, l iff n divides p.  The boundary p = n is
-    tagged OVER_ALIGNED (l = 1); operations that need p <= n or p >= n (the
-    trace oracles) validate against n and p directly, so both regimes'
-    routes stay callable at the boundary.
+    tau is present iff n divides D, l iff n divides p.  Its regime tag is
+    ``regime_tags(n, np.array([p]))[0]``; operations that need p <= n or
+    p >= n (the trace oracles) validate against n and p directly, so both
+    sides' routes stay callable at the boundary p = n.
     """
 
     D: int
@@ -107,7 +100,6 @@ class GridConfig:
     p: int
     tau: int | None
     l: int | None
-    regime: Regime
 
 
 def classify_grid(D: int, n: int, p: int) -> GridConfig:
@@ -121,13 +113,7 @@ def classify_grid(D: int, n: int, p: int) -> GridConfig:
         raise ConfigurationError(f"truncation p={p} outside [1, D={D}]")
     tau = D // n if D % n == 0 else None
     l = p // n if p % n == 0 else None
-    if p < n:
-        regime = Regime.UNDER
-    elif l is not None:
-        regime = Regime.OVER_ALIGNED
-    else:
-        regime = Regime.OVER_GENERAL
-    return GridConfig(D=D, n=n, p=p, tau=tau, l=l, regime=regime)
+    return GridConfig(D=D, n=n, p=p, tau=tau, l=l)
 
 
 def check_truncations(D: int, n: int, p_values: Sequence[int]) -> np.ndarray:
@@ -152,9 +138,9 @@ def check_truncations(D: int, n: int, p_values: Sequence[int]) -> np.ndarray:
 
 
 def regime_tags(n: int, p: np.ndarray) -> np.ndarray:
-    """``classify_grid(D, n, p).regime.value`` for every p of an int array."""
-    aligned = np.where(p % n == 0, Regime.OVER_ALIGNED.value, Regime.OVER_GENERAL.value)
-    return np.where(p < n, Regime.UNDER.value, aligned)
+    """Each p's regime (the one statement of the rule): under below n, over_aligned where n | p, else over_general."""
+    aligned = np.where(p % n == 0, "over_aligned", "over_general")
+    return np.where(p < n, "under", aligned)
 
 
 def folded_sums(

@@ -2,7 +2,7 @@
 
 Coefficients are sampled with the modelled covariance c_r diag(t^(2r)),
 observations are full-model (all D features), and each trial records the
-squared recovery error of the regime-appropriate estimator.
+squared recovery error of the one min-norm fit of ``estimators``, any p.
 
 ``empirical_risks`` is the Monte Carlo twin of ``risktheory.sweep_risks``:
 it estimates every (spectrum, q) group of one D over a whole p sweep in one
@@ -13,7 +13,7 @@ them to its theta, folds the block to its samples y and takes the class sums
 c = ifft(y) once; c is shared by every p and every q of that spectrum (the
 aliasing fact, see ``circulant``): the min-norm fit of ``estimators`` is
 c[:, :p] at p <= n (least squares, whatever q), and every p > n broadcasts c
-against its kernel s_k / Lambda[k mod n], built once per p and group.
+against its kernel s_k / Lambda[k mod n], built once per p and q.
 ``empirical_risk`` is the one-point call.
 
 The same fact splits each trial's error sum_k |theta_k - theta_hat_k|^2 into
@@ -302,7 +302,8 @@ def _squared_errors(
     for g, spectrum in enumerate(spectra):
         sharing.setdefault(id(spectrum), []).append(g)
     scales = [_theta_scale(spectra[groups[0]]) for groups in sharing.values()]
-    kernels = [[_minnorm_kernel(spectrum.t[:p], n, q) for p in p_high] for spectrum, q in zip(spectra, q_values)]
+    # the p > n kernels depend on q and on t, which the shared D fixes: one set per distinct q
+    kernels = {q: [_minnorm_kernel(spectra[0].t[:p], n, q) for p in p_high] for q in set(q_values)}
     keys = _trial_keys(mc.seed, np.arange(mc.trials))
     draw = _block_sampler()
     width = _draw_width(mc.coefficient_model, D)
@@ -355,7 +356,7 @@ def _squared_errors(
                 for g in groups[1:]:
                     samples[g, :lows, block] = low.T
             for g in groups:
-                for col, (p, kernel) in enumerate(zip(p_high, kernels[g]), start=lows):
+                for col, (p, kernel) in enumerate(zip(p_high, kernels[q_values[g]]), start=lows):
                     # p > n: the fit's error over whole blocks of n, then the tail past them
                     fitted = -(-p // n)  # ceil(p / n) blocks
                     fit = _minnorm_fit(c, kernel, out=diff[:, :p])

@@ -76,13 +76,16 @@ def solve_weighted_minnorm(features: np.ndarray, weights: np.ndarray, q: float, 
     Solved through the SVD pseudoinverse of the column-scaled system (lstsq),
     never by explicit Gram inversion.  Also usable with p <= n, where it
     returns the unique least-squares solution instead.  The dense oracle of
-    ``weighted_minnorm``.
+    ``weighted_minnorm``.  Raises NumericalInconsistencyError where lstsq's
+    cut leaves the scaled system short of full rank: a truncated solve.
     """
     weights = np.asarray(weights, dtype=float)
     if np.any(weights <= 0):
         raise ConfigurationError("weights must be strictly positive")
     wq = weights ** q if q != 0.0 else np.ones_like(weights)
-    beta, *_ = np.linalg.lstsq(features * wq[None, :], np.asarray(y, dtype=complex), rcond=None)
+    beta, _, rank, _ = np.linalg.lstsq(features * wq[None, :], np.asarray(y, dtype=complex), rcond=None)
+    if rank < min(features.shape):  # the weights' q-th powers span more than the cut
+        raise NumericalInconsistencyError(f"scaled system of rank {rank} < {min(features.shape)}: a truncated solve")
     return wq * beta
 
 

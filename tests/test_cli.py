@@ -772,6 +772,28 @@ class TestInterp:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical inconsistency: weighted-min-norm fit misses its samples")
+        # least squares interpolates from p_axis = n_axis on, so it is guarded there too
+        for p in ("15", "45"):
+            code = main(["interp", "--target", "cubic1d", "--n-axis", "15", "--p-axis", p, "--d-axis", "45",
+                         "--q", "2", "--methods", "least-squares", "--out", str(tmp_path / f"ls{p}")])
+            assert code == 3
+            err = capsys.readouterr().err
+            assert err.startswith("numerical inconsistency: least-squares fit misses its samples")
+
+    @pytest.mark.parametrize("target, n, p_values", [("cubic1d", 15, (7, 60)), ("cos2d", 10, (3, 41))])
+    def test_every_method_fits_every_p_axis(self, tmp_path, target, n, p_values):
+        # least squares and plain min-norm are one fit; below n_axis weighted min-norm is that fit too
+        methods = ("least-squares", "plain-min-norm", "weighted-min-norm")
+        for p in p_values:
+            out = tmp_path / f"p{p}"
+            code = main(["interp", "--target", target, "--n-axis", str(n), "--p-axis", str(p), "--d-axis", "100",
+                         "--q", "2", "--methods", ",".join(methods), "--eval-points", "33", "--out", str(out)])
+            assert code == 0
+            files = {method: (tmp_path / f"p{p}.{method}.csv").read_bytes() for method in methods}
+            assert files["least-squares"] == files["plain-min-norm"]
+            assert (files["weighted-min-norm"] == files["least-squares"]) == (p < n)
+            per = json.loads((tmp_path / f"p{p}.metrics.json").read_text())["per_method"]
+            assert per["least-squares"] == per["plain-min-norm"]
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_samples_are_a_configuration_error(self, tmp_path, capsys, cell):

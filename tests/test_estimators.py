@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fourier_minnorm import (
     ConfigurationError,
+    NumericalInconsistencyError,
     RegimeError,
     build_spectrum,
     classify_grid,
@@ -317,3 +318,20 @@ def test_one_fit_for_every_p(grid, q, seed):
         assert fit.theta_hat[:p].tobytes() == np.fft.ifft(y)[:p].tobytes()
     else:
         assert fit.residual <= 1e-10 * np.linalg.norm(y)
+
+
+@pytest.mark.parametrize("D, n, q", [(64, 8, 40.0), (64, 40, 40.0), (16, 3, 40.0), (64, 8, 1e308)])
+def test_dense_oracle_refuses_a_cut_solve(D, n, q):
+    # Plain weights t^q span more than lstsq's cut here, so the scaled system
+    # loses rank; its truncated solve (relative error 8.6 at D = 64, n = 8,
+    # q = 40) must raise rather than pass for a reference.
+    t = build_spectrum(D, 1.0).t
+    y = np.random.default_rng(D + n).standard_normal(n)
+    for p in (n, n + 1, D):
+        with pytest.raises(NumericalInconsistencyError, match="a truncated solve"):
+            solve_weighted_minnorm(fourier_matrix(n, 0, p), t[:p], q, y)
+    # each weight divided by its class leader: the same minimiser at full rank
+    leader_scaled = t / t[np.arange(D) % n]
+    dense = solve_weighted_minnorm(fourier_matrix(n, 0, D), leader_scaled, q, y)
+    fit = weighted_minnorm(y, build_spectrum(D, 1.0), classify_grid(D, n, D), q)
+    assert np.linalg.norm(fit.theta_hat - dense) <= 1e-10 * np.linalg.norm(dense)

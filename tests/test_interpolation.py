@@ -9,7 +9,6 @@ from fourier_minnorm import (
     InterpolationProblem,
     Method,
     NumericalInconsistencyError,
-    RegimeError,
     UnknownTargetError,
     WeightKind,
     builtin_targets,
@@ -152,13 +151,28 @@ class TestFitInterpolant:
         plain = fit_interpolant(problem, Method.PLAIN_MIN_NORM)
         assert weighted.weighted_norm < plain.weighted_norm
 
-    def test_regime_validation(self):
-        over = InterpolationProblem(dimension=1, n_axis=8, p_axis=16, D_axis=16, q=1.0, target="cubic1d")
-        with pytest.raises(RegimeError):
-            fit_interpolant(over, Method.LEAST_SQUARES)
-        under = InterpolationProblem(dimension=1, n_axis=8, p_axis=4, D_axis=16, q=1.0, target="cubic1d")
-        with pytest.raises(RegimeError):
-            fit_interpolant(under, Method.PLAIN_MIN_NORM)
+    @pytest.mark.parametrize("kind", list(WeightKind))
+    @pytest.mark.parametrize("dimension, target", [(1, "cubic1d"), (2, "cos2d")])
+    def test_least_squares_above_n_is_plain_min_norm(self, dimension, target, kind):
+        for n, p in ((8, 16), (5, 9), (1, 3)):
+            problem = InterpolationProblem(
+                dimension=dimension, n_axis=n, p_axis=p, D_axis=16, q=1.0, target=target, weight_kind=kind
+            )
+            least_squares = fit_interpolant(problem, Method.LEAST_SQUARES)
+            assert_same_fit(least_squares, fit_interpolant(problem, Method.PLAIN_MIN_NORM))
+            assert least_squares.residual <= 1e-10 * max(1.0, np.linalg.norm(training_samples(problem)[1]))
+
+    @pytest.mark.parametrize("kind", list(WeightKind))
+    @pytest.mark.parametrize("dimension, target", [(1, "cubic1d"), (2, "cos2d")])
+    def test_min_norm_up_to_n_is_least_squares(self, dimension, target, kind):
+        # at p_axis <= n_axis each class holds at most one frequency: s = Lambda = 1, whatever q
+        for n, p, q in ((8, 4, 1.0), (9, 1, 2.0), (6, 6, 40.0), (7, 3, 1e308)):
+            problem = InterpolationProblem(
+                dimension=dimension, n_axis=n, p_axis=p, D_axis=16, q=q, target=target, weight_kind=kind
+            )
+            least_squares = fit_interpolant(problem, Method.LEAST_SQUARES)
+            for method in (Method.PLAIN_MIN_NORM, Method.WEIGHTED_MIN_NORM):
+                assert_same_fit(fit_interpolant(problem, method), least_squares)
 
     def test_least_squares_projection(self):
         problem = InterpolationProblem(dimension=1, n_axis=15, p_axis=5, D_axis=20, q=0.0, target="cubic1d")
@@ -203,6 +217,13 @@ class TestFitInterpolant:
             InterpolationProblem(q=1.0, target="cubic1d", **{**sizes, field: value})
 
 
+def assert_same_fit(a, b):
+    """Two fits equal bit for bit: coefficient bytes and every diagnostic."""
+    assert a.coefficients.tobytes() == b.coefficients.tobytes()
+    for name in ("residual", "weighted_norm", "log10_weighted_norm", "plain_norm"):
+        assert getattr(a, name).hex() == getattr(b, name).hex(), name
+
+
 def dense_fit(problem, method):
     """The fit from one dense solve of the flattened (Kronecker) system."""
     d, n, p = problem.dimension, problem.n_axis, problem.p_axis
@@ -221,15 +242,16 @@ class TestFoldAndFft:
         d=st.sampled_from([1, 2]),
         n=st.integers(min_value=1, max_value=6),
         extra=st.integers(min_value=0, max_value=7),
+        below=st.booleans(),
         kind=st.sampled_from(list(WeightKind)),
         method=st.sampled_from(list(Method)),
         q=st.floats(min_value=0.0, max_value=4.0),
         seed=st.integers(min_value=0, max_value=2**16),
     )
     @settings(max_examples=80, deadline=None)
-    def test_matches_the_dense_flattened_solve(self, d, n, extra, kind, method, q, seed):
-        # least squares truncates below n, the min-norm fits extend above it
-        p = max(1, n - extra) if method is Method.LEAST_SQUARES else n + extra
+    def test_matches_the_dense_flattened_solve(self, d, n, extra, below, kind, method, q, seed):
+        # every method at every p: truncated below n, extended above it
+        p = max(1, n - extra) if below else n + extra
         y = np.random.default_rng(seed).standard_normal((n,) * d)
         problem = InterpolationProblem(
             dimension=d, n_axis=n, p_axis=p, D_axis=p, q=q, target=y, weight_kind=kind, domain=(-0.5, 1.5)
@@ -264,15 +286,18 @@ class TestFoldAndFft:
         assert 300 < fit.log10_weighted_norm < 1000
 
     def test_residual_guard(self, monkeypatch):
-        problem = InterpolationProblem(dimension=1, n_axis=9, p_axis=27, D_axis=27, q=1.0, target="cubic1d")
         real_fit = interpolation._class_fit
         monkeypatch.setattr(interpolation, "_class_fit", lambda *args: real_fit(*args) * (1.0 + 1e-6))
-        for method in (Method.WEIGHTED_MIN_NORM, Method.PLAIN_MIN_NORM):
-            with pytest.raises(NumericalInconsistencyError, match="misses its samples"):
-                fit_interpolant(problem, method)
-        # least squares below n never interpolates, so it is not guarded
+        # from p_axis = n_axis on every class holds a frequency, so every fit must interpolate
+        for p in (9, 27):
+            problem = InterpolationProblem(dimension=1, n_axis=9, p_axis=p, D_axis=27, q=1.0, target="cubic1d")
+            for method in Method:
+                with pytest.raises(NumericalInconsistencyError, match=f"^{method.value} fit misses its samples"):
+                    fit_interpolant(problem, method)
+        # below n no fit interpolates, so none is guarded
         under = InterpolationProblem(dimension=1, n_axis=9, p_axis=5, D_axis=27, q=1.0, target="cubic1d")
-        assert fit_interpolant(under, Method.LEAST_SQUARES).residual > 1e-3
+        for method in Method:
+            assert fit_interpolant(under, method).residual > 1e-3
 
 
 class TestEvaluateOnGrid:

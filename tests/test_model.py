@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from fourier_minnorm import (
     ConfigurationError,
     McConfig,
-    Regime,
     RegimeError,
     build_spectrum,
     classify_grid,
@@ -125,16 +124,17 @@ class TestClassifyGrid:
     @pytest.mark.parametrize(
         "D,n,p,regime,tau,l",
         [
-            (8, 2, 4, Regime.OVER_ALIGNED, 4, 2),
-            (8, 4, 3, Regime.UNDER, 2, None),
-            (8, 3, 5, Regime.OVER_GENERAL, None, None),
-            (8, 2, 2, Regime.OVER_ALIGNED, 4, 1),
-            (12, 4, 12, Regime.OVER_ALIGNED, 3, 3),
+            (8, 2, 4, "over_aligned", 4, 2),
+            (8, 4, 3, "under", 2, None),
+            (8, 3, 5, "over_general", None, None),
+            (8, 2, 2, "over_aligned", 4, 1),
+            (12, 4, 12, "over_aligned", 3, 3),
         ],
     )
     def test_examples(self, D, n, p, regime, tau, l):
         g = classify_grid(D, n, p)
-        assert (g.regime, g.tau, g.l) == (regime, tau, l)
+        assert (g.tau, g.l) == (tau, l)
+        assert regime_tags(g.n, np.array([g.p])).tolist() == [regime]
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ConfigurationError):
@@ -158,12 +158,9 @@ class TestClassifyGrid:
         g = classify_grid(D, n, p)
         assert (g.tau is not None) == (D % n == 0)
         assert (g.l is not None) == (p % n == 0)
-        if g.regime is Regime.UNDER:
-            assert p < n
-        elif g.regime is Regime.OVER_ALIGNED:
-            assert p >= n and p % n == 0
-        else:
-            assert p > n and p % n != 0
+        # the regime of a grid is its tag: under below n, then aligned exactly where l is set
+        tag = regime_tags(g.n, np.array([g.p]))[0]
+        assert tag == ("under" if p < n else "over_aligned" if g.l is not None else "over_general")
         assert classify_grid(D, n, p) == g
 
 
@@ -216,7 +213,7 @@ class TestCheckTruncations:
             return
         p = check_truncations(D, n, p_values)
         assert p.tolist() == [g.p for g in grids]
-        assert regime_tags(n, p).tolist() == [g.regime.value for g in grids]
+        assert regime_tags(n, p).tolist() == [regime_tags(g.n, np.array([g.p]))[0] for g in grids]
 
     def test_names_the_first_offending_value(self):
         with pytest.raises(ConfigurationError, match=r"^truncation p=0 outside \[1, D=8\]$"):

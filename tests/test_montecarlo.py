@@ -384,6 +384,22 @@ class TestStackedGroups:
                 assert (a.mean, a.ci_low, a.ci_high) == (b.mean, b.ci_low, b.ci_high)
                 assert not a.samples.flags.writeable
 
+    def test_one_kernel_set_per_distinct_q(self, monkeypatch):
+        # the p > n kernels depend on D and q alone: mc-risk's r in {0.5, 1} x q in {0, 1} builds two sets, not four
+        built = []
+        real_kernel = montecarlo._minnorm_kernel
+
+        def counting_kernel(t_T, n, q):
+            built.append((len(t_T), q))
+            return real_kernel(t_T, n, q)
+
+        monkeypatch.setattr(montecarlo, "_minnorm_kernel", counting_kernel)
+        spectra = {r: build_spectrum(64, r) for r in (0.5, 1.0)}
+        groups = [(r, q) for r in (0.5, 1.0) for q in (0.0, 1.0)]
+        mc = McConfig(trials=20, seed=0)
+        empirical_risks([spectra[r] for r, _ in groups], 8, [q for _, q in groups], [3, 8, 20, 64], mc)
+        assert sorted(built) == [(20, 0.0), (20, 1.0), (64, 0.0), (64, 1.0)]  # p = 20 and 64 are past n = 8
+
     def test_mixed_D_rejected(self):
         mc = McConfig(trials=2, seed=0)
         with pytest.raises(ConfigurationError, match="share D"):
