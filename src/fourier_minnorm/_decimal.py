@@ -4,10 +4,8 @@ A cell is one row of ``CELL_WIDTH = 24`` bytes, read as three little-endian
 int64 words.  NUL fills every unused byte, so deleting the NULs of a row
 leaves the cell's text.  Byte 0 holds the sign (``-``, or NUL for a
 positive value); the text follows: ``d.ddd``, ``0.000ddd`` or
-``d.ddde-XX``.  The exponent always sits in bytes 19 to 22, so a cell of
-this path uses at most bytes 0 to 22 and its row's last byte stays NUL.
-Only a ``%``-formatted cell can fill all 24 bytes
-(``-4.9406564584124654e-324``).
+``d.ddde-XX``.  The exponent always sits in bytes 19 to 22.  Only a
+``%``-formatted cell can fill all 24 bytes (``-4.9406564584124654e-324``).
 
 For ``1e-11 <= |v| < 1e17`` the 17 significant digits come from exact
 integer arithmetic: ``v * 10**(16 - E)`` for the decimal exponent ``E`` of

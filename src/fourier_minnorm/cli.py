@@ -20,13 +20,13 @@ Output contracts:
   index, and interp's f_true its distinct values plus an index; a
   column's kind (float or not, per-row or indexed) is fixed when it is
   built, and the CSV writer (``_csv_chunks``) makes every formatting
-  choice: which columns stream, which are formatted and kept, the slot
-  widths and each chunk's cells;
+  choice: which columns stream, which are formatted and kept, and each
+  chunk's cells;
   float cells are formatted in numpy (exact ``%.17g`` digits for
   1e-11 <= |v| < 1e17, Python's ``%`` for every other value), a CSV file
-  is written in chunks of rows into one byte matrix per file, a slot of
-  whole words per column holding the cell, its NUL padding and the
-  column's separator, with the NULs deleted from each chunk; per-row
+  is written in chunks of rows into one byte matrix per file, the cells
+  (NUL-padded byte rows) and separators side by side, with the NULs
+  deleted from each chunk; per-row
   floats are formatted chunk by chunk and never kept, and every other
   column is formatted once and kept, so a column shared by several files
   (interp's x_i and f_true) is formatted once; float columns share
@@ -96,7 +96,7 @@ def render_cell(value) -> str:
     """One CSV cell: None empty, bools true/false, ints exact, floats to 17 digits."""
     if value is None:
         return ""
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
@@ -112,45 +112,15 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
     return _decimal.float_cells(values)
 
 
-def _widest_float(values: np.ndarray) -> int:
-    """A bound on the bytes of the widest ``%.17g`` cell of these floats.
-
-    Only a negative value with a three-digit exponent takes 24
-    (``-4.9406564584124654e-324``); every other cell takes at most 23.
-    """
-    magnitudes = -values[values < 0]
-    return 24 if np.any((magnitudes < 1e-99) | (magnitudes >= 1e99)) else 23
-
-
 def _text_cells(cells: Sequence[str]) -> np.ndarray:
     """Rendered cells as rows of a NUL-padded byte matrix."""
     text = np.array([cell.encode("utf-8") for cell in cells], dtype=bytes)
     return text.view(np.uint8).reshape(len(cells), text.itemsize)
 
 
-# A CSV row is one slot per column: the column's cell, NUL-padded, then its
-# separator (a comma, or LF after the last column).  A slot spans whole
-# words, the fewest that hold the column's widest cell and the separator.
-def _cell_bytes(widest: int) -> int:
-    """The bytes before the separator in the slot of a column whose cells take at most ``widest`` bytes."""
-    return widest // 8 * 8 + 7
-
-
-def _fit(cells: np.ndarray, width: int) -> np.ndarray:
-    """Byte rows cut (only NULs past the widest cell) or NUL-padded to ``width`` bytes."""
-    if cells.shape[1] >= width:
-        return cells[:, :width]
-    fitted = np.zeros((len(cells), width), dtype=np.uint8)
-    fitted[:, : cells.shape[1]] = cells
-    return fitted
-
-
-def _items(cells: np.ndarray) -> np.ndarray:
-    """Byte rows (last axis contiguous) as one array of fixed-size items, so each row moves in one copy."""
-    return cells.view(f"V{cells.shape[1]}")[:, 0]
-
-
 def _json_value(value):
+    if isinstance(value, np.bool_):
+        return bool(value)
     if isinstance(value, (np.integer,)):
         return int(value)
     if isinstance(value, (np.floating,)):
@@ -274,26 +244,28 @@ def _write_file(path: Path, chunks: Iterable[bytes]) -> None:
 def _kept_cells(column: Column, float_cells: np.ndarray | None) -> np.ndarray:
     """The byte rows a column keeps: its float cells or its rendered text cells, the ``empty`` ones blanked.
 
-    Each row is cut to the fewest whole words, less the separator's byte,
-    that hold the widest cell.
+    Each row is cut after the last byte that any of its cells uses.
     """
     cells = float_cells if column.floats else _text_cells(list(map(render_cell, column.values)))
     if column.empty is not None:
         cells[column.empty] = 0
     used = np.flatnonzero(cells.any(axis=0))
+    width = used[-1] + 1 if used.size else 0
     # contiguous, not a view of wider rows: a chunk's gather then reads about twice as fast
-    return np.ascontiguousarray(_fit(cells, _cell_bytes(used[-1] + 1 if used.size else 0)))
+    return np.ascontiguousarray(cells[:, :width])
 
 
 def _csv_chunks(header: Sequence[str], table: Table) -> Iterator[bytes]:
-    """The CSV text in chunks of rows: each one byte matrix of slots, a cell then its separator, NULs deleted.
+    """The CSV text in chunks of rows: each one byte matrix of the cells and separators side by side, NULs deleted.
 
     Per-row float columns are formatted chunk by chunk and keep nothing.
     Every other column is formatted on its first write and keeps its byte
     rows (``_kept_cells``): a float column in the first chunk's formatter
-    calls, after the per-row ones, and text after those calls.  The matrix
-    is allocated once, with every separator in place; each chunk overwrites
-    only the cells.
+    calls, after the per-row ones, and text after those calls.  The row
+    matrix takes each column's cells, as wide as the first chunk's, then a
+    one-byte separator (a comma, or LF after the last column).  It is
+    allocated once with every separator in place, and each chunk writes
+    each column's cells into their columns of it.
     """
     yield (",".join(header) + "\n").encode("utf-8")
     if not len(table):
@@ -307,30 +279,28 @@ def _csv_chunks(header: Sequence[str], table: Table) -> Iterator[bytes]:
     chunk_cells, kept_floats = cells[: len(streamed)], cells[len(streamed) :]
     for column in fresh:
         column.cells = _kept_cells(column, kept_floats.pop(0) if column.floats else None)
-    # bytes before each column's separator
-    widths = [_cell_bytes(_widest_float(c.values)) if c.streams else c.cells.shape[1] for c in columns]
-    separators = np.cumsum(widths) + np.arange(len(widths))
-    rows = np.zeros((chunk_rows, separators[-1] + 1), dtype=np.uint8)
-    rows[:, separators] = ord(",")
-    rows[:, -1] = ord("\n")
-    slots = [_items(rows[:, end - width : end]) for end, width in zip(separators, widths)]  # each less its separator
+    first = iter(chunk_cells)
+    widths = [(next(first) if column.streams else column.cells).shape[1] for column in columns]
+    ends = np.cumsum(widths) + np.arange(len(columns))  # each column's separator
+    matrix = np.empty((chunk_rows, ends[-1] + 1), dtype=np.uint8)
+    matrix[:, ends] = ord(",")
+    matrix[:, -1] = ord("\n")
     for start in range(0, len(table), CSV_CHUNK_ROWS):
         stop = min(start + CSV_CHUNK_ROWS, len(table))
         if start:
             chunk_cells = _shared_float_cells([column.values[start:stop] for column in streamed])
         formatted = iter(chunk_cells)
-        for column, slot, width in zip(columns, slots, widths):
+        for column, end, width in zip(columns, ends, widths):
             if column.streams:
                 cells = next(formatted)
                 if column.empty is not None:
                     cells[column.empty[start:stop]] = 0
-                cells = _fit(cells, width)
             elif column.index is None:
                 cells = column.cells[start:stop]
             else:
                 cells = column.cells.take(column.index[start:stop], axis=0)
-            slot[: stop - start] = _items(cells)
-        yield rows[: stop - start].tobytes().translate(None, b"\0")
+            matrix[: stop - start, end - width : end] = cells  # one gathered column alive at a time
+        yield matrix[: stop - start].tobytes().translate(None, b"\0")
 
 
 def write_csv(path: Path, header: Sequence[str], table: Table) -> None:

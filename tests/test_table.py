@@ -24,7 +24,7 @@ from fourier_minnorm.interpolation import builtin_targets, sample_axis
 def reference_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
@@ -34,6 +34,8 @@ def reference_cell(value) -> str:
 
 
 def reference_json_value(value):
+    if isinstance(value, np.bool_):
+        return bool(value)
     if isinstance(value, np.integer):
         return int(value)
     if isinstance(value, np.floating):
@@ -100,7 +102,7 @@ SPECIALS = [
     5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308, 1 / 3, 0.1,
     None, True, False, 2**70, -(2**63),
     np.int64(-3), np.int32(7), np.uint8(255), np.float64(-0.0), np.float64(math.nan), np.float32(0.1),
-    "under", "over_aligned",
+    np.bool_(True), np.bool_(False), "under", "over_aligned",
 ]
 
 cells = st.one_of(
@@ -327,8 +329,9 @@ class TestWriterEquivalence:
             # all floats, floats and None, anything else: one renderer each
             ([-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324], ["-0", "0", "nan", "inf", "-inf", "4.9406564584124654e-324"]),
             ([-0.0, None, math.nan, 0.1], ["-0", "", "nan", "0.10000000000000001"]),
-            ([-0.0, None, True, False, np.int64(-4), 2**70, np.float64(-0.0), "over_general"],
-             ["-0", "", "true", "false", "-4", "1180591620717411303424", "-0", "over_general"]),
+            ([-0.0, None, True, False, np.int64(-4), 2**70, np.float64(-0.0), "over_general", np.bool_(True),
+              np.bool_(False)],
+             ["-0", "", "true", "false", "-4", "1180591620717411303424", "-0", "over_general", "true", "false"]),
         ],
     )
     def test_cell_rules(self, tmp_path, values, cells):
@@ -339,7 +342,8 @@ class TestWriterEquivalence:
     @pytest.mark.parametrize("tile", [1, 2])
     @pytest.mark.parametrize(
         "values, empty",
-        [([1, 2], [True, False]), (["ab", "c"], [False, True]), ([7, "x"], [True, True])],
+        [([1, 2], [True, False]), (["ab", "c"], [False, True]), ([7, "x"], [True, True]),
+         ([np.bool_(True), np.bool_(False)], [False, True])],
     )
     def test_masked_text_cells_are_empty_in_both_formats(self, tmp_path, fmt, tile, values, empty):
         # a non-float column with an empty mask: its masked cells are empty in CSV and null in JSON
